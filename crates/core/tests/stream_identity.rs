@@ -10,7 +10,11 @@
 //! NOISELAB_UPDATE_FIXTURES=1 cargo test -p noiselab-core --test stream_identity
 //! ```
 
-use noiselab_core::{run_once, ExecConfig, Mitigation, Model, Platform};
+use noiselab_core::{run_once, run_once_faulted, ExecConfig, Mitigation, Model, Platform};
+use noiselab_injector::{CpuNoiseList, InjectPolicy, InjectionConfig, NoiseEventSpec};
+use noiselab_kernel::{CpuStallSpec, FaultPlan, KernelConfig, SpuriousIrqSpec, ThreadAbortSpec};
+use noiselab_machine::CpuId;
+use noiselab_sim::{SimDuration, SimTime};
 use noiselab_workloads::{Babelstream, MiniFE, NBody, Workload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -50,6 +54,58 @@ fn workloads() -> Vec<(&'static str, Box<dyn Workload>)> {
     ]
 }
 
+/// Every fault kind at once. The abort fires in about half the runs, so
+/// the battery pins failed cells (by cause) as well as perturbed ones.
+fn fault_plan() -> FaultPlan {
+    FaultPlan {
+        seed: 0xFA17,
+        lost_tick_prob: 0.02,
+        late_tick_prob: 0.05,
+        late_tick_max: SimDuration::from_micros(50),
+        spurious: Some(SpuriousIrqSpec {
+            rate_per_sec: 2_000.0,
+            service_mean: SimDuration::from_micros(5),
+            window: SimDuration::from_millis(20),
+        }),
+        stall: Some(CpuStallSpec {
+            start: (SimDuration::ZERO, SimDuration::from_millis(2)),
+            duration: (SimDuration::from_micros(100), SimDuration::from_micros(300)),
+        }),
+        abort: Some(ThreadAbortSpec {
+            prob: 0.5,
+            window: (SimDuration::ZERO, SimDuration::from_millis(2)),
+        }),
+    }
+}
+
+/// A hand-written replay config: FIFO (IRQ-like) noise on one CPU and
+/// niced thread noise on another.
+fn injection_config() -> InjectionConfig {
+    let event = |start_us: u64, dur_us: u64, policy, source: &str| NoiseEventSpec {
+        start: SimTime::ZERO + SimDuration::from_micros(start_us),
+        duration: SimDuration::from_micros(dur_us),
+        policy,
+        source: source.into(),
+    };
+    InjectionConfig {
+        origin: "stream_identity".into(),
+        anomaly_exec: SimDuration::from_millis(5),
+        lists: vec![
+            CpuNoiseList {
+                cpu: CpuId(0),
+                events: vec![
+                    event(100, 40, InjectPolicy::Fifo, "irq/nvme"),
+                    event(900, 250, InjectPolicy::Fifo, "irq/nvme"),
+                ],
+            },
+            CpuNoiseList {
+                cpu: CpuId(3),
+                events: vec![event(300, 800, InjectPolicy::Other { nice: 0 }, "kworker")],
+            },
+        ],
+    }
+}
+
 fn battery() -> BTreeMap<String, String> {
     let p = Platform::intel();
     let configs = [
@@ -57,6 +113,8 @@ fn battery() -> BTreeMap<String, String> {
         ("TP-OMP", ExecConfig::new(Model::Omp, Mitigation::Tp)),
         ("Rm-SYCL", ExecConfig::new(Model::Sycl, Mitigation::Rm)),
     ];
+    let plan = fault_plan();
+    let inject = injection_config();
     let mut out = BTreeMap::new();
     for (wname, w) in workloads() {
         for (cname, cfg) in &configs {
@@ -72,6 +130,17 @@ fn battery() -> BTreeMap<String, String> {
                         key,
                         format!("{:016x}:{}", run.stream_hash, run.exec.nanos()),
                     );
+                }
+                let kc = KernelConfig::default();
+                let faulted =
+                    run_once_faulted(&p, w.as_ref(), cfg, &kc, seed, false, None, Some(&plan));
+                let injected = run_once(&p, w.as_ref(), cfg, seed, false, Some(&inject));
+                for (kind, run) in [("faulted", faulted), ("injected", injected)] {
+                    let value = match run {
+                        Ok(run) => format!("{:016x}:{}", run.stream_hash, run.exec.nanos()),
+                        Err(f) => format!("failed:{f}"),
+                    };
+                    out.insert(format!("{wname}/{cname}/seed{seed}/{kind}"), value);
                 }
             }
         }
