@@ -62,7 +62,7 @@ impl History {
 
 fn sweep(reps: u32, label: String) -> Snapshot {
     let platform = Platform::intel();
-    let workloads: Vec<Box<dyn Workload>> = vec![
+    let workloads: Vec<Box<dyn Workload + Sync>> = vec![
         Box::new(suite::nbody_for(&platform)),
         Box::new(suite::babelstream_for(&platform)),
         Box::new(suite::minife_for(&platform)),

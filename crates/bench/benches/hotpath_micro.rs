@@ -18,9 +18,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use noiselab_core::{
-    run_once_instrumented_in, ExecConfig, Mitigation, Model, Observe, Platform, RunArena,
-};
+use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec};
 use noiselab_kernel::{
     Action, InternTable, Kernel, KernelConfig, KernelObserver, ScriptBehavior, ThreadKind,
     ThreadSpec, WireRecord, WIRE_NO_THREAD, WIRE_RECORD_BYTES,
@@ -115,25 +113,16 @@ fn bench_intern(c: &mut Criterion) {
 /// `arena` — the exact body of the overhead-measurement rep loop.
 fn instrumented_run(platform: &Platform, arena: &mut RunArena) -> u64 {
     let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
-    let observe = Observe {
+    let workload = tiny_nbody(2);
+    let spec = RunSpec {
+        tracing: true,
         telemetry: Some(TelemetryConfig::default()),
-        ..Observe::default()
+        ..RunSpec::new(platform, &workload, &cfg, 7)
     };
-    run_once_instrumented_in(
-        platform,
-        &tiny_nbody(2),
-        &cfg,
-        &KernelConfig::default(),
-        7,
-        true,
-        None,
-        None,
-        observe,
-        arena,
-    )
-    .expect("bench run failed")
-    .output
-    .stream_hash
+    run(&spec, arena)
+        .expect("bench run failed")
+        .output
+        .stream_hash
 }
 
 fn bench_arena(c: &mut Criterion) {

@@ -5,7 +5,7 @@
 //! simulated seconds).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use noiselab_core::{run_once, ExecConfig, Mitigation, Model, Platform};
+use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec};
 use noiselab_kernel::{Action, Kernel, KernelConfig, ScriptBehavior, ThreadKind, ThreadSpec};
 use noiselab_machine::{Machine, WorkUnit};
 use noiselab_sim::{EventQueue, SimDuration, SimTime};
@@ -155,7 +155,10 @@ fn bench_run_once(c: &mut Criterion) {
     c.bench_function("run_once_nbody_small_intel", |b| {
         b.iter(|| {
             seed += 1;
-            run_once(&platform, &w, &cfg, seed, false, None).expect("bench run failed")
+            let spec = RunSpec::new(&platform, &w, &cfg, seed);
+            run(&spec, &mut RunArena::default())
+                .expect("bench run failed")
+                .output
         })
     });
 }

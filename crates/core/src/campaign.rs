@@ -20,7 +20,7 @@
 
 use crate::execconfig::ExecConfig;
 use crate::failure::{RetryPolicy, RunFailure};
-use crate::harness::run_many_instrumented;
+use crate::harness::{run_many, RunSpec};
 use crate::platform::Platform;
 use noiselab_kernel::FaultPlan;
 use noiselab_stats::Summary;
@@ -523,18 +523,12 @@ pub fn run_cell(plan: &CampaignPlan, i: usize, label: &str, cfg: &ExecConfig) ->
     let seed = plan.seed_base + (i * plan.runs_per_cell) as u64;
     // Metrics-only telemetry: per-run counters/histograms aggregate
     // into the cell record without storing any timeline.
-    let ledger = run_many_instrumented(
-        plan.platform,
-        plan.workload,
-        cfg,
-        plan.runs_per_cell,
-        seed,
-        false,
-        None,
-        plan.faults.as_ref(),
-        plan.retry,
-        Some(TelemetryConfig::metrics_only()),
-    );
+    let spec = RunSpec {
+        faults: plan.faults.as_ref(),
+        telemetry: Some(TelemetryConfig::metrics_only()),
+        ..RunSpec::new(plan.platform, plan.workload, cfg, seed)
+    };
+    let ledger = run_many(&spec, plan.runs_per_cell, plan.retry);
     let mut metrics = MetricsSnapshot::default();
     for out in ledger.outputs() {
         if let Some(m) = &out.metrics {

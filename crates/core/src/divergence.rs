@@ -17,9 +17,9 @@
 //! pipeline localises correctly).
 
 use crate::execconfig::ExecConfig;
-use crate::harness::run_once_observed;
+use crate::harness::{run, RunArena, RunSpec};
 use crate::platform::Platform;
-use noiselab_kernel::{KernelConfig, LoggedEvent, SanitizerConfig, SanitizerReport};
+use noiselab_kernel::{LoggedEvent, SanitizerConfig, SanitizerReport};
 use noiselab_workloads::Workload;
 
 /// Default checkpoint cadence for dual runs: small enough that the
@@ -216,23 +216,23 @@ fn first_difference(
 /// pipeline's localisation can be validated end to end.
 pub fn dual_run_harness(
     platform: &Platform,
-    workload: &dyn Workload,
+    workload: &(dyn Workload + Sync),
     cfg: &ExecConfig,
     seed: u64,
     perturb_b: Option<u64>,
     cadence: u64,
 ) -> Result<DualRunOutcome, String> {
-    let kconfig = KernelConfig::default();
     let run_side = |perturb_at: Option<u64>, sanitizer: SanitizerConfig| {
-        let sanitizer = SanitizerConfig {
-            perturb_at,
-            ..sanitizer
+        let spec = RunSpec {
+            sanitizer: SanitizerConfig {
+                perturb_at,
+                ..sanitizer
+            },
+            ..RunSpec::new(platform, workload, cfg, seed)
         };
-        run_once_observed(
-            platform, workload, cfg, &kconfig, seed, false, None, None, sanitizer,
-        )
-        .map(|(_, report)| report)
-        .map_err(|f| format!("run failed: {f:?}"))
+        run(&spec, &mut RunArena::default())
+            .map(|r| r.sanitizer)
+            .map_err(|f| format!("run failed: {f:?}"))
     };
     let a = |sanitizer: SanitizerConfig| run_side(None, sanitizer);
     let b = |sanitizer: SanitizerConfig| run_side(perturb_b, sanitizer);

@@ -8,6 +8,8 @@
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
 use crate::experiments::Scale;
+use crate::failure::RetryPolicy;
+use crate::harness::{run_many, RunSpec};
 use crate::platform::Platform;
 use noiselab_stats::{percentile, TextTable};
 use noiselab_workloads::SchedBench;
@@ -81,8 +83,8 @@ fn measure(platform: &Platform, scale: Scale, small: bool) -> Vec<SpreadPoint> {
             sb.repeats = 200;
         }
         let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm).with_schedule(schedule);
-        let ledger =
-            crate::harness::run_many(platform, &sb, &cfg, scale.baseline_runs, 3_000, false, None);
+        let spec = RunSpec::new(platform, &sb, &cfg, 3_000);
+        let ledger = run_many(&spec, scale.baseline_runs, RetryPolicy::none());
         let secs = ledger.samples();
         for (seed, cause) in ledger.failures() {
             eprintln!("fig1: run seed {seed} failed ({cause}); excluded from spread");

@@ -5,7 +5,8 @@
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
 use crate::experiments::Scale;
-use crate::harness::run_many;
+use crate::failure::RetryPolicy;
+use crate::harness::{run_many, RunSpec};
 use crate::platform::Platform;
 use noiselab_stats::{percentile, Summary, TextTable};
 use noiselab_workloads::Babelstream;
@@ -72,7 +73,8 @@ fn measure(platform: &Platform, scale: Scale, small: bool, threads: &[usize]) ->
     let mut points = Vec::new();
     for &n in threads {
         let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm).with_threads(n);
-        let ledger = run_many(platform, &bs, &cfg, scale.baseline_runs, 4_000, false, None);
+        let spec = RunSpec::new(platform, &bs, &cfg, 4_000);
+        let ledger = run_many(&spec, scale.baseline_runs, RetryPolicy::none());
         let secs = ledger.samples();
         for (seed, cause) in ledger.failures() {
             eprintln!("fig2: run seed {seed} failed ({cause}); excluded from spread");

@@ -9,6 +9,8 @@
 //! that pinned threads avoid.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
+use crate::failure::RetryPolicy;
+use crate::harness::{run_many, RunSpec};
 use crate::platform::Platform;
 use noiselab_machine::Machine;
 use noiselab_noise::{AnomalyKind, AnomalySpec, NoiseProfile};
@@ -107,8 +109,8 @@ pub fn run(runs: usize, small: bool) -> NumaComparison {
     let mut rows = Vec::new();
     for (label, mitigation) in [("Rm-OMP", Mitigation::Rm), ("TP-OMP", Mitigation::Tp)] {
         let cfg = ExecConfig::new(Model::Omp, mitigation);
-        let ledger =
-            crate::harness::run_many(&platform, &workload, &cfg, runs, 77_000, false, None);
+        let spec = RunSpec::new(&platform, &workload, &cfg, 77_000);
+        let ledger = run_many(&spec, runs, RetryPolicy::none());
         let secs = ledger.samples();
         for (seed, cause) in ledger.failures() {
             eprintln!("numa: run seed {seed} failed ({cause}); excluded from comparison");

@@ -4,7 +4,8 @@
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
 use crate::experiments::{suite, Scale};
-use crate::harness::run_many;
+use crate::failure::RetryPolicy;
+use crate::harness::{run_many, RunSpec};
 use crate::platform::Platform;
 use noiselab_stats::{fmt_pct, fmt_secs, Summary, TextTable};
 use noiselab_workloads::Workload;
@@ -64,24 +65,13 @@ pub fn run(scale: Scale) -> Table1 {
     let mut rows = Vec::new();
     for w in &workloads {
         // Same seeds for off/on: the only difference is the tracer.
-        let off = run_many(
-            &platform,
-            w.as_ref(),
-            &cfg,
-            scale.baseline_runs,
-            1000,
-            false,
-            None,
-        );
-        let on = run_many(
-            &platform,
-            w.as_ref(),
-            &cfg,
-            scale.baseline_runs,
-            1000,
-            true,
-            None,
-        );
+        let off = RunSpec::new(&platform, w.as_ref(), &cfg, 1000);
+        let on = RunSpec {
+            tracing: true,
+            ..off.clone()
+        };
+        let off = run_many(&off, scale.baseline_runs, RetryPolicy::none());
+        let on = run_many(&on, scale.baseline_runs, RetryPolicy::none());
         let failed = off.failed_count() + on.failed_count();
         let off_mean = Summary::of(&off.samples()).mean;
         let on_mean = Summary::of(&on.samples()).mean;
@@ -106,8 +96,13 @@ mod tests {
         let platform = Platform::intel();
         let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
         let w = suite::small::minife_for(&platform);
-        let off = run_many(&platform, &w, &cfg, 6, 500, false, None).samples();
-        let on = run_many(&platform, &w, &cfg, 6, 500, true, None).samples();
+        let off = RunSpec::new(&platform, &w, &cfg, 500);
+        let on = RunSpec {
+            tracing: true,
+            ..off.clone()
+        };
+        let off = run_many(&off, 6, RetryPolicy::none()).samples();
+        let on = run_many(&on, 6, RetryPolicy::none()).samples();
         let off_mean: f64 = off.iter().sum::<f64>() / off.len() as f64;
         let on_mean: f64 = on.iter().sum::<f64>() / on.len() as f64;
         let inc = on_mean / off_mean - 1.0;

@@ -4,7 +4,10 @@
 //! threads; each simulated run stays fully deterministic in its own
 //! kernel instance).
 //!
-//! Crash-proofing: a single run returns `Result<RunOutput, RunFailure>`
+//! A [`RunSpec`] names everything one run depends on; [`run`] executes
+//! it once and [`run_many`] repeats it over consecutive seeds.
+//!
+//! Crash-proofing: a single run returns `Result<_, RunFailure>`
 //! instead of panicking, `run_many` contains host panics with
 //! `catch_unwind` so one bad run cannot poison a campaign, and the
 //! [`RunLedger`] it returns records exactly which (seed, cause) pairs
@@ -56,145 +59,66 @@ pub struct RunOutput {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Execute one run with the default kernel configuration. Fully
-/// deterministic in `seed`.
-pub fn run_once(
-    platform: &Platform,
-    workload: &dyn Workload,
-    cfg: &ExecConfig,
-    seed: u64,
-    tracing: bool,
-    inject: Option<&InjectionConfig>,
-) -> Result<RunOutput, RunFailure> {
-    run_once_with(
-        platform,
-        workload,
-        cfg,
-        &KernelConfig::default(),
-        seed,
-        tracing,
-        inject,
-    )
-}
-
-/// Execute one run under an explicit [`KernelConfig`] — the entry point
-/// for kernel ablations such as the eager-vs-tickless equivalence suite.
-pub fn run_once_with(
-    platform: &Platform,
-    workload: &dyn Workload,
-    cfg: &ExecConfig,
-    kconfig: &KernelConfig,
-    seed: u64,
-    tracing: bool,
-    inject: Option<&InjectionConfig>,
-) -> Result<RunOutput, RunFailure> {
-    run_once_faulted(
-        platform, workload, cfg, kconfig, seed, tracing, inject, None,
-    )
-}
-
-/// Execute one run with an optional [`FaultPlan`] active. The fault RNG
-/// is a separate stream derived from `plan.seed ^ f(seed)`, so a `None`
-/// plan (or a no-op plan) leaves the run bit-identical to the unfaulted
-/// harness, and the same (plan, seed) pair always fails the same way.
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_faulted(
-    platform: &Platform,
-    workload: &dyn Workload,
-    cfg: &ExecConfig,
-    kconfig: &KernelConfig,
-    seed: u64,
-    tracing: bool,
-    inject: Option<&InjectionConfig>,
-    faults: Option<&FaultPlan>,
-) -> Result<RunOutput, RunFailure> {
-    run_once_observed(
-        platform,
-        workload,
-        cfg,
-        kconfig,
-        seed,
-        tracing,
-        inject,
-        faults,
-        SanitizerConfig::hash_only(),
-    )
-    .map(|(out, _)| out)
-}
-
-/// [`run_once_faulted`] with an explicit [`SanitizerConfig`], returning
-/// the sanitizer report alongside the run output — the entry point for
-/// the dual-run divergence pipeline (see [`crate::divergence`]). The
-/// sanitizer is a pure observer unless `sanitizer.perturb_at` is armed,
-/// in which case the run's event stream is deliberately forked.
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_observed(
-    platform: &Platform,
-    workload: &dyn Workload,
-    cfg: &ExecConfig,
-    kconfig: &KernelConfig,
-    seed: u64,
-    tracing: bool,
-    inject: Option<&InjectionConfig>,
-    faults: Option<&FaultPlan>,
-    sanitizer: SanitizerConfig,
-) -> Result<(RunOutput, SanitizerReport), RunFailure> {
-    run_once_instrumented(
-        platform,
-        workload,
-        cfg,
-        kconfig,
-        seed,
-        tracing,
-        inject,
-        faults,
-        Observe {
-            sanitizer,
-            ..Observe::default()
-        },
-    )
-    .map(|r| (r.output, r.sanitizer))
-}
-
-/// Observation attachments for one run. Everything here is provably
-/// pure: the purity suite asserts a run's `stream_hash` and `exec` are
-/// bit-identical whatever combination is attached.
-pub struct Observe {
-    /// Event-stream sanitizer configuration (hash-only by default).
+/// Everything one run depends on. A run is a pure function of its spec:
+/// the same spec dispatches a bit-identical event stream.
+#[derive(Clone)]
+pub struct RunSpec<'a> {
+    pub platform: &'a Platform,
+    pub workload: &'a (dyn Workload + Sync),
+    pub cfg: &'a ExecConfig,
+    /// Kernel configuration — ablations such as the eager-vs-tickless
+    /// equivalence suite change it.
+    pub kconfig: KernelConfig,
+    /// The run's seed; [`run_many`] runs seeds `seed..seed + n_runs`.
+    pub seed: u64,
+    /// Attach the osnoise tracer and return its trace.
+    pub tracing: bool,
+    /// Replay this noise-injection config alongside the workload.
+    pub inject: Option<&'a InjectionConfig>,
+    /// Install this fault plan. The fault RNG is a separate stream
+    /// derived from `plan.seed ^ f(seed)`, so `None` (or a no-op plan)
+    /// leaves the run bit-identical to the unfaulted one, and the same
+    /// (plan, seed) pair always fails the same way.
+    pub faults: Option<&'a FaultPlan>,
+    /// Event-stream sanitizer configuration. A pure observer unless
+    /// `perturb_at` is armed, which deliberately forks the stream (see
+    /// [`crate::divergence`]).
     pub sanitizer: SanitizerConfig,
     /// Attach a telemetry recorder (spans + metrics) with this
-    /// configuration.
+    /// configuration. Pure: `stream_hash` and `exec` are bit-identical
+    /// with or without it (the purity suite proves it).
     pub telemetry: Option<TelemetryConfig>,
-    /// Attach this host-time phase profiler to the kernel and bracket
-    /// the harness stats phase with it.
-    pub profiler: Option<PhaseProfiler>,
 }
 
-impl Default for Observe {
-    fn default() -> Self {
-        Observe {
+impl<'a> RunSpec<'a> {
+    /// A plain run: default kernel, hash-only sanitizer, nothing else
+    /// attached. Set the other fields with struct-update syntax.
+    pub fn new(
+        platform: &'a Platform,
+        workload: &'a (dyn Workload + Sync),
+        cfg: &'a ExecConfig,
+        seed: u64,
+    ) -> Self {
+        RunSpec {
+            platform,
+            workload,
+            cfg,
+            kconfig: KernelConfig::default(),
+            seed,
+            tracing: false,
+            inject: None,
+            faults: None,
             sanitizer: SanitizerConfig::hash_only(),
             telemetry: None,
-            profiler: None,
         }
     }
 }
 
-impl Observe {
-    /// Telemetry with the given configuration, default everything else.
-    pub fn telemetry(cfg: TelemetryConfig) -> Self {
-        Observe {
-            telemetry: Some(cfg),
-            ..Observe::default()
-        }
-    }
-}
-
-/// Everything an instrumented run hands back.
+/// Everything a run hands back.
 pub struct InstrumentedRun {
     pub output: RunOutput,
     pub sanitizer: SanitizerReport,
-    /// Present when [`Observe::telemetry`] was set.
+    /// Present when [`RunSpec::telemetry`] was set.
     pub telemetry: Option<TelemetryReport>,
 }
 
@@ -202,7 +126,7 @@ pub struct InstrumentedRun {
 /// buffers, the tracer ring, and the telemetry pipeline, all kept warm
 /// between runs so back-to-back reps (overhead measurement, campaign
 /// cells, the hot-path bench) stop paying allocation churn per run.
-/// One arena serves one host thread; `run_many_*` keeps one per worker.
+/// One arena serves one host thread; [`run_many`] keeps one per worker.
 /// Reuse is observationally pure: the arena conformance suite asserts
 /// a run through a dirty arena is bit-identical (stream hash, metrics,
 /// trace) to a run through a fresh one.
@@ -211,53 +135,36 @@ pub struct RunArena {
     kernel: KernelStorage,
     tracer: TraceBuffer,
     telemetry: Telemetry,
+    /// Host-time phase profiler attached to every run through this
+    /// arena. It lives here rather than on [`RunSpec`] because it is
+    /// single-threaded (`Rc`) while a spec is shared across threads.
+    profiler: Option<PhaseProfiler>,
 }
 
-/// The fully-instrumented single-run entry point every other
-/// `run_once_*` delegates to: sanitizer always, telemetry recorder and
-/// host-time profiler on request. Allocates fresh state per call; use
-/// [`run_once_instrumented_in`] with a retained [`RunArena`] in
-/// repetition loops.
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_instrumented(
-    platform: &Platform,
-    workload: &dyn Workload,
-    cfg: &ExecConfig,
-    kconfig: &KernelConfig,
-    seed: u64,
-    tracing: bool,
-    inject: Option<&InjectionConfig>,
-    faults: Option<&FaultPlan>,
-    observe: Observe,
-) -> Result<InstrumentedRun, RunFailure> {
-    run_once_instrumented_in(
+impl RunArena {
+    /// An arena whose runs attach `profiler` to the kernel and bracket
+    /// the harness stats phase with it.
+    pub fn profiled(profiler: PhaseProfiler) -> Self {
+        RunArena {
+            profiler: Some(profiler),
+            ..RunArena::default()
+        }
+    }
+}
+
+/// Execute one run, drawing all per-run state from `arena`: sanitizer
+/// always, tracer, injector, fault plan and telemetry as `spec` asks.
+pub fn run(spec: &RunSpec, arena: &mut RunArena) -> Result<InstrumentedRun, RunFailure> {
+    let RunSpec {
         platform,
         workload,
         cfg,
-        kconfig,
         seed,
         tracing,
         inject,
         faults,
-        observe,
-        &mut RunArena::default(),
-    )
-}
-
-/// [`run_once_instrumented`] drawing all per-run state from `arena`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_instrumented_in(
-    platform: &Platform,
-    workload: &dyn Workload,
-    cfg: &ExecConfig,
-    kconfig: &KernelConfig,
-    seed: u64,
-    tracing: bool,
-    inject: Option<&InjectionConfig>,
-    faults: Option<&FaultPlan>,
-    observe: Observe,
-    arena: &mut RunArena,
-) -> Result<InstrumentedRun, RunFailure> {
+        ..
+    } = *spec;
     // SMT toggling (paper §5): rows without the SMT label run with SMT
     // disabled at firmware level, so the sibling hardware threads do not
     // exist — neither for the workload nor for noise to hide on.
@@ -285,19 +192,24 @@ pub fn run_once_instrumented_in(
         machine.perf.per_core_bw *= f;
         machine.perf.socket_bw *= f;
     }
-    let mut kernel = Kernel::new_in(machine.clone(), kconfig.clone(), seed, &mut arena.kernel);
-    kernel.attach_sanitizer(observe.sanitizer);
+    let mut kernel = Kernel::new_in(
+        machine.clone(),
+        spec.kconfig.clone(),
+        seed,
+        &mut arena.kernel,
+    );
+    kernel.attach_sanitizer(spec.sanitizer);
 
     // Telemetry and profiling are write-only observers: attaching them
     // cannot perturb the simulation (the purity suite proves it).
-    let telemetry = observe.telemetry.map(|tcfg| {
+    let telemetry = spec.telemetry.map(|tcfg| {
         arena.telemetry.reset(tcfg);
         arena.telemetry.clone()
     });
     if let Some(tele) = &telemetry {
         kernel.attach_observer(tele.observer());
     }
-    if let Some(prof) = &observe.profiler {
+    if let Some(prof) = &arena.profiler {
         kernel.attach_host_profiler(prof.hook());
     }
 
@@ -403,7 +315,7 @@ pub fn run_once_instrumented_in(
 
     // Post-run bookkeeping is the harness's "stats" phase in the
     // host-time profile.
-    if let Some(prof) = &observe.profiler {
+    if let Some(prof) = &arena.profiler {
         prof.enter(noiselab_kernel::Phase::Stats);
     }
     let trace = buffer.map(|b| {
@@ -428,7 +340,7 @@ pub fn run_once_instrumented_in(
         .expect("sanitizer attached at kernel construction");
     let tele_report = telemetry.map(|tele| tele.take_report(end));
     kernel.retire(&mut arena.kernel);
-    if let Some(prof) = &observe.profiler {
+    if let Some(prof) = &arena.profiler {
         prof.exit(noiselab_kernel::Phase::Stats);
     }
     Ok(InstrumentedRun {
@@ -514,20 +426,6 @@ impl RunLedger {
     pub fn failed_count(&self) -> usize {
         self.records.len() - self.ok_count()
     }
-
-    /// Unwrap every record, panicking with the full failure list —
-    /// for stages where a failure indicates a harness bug rather than
-    /// an injected fault.
-    pub fn expect_all(self, context: &str) -> Vec<RunOutput> {
-        let failures = self.failures();
-        if !failures.is_empty() {
-            panic!("{context}: {} run(s) failed: {failures:?}", failures.len());
-        }
-        self.records
-            .into_iter()
-            .map(|r| r.result.expect("checked above"))
-            .collect()
-    }
 }
 
 /// Number of host threads `run_many` uses: the `NOISELAB_HOST_THREADS`
@@ -563,94 +461,30 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Execute `n_runs` runs with seeds `seed_base..seed_base + n_runs`,
-/// parallelised over host threads. Records are ordered by seed; failed
-/// runs appear in the ledger instead of panicking the harness.
-pub fn run_many(
-    platform: &Platform,
-    workload: &(dyn Workload + Sync),
-    cfg: &ExecConfig,
-    n_runs: usize,
-    seed_base: u64,
-    tracing: bool,
-    inject: Option<&InjectionConfig>,
-) -> RunLedger {
-    run_many_faulted(
-        platform,
-        workload,
-        cfg,
-        n_runs,
-        seed_base,
-        tracing,
-        inject,
-        None,
-        RetryPolicy::none(),
-    )
-}
-
-/// [`run_many`] with a fault plan and a bounded deterministic retry
-/// policy. Host panics inside a run are caught per run and recorded as
-/// [`RunFailure::Panic`]; a retried run re-executes with
+/// Execute `n_runs` runs of `spec` with seeds `spec.seed..spec.seed +
+/// n_runs`, parallelised over host threads. Records are ordered by
+/// seed. Host panics inside a run are caught per run and recorded as
+/// [`RunFailure::Panic`], so failed runs appear in the ledger instead of
+/// panicking the harness; a retried run re-executes with
 /// [`RetryPolicy::reseed`] so the whole ledger is a pure function of
 /// its inputs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_many_faulted(
-    platform: &Platform,
-    workload: &(dyn Workload + Sync),
-    cfg: &ExecConfig,
-    n_runs: usize,
-    seed_base: u64,
-    tracing: bool,
-    inject: Option<&InjectionConfig>,
-    faults: Option<&FaultPlan>,
-    retry: RetryPolicy,
-) -> RunLedger {
-    run_many_instrumented(
-        platform, workload, cfg, n_runs, seed_base, tracing, inject, faults, retry, None,
-    )
-}
-
-/// [`run_many_faulted`] with an optional per-run telemetry attachment
-/// (typically [`TelemetryConfig::metrics_only`]); each run gets its own
-/// recorder and its [`RunOutput::metrics`] snapshot filled in, ready
-/// for exact per-cell aggregation by the campaign driver.
-#[allow(clippy::too_many_arguments)]
-pub fn run_many_instrumented(
-    platform: &Platform,
-    workload: &(dyn Workload + Sync),
-    cfg: &ExecConfig,
-    n_runs: usize,
-    seed_base: u64,
-    tracing: bool,
-    inject: Option<&InjectionConfig>,
-    faults: Option<&FaultPlan>,
-    retry: RetryPolicy,
-    telemetry: Option<TelemetryConfig>,
-) -> RunLedger {
+pub fn run_many(spec: &RunSpec, n_runs: usize, retry: RetryPolicy) -> RunLedger {
     if n_runs == 0 {
         return RunLedger::default();
     }
-    let kconfig = KernelConfig::default();
+    let seed_base = spec.seed;
     let host_threads = host_threads().min(n_runs);
     let mut results: Vec<Option<RunRecord>> = Vec::new();
     results.resize_with(n_runs, || None);
 
-    let attempt_run = |seed: u64, arena: &mut RunArena| -> Result<RunOutput, RunFailure> {
-        catch_unwind(AssertUnwindSafe(|| {
-            let observe = Observe {
-                telemetry,
-                ..Observe::default()
-            };
-            run_once_instrumented_in(
-                platform, workload, cfg, &kconfig, seed, tracing, inject, faults, observe, arena,
-            )
-            .map(|r| r.output)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(RunFailure::Panic {
-                message: panic_message(payload),
-            })
-        })
+    let attempt_run = |spec: &RunSpec, arena: &mut RunArena| -> Result<RunOutput, RunFailure> {
+        catch_unwind(AssertUnwindSafe(|| run(spec, arena).map(|r| r.output))).unwrap_or_else(
+            |payload| {
+                Err(RunFailure::Panic {
+                    message: panic_message(payload),
+                })
+            },
+        )
     };
 
     // Hand each host thread a contiguous, exclusively owned chunk of the
@@ -663,11 +497,13 @@ pub fn run_many_instrumented(
                 // One arena per worker: runs within a chunk recycle the
                 // same kernel/tracer/telemetry buffers.
                 let mut arena = RunArena::default();
+                let mut attempt = spec.clone();
                 for (j, slot) in out.iter_mut().enumerate() {
                     let i = t * chunk + j;
                     let seed = seed_base + i as u64;
                     let mut attempts = 1u32;
-                    let mut result = attempt_run(seed, &mut arena);
+                    attempt.seed = seed;
+                    let mut result = attempt_run(&attempt, &mut arena);
                     while result.is_err() && attempts <= retry.max_retries {
                         let reseed = RetryPolicy::reseed(seed, attempts);
                         eprintln!(
@@ -676,7 +512,8 @@ pub fn run_many_instrumented(
                             result.as_ref().err().map(|f| f.cause()).unwrap_or("?"),
                             retry.max_retries
                         );
-                        result = attempt_run(reseed, &mut arena);
+                        attempt.seed = reseed;
+                        result = attempt_run(&attempt, &mut arena);
                         attempts += 1;
                     }
                     *slot = Some(RunRecord {
@@ -736,7 +573,11 @@ pub fn run_baseline(
     seed_base: u64,
     tracing: bool,
 ) -> Baseline {
-    let ledger = run_many(platform, workload, cfg, n_runs, seed_base, tracing, None);
+    let spec = RunSpec {
+        tracing,
+        ..RunSpec::new(platform, workload, cfg, seed_base)
+    };
+    let ledger = run_many(&spec, n_runs, RetryPolicy::none());
     let samples = ledger.samples();
     let failures = ledger.failures();
     assert!(
@@ -783,15 +624,11 @@ pub fn run_injected(
     n_runs: usize,
     seed_base: u64,
 ) -> Injected {
-    let ledger = run_many(
-        platform,
-        workload,
-        cfg,
-        n_runs,
-        seed_base,
-        false,
-        Some(config),
-    );
+    let spec = RunSpec {
+        inject: Some(config),
+        ..RunSpec::new(platform, workload, cfg, seed_base)
+    };
+    let ledger = run_many(&spec, n_runs, RetryPolicy::none());
     let samples = ledger.samples();
     let failures = ledger.failures();
     assert!(
@@ -821,19 +658,23 @@ mod tests {
         }
     }
 
+    fn run_once(spec: &RunSpec) -> RunOutput {
+        run(spec, &mut RunArena::default()).unwrap().output
+    }
+
     #[test]
     fn run_once_is_deterministic() {
         let p = Platform::intel();
         let w = tiny_nbody();
         let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
-        let a = run_once(&p, &w, &cfg, 42, false, None).unwrap();
-        let b = run_once(&p, &w, &cfg, 42, false, None).unwrap();
+        let a = run_once(&RunSpec::new(&p, &w, &cfg, 42));
+        let b = run_once(&RunSpec::new(&p, &w, &cfg, 42));
         assert_eq!(a.exec, b.exec);
         assert_eq!(
             a.stream_hash, b.stream_hash,
             "same seed must dispatch a bit-identical event stream"
         );
-        let c = run_once(&p, &w, &cfg, 43, false, None).unwrap();
+        let c = run_once(&RunSpec::new(&p, &w, &cfg, 43));
         assert_ne!(
             a.exec, c.exec,
             "different seeds should give different noise"
@@ -843,33 +684,84 @@ mod tests {
 
     #[test]
     fn run_many_matches_run_once() {
+        use noiselab_injector::{CpuNoiseList, InjectPolicy, NoiseEventSpec};
         let p = Platform::intel();
         let w = tiny_nbody();
         let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
-        let many = run_many(&p, &w, &cfg, 4, 100, false, None);
-        assert_eq!(many.failed_count(), 0);
-        for (i, record) in many.records.iter().enumerate() {
-            assert_eq!(record.seed, 100 + i as u64);
-            assert_eq!(record.attempts, 1);
-            let out = record.result.as_ref().unwrap();
-            let single = run_once(&p, &w, &cfg, 100 + i as u64, false, None).unwrap();
-            assert_eq!(out.exec, single.exec, "run {i} differs");
-        }
-    }
-
-    #[test]
-    fn noop_fault_plan_is_bit_identical() {
-        let p = Platform::intel();
-        let w = tiny_nbody();
-        let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
-        let kc = KernelConfig::default();
-        let plain = run_once(&p, &w, &cfg, 11, false, None).unwrap();
         let noop = FaultPlan {
             seed: 999,
             ..FaultPlan::default()
         };
-        let faulted = run_once_faulted(&p, &w, &cfg, &kc, 11, false, None, Some(&noop)).unwrap();
-        assert_eq!(plain.exec, faulted.exec, "no-op plan must not perturb runs");
+        let inject = InjectionConfig {
+            lists: vec![CpuNoiseList {
+                cpu: noiselab_machine::CpuId(1),
+                events: vec![NoiseEventSpec {
+                    start: SimTime(200_000),
+                    duration: SimDuration::from_micros(300),
+                    policy: InjectPolicy::Fifo,
+                    source: "irq/test".into(),
+                }],
+            }],
+            ..InjectionConfig::default()
+        };
+        let plain = RunSpec::new(&p, &w, &cfg, 100);
+        let specs = [
+            ("plain", plain.clone()),
+            (
+                "traced",
+                RunSpec {
+                    tracing: true,
+                    ..plain.clone()
+                },
+            ),
+            (
+                "noop-faults",
+                RunSpec {
+                    faults: Some(&noop),
+                    ..plain.clone()
+                },
+            ),
+            (
+                "injected",
+                RunSpec {
+                    inject: Some(&inject),
+                    ..plain.clone()
+                },
+            ),
+            (
+                "metrics",
+                RunSpec {
+                    telemetry: Some(TelemetryConfig::metrics_only()),
+                    ..plain.clone()
+                },
+            ),
+        ];
+        let plain_ledger = run_many(&plain, 4, RetryPolicy::none());
+        for (name, spec) in &specs {
+            let many = run_many(spec, 4, RetryPolicy::none());
+            assert_eq!(many.failed_count(), 0, "{name}");
+            for (i, record) in many.records.iter().enumerate() {
+                let seed = 100 + i as u64;
+                assert_eq!((record.seed, record.attempts), (seed, 1), "{name}");
+                let out = record.result.as_ref().unwrap();
+                let single = run_once(&RunSpec {
+                    seed,
+                    ..spec.clone()
+                });
+                assert_eq!(out.exec, single.exec, "{name}: run {i} differs");
+                assert_eq!(out.stream_hash, single.stream_hash, "{name}: run {i}");
+                assert_eq!(out.metrics, single.metrics, "{name}: run {i}");
+                assert_eq!(out.metrics.is_some(), *name == "metrics", "{name}");
+                if *name == "noop-faults" {
+                    let bare = plain_ledger.records[i].result.as_ref().unwrap();
+                    assert_eq!(
+                        (out.exec, out.stream_hash),
+                        (bare.exec, bare.stream_hash),
+                        "no-op plan must not perturb run {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -891,24 +783,10 @@ mod tests {
     fn sycl_slower_than_omp_raw() {
         let p = Platform::intel();
         let w = tiny_nbody();
-        let omp = run_once(
-            &p,
-            &w,
-            &ExecConfig::new(Model::Omp, Mitigation::Rm),
-            1,
-            false,
-            None,
-        )
-        .unwrap();
-        let sycl = run_once(
-            &p,
-            &w,
-            &ExecConfig::new(Model::Sycl, Mitigation::Rm),
-            1,
-            false,
-            None,
-        )
-        .unwrap();
+        let omp_cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
+        let sycl_cfg = ExecConfig::new(Model::Sycl, Mitigation::Rm);
+        let omp = run_once(&RunSpec::new(&p, &w, &omp_cfg, 1));
+        let sycl = run_once(&RunSpec::new(&p, &w, &sycl_cfg, 1));
         assert!(
             sycl.exec.nanos() as f64 > omp.exec.nanos() as f64 * 1.1,
             "sycl {} vs omp {}",
@@ -924,9 +802,9 @@ mod tests {
         let w = tiny_nbody();
         let base = ExecConfig::new(Model::Omp, Mitigation::Tp);
         let perf = base.clone().with_governor(Governor::Performance);
-        let plain = run_once(&p, &w, &base, 5, false, None).unwrap();
-        let a = run_once(&p, &w, &perf, 5, false, None).unwrap();
-        let b = run_once(&p, &w, &perf, 5, false, None).unwrap();
+        let plain = run_once(&RunSpec::new(&p, &w, &base, 5));
+        let a = run_once(&RunSpec::new(&p, &w, &perf, 5));
+        let b = run_once(&RunSpec::new(&p, &w, &perf, 5));
         assert_eq!(a.stream_hash, b.stream_hash, "governor cells must replay");
         assert_eq!(a.exec, b.exec);
         assert_ne!(
@@ -936,7 +814,7 @@ mod tests {
         // Powersave holds every CPU at the floor frequency: the same
         // workload must take visibly longer than under Performance.
         let save = base.clone().with_governor(Governor::Powersave);
-        let slow = run_once(&p, &w, &save, 5, false, None).unwrap();
+        let slow = run_once(&RunSpec::new(&p, &w, &save, 5));
         assert!(
             slow.exec > a.exec,
             "powersave {} should be slower than performance {}",

@@ -30,10 +30,8 @@ pub use divergence::{
 pub use execconfig::{ExecConfig, Mitigation, Model};
 pub use failure::{RetryPolicy, RunFailure};
 pub use harness::{
-    run_baseline, run_injected, run_many, run_many_faulted, run_many_instrumented, run_once,
-    run_once_faulted, run_once_instrumented, run_once_instrumented_in, run_once_observed,
-    run_once_with, Baseline, Injected, InstrumentedRun, Observe, RunArena, RunLedger, RunOutput,
-    RunRecord,
+    run, run_baseline, run_injected, run_many, Baseline, Injected, InstrumentedRun, RunArena,
+    RunLedger, RunOutput, RunRecord, RunSpec,
 };
 pub use overhead::{measure_overhead, OverheadReport, OverheadRow};
 pub use platform::Platform;

@@ -20,9 +20,8 @@
 
 use crate::execconfig::ExecConfig;
 use crate::failure::RunFailure;
-use crate::harness::{run_once_instrumented, run_once_instrumented_in, Observe, RunArena};
+use crate::harness::{run, RunArena, RunSpec};
 use crate::platform::Platform;
-use noiselab_kernel::KernelConfig;
 use noiselab_telemetry::{wall_clock, PhaseProfiler, PhaseReport, TelemetryConfig};
 use noiselab_workloads::Workload;
 use serde::{Deserialize, Serialize};
@@ -105,12 +104,12 @@ impl OverheadReport {
 /// than producing a report that understates observer effects.
 pub fn measure_overhead(
     platform: &Platform,
-    workload: &dyn Workload,
+    workload: &(dyn Workload + Sync),
     cfg: &ExecConfig,
     seed: u64,
     reps: u32,
 ) -> Result<OverheadReport, RunFailure> {
-    let kconfig = KernelConfig::default();
+    let bare = RunSpec::new(platform, workload, cfg, seed);
     let reps = reps.max(1);
     let mut rows = Vec::new();
     let mut events = 0u64;
@@ -129,19 +128,18 @@ pub fn measure_overhead(
         let mut exec_s = 0.0;
         let mut stream_hash = 0u64;
         for _ in 0..reps {
-            let observe = Observe {
+            let spec = RunSpec {
+                tracing,
                 telemetry: telemetry.then(TelemetryConfig::default),
-                ..Observe::default()
+                ..bare.clone()
             };
             let t0 = wall_clock();
-            let run = run_once_instrumented_in(
-                platform, workload, cfg, &kconfig, seed, tracing, None, None, observe, &mut arena,
-            )?;
+            let out = run(&spec, &mut arena)?.output;
             let ns = wall_clock().duration_since(t0).as_nanos() as u64;
             best_ns = best_ns.min(ns);
-            exec_s = run.output.exec.as_secs_f64();
-            stream_hash = run.output.stream_hash;
-            if let Some(m) = &run.output.metrics {
+            exec_s = out.exec.as_secs_f64();
+            stream_hash = out.stream_hash;
+            if let Some(m) = &out.metrics {
                 events = m.counter("kernel.events");
             }
         }
@@ -176,14 +174,12 @@ pub fn measure_overhead(
 
     // One profiled run (everything attached) for the phase breakdown.
     let profiler = PhaseProfiler::new();
-    let observe = Observe {
+    let spec = RunSpec {
+        tracing: true,
         telemetry: Some(TelemetryConfig::default()),
-        profiler: Some(profiler.clone()),
-        ..Observe::default()
+        ..bare
     };
-    run_once_instrumented(
-        platform, workload, cfg, &kconfig, seed, true, None, None, observe,
-    )?;
+    run(&spec, &mut RunArena::profiled(profiler.clone()))?;
 
     Ok(OverheadReport {
         workload: workload.name().to_string(),

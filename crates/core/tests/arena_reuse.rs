@@ -7,10 +7,7 @@
 //! cells) recycle kernel/tracer/telemetry buffers without any risk of
 //! state leaking across runs.
 
-use noiselab_core::{
-    run_once_instrumented_in, ExecConfig, Mitigation, Model, Observe, Platform, RunArena, RunOutput,
-};
-use noiselab_kernel::KernelConfig;
+use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunOutput, RunSpec};
 use noiselab_telemetry::TelemetryConfig;
 use proptest::prelude::*;
 
@@ -29,24 +26,13 @@ fn run_in(arena: &mut RunArena, cell: &Cell) -> RunOutput {
     let p = Platform::intel();
     let mut cfg = ExecConfig::new(cell.model, Mitigation::Rm);
     cfg.governor = cell.governor;
-    let observe = Observe {
+    let w = noiselab_testutil::tiny_nbody(2);
+    let spec = RunSpec {
+        tracing: cell.tracing,
         telemetry: cell.telemetry.then(TelemetryConfig::default),
-        ..Observe::default()
+        ..RunSpec::new(&p, &w, &cfg, cell.seed)
     };
-    run_once_instrumented_in(
-        &p,
-        &noiselab_testutil::tiny_nbody(2),
-        &cfg,
-        &KernelConfig::default(),
-        cell.seed,
-        cell.tracing,
-        None,
-        None,
-        observe,
-        arena,
-    )
-    .expect("arena run failed")
-    .output
+    run(&spec, arena).expect("arena run failed").output
 }
 
 fn assert_identical(fresh: &RunOutput, reused: &RunOutput) {

@@ -4,12 +4,10 @@
 //! other `DvfsConfig` fields hold. Enabling it must visibly change the
 //! dispatched stream, and governor cells must replay exactly.
 
-use noiselab_core::{
-    run_once, run_once_instrumented, ExecConfig, Mitigation, Model, Observe, Platform,
-};
-use noiselab_kernel::KernelConfig;
+use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec};
 use noiselab_machine::{DvfsConfig, Governor};
 use noiselab_telemetry::TelemetryConfig;
+use noiselab_testutil::run_fresh;
 use proptest::prelude::*;
 
 fn workload() -> noiselab_workloads::NBody {
@@ -37,8 +35,9 @@ proptest! {
     ) {
         let model = if sycl { Model::Sycl } else { Model::Omp };
         let cfg = ExecConfig::new(model, Mitigation::Rm);
-        let reference = run_once(&Platform::intel(), &workload(), &cfg, seed, true, None)
-            .expect("reference run failed");
+        let (intel, w) = (Platform::intel(), workload());
+        let traced = |p| RunSpec { tracing: true, ..RunSpec::new(p, &w, &cfg, seed) };
+        let reference = run_fresh(&traced(&intel)).expect("reference run failed");
 
         let mut p = Platform::intel();
         p.machine.dvfs = DvfsConfig {
@@ -50,8 +49,7 @@ proptest! {
             turbo_slots: slots,
             ..DvfsConfig::default()
         };
-        let scrambled = run_once(&p, &workload(), &cfg, seed, true, None)
-            .expect("scrambled run failed");
+        let scrambled = run_fresh(&traced(&p)).expect("scrambled run failed");
 
         // A mismatch here means a disabled config leaked into the stream.
         prop_assert_eq!(reference.stream_hash, scrambled.stream_hash);
@@ -68,12 +66,13 @@ proptest! {
         pinned in any::<bool>(),
     ) {
         let mit = if pinned { Mitigation::Tp } else { Mitigation::Rm };
-        let p = Platform::intel();
+        let (p, w) = (Platform::intel(), workload());
         let mut hashes = Vec::new();
         for g in Governor::ALL {
             let cfg = ExecConfig::new(Model::Omp, mit).with_governor(g);
-            let a = run_once(&p, &workload(), &cfg, seed, false, None).expect("run failed");
-            let b = run_once(&p, &workload(), &cfg, seed, false, None).expect("run failed");
+            let spec = RunSpec::new(&p, &w, &cfg, seed);
+            let a = run_fresh(&spec).expect("run failed");
+            let b = run_fresh(&spec).expect("run failed");
             prop_assert_eq!(a.stream_hash, b.stream_hash);
             prop_assert_eq!(a.exec, b.exec);
             hashes.push(a.stream_hash);
@@ -91,26 +90,20 @@ proptest! {
 #[test]
 fn intel_dvfs_preset_emits_frequency_telemetry() {
     let cfg = ExecConfig::new(Model::Omp, Mitigation::Tp);
-    let plain = run_once(&Platform::intel(), &workload(), &cfg, 7, false, None).unwrap();
-    let run = run_once_instrumented(
-        &Platform::intel_dvfs(),
-        &workload(),
-        &cfg,
-        &KernelConfig::default(),
-        7,
-        false,
-        None,
-        None,
-        Observe::telemetry(TelemetryConfig::default()),
-    )
-    .expect("dvfs run failed");
-    assert_ne!(plain.stream_hash, run.output.stream_hash);
-    let report = run.telemetry.expect("telemetry attached");
+    let (intel, dvfs, w) = (Platform::intel(), Platform::intel_dvfs(), workload());
+    let plain = run_fresh(&RunSpec::new(&intel, &w, &cfg, 7)).unwrap();
+    let spec = RunSpec {
+        telemetry: Some(TelemetryConfig::default()),
+        ..RunSpec::new(&dvfs, &w, &cfg, 7)
+    };
+    let done = run(&spec, &mut RunArena::default()).expect("dvfs run failed");
+    assert_ne!(plain.stream_hash, done.output.stream_hash);
+    let report = done.telemetry.expect("telemetry attached");
     assert!(
         !report.freq.is_empty(),
         "an enabled-DVFS run must record frequency samples"
     );
-    let m = run.output.metrics.expect("metrics");
+    let m = done.output.metrics.expect("metrics");
     assert!(
         m.counter("dvfs.freq_transitions") > 0,
         "frequency transitions must surface in metrics"

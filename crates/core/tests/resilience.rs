@@ -9,12 +9,10 @@
 
 use noiselab_core::campaign::{run_campaign, CampaignPlan, CampaignState};
 use noiselab_core::{
-    run_many_faulted, run_once, run_once_faulted, ExecConfig, Mitigation, Model, Platform,
-    RetryPolicy, RunFailure,
+    run_many, ExecConfig, Mitigation, Model, Platform, RetryPolicy, RunFailure, RunSpec,
 };
-use noiselab_kernel::KernelConfig;
 use noiselab_runtime::{omp::OmpSchedule, Program};
-use noiselab_testutil::{crashy_plan as crashy, omp_rm as cfg};
+use noiselab_testutil::{crashy_plan as crashy, omp_rm as cfg, run_fresh};
 use noiselab_workloads::{NBody, Workload};
 use std::path::PathBuf;
 
@@ -34,19 +32,13 @@ fn tmp_path(name: &str) -> PathBuf {
 fn crashy_campaign_completes_and_reports_failures() {
     let p = Platform::intel();
     let w = tiny_nbody();
-    let plan = crashy();
-
-    let ledger = run_many_faulted(
-        &p,
-        &w,
-        &cfg(),
-        200,
-        9_000,
-        false,
-        None,
-        Some(&plan),
-        RetryPolicy::none(),
-    );
+    let (plan, cfg) = (crashy(), cfg());
+    let plain = RunSpec::new(&p, &w, &cfg, 9_000);
+    let faulted = RunSpec {
+        faults: Some(&plan),
+        ..plain.clone()
+    };
+    let ledger = run_many(&faulted, 200, RetryPolicy::none());
     assert_eq!(ledger.len(), 200);
     assert_eq!(ledger.ok_count() + ledger.failed_count(), 200);
 
@@ -67,8 +59,13 @@ fn crashy_campaign_completes_and_reports_failures() {
     // runs at the same seeds.
     for record in ledger.records.iter().take(20) {
         if let Ok(out) = &record.result {
-            let plain = run_once(&p, &w, &cfg(), record.seed, false, None).unwrap();
-            assert_eq!(out.exec, plain.exec, "seed {} perturbed", record.seed);
+            let seed = record.seed;
+            let plain = run_fresh(&RunSpec {
+                seed,
+                ..plain.clone()
+            })
+            .unwrap();
+            assert_eq!(out.exec, plain.exec, "seed {seed} perturbed");
         }
     }
 }
@@ -77,21 +74,12 @@ fn crashy_campaign_completes_and_reports_failures() {
 fn crashy_campaign_is_deterministic() {
     let p = Platform::intel();
     let w = tiny_nbody();
-    let plan = crashy();
-    let run = || {
-        run_many_faulted(
-            &p,
-            &w,
-            &cfg(),
-            60,
-            500,
-            false,
-            None,
-            Some(&plan),
-            RetryPolicy::none(),
-        )
-        .failures()
+    let (plan, cfg) = (crashy(), cfg());
+    let spec = RunSpec {
+        faults: Some(&plan),
+        ..RunSpec::new(&p, &w, &cfg, 500)
     };
+    let run = || run_many(&spec, 60, RetryPolicy::none()).failures();
     let (a, b) = (run(), run());
     assert!(!a.is_empty(), "expected at least one crash in 60 runs");
     assert_eq!(a, b, "same plan + seeds must fail identically");
@@ -101,8 +89,12 @@ fn crashy_campaign_is_deterministic() {
 fn retry_with_reseed_recovers_crashed_runs_deterministically() {
     let p = Platform::intel();
     let w = tiny_nbody();
-    let plan = crashy();
-    let run = |retry| run_many_faulted(&p, &w, &cfg(), 60, 500, false, None, Some(&plan), retry);
+    let (plan, cfg) = (crashy(), cfg());
+    let spec = RunSpec {
+        faults: Some(&plan),
+        ..RunSpec::new(&p, &w, &cfg, 500)
+    };
+    let run = |retry| run_many(&spec, 60, retry);
     let no_retry = run(RetryPolicy::none());
     let with_retry = run(RetryPolicy::retries(3));
     assert!(no_retry.failed_count() > 0);
@@ -123,17 +115,11 @@ fn retry_with_reseed_recovers_crashed_runs_deterministically() {
             );
             // The recovered measurement equals a plain run at the
             // deterministic reseed.
-            let reseed = RetryPolicy::reseed(record.seed, record.attempts - 1);
-            let expect = run_once_faulted(
-                &p,
-                &w,
-                &cfg(),
-                &KernelConfig::default(),
-                reseed,
-                false,
-                None,
-                Some(&plan),
-            );
+            let seed = RetryPolicy::reseed(record.seed, record.attempts - 1);
+            let expect = run_fresh(&RunSpec {
+                seed,
+                ..spec.clone()
+            });
             assert_eq!(record.result.as_ref().unwrap().exec, expect.unwrap().exec);
         } else {
             assert_eq!(record.attempts, 1);
@@ -172,8 +158,9 @@ impl Workload for PanickingWorkload {
 
 #[test]
 fn host_panic_is_contained_as_a_failed_run() {
-    let p = Platform::intel();
-    let ledger = noiselab_core::run_many(&p, &PanickingWorkload, &cfg(), 4, 0, false, None);
+    let (p, cfg) = (Platform::intel(), cfg());
+    let spec = RunSpec::new(&p, &PanickingWorkload, &cfg, 0);
+    let ledger = run_many(&spec, 4, RetryPolicy::none());
     assert_eq!(ledger.len(), 4);
     assert_eq!(ledger.ok_count(), 0);
     for (_, cause) in ledger.failures() {
@@ -190,14 +177,26 @@ fn host_panic_is_contained_as_a_failed_run() {
 fn mixed_fleet_panics_do_not_poison_good_runs() {
     // Half the host threads hit the panicking workload, the other runs
     // must still produce measurements (no propagation across runs).
-    let p = Platform::intel();
-    let w = tiny_nbody();
-    let good = noiselab_core::run_many(&p, &w, &cfg(), 3, 40, false, None);
-    let bad = noiselab_core::run_many(&p, &PanickingWorkload, &cfg(), 3, 40, false, None);
+    let (p, w, cfg) = (Platform::intel(), tiny_nbody(), cfg());
+    let spec = RunSpec::new(&p, &w, &cfg, 40);
+    let good = run_many(&spec, 3, RetryPolicy::none());
+    let bad = run_many(
+        &RunSpec {
+            workload: &PanickingWorkload,
+            ..spec.clone()
+        },
+        3,
+        RetryPolicy::none(),
+    );
     assert_eq!(good.ok_count(), 3);
     assert_eq!(bad.ok_count(), 0);
     for (i, r) in good.records.iter().enumerate() {
-        let single = run_once(&p, &w, &cfg(), 40 + i as u64, false, None).unwrap();
+        let seed = 40 + i as u64;
+        let single = run_fresh(&RunSpec {
+            seed,
+            ..spec.clone()
+        })
+        .unwrap();
         assert_eq!(r.result.as_ref().unwrap().exec, single.exec);
     }
 }

@@ -10,11 +10,12 @@
 //! NOISELAB_UPDATE_FIXTURES=1 cargo test -p noiselab-core --test stream_identity
 //! ```
 
-use noiselab_core::{run_once, run_once_faulted, ExecConfig, Mitigation, Model, Platform};
+use noiselab_core::{ExecConfig, Mitigation, Model, Platform, RunSpec};
 use noiselab_injector::{CpuNoiseList, InjectPolicy, InjectionConfig, NoiseEventSpec};
-use noiselab_kernel::{CpuStallSpec, FaultPlan, KernelConfig, SpuriousIrqSpec, ThreadAbortSpec};
+use noiselab_kernel::{CpuStallSpec, FaultPlan, SpuriousIrqSpec, ThreadAbortSpec};
 use noiselab_machine::CpuId;
 use noiselab_sim::{SimDuration, SimTime};
+use noiselab_testutil::run_fresh;
 use noiselab_workloads::{Babelstream, MiniFE, NBody, Workload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -24,7 +25,7 @@ const FIXTURE: &str = concat!(
     "/tests/fixtures/stream_hashes.json"
 );
 
-fn workloads() -> Vec<(&'static str, Box<dyn Workload>)> {
+fn workloads() -> Vec<(&'static str, Box<dyn Workload + Sync>)> {
     vec![
         ("nbody", Box::new(noiselab_testutil::tiny_nbody(3))),
         (
@@ -119,9 +120,13 @@ fn battery() -> BTreeMap<String, String> {
     for (wname, w) in workloads() {
         for (cname, cfg) in &configs {
             for seed in [1u64, 2] {
+                let plain = RunSpec::new(&p, w.as_ref(), cfg, seed);
                 for tracing in [false, true] {
-                    let run = run_once(&p, w.as_ref(), cfg, seed, tracing, None)
-                        .expect("battery run failed");
+                    let run = run_fresh(&RunSpec {
+                        tracing,
+                        ..plain.clone()
+                    })
+                    .expect("battery run failed");
                     let key = format!(
                         "{wname}/{cname}/seed{seed}/{}",
                         if tracing { "traced" } else { "plain" }
@@ -131,11 +136,16 @@ fn battery() -> BTreeMap<String, String> {
                         format!("{:016x}:{}", run.stream_hash, run.exec.nanos()),
                     );
                 }
-                let kc = KernelConfig::default();
-                let faulted =
-                    run_once_faulted(&p, w.as_ref(), cfg, &kc, seed, false, None, Some(&plan));
-                let injected = run_once(&p, w.as_ref(), cfg, seed, false, Some(&inject));
-                for (kind, run) in [("faulted", faulted), ("injected", injected)] {
+                let faulted = RunSpec {
+                    faults: Some(&plan),
+                    ..plain.clone()
+                };
+                let injected = RunSpec {
+                    inject: Some(&inject),
+                    ..plain
+                };
+                for (kind, spec) in [("faulted", faulted), ("injected", injected)] {
+                    let run = run_fresh(&spec);
                     let value = match run {
                         Ok(run) => format!("{:016x}:{}", run.stream_hash, run.exec.nanos()),
                         Err(f) => format!("failed:{f}"),

@@ -6,11 +6,10 @@
 //! models and tracing modes.
 
 use noiselab_core::{
-    run_many, run_many_instrumented, run_once, run_once_instrumented, ExecConfig, Mitigation,
-    Model, Observe, Platform, RetryPolicy,
+    run, run_many, ExecConfig, Mitigation, Model, Platform, RetryPolicy, RunArena, RunSpec,
 };
-use noiselab_kernel::KernelConfig;
 use noiselab_telemetry::{PhaseProfiler, TelemetryConfig};
+use noiselab_testutil::run_fresh;
 use noiselab_workloads::NBody;
 use proptest::prelude::*;
 
@@ -23,28 +22,20 @@ fn tiny_nbody() -> NBody {
 /// (stream_hash, exec ns) of a fully instrumented run: telemetry with
 /// timeline on, plus the phase profiler.
 fn instrumented(cfg: &ExecConfig, seed: u64, tracing: bool) -> (u64, u64) {
-    let p = Platform::intel();
-    let run = run_once_instrumented(
-        &p,
-        &tiny_nbody(),
-        cfg,
-        &KernelConfig::default(),
-        seed,
+    let (p, w) = (Platform::intel(), tiny_nbody());
+    let spec = RunSpec {
         tracing,
-        None,
-        None,
-        Observe {
-            telemetry: Some(TelemetryConfig::default()),
-            profiler: Some(PhaseProfiler::new()),
-            ..Observe::default()
-        },
-    )
-    .expect("instrumented run failed");
+        telemetry: Some(TelemetryConfig::default()),
+        ..RunSpec::new(&p, &w, cfg, seed)
+    };
+    let out = run(&spec, &mut RunArena::profiled(PhaseProfiler::new()))
+        .expect("instrumented run failed")
+        .output;
     assert!(
-        run.output.metrics.is_some(),
+        out.metrics.is_some(),
         "telemetry-enabled run must snapshot metrics"
     );
-    (run.output.stream_hash, run.output.exec.nanos())
+    (out.stream_hash, out.exec.nanos())
 }
 
 proptest! {
@@ -63,8 +54,8 @@ proptest! {
         // the purity property must hold across the new record kinds too.
         let mut cfg = ExecConfig::new(model, Mitigation::Rm);
         cfg.governor = dvfs.then_some(noiselab_machine::Governor::Schedutil);
-        let p = Platform::intel();
-        let bare = run_once(&p, &tiny_nbody(), &cfg, seed, tracing, None)
+        let (p, w) = (Platform::intel(), tiny_nbody());
+        let bare = run_fresh(&RunSpec { tracing, ..RunSpec::new(&p, &w, &cfg, seed) })
             .expect("bare run failed");
         let (hash, exec_ns) = instrumented(&cfg, seed, tracing);
         // Telemetry must not change the dispatched event stream or
@@ -79,18 +70,15 @@ fn instrumented_ledger_matches_bare_ledger_bit_for_bit() {
     let p = Platform::intel();
     let w = tiny_nbody();
     let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
-    let bare = run_many(&p, &w, &cfg, 6, 300, false, None);
-    let inst = run_many_instrumented(
-        &p,
-        &w,
-        &cfg,
+    let spec = RunSpec::new(&p, &w, &cfg, 300);
+    let bare = run_many(&spec, 6, RetryPolicy::none());
+    let inst = run_many(
+        &RunSpec {
+            telemetry: Some(TelemetryConfig::metrics_only()),
+            ..spec
+        },
         6,
-        300,
-        false,
-        None,
-        None,
         RetryPolicy::none(),
-        Some(TelemetryConfig::metrics_only()),
     );
     assert_eq!(
         bare.stream_hash(),
@@ -121,20 +109,14 @@ fn tracer_drop_counters_surface_in_metrics() {
     let p = Platform::intel();
     let w = tiny_nbody();
     let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
-    let run = run_once_instrumented(
-        &p,
-        &w,
-        &cfg,
-        &KernelConfig::default(),
-        11,
-        true,
-        None,
-        None,
-        Observe::telemetry(TelemetryConfig::metrics_only()),
-    )
-    .expect("traced run failed");
-    let m = run.output.metrics.expect("metrics");
-    let trace = run.output.trace.expect("trace");
+    let spec = RunSpec {
+        tracing: true,
+        telemetry: Some(TelemetryConfig::metrics_only()),
+        ..RunSpec::new(&p, &w, &cfg, 11)
+    };
+    let out = run_fresh(&spec).expect("traced run failed");
+    let m = out.metrics.expect("metrics");
+    let trace = out.trace.expect("trace");
     assert_eq!(
         m.counter("trace.emitted"),
         trace.events.len() as u64 + trace.dropped_events,

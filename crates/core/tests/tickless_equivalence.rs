@@ -4,10 +4,11 @@
 //! and identical busy-CPU traces. This is what licenses shipping
 //! tickless as the default for paper-scale (1000-run) replication.
 
-use noiselab_core::harness::run_once_with;
-use noiselab_core::{ExecConfig, Mitigation, Model, Platform};
+use noiselab_core::{ExecConfig, Mitigation, Model, Platform, RunSpec};
 use noiselab_kernel::KernelConfig;
-use noiselab_testutil::{platforms, scaled_nbody, scaled_workloads as workloads, tickless_config};
+use noiselab_testutil::{
+    platforms, run_fresh, scaled_nbody, scaled_workloads as workloads, tickless_config,
+};
 use noiselab_workloads::Workload;
 
 fn eager() -> KernelConfig {
@@ -23,13 +24,18 @@ fn tickless() -> KernelConfig {
 fn assert_cell_equivalent(
     platform: &Platform,
     pname: &str,
-    workload: &dyn Workload,
+    workload: &(dyn Workload + Sync),
     wname: &str,
     cfg: &ExecConfig,
     seed: u64,
 ) {
-    let e = run_once_with(platform, workload, cfg, &eager(), seed, true, None).unwrap();
-    let t = run_once_with(platform, workload, cfg, &tickless(), seed, true, None).unwrap();
+    let traced = |kconfig| RunSpec {
+        kconfig,
+        tracing: true,
+        ..RunSpec::new(platform, workload, cfg, seed)
+    };
+    let e = run_fresh(&traced(eager())).unwrap();
+    let t = run_fresh(&traced(tickless())).unwrap();
     assert_eq!(
         e.exec,
         t.exec,

@@ -38,11 +38,10 @@
 //! v2 bytes it always did, which is what keeps the pre-DVFS golden
 //! fixtures byte-identical.
 //!
-//! [`decode`] also still reads schema **v1** (the all-varint layout
-//! this module shipped with); `tests/golden_binary.rs` pins a v1
-//! fixture byte-for-byte to keep that promise, and pins the v2
-//! encoding of the same report so a format change must update the
-//! fixture (and bump the version).
+//! [`decode`] reads v2 and v3 and rejects any other version with a
+//! typed [`DecodeError`]. `tests/golden_binary.rs` pins the v2 encoding
+//! of a fixture report byte for byte, so a format change must update
+//! the fixture (and bump the version).
 
 use crate::recorder::{CounterSample, FreqSample, InstantMark, Span, SpanCat, TelemetryReport};
 use noiselab_kernel::{WireRecord, WIRE_NO_THREAD, WIRE_RECORD_BYTES};
@@ -52,8 +51,6 @@ pub const MAGIC: &[u8; 4] = b"NLTB";
 /// The schema version [`encode`] writes for reports without frequency
 /// samples (every DVFS-disabled run).
 pub const VERSION: u8 = 2;
-/// The legacy all-varint schema [`decode`] still accepts.
-pub const VERSION_V1: u8 = 1;
 /// The v2-plus-freq-section schema [`encode`] writes when the report
 /// carries DVFS frequency samples.
 pub const VERSION_V3: u8 = 3;
@@ -68,10 +65,6 @@ pub const SCHEMA_V3: &str = "strings[len,bytes];wire:29B-le[start:u64,dur:u64,cp
                           thread:u32(MAX=none),name:u32,tag:u8];spans[wire,tag=cat];\
                           instants[wire,dur=0];counters[wire,dur=depth,name=MAX];\
                           freq[wire,dur=khz,name=MAX]";
-
-/// The schema string v1 files carry (kept for the decode-compat test).
-pub const SCHEMA_V1: &str = "strings[len,bytes];spans[cpu,thread+1,name,cat:u8,start,dur];\
-                          instants[cpu,name,time];counters[cpu,time,depth]";
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -169,7 +162,7 @@ pub struct BinaryTrace {
     pub spans: Vec<Span>,
     pub instants: Vec<InstantMark>,
     pub counters: Vec<CounterSample>,
-    /// DVFS frequency samples; empty for v1/v2 files.
+    /// DVFS frequency samples; empty for v2 files.
     pub freq: Vec<FreqSample>,
 }
 
@@ -240,7 +233,9 @@ impl<'a> Reader<'a> {
 
     fn string(&mut self) -> Result<String, DecodeError> {
         let len = self.varint()? as usize;
-        if self.pos + len > self.buf.len() {
+        // `pos + len` could overflow on a crafted length; the remaining
+        // byte count cannot.
+        if len > self.buf.len() - self.pos {
             return self.err(format!("string of {len} bytes overruns input"));
         }
         let bytes = &self.buf[self.pos..self.pos + len];
@@ -251,7 +246,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// One fixed-width wire record (v2 sections).
+    /// One fixed-width wire record.
     fn wire(&mut self, what: &str) -> Result<WireRecord, DecodeError> {
         let Some(w) = WireRecord::decode_from(self.buf, self.pos) else {
             return self.err(format!("truncated {what} record"));
@@ -261,7 +256,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decode an NLTB buffer of any supported schema version (v1 or v2).
+/// Decode an NLTB buffer of any supported schema version (v2 or v3).
 pub fn decode(buf: &[u8]) -> Result<BinaryTrace, DecodeError> {
     let mut r = Reader {
         buf,
@@ -275,81 +270,22 @@ pub fn decode(buf: &[u8]) -> Result<BinaryTrace, DecodeError> {
     let version = r.byte()?;
     r.version = Some(version);
     match version {
-        VERSION_V1 => decode_v1(&mut r),
         VERSION => decode_v2(&mut r, false),
         VERSION_V3 => decode_v2(&mut r, true),
         v => r.err(format!(
-            "unsupported schema version {v} (supported: {VERSION_V1}, {VERSION}, {VERSION_V3})"
+            "unsupported schema version {v} (supported: {VERSION}, {VERSION_V3})"
         )),
     }
 }
 
-/// Shared header tail: schema string + string table.
-fn decode_strings(r: &mut Reader) -> Result<(String, Vec<String>), DecodeError> {
+/// The fixed-width wire-record layout (v2, and v3 with `with_freq`).
+fn decode_v2(r: &mut Reader, with_freq: bool) -> Result<BinaryTrace, DecodeError> {
     let schema = r.string()?;
     let n_strings = r.varint()? as usize;
     let mut strings = Vec::with_capacity(n_strings.min(1 << 16));
     for _ in 0..n_strings {
         strings.push(r.string()?);
     }
-    Ok((schema, strings))
-}
-
-/// The original all-varint layout.
-fn decode_v1(r: &mut Reader) -> Result<BinaryTrace, DecodeError> {
-    let (schema, strings) = decode_strings(r)?;
-    let n_spans = r.varint()? as usize;
-    let mut spans = Vec::with_capacity(n_spans.min(1 << 16));
-    for _ in 0..n_spans {
-        let cpu = r.varint()? as u32;
-        let thread = match r.varint()? {
-            0 => None,
-            t => Some((t - 1) as u32),
-        };
-        let name = r.varint()? as u32;
-        let tag = r.byte()?;
-        let Some(cat) = SpanCat::from_tag(tag) else {
-            return r.err(format!("unknown span category tag {tag}"));
-        };
-        let start = SimTime(r.varint()?);
-        let dur_ns = r.varint()?;
-        if name as usize >= strings.len() {
-            return r.err(format!("span name index {name} out of range"));
-        }
-        spans.push(Span {
-            cpu,
-            thread,
-            name,
-            cat,
-            start,
-            dur_ns,
-        });
-    }
-    let n_instants = r.varint()? as usize;
-    let mut instants = Vec::with_capacity(n_instants.min(1 << 16));
-    for _ in 0..n_instants {
-        let cpu = r.varint()? as u32;
-        let name = r.varint()? as u32;
-        let time = SimTime(r.varint()?);
-        if name as usize >= strings.len() {
-            return r.err(format!("instant name index {name} out of range"));
-        }
-        instants.push(InstantMark { cpu, name, time });
-    }
-    let n_counters = r.varint()? as usize;
-    let mut counters = Vec::with_capacity(n_counters.min(1 << 16));
-    for _ in 0..n_counters {
-        let cpu = r.varint()? as u32;
-        let time = SimTime(r.varint()?);
-        let depth = r.varint()? as u32;
-        counters.push(CounterSample { cpu, time, depth });
-    }
-    finish(r, schema, strings, spans, instants, counters, Vec::new())
-}
-
-/// The fixed-width wire-record layout (v2, and v3 with `with_freq`).
-fn decode_v2(r: &mut Reader, with_freq: bool) -> Result<BinaryTrace, DecodeError> {
-    let (schema, strings) = decode_strings(r)?;
     let n_spans = r.varint()? as usize;
     let mut spans = Vec::with_capacity(n_spans.min(1 << 16));
     for _ in 0..n_spans {
@@ -411,19 +347,6 @@ fn decode_v2(r: &mut Reader, with_freq: bool) -> Result<BinaryTrace, DecodeError
             });
         }
     }
-    finish(r, schema, strings, spans, instants, counters, freq)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    r: &mut Reader,
-    schema: String,
-    strings: Vec<String>,
-    spans: Vec<Span>,
-    instants: Vec<InstantMark>,
-    counters: Vec<CounterSample>,
-    freq: Vec<FreqSample>,
-) -> Result<BinaryTrace, DecodeError> {
     if r.pos != r.buf.len() {
         return r.err(format!("{} trailing bytes", r.buf.len() - r.pos));
     }
@@ -470,41 +393,6 @@ mod tests {
         }
     }
 
-    /// Hand-rolled v1 encoder so the legacy decode path keeps corrupt-
-    /// input coverage without keeping a public v1 writer around.
-    fn encode_v1(report: &TelemetryReport) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION_V1);
-        put_str(&mut out, SCHEMA_V1);
-        put_varint(&mut out, report.strings.len() as u64);
-        for s in &report.strings {
-            put_str(&mut out, s);
-        }
-        put_varint(&mut out, report.spans.len() as u64);
-        for sp in &report.spans {
-            put_varint(&mut out, sp.cpu as u64);
-            put_varint(&mut out, sp.thread.map(|t| t as u64 + 1).unwrap_or(0));
-            put_varint(&mut out, sp.name as u64);
-            out.push(sp.cat.tag());
-            put_varint(&mut out, sp.start.0);
-            put_varint(&mut out, sp.dur_ns);
-        }
-        put_varint(&mut out, report.instants.len() as u64);
-        for m in &report.instants {
-            put_varint(&mut out, m.cpu as u64);
-            put_varint(&mut out, m.name as u64);
-            put_varint(&mut out, m.time.0);
-        }
-        put_varint(&mut out, report.counters.len() as u64);
-        for c in &report.counters {
-            put_varint(&mut out, c.cpu as u64);
-            put_varint(&mut out, c.time.0);
-            put_varint(&mut out, c.depth as u64);
-        }
-        out
-    }
-
     #[test]
     fn varints_round_trip() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
@@ -534,26 +422,21 @@ mod tests {
     }
 
     #[test]
-    fn v1_decodes_through_the_same_entry_point() {
-        let report = small_report();
-        let bytes = encode_v1(&report);
-        assert_eq!(bytes[4], VERSION_V1);
-        let trace = decode(&bytes).expect("decode v1");
-        assert_eq!(trace.schema, SCHEMA_V1);
-        assert_eq!(trace.spans, report.spans);
-        assert_eq!(trace.instants, report.instants);
-        assert_eq!(trace.counters, report.counters);
-    }
-
-    #[test]
     fn unknown_version_reports_found_and_supported() {
-        let mut bytes = encode(&small_report());
-        bytes[4] = 9;
-        let err = decode(&bytes).expect_err("version 9 rejected");
-        assert_eq!(err.version, Some(9));
-        let msg = err.to_string();
-        assert!(msg.contains("unsupported schema version 9"), "{msg}");
-        assert!(msg.contains("supported: 1, 2, 3"), "{msg}");
+        // Version 1 (the retired all-varint layout) is rejected like any
+        // other unknown version.
+        for v in [1u8, 9] {
+            let mut bytes = encode(&small_report());
+            bytes[4] = v;
+            let err = decode(&bytes).expect_err("unknown version rejected");
+            assert_eq!(err.version, Some(v));
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("unsupported schema version {v}")),
+                "{msg}"
+            );
+            assert!(msg.contains("supported: 2, 3"), "{msg}");
+        }
     }
 
     #[test]
@@ -582,10 +465,20 @@ mod tests {
         assert_eq!(encode(&report)[4], VERSION);
     }
 
+    /// `small_report` encoded as v2 and, with one frequency sample, v3.
+    fn both_versions(report: &TelemetryReport) -> [Vec<u8>; 2] {
+        let mut v3 = report.clone();
+        v3.freq.push(FreqSample {
+            cpu: 0,
+            time: SimTime(150),
+            khz: 3_600_000,
+        });
+        [encode(report), encode(&v3)]
+    }
+
     #[test]
     fn truncated_input_errors_with_offset_both_versions() {
-        let report = small_report();
-        for bytes in [encode(&report), encode_v1(&report)] {
+        for bytes in both_versions(&small_report()) {
             let expect_version = bytes[4];
             assert!(decode(&bytes).is_ok());
             let err = decode(&bytes[..bytes.len() - 3]).expect_err("truncated");
@@ -598,9 +491,9 @@ mod tests {
     fn bad_string_index_rejected_both_versions() {
         let mut report = small_report();
         report.spans[0].name = 7; // only 1 string in the table
-        for (bytes, v) in [(encode(&report), VERSION), (encode_v1(&report), VERSION_V1)] {
+        for bytes in both_versions(&report) {
             let err = decode(&bytes).expect_err("bad name index");
-            assert_eq!(err.version, Some(v));
+            assert_eq!(err.version, Some(bytes[4]));
             assert!(
                 err.message.contains("name index 7 out of range"),
                 "{}",
@@ -610,20 +503,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_overflowed_varint_rejected() {
-        let mut bytes = vec![];
-        bytes.extend_from_slice(MAGIC);
-        bytes.push(VERSION_V1);
+    fn corrupt_schema_length_rejected() {
         // Schema length as an 11-byte varint: overflows the u64 shift.
-        bytes.extend_from_slice(&[0x80; 10]);
-        bytes.push(0x01);
-        let err = decode(&bytes).expect_err("overflowing varint");
-        assert!(
-            err.message.contains("varint overflows u64"),
-            "{}",
-            err.message
-        );
-        assert_eq!(err.version, Some(VERSION_V1));
+        // Then a length of u64::MAX, which once overflowed `pos + len`.
+        let mut huge = vec![0xff; 9];
+        huge.push(0x01);
+        for (len, want) in [
+            ([&[0x80; 10][..], &[0x01]].concat(), "varint overflows u64"),
+            (huge, "overruns input"),
+        ] {
+            let bytes = [&MAGIC[..], &[VERSION], &len].concat();
+            let err = decode(&bytes).expect_err("corrupt schema length");
+            assert!(err.message.contains(want), "{}", err.message);
+            assert_eq!((err.offset, err.version), (bytes.len(), Some(VERSION)));
+        }
     }
 
     #[test]

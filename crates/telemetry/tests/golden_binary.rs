@@ -5,17 +5,13 @@
 //!   the wire format fails here and must both regenerate the fixture
 //!   (`UPDATE_GOLDEN=1 cargo test -p noiselab-telemetry`) and bump
 //!   [`noiselab_telemetry::binary::VERSION`].
-//! * The **v1** bytes of the same report are frozen in
-//!   `tests/fixtures/golden_trace_v1.nltb` (written by the v1 encoder
-//!   before the v2 migration, never regenerated): [`decode`] must keep
-//!   reading them through the same entry point.
+//! * The fixture must decode back to the report it was encoded from.
 
 mod common;
 
-use noiselab_telemetry::binary::{decode, encode, MAGIC, SCHEMA, SCHEMA_V1, VERSION, VERSION_V1};
+use noiselab_telemetry::binary::{decode, encode, MAGIC, SCHEMA, VERSION};
 
 const FIXTURE: &str = "golden_trace.nltb";
-const FIXTURE_V1: &str = "golden_trace_v1.nltb";
 
 fn golden() -> Vec<u8> {
     let bytes = encode(&common::fixture_report());
@@ -55,20 +51,4 @@ fn golden_fixture_decodes_back_to_the_report() {
     assert!(trace.spans.iter().any(|s| s.thread.is_none()));
     assert_eq!(trace.instants.len(), 3);
     assert_eq!(trace.counters.len(), 1);
-}
-
-#[test]
-fn frozen_v1_fixture_still_decodes() {
-    let bytes = std::fs::read(common::fixture_path(FIXTURE_V1))
-        .expect("v1 compat fixture missing — it is frozen and must never be regenerated");
-    assert_eq!(&bytes[0..4], MAGIC);
-    assert_eq!(bytes[4], VERSION_V1, "compat fixture must stay v1");
-    let trace = decode(&bytes).expect("v1 bytes decode through the current entry point");
-    assert_eq!(trace.schema, SCHEMA_V1);
-    // Same report content as the v2 golden — only the wire layout differs.
-    let report = common::fixture_report();
-    assert_eq!(trace.strings, report.strings);
-    assert_eq!(trace.spans, report.spans);
-    assert_eq!(trace.instants, report.instants);
-    assert_eq!(trace.counters, report.counters);
 }

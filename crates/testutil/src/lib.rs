@@ -12,7 +12,9 @@
 //! used inline: several gates assert bit-identical behaviour across
 //! runs, so the helpers must not drift per-suite.
 
-use noiselab_core::{ExecConfig, Mitigation, Model, Platform};
+use noiselab_core::{
+    run, ExecConfig, Mitigation, Model, Platform, RunArena, RunFailure, RunOutput, RunSpec,
+};
 use noiselab_kernel::{
     Action, FaultPlan, Kernel, KernelConfig, NoiseClass, Policy, ScriptBehavior, ThreadId,
     ThreadKind, ThreadSpec, TraceSink,
@@ -95,6 +97,12 @@ pub fn tickless_config(tickless: bool) -> KernelConfig {
         tickless,
         ..KernelConfig::default()
     }
+}
+
+/// One run of `spec` through a fresh arena: the standalone reference
+/// the suites compare ledgers, reused arenas and ablations against.
+pub fn run_fresh(spec: &RunSpec) -> Result<RunOutput, RunFailure> {
+    run(spec, &mut RunArena::default()).map(|r| r.output)
 }
 
 /// The common far-future run horizon.

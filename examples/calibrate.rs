@@ -3,13 +3,18 @@
 //! Also reports host wall-clock per simulated run, which sizes the
 //! bench scales.
 
-use noiselab::core::{run_once, ExecConfig, Mitigation, Model, Platform};
+use noiselab::core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec};
 use noiselab::workloads::{Babelstream, MiniFE, NBody, Workload};
 
-fn probe(platform: &Platform, w: &dyn Workload, model: Model, paper: f64) {
+fn probe(platform: &Platform, w: &(dyn Workload + Sync), model: Model, paper: f64) {
     let cfg = ExecConfig::new(model, Mitigation::Rm);
     let t0 = std::time::Instant::now();
-    let out = run_once(platform, w, &cfg, 1, false, None).expect("calibration run failed");
+    let out = run(
+        &RunSpec::new(platform, w, &cfg, 1),
+        &mut RunArena::default(),
+    )
+    .expect("calibration run failed")
+    .output;
     let wall = t0.elapsed().as_secs_f64();
     println!(
         "{:<22} {:<11} {:>6} sim={:.3}s paper={:.3}s ratio={:.2} wall={:.2}s",

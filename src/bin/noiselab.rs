@@ -227,27 +227,19 @@ fn cmd_baseline(args: &Args) -> Result<(), String> {
 /// export a Perfetto-loadable Chrome trace (and optionally the compact
 /// NLTB binary timeline).
 fn cmd_trace_timeline(args: &Args, run_seed: u64) -> Result<(), String> {
-    use noiselab::core::{run_once_instrumented, Observe};
-    use noiselab::kernel::KernelConfig;
+    use noiselab::core::{run, RunArena, RunSpec};
     use noiselab::telemetry::{chrome_trace, encode, TelemetryConfig};
 
     let platform = args.platform()?;
     let workload = args.workload(&platform)?;
     let cfg = args.exec_config()?;
     let out = args.required("out")?;
-    let run = run_once_instrumented(
-        &platform,
-        workload.as_ref(),
-        &cfg,
-        &KernelConfig::default(),
-        run_seed,
-        false,
-        None,
-        None,
-        Observe::telemetry(TelemetryConfig::default()),
-    )
-    .map_err(|e| format!("run failed: {e}"))?;
-    let report = run.telemetry.expect("telemetry was attached");
+    let spec = RunSpec {
+        telemetry: Some(TelemetryConfig::default()),
+        ..RunSpec::new(&platform, workload.as_ref(), &cfg, run_seed)
+    };
+    let done = run(&spec, &mut RunArena::default()).map_err(|e| format!("run failed: {e}"))?;
+    let report = done.telemetry.expect("telemetry was attached");
     let label = format!(
         "{} {} {} seed {}",
         platform.label(),
@@ -262,7 +254,7 @@ fn cmd_trace_timeline(args: &Args, run_seed: u64) -> Result<(), String> {
     println!(
         "{label}: exec {:.4}s, {} spans, {} instants on {} cpus ({} dropped) -> {} \
          (load in ui.perfetto.dev)",
-        run.output.exec.as_secs_f64(),
+        done.output.exec.as_secs_f64(),
         report.spans.len(),
         report.instants.len(),
         report.n_cpus,
@@ -603,9 +595,7 @@ fn cmd_campaign_worker(args: &Args) -> Result<(), String> {
 /// with the host-time phase profile or the full observation-overhead
 /// report.
 fn cmd_metrics(args: &Args) -> Result<(), String> {
-    use noiselab::core::RetryPolicy;
-    use noiselab::core::{measure_overhead, run_many_instrumented, run_once_instrumented, Observe};
-    use noiselab::kernel::KernelConfig;
+    use noiselab::core::{measure_overhead, run, run_many, RetryPolicy, RunArena, RunSpec};
     use noiselab::telemetry::{MetricsSnapshot, PhaseProfiler, TelemetryConfig};
 
     // `--checkpoint <path>` is a read-only mode: render the merged
@@ -640,18 +630,12 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
 
     let runs = args.runs(5);
     let tracing = args.get("tracing", "false") == "true";
-    let ledger = run_many_instrumented(
-        &platform,
-        workload.as_ref(),
-        &cfg,
-        runs,
-        args.seed(),
+    let spec = RunSpec {
         tracing,
-        None,
-        None,
-        RetryPolicy::none(),
-        Some(TelemetryConfig::metrics_only()),
-    );
+        telemetry: Some(TelemetryConfig::metrics_only()),
+        ..RunSpec::new(&platform, workload.as_ref(), &cfg, args.seed())
+    };
+    let ledger = run_many(&spec, runs, RetryPolicy::none());
     let mut merged = MetricsSnapshot::default();
     for out in ledger.outputs() {
         if let Some(m) = &out.metrics {
@@ -664,22 +648,8 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
 
     let profile = if args.get("profile", "false") == "true" {
         let profiler = PhaseProfiler::new();
-        run_once_instrumented(
-            &platform,
-            workload.as_ref(),
-            &cfg,
-            &KernelConfig::default(),
-            args.seed(),
-            tracing,
-            None,
-            None,
-            Observe {
-                telemetry: Some(TelemetryConfig::metrics_only()),
-                profiler: Some(profiler.clone()),
-                ..Observe::default()
-            },
-        )
-        .map_err(|e| format!("profiled run failed: {e}"))?;
+        run(&spec, &mut RunArena::profiled(profiler.clone()))
+            .map_err(|e| format!("profiled run failed: {e}"))?;
         Some(profiler.report())
     } else {
         None

@@ -1,9 +1,15 @@
 //! Determinism guarantees across the whole stack: the reproducibility
 //! claim of the paper's methodology rests on these.
 
-use noiselab::core::{run_once, ExecConfig, Mitigation, Model, Platform};
+use noiselab::core::{
+    run, ExecConfig, Mitigation, Model, Platform, RunArena, RunFailure, RunOutput, RunSpec,
+};
 use noiselab::injector::{generate, GeneratorOptions};
 use noiselab::workloads::{Babelstream, NBody};
+
+fn run_once(spec: &RunSpec) -> Result<RunOutput, RunFailure> {
+    run(spec, &mut RunArena::default()).map(|r| r.output)
+}
 
 fn nbody() -> NBody {
     NBody {
@@ -19,8 +25,9 @@ fn identical_seeds_identical_exec_times() {
     let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
     let w = nbody();
     for seed in [1u64, 99, 12345] {
-        let a = run_once(&p, &w, &cfg, seed, false, None).unwrap();
-        let b = run_once(&p, &w, &cfg, seed, false, None).unwrap();
+        let spec = RunSpec::new(&p, &w, &cfg, seed);
+        let a = run_once(&spec).unwrap();
+        let b = run_once(&spec).unwrap();
         assert_eq!(a.exec, b.exec, "seed {seed} not reproducible");
         assert_eq!(a.anomaly, b.anomaly);
     }
@@ -32,8 +39,12 @@ fn identical_seeds_identical_traces() {
     p.noise.anomaly_prob = 0.5; // exercise the anomaly path too
     let cfg = ExecConfig::new(Model::Sycl, Mitigation::RmHK);
     let w = nbody();
-    let a = run_once(&p, &w, &cfg, 7, true, None).unwrap();
-    let b = run_once(&p, &w, &cfg, 7, true, None).unwrap();
+    let spec = RunSpec {
+        tracing: true,
+        ..RunSpec::new(&p, &w, &cfg, 7)
+    };
+    let a = run_once(&spec).unwrap();
+    let b = run_once(&spec).unwrap();
     let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
     assert_eq!(ta.events.len(), tb.events.len());
     assert_eq!(ta.events, tb.events);
@@ -45,7 +56,7 @@ fn different_seeds_differ() {
     let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
     let w = nbody();
     let times: Vec<_> = (0..5)
-        .map(|s| run_once(&p, &w, &cfg, s, false, None).unwrap().exec)
+        .map(|s| run_once(&RunSpec::new(&p, &w, &cfg, s)).unwrap().exec)
         .collect();
     let distinct: std::collections::BTreeSet<_> = times.iter().map(|t| t.nanos()).collect();
     assert!(
@@ -68,7 +79,11 @@ fn config_generation_is_deterministic() {
     let collect = || {
         let mut set = noiselab::noise::TraceSet::default();
         for seed in 0..4 {
-            let out = run_once(&p, &w, &cfg, seed, true, None).unwrap();
+            let spec = RunSpec {
+                tracing: true,
+                ..RunSpec::new(&p, &w, &cfg, seed)
+            };
+            let out = run_once(&spec).unwrap();
             let mut t = out.trace.unwrap();
             t.run_index = seed as usize;
             set.runs.push(t);
@@ -87,7 +102,11 @@ fn injection_runs_are_deterministic() {
     let traced = noiselab::core::run_baseline(&stormy, &w, &cfg, 3, 50, true);
     let config = generate("det", &traced.traces, &GeneratorOptions::default()).unwrap();
     let quiet = Platform::intel();
-    let a = run_once(&quiet, &w, &cfg, 9, false, Some(&config)).unwrap();
-    let b = run_once(&quiet, &w, &cfg, 9, false, Some(&config)).unwrap();
+    let spec = RunSpec {
+        inject: Some(&config),
+        ..RunSpec::new(&quiet, &w, &cfg, 9)
+    };
+    let a = run_once(&spec).unwrap();
+    let b = run_once(&spec).unwrap();
     assert_eq!(a.exec, b.exec);
 }

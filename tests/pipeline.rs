@@ -4,7 +4,7 @@
 
 use noiselab::core::experiments::suite;
 use noiselab::core::{
-    run_baseline, run_injected, run_once, ExecConfig, Mitigation, Model, Platform,
+    run, run_baseline, run_injected, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec,
 };
 use noiselab::injector::{generate, GeneratorOptions};
 use noiselab::noise::{AnomalyKind, AnomalySpec};
@@ -161,7 +161,8 @@ fn per_platform_suite_baselines_match_paper_scale() {
         (Box::new(suite::minife_for(&intel)), 1.059, Model::Omp),
     ] {
         let cfg = ExecConfig::new(model, Mitigation::Rm);
-        let out = run_once(&intel, w.as_ref(), &cfg, 5, false, None).unwrap();
+        let spec = RunSpec::new(&intel, w.as_ref(), &cfg, 5);
+        let out = run(&spec, &mut RunArena::default()).unwrap().output;
         let ratio = out.exec.as_secs_f64() / paper;
         assert!(
             (0.85..1.25).contains(&ratio),
