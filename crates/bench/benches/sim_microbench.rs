@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec};
 use noiselab_kernel::{Action, Kernel, KernelConfig, ScriptBehavior, ThreadKind, ThreadSpec};
 use noiselab_machine::{Machine, WorkUnit};
-use noiselab_sim::{EventQueue, SimDuration, SimTime};
+use noiselab_sim::{EventQueue, Fired, SimDuration, SimTime};
 use noiselab_workloads::NBody;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -19,32 +19,32 @@ fn bench_event_queue(c: &mut Criterion) {
                 q.schedule(SimTime(i * 7 % 9_999), i);
             }
             let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
+            while let Some((_, Fired::Event(v))) = q.pop() {
                 acc = acc.wrapping_add(v);
             }
             acc
         })
     });
 
-    // Cancellation-heavy churn: the timer-retarget pattern of the kernel
-    // (schedule a completion, cancel it, schedule a new one) that the
-    // token table + lazy compaction must keep O(log n) with a bounded
-    // heap. Every scheduled event is cancelled and replaced 4 times.
+    // Cancellation-heavy churn: the kernel's re-prediction pattern
+    // (arm a completion, cancel it, arm a new one) over 64 timer keys,
+    // every one of which is cancelled and re-armed in batches.
     c.bench_function("event_queue_schedule_cancel_churn_10k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut tok = Vec::with_capacity(64);
+            let mut q = EventQueue::<u64>::new();
             for round in 0..10_000u64 {
-                tok.push(q.schedule(SimTime(round * 13 % 65_536), round));
-                if tok.len() == 64 {
-                    for t in tok.drain(..) {
-                        q.cancel(t);
+                q.arm((round % 64) as usize, SimTime(round * 13 % 65_536));
+                if round % 64 == 63 {
+                    for key in 0..64 {
+                        q.cancel(key);
                     }
                 }
             }
             let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
+            while let Some((_, fired)) = q.pop() {
+                if let Fired::Timer(key) = fired {
+                    acc = acc.wrapping_add(key as u64);
+                }
             }
             acc
         })
@@ -52,10 +52,10 @@ fn bench_event_queue(c: &mut Criterion) {
 
     c.bench_function("event_queue_reschedule_10k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut t = q.schedule(SimTime(1), 0u64);
+            let mut q = EventQueue::<u64>::new();
+            q.arm(0, SimTime(1));
             for i in 1..10_000u64 {
-                t = q.reschedule(t, SimTime(i % 4_096 + 1), i);
+                q.rearm(0, SimTime(i % 4_096 + 1));
             }
             q.pop()
         })

@@ -31,6 +31,7 @@ use noiselab_telemetry::{
 };
 use noiselab_workloads::Workload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Virtual-time safety horizon per run.
 const HORIZON: SimTime = SimTime(600 * noiselab_sim::NANOS_PER_SEC);
@@ -434,9 +435,9 @@ impl RunLedger {
 /// ignored with a note on stderr rather than silently coerced.
 fn host_threads() -> usize {
     if let Ok(v) = std::env::var("NOISELAB_HOST_THREADS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => return n,
-            _ => eprintln!(
+        match parse_host_threads(&v) {
+            Some(n) => return n,
+            None => eprintln!(
                 "noiselab: ignoring malformed NOISELAB_HOST_THREADS={v:?} \
                  (want a positive integer); auto-detecting"
             ),
@@ -449,6 +450,12 @@ fn host_threads() -> usize {
             4
         }
     }
+}
+
+/// Parse a `NOISELAB_HOST_THREADS` value: a positive integer,
+/// surrounding whitespace allowed; `None` for anything else.
+fn parse_host_threads(v: &str) -> Option<usize> {
+    v.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -487,48 +494,70 @@ pub fn run_many(spec: &RunSpec, n_runs: usize, retry: RetryPolicy) -> RunLedger 
         )
     };
 
-    // Hand each host thread a contiguous, exclusively owned chunk of the
-    // result vector: no locks, and results land already ordered by seed.
-    let chunk = n_runs.div_ceil(host_threads);
-    let attempt_run = &attempt_run;
-    std::thread::scope(|scope| {
-        for (t, out) in results.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                // One arena per worker: runs within a chunk recycle the
-                // same kernel/tracer/telemetry buffers.
-                let mut arena = RunArena::default();
-                let mut attempt = spec.clone();
-                for (j, slot) in out.iter_mut().enumerate() {
-                    let i = t * chunk + j;
-                    let seed = seed_base + i as u64;
-                    let mut attempts = 1u32;
-                    attempt.seed = seed;
-                    let mut result = attempt_run(&attempt, &mut arena);
-                    while result.is_err() && attempts <= retry.max_retries {
-                        let reseed = RetryPolicy::reseed(seed, attempts);
-                        eprintln!(
-                            "noiselab: run seed {seed} failed ({}); retry {attempts}/{} \
-                             with seed {reseed}",
-                            result.as_ref().err().map(|f| f.cause()).unwrap_or("?"),
-                            retry.max_retries
-                        );
-                        attempt.seed = reseed;
-                        result = attempt_run(&attempt, &mut arena);
-                        attempts += 1;
+    // Host threads claim run indices one at a time from a shared
+    // counter, so a slow run (an anomaly, a retry) delays only the
+    // thread running it instead of a precomputed chunk behind it. Each
+    // run is a pure function of its seed, so which thread runs it does
+    // not matter; records come back tagged by index and land in seed
+    // order below.
+    let next = AtomicUsize::new(0);
+    let (attempt_run, next) = (&attempt_run, &next);
+    let claimed: Vec<Vec<(usize, RunRecord)>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..host_threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    // One arena per worker: its runs recycle the same
+                    // kernel/tracer/telemetry buffers.
+                    let mut arena = RunArena::default();
+                    let mut attempt = spec.clone();
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::SeqCst);
+                        if i >= n_runs {
+                            break out;
+                        }
+                        let seed = seed_base + i as u64;
+                        let mut attempts = 1u32;
+                        attempt.seed = seed;
+                        let mut result = attempt_run(&attempt, &mut arena);
+                        while result.is_err() && attempts <= retry.max_retries {
+                            let reseed = RetryPolicy::reseed(seed, attempts);
+                            eprintln!(
+                                "noiselab: run seed {seed} failed ({}); retry {attempts}/{} \
+                                 with seed {reseed}",
+                                result.as_ref().err().map(|f| f.cause()).unwrap_or("?"),
+                                retry.max_retries
+                            );
+                            attempt.seed = reseed;
+                            result = attempt_run(&attempt, &mut arena);
+                            attempts += 1;
+                        }
+                        out.push((
+                            i,
+                            RunRecord {
+                                seed,
+                                attempts,
+                                result,
+                            },
+                        ));
                     }
-                    *slot = Some(RunRecord {
-                        seed,
-                        attempts,
-                        result,
-                    });
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        // A worker can only die outside the per-run `catch_unwind`;
+        // re-raise that, as an unjoined scope would.
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
+    for (i, record) in claimed.into_iter().flatten() {
+        results[i] = Some(record);
+    }
 
-    // Every slot is written by its owning chunk above; an empty slot can
-    // only mean a harness bug, which we record instead of unwrapping so
-    // the rest of the campaign's results survive.
+    // Every claimed index gets a record above; an empty slot can only
+    // mean a harness bug, which we record instead of unwrapping so the
+    // rest of the campaign's results survive.
     let records = results
         .into_iter()
         .enumerate()
@@ -825,13 +854,12 @@ mod tests {
 
     #[test]
     fn host_threads_env_override_is_validated() {
-        // Serialise against other tests touching the var (none today,
-        // but the lock costs nothing).
-        std::env::set_var("NOISELAB_HOST_THREADS", "3");
-        assert_eq!(host_threads(), 3);
-        std::env::set_var("NOISELAB_HOST_THREADS", "zero");
-        let auto = host_threads();
-        assert!(auto >= 1, "malformed value must fall back to detection");
-        std::env::remove_var("NOISELAB_HOST_THREADS");
+        // The parser alone: setting the variable here would race with
+        // sibling tests whose `run_many` reads it.
+        assert_eq!(parse_host_threads("3"), Some(3));
+        assert_eq!(parse_host_threads(" 12\n"), Some(12));
+        for bad in ["zero", "0", "", "-1", "2.5", "3 threads"] {
+            assert_eq!(parse_host_threads(bad), None, "{bad:?} must be refused");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! (CFS-like) vruntime queue.
 
 use crate::ids::ThreadId;
-use noiselab_sim::{EventToken, SimTime};
+use noiselab_sim::SimTime;
 use std::collections::BTreeSet;
 
 /// Fair runqueue ordered by `(vruntime, tid)`; the tid tiebreak keeps the
@@ -132,7 +132,6 @@ pub struct Cpu {
     /// CPU is servicing an interrupt until this time (exclusive); the
     /// current thread makes no progress meanwhile.
     pub irq_until: SimTime,
-    pub irq_token: EventToken,
     /// Accumulated busy time (for utilisation assertions).
     pub busy_ns: u64,
     /// Accumulated interrupt time.
@@ -150,7 +149,6 @@ impl Cpu {
             rt: RtQueue::default(),
             cfs: CfsQueue::default(),
             irq_until: SimTime::ZERO,
-            irq_token: EventToken::NONE,
             busy_ns: 0,
             irq_ns: 0,
             tick_armed: false,

@@ -22,9 +22,38 @@ use crate::sanitize::{EventKind, EventRecord, EventSanitizer, SanitizerConfig, S
 use crate::thread::{ActiveCompute, BlockReason, Thread, ThreadKind, ThreadState};
 use crate::trace::{NoiseClass, TraceSink};
 use crate::wire::{InternTable, WireRecord};
-use noiselab_machine::{waterfill_into, CpuId, CpuSet, Machine, SoloProfile};
-use noiselab_sim::{EventQueue, EventToken, Rng, SimDuration, SimTime};
+use noiselab_machine::{waterfill_into, CpuId, CpuSet, Machine, PerfModel, SoloProfile};
+use noiselab_sim::{EventQueue, Fired, Rng, SimDuration, SimTime};
 use std::collections::VecDeque;
+
+/// Per-thread keyed timers (see [`Kernel::thread_key`]). Every event
+/// the kernel may cancel or re-predict is a keyed timer: these four per
+/// thread plus `IrqDone` per CPU. The rest (`Tick`, `DeviceIrq`,
+/// `Abort`, the sanitizer's perturbation IRQ) are plain
+/// fire-and-forget events. Re-predictions that cancel first use
+/// `rearm`; sites that arm a timer the thread may still have pending
+/// use `arm`, which keeps the older entry firing, uncancellable.
+#[derive(Debug, Clone, Copy)]
+enum ThreadTimer {
+    Start,
+    Wake,
+    Compute,
+    Spin,
+}
+
+/// Keys per thread in the timer key space, which holds the per-CPU
+/// `IrqDone` keys first and then one block of these per thread.
+const THREAD_TIMERS: usize = 4;
+
+impl ThreadTimer {
+    /// In key order within a thread's block.
+    const ALL: [ThreadTimer; THREAD_TIMERS] = [
+        ThreadTimer::Start,
+        ThreadTimer::Wake,
+        ThreadTimer::Compute,
+        ThreadTimer::Spin,
+    ];
+}
 
 /// Simulation events.
 #[derive(Debug, Clone)]
@@ -120,6 +149,9 @@ struct RateScratch {
     /// (Emptied, capacity kept, by [`RateScratch::reset`].)
     running: Vec<(usize, usize)>,
     factors: Vec<f64>,
+    /// Compute roofs (see `PerfModel::compute_roof`), parallel to
+    /// `factors`.
+    roofs: Vec<f64>,
     demands: Vec<f64>,
     allocs: Vec<f64>,
     order: Vec<usize>,
@@ -142,6 +174,7 @@ impl RateScratch {
     fn reset(&mut self) {
         self.running.clear();
         self.factors.clear();
+        self.roofs.clear();
         self.demands.clear();
         self.allocs.clear();
         self.order.clear();
@@ -581,8 +614,8 @@ impl Kernel {
         self.computes.push(None);
         self.behaviors.push(Some(behavior));
         let at = spec.start.max(self.now());
-        let token = self.queue.schedule(at, KEvent::Start(id));
-        self.threads[id.index()].timer_token = token;
+        self.queue
+            .arm(self.thread_key(id.index(), ThreadTimer::Start), at);
         id
     }
 
@@ -630,8 +663,8 @@ impl Kernel {
                 self.flush_obs_events();
                 return Err(RunError::Horizon(horizon));
             }
-            let (_, ev) = self.queue.pop().unwrap();
-            self.handle(ev);
+            let (_, fired) = self.queue.pop().unwrap();
+            self.handle(fired);
         }
     }
 
@@ -648,8 +681,8 @@ impl Kernel {
                 self.flush_obs_events();
                 return Ok(());
             }
-            let (_, ev) = self.queue.pop().unwrap();
-            self.handle(ev);
+            let (_, fired) = self.queue.pop().unwrap();
+            self.handle(fired);
         }
     }
 
@@ -657,16 +690,44 @@ impl Kernel {
     // Event handling
     // ------------------------------------------------------------------
 
-    fn handle(&mut self, ev: KEvent) {
+    /// Timer key of `ThreadTimer` `which` for thread index `ti`.
+    #[inline]
+    fn thread_key(&self, ti: usize, which: ThreadTimer) -> usize {
+        self.cpus.len() + ti * THREAD_TIMERS + which as usize
+    }
+
+    /// The event a fired timer key stands for.
+    fn timer_event(&self, key: usize) -> KEvent {
+        let n = self.cpus.len();
+        if key < n {
+            return KEvent::IrqDone(key as u32);
+        }
+        let tid = ThreadId(((key - n) / THREAD_TIMERS) as u32);
+        match ThreadTimer::ALL[(key - n) % THREAD_TIMERS] {
+            ThreadTimer::Start => KEvent::Start(tid),
+            ThreadTimer::Wake => KEvent::WakeTimer(tid),
+            ThreadTimer::Compute => KEvent::ComputeDone(tid),
+            ThreadTimer::Spin => KEvent::SpinExpire(tid),
+        }
+    }
+
+    /// Cancel thread `ti`'s pending start or wake-up timer.
+    fn cancel_timer(&mut self, ti: usize) {
+        self.queue.cancel(self.thread_key(ti, ThreadTimer::Start));
+        self.queue.cancel(self.thread_key(ti, ThreadTimer::Wake));
+    }
+
+    fn handle(&mut self, fired: Fired<KEvent>) {
         self.prof_enter(Phase::Dispatch);
+        let ev = match fired {
+            Fired::Event(ev) => ev,
+            Fired::Timer(key) => self.timer_event(key),
+        };
         if self.obs_mask != 0 {
             self.observe_event(&ev);
         }
         match ev {
-            KEvent::Start(tid) | KEvent::WakeTimer(tid) => {
-                self.threads[tid.index()].timer_token = EventToken::NONE;
-                self.wake_thread(tid);
-            }
+            KEvent::Start(tid) | KEvent::WakeTimer(tid) => self.wake_thread(tid),
             KEvent::ComputeDone(tid) => self.on_compute_done(tid),
             KEvent::SpinExpire(tid) => self.on_spin_expire(tid),
             KEvent::Tick(cpu) => self.on_tick(cpu as usize),
@@ -857,8 +918,7 @@ impl Kernel {
         let end = now + SimDuration(stall);
         if end > self.cpus[ci].irq_until {
             self.cpus[ci].irq_until = end;
-            self.queue.cancel(self.cpus[ci].irq_token);
-            self.cpus[ci].irq_token = self.queue.schedule(end, KEvent::IrqDone(ci as u32));
+            self.queue.rearm(ci, end);
         }
         if self.cpus[ci].current.is_some() {
             self.recompute_rates_for(ci);
@@ -868,7 +928,6 @@ impl Kernel {
     fn on_compute_done(&mut self, tid: ThreadId) {
         let now = self.now();
         let i = tid.index();
-        self.threads[i].compute_token = EventToken::NONE;
         if self.threads[i].state != ThreadState::Running {
             // Stale event (should have been cancelled).
             debug_assert!(false, "ComputeDone for non-running {tid}");
@@ -896,7 +955,6 @@ impl Kernel {
     fn on_spin_expire(&mut self, tid: ThreadId) {
         let now = self.now();
         let i = tid.index();
-        self.threads[i].spin_token = EventToken::NONE;
         if !self.threads[i].spinning {
             return; // already released
         }
@@ -1041,8 +1099,7 @@ impl Kernel {
             let end = now + SimDuration(stall);
             if end > self.cpus[ci].irq_until {
                 self.cpus[ci].irq_until = end;
-                self.queue.cancel(self.cpus[ci].irq_token);
-                self.cpus[ci].irq_token = self.queue.schedule(end, KEvent::IrqDone(ci as u32));
+                self.queue.rearm(ci, end);
             }
             // The busy tick is the periodic governor/thermal evaluation
             // point (runtime was just charged, so heat is current); the
@@ -1160,7 +1217,6 @@ impl Kernel {
     }
 
     fn on_irq_done(&mut self, ci: usize) {
-        self.cpus[ci].irq_token = EventToken::NONE;
         // Rates were zeroed for this CPU's thread; restore them.
         self.recompute_rates_for(ci);
     }
@@ -1220,12 +1276,9 @@ impl Kernel {
     /// stamp the exit, drop the behavior, and record the casualty.
     fn seal_aborted(&mut self, tid: ThreadId, now: SimTime) {
         let i = tid.index();
-        self.queue.cancel(self.threads[i].timer_token);
-        self.queue.cancel(self.threads[i].compute_token);
-        self.queue.cancel(self.threads[i].spin_token);
-        self.threads[i].timer_token = EventToken::NONE;
-        self.threads[i].compute_token = EventToken::NONE;
-        self.threads[i].spin_token = EventToken::NONE;
+        self.cancel_timer(i);
+        self.queue.cancel(self.thread_key(i, ThreadTimer::Compute));
+        self.queue.cancel(self.thread_key(i, ThreadTimer::Spin));
         self.threads[i].spinning = false;
         self.threads[i].block_reason = BlockReason::None;
         self.threads[i].exit_time = Some(now);
@@ -1474,8 +1527,7 @@ impl Kernel {
             None
         };
         // Cancel any pending completion; it will be rescheduled on resume.
-        self.queue.cancel(self.threads[i].compute_token);
-        self.threads[i].compute_token = EventToken::NONE;
+        self.queue.cancel(self.thread_key(i, ThreadTimer::Compute));
         if let Some(c) = self.computes[i].as_mut() {
             // Credit progress at the old rate before the thread stops.
             c.advance_to(now);
@@ -1795,8 +1847,7 @@ impl Kernel {
                 let cpu = self.threads[i].cpu.unwrap().index();
                 self.off_cpu(tid, ThreadState::Sleeping);
                 self.clear_compute(i);
-                let token = self.queue.schedule(t, KEvent::WakeTimer(tid));
-                self.threads[i].timer_token = token;
+                self.queue.arm(self.thread_key(i, ThreadTimer::Wake), t);
                 self.recompute_rates_for(cpu);
                 self.dispatch(cpu);
                 true
@@ -1820,8 +1871,7 @@ impl Kernel {
             Action::Wake(other) => {
                 match self.threads[other.index()].state {
                     ThreadState::Sleeping => {
-                        self.queue.cancel(self.threads[other.index()].timer_token);
-                        self.threads[other.index()].timer_token = EventToken::NONE;
+                        self.cancel_timer(other.index());
                         self.wake_thread(other);
                     }
                     ThreadState::Blocked => {
@@ -1889,8 +1939,8 @@ impl Kernel {
                 self.off_cpu(tid, ThreadState::Exited);
                 self.clear_compute(i);
                 self.threads[i].exit_time = Some(now);
-                self.queue.cancel(self.threads[i].timer_token);
-                self.queue.cancel(self.threads[i].spin_token);
+                self.cancel_timer(i);
+                self.queue.cancel(self.thread_key(i, ThreadTimer::Spin));
                 self.behaviors[i] = None;
                 self.recompute_rates_for(cpu);
                 self.dispatch(cpu);
@@ -1981,8 +2031,8 @@ impl Kernel {
                 bw_demand: 0.0,
             };
             self.install_compute(tid, solo, f64::INFINITY, true);
-            let token = self.queue.schedule(now + spin, KEvent::SpinExpire(tid));
-            self.threads[i].spin_token = token;
+            self.queue
+                .arm(self.thread_key(i, ThreadTimer::Spin), now + spin);
         } else {
             let cpu = self.threads[i].cpu.unwrap().index();
             self.off_cpu(tid, ThreadState::Blocked);
@@ -1996,8 +2046,7 @@ impl Kernel {
     fn resume_waiter(&mut self, w: ThreadId) {
         let now = self.now();
         let i = w.index();
-        self.queue.cancel(self.threads[i].spin_token);
-        self.threads[i].spin_token = EventToken::NONE;
+        self.queue.cancel(self.thread_key(i, ThreadTimer::Spin));
         self.threads[i].block_reason = BlockReason::None;
         match self.threads[i].state {
             ThreadState::Running => {
@@ -2021,10 +2070,10 @@ impl Kernel {
             }
             ThreadState::Blocked => {
                 // Blocked: wake-up latency applies.
-                let token = self
-                    .queue
-                    .schedule(now + self.machine.wake_latency, KEvent::WakeTimer(w));
-                self.threads[i].timer_token = token;
+                self.queue.arm(
+                    self.thread_key(i, ThreadTimer::Wake),
+                    now + self.machine.wake_latency,
+                );
             }
             _ => {}
         }
@@ -2198,19 +2247,18 @@ impl Kernel {
         let c = self.computes[ti].as_mut().unwrap();
         let unchanged = (c.rate - rate).abs() <= 1e-12 * rate.max(1.0);
         c.rate = rate;
-        if unchanged && self.threads[ti].compute_token != EventToken::NONE {
+        let key = self.thread_key(ti, ThreadTimer::Compute);
+        if unchanged && self.queue.is_armed(key) {
             return;
         }
         let c = self.computes[ti].as_ref().unwrap();
         let eta = if factor == 0.0 { None } else { c.eta_ns() };
-        let tid = ThreadId(ti as u32);
-        self.queue.cancel(self.threads[ti].compute_token);
-        self.threads[ti].compute_token = match eta {
-            Some(ns) => self
-                .queue
-                .schedule(now + SimDuration(ns.max(1)), KEvent::ComputeDone(tid)),
-            None => EventToken::NONE,
-        };
+        match eta {
+            Some(ns) => self.queue.rearm(key, now + SimDuration(ns.max(1))),
+            None => {
+                self.queue.cancel(key);
+            }
+        }
     }
 
     /// Does thread `i` hold a compute that demands memory bandwidth?
@@ -2262,6 +2310,7 @@ impl Kernel {
     /// skipped. Falls back to [`Self::recompute_rates`] otherwise; both
     /// paths produce bit-identical rates.
     fn recompute_rates_for(&mut self, ci: usize) {
+        self.prof_enter(Phase::Rates);
         if self.bw_demand_active() {
             // Bandwidth couples rates through the waterfill; but while
             // the fill is unsaturated every allocation is a bit-exact
@@ -2274,8 +2323,15 @@ impl Kernel {
             } else {
                 self.recompute_rates();
             }
-            return;
+        } else {
+            self.recompute_rates_pair(ci);
         }
+        self.prof_exit(Phase::Rates);
+    }
+
+    /// Demandless path of [`Self::recompute_rates_for`]: re-rate only
+    /// `ci` and its SMT sibling.
+    fn recompute_rates_pair(&mut self, ci: usize) {
         // No demand cached below, so the next bandwidth-active
         // recompute must start with a full pass.
         self.scratch.cache_valid = false;
@@ -2414,25 +2470,27 @@ impl Kernel {
         }
         // Compute factors (SMT) and bandwidth demands.
         self.scratch.factors.clear();
-        self.scratch.factors.resize(n, 0.0);
+        self.scratch.roofs.clear();
         self.scratch.demands.clear();
-        self.scratch.demands.resize(n, 0.0);
         let mut any_demand = false;
         for k in 0..n {
             let (ti, ci) = self.scratch.running[k];
             let factor = self.compute_factor(ci, now);
-            self.scratch.factors[k] = factor;
             let c = self.computes[ti].as_ref().unwrap();
-            if factor > 0.0 && c.solo.bw_demand > 0.0 {
+            // The compute roof serves both the demand here and the rate
+            // in the second pass (infinite for a compute-free unit,
+            // whose upper-bound rate below is then 1).
+            let roof = PerfModel::compute_roof(&c.solo, factor);
+            let demand = if factor > 0.0 && c.solo.bw_demand > 0.0 {
                 // Upper-bound rate if bandwidth were free.
-                let r_up = if c.solo.cpu_ns > 0.0 {
-                    (factor * c.solo.solo_ns / c.solo.cpu_ns).min(1.0)
-                } else {
-                    1.0
-                };
-                self.scratch.demands[k] = c.solo.bw_demand * r_up;
                 any_demand = true;
-            }
+                c.solo.bw_demand * roof.min(1.0)
+            } else {
+                0.0
+            };
+            self.scratch.factors.push(factor);
+            self.scratch.roofs.push(roof);
+            self.scratch.demands.push(demand);
         }
         // Water-fill only when some compute actually wants bandwidth;
         // with all-zero demands every allocation is zero anyway.
@@ -2465,7 +2523,7 @@ impl Kernel {
             let alloc = self.scratch.allocs[k];
             let rate = {
                 let c = self.computes[ti].as_ref().unwrap();
-                self.machine.perf.rate(&c.solo, factor, alloc)
+                PerfModel::rate_under_roof(&c.solo, self.scratch.roofs[k], alloc)
             };
             self.apply_rate(ti, factor, rate, now);
         }

@@ -276,8 +276,9 @@ pub trait KernelObserver {
 }
 
 /// Host-time phases the kernel announces to an attached
-/// [`HostProfiler`]. Phases nest (dispatch contains scheduler contains
-/// tracer); implementations attribute self-time with a stack.
+/// [`HostProfiler`]. Phases nest (dispatch contains scheduler, rates
+/// and tracer, and scheduler can contain tracer); implementations
+/// attribute self-time with a stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Handling one popped event (the whole of `Kernel::handle`).
@@ -289,14 +290,19 @@ pub enum Phase {
     /// Statistics/summary computation (announced by the harness, not
     /// the kernel).
     Stats,
+    /// Recomputing execution rates and re-predicting completions
+    /// (`Kernel::recompute_rates_for`: the full, local and demandless
+    /// passes).
+    Rates,
 }
 
 impl Phase {
-    pub const ALL: [Phase; 4] = [
+    pub const ALL: [Phase; 5] = [
         Phase::Dispatch,
         Phase::Scheduler,
         Phase::Tracer,
         Phase::Stats,
+        Phase::Rates,
     ];
 
     pub fn name(self) -> &'static str {
@@ -305,6 +311,7 @@ impl Phase {
             Phase::Scheduler => "scheduler",
             Phase::Tracer => "tracer",
             Phase::Stats => "stats",
+            Phase::Rates => "rates",
         }
     }
 
@@ -315,6 +322,7 @@ impl Phase {
             Phase::Scheduler => 1,
             Phase::Tracer => 2,
             Phase::Stats => 3,
+            Phase::Rates => 4,
         }
     }
 }

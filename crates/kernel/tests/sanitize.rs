@@ -146,3 +146,54 @@ fn window_log_names_the_injected_event() {
         rep.log.iter().map(|e| e.render()).collect::<Vec<_>>()
     );
 }
+
+/// A waiter that a notify schedules a delayed wake-up for and a direct
+/// `Wake` then releases early: its next sleep re-arms the wake-up timer
+/// while the first one is still pending. That first timer must stay
+/// live, fire on its own, and, once fired, leave the newer timer
+/// uncancellable, exactly as the token-based queue behaved. The
+/// scenario's stream hash and end time are pinned.
+#[test]
+fn rearmed_pending_wake_timer_keeps_its_pinned_stream() {
+    let mut k = Kernel::new(Machine::intel_9700kf(), KernelConfig::default(), 3);
+    k.attach_sanitizer(SanitizerConfig::hash_only());
+    let wq = k.new_waitq();
+    let waiter = k.spawn(
+        ThreadSpec::new("waiter", ThreadKind::Workload),
+        Box::new(ScriptBehavior::new(vec![
+            Action::WaitOn {
+                wq,
+                spin: SimDuration::ZERO,
+            },
+            Action::SleepFor(SimDuration::from_micros(200)),
+            Action::Compute(WorkUnit::compute(2.0e6)),
+            Action::SleepFor(SimDuration::from_micros(300)),
+            Action::Compute(WorkUnit::compute(2.0e6)),
+        ])),
+    );
+    let waker = k.spawn(
+        ThreadSpec::new("waker", ThreadKind::Workload),
+        Box::new(ScriptBehavior::new(vec![
+            Action::Compute(WorkUnit::compute(1.0e5)),
+            Action::Notify { wq, count: 1 },
+            Action::Wake(waiter),
+            Action::SleepFor(SimDuration::from_micros(20)),
+            Action::Wake(waiter),
+            Action::SleepFor(SimDuration::from_micros(400)),
+            Action::Wake(waiter),
+            Action::SleepFor(SimDuration::from_micros(100)),
+            Action::Wake(waiter),
+        ])),
+    );
+    let end = k
+        .run_until_exit(waiter, SimTime::from_secs_f64(1.0))
+        .expect("scenario must finish");
+    k.run_until_exit(waker, SimTime::from_secs_f64(1.0))
+        .expect("waker must finish");
+    let report = k.take_sanitizer_report().expect("sanitizer was attached");
+    // Stale timer fires and the waker's direct wakes cut both sleeps
+    // short, hence the early exit.
+    assert_eq!(end, SimTime(276_001));
+    assert_eq!(report.events, 12);
+    assert_eq!(report.hash, 0x77f0_9cc9_0d45_3b5e);
+}

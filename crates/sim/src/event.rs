@@ -1,67 +1,38 @@
-//! Discrete-event queue with stable ordering and O(1) cancellation.
+//! Discrete-event queue with stable ordering and keyed timers.
 //!
 //! Events are ordered by `(time, sequence)` where `sequence` is a
-//! monotonically increasing insertion counter. This makes simulations
-//! fully deterministic: two events scheduled for the same instant fire in
-//! insertion order, independent of heap internals.
+//! monotonically increasing insertion counter shared by every event.
+//! This makes simulations fully deterministic: two events scheduled for
+//! the same instant fire in insertion order, independent of heap
+//! internals.
 //!
-//! Cancellation is handled lazily through [`EventToken`]s: cancelling marks
-//! the token; stale entries are skipped when popped. This is the standard
-//! technique for simulators where most events (e.g. compute-completion
-//! predictions) are rescheduled many times before they fire.
+//! Two kinds of event share that order. Plain events
+//! ([`EventQueue::schedule`]) are fire-and-forget and live in a binary
+//! heap. Keyed timers ([`EventQueue::arm`]) carry a small dense key
+//! chosen by the caller, with at most one pending entry per key, in an
+//! indexed min-heap: re-arming or cancelling a key updates its entry in
+//! place, so the churn of re-predicted events (compute completions move
+//! on every rate change) never leaves a dead entry behind.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Identifies a scheduled event so it can be cancelled.
-///
-/// Packs a slot index (low 32 bits) and that slot's generation stamp
-/// (high 32 bits). Slots are recycled once their heap entry is gone;
-/// the generation bump at recycle time makes stale tokens inert, so a
-/// caller holding a token for an event that already fired cannot
-/// accidentally cancel the slot's next occupant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventToken(u64);
-
-impl EventToken {
-    /// A token that never refers to a live event.
-    pub const NONE: EventToken = EventToken(u64::MAX);
-
-    #[inline]
-    fn pack(slot: u32, gen: u32) -> EventToken {
-        EventToken(slot as u64 | ((gen as u64) << 32))
-    }
-
-    #[inline]
-    fn unpack(self) -> (u32, u32) {
-        (self.0 as u32, (self.0 >> 32) as u32)
-    }
+/// What [`EventQueue::pop`] returns: a plain event's payload, or the
+/// key of a timer that fired.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fired<E> {
+    Event(E),
+    Timer(usize),
 }
 
-/// Per-slot bookkeeping for the token table.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    /// No heap entry references this slot; it is on the free list.
-    Free,
-    /// The slot's heap entry is pending and will fire.
-    Scheduled,
-    /// The slot's heap entry is pending but was cancelled; it will be
-    /// dropped when it surfaces (or at the next compaction).
-    Cancelled,
-}
-
-#[derive(Clone, Copy)]
-struct Slot {
-    gen: u32,
-    state: SlotState,
-}
+/// Marks a key with no pending entry in [`EventQueue::pos`].
+const NIL: u32 = u32::MAX;
 
 struct Entry<E> {
     time: SimTime,
     seq: u64,
-    token: EventToken,
-    payload: E,
+    payload: Fired<E>,
 }
 
 // Ordering: earliest time first, then lowest sequence.
@@ -82,17 +53,32 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The event queue. `E` is the simulation-specific payload type.
+/// A pending keyed timer.
+#[derive(Clone, Copy)]
+struct Timer {
+    time: SimTime,
+    seq: u64,
+    key: u32,
+}
+
+impl Timer {
+    #[inline]
+    fn before(&self, other: &Timer) -> bool {
+        (self.time, self.seq) < (other.time, other.seq)
+    }
+}
+
+/// The event queue. `E` is the payload type of plain events; timers
+/// carry only their key.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    plain: BinaryHeap<Reverse<Entry<E>>>,
+    /// Indexed min-heap of pending timers, ordered like `plain`.
+    timers: Vec<Timer>,
+    /// `pos[key]` is the index of `key`'s pending entry in `timers`, or
+    /// `NIL`. Grows on demand to the largest key armed.
+    pos: Vec<u32>,
     next_seq: u64,
-    /// Token table: `slots[s]` tracks the state and generation of slot
-    /// `s`. Cancellation and liveness checks are a single indexed load —
-    /// no hashing on the schedule/cancel/pop hot paths.
-    slots: Vec<Slot>,
-    free: Vec<u32>,
     now: SimTime,
-    live: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -104,12 +90,11 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            plain: BinaryHeap::new(),
+            timers: Vec::new(),
+            pos: Vec::new(),
             next_seq: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
             now: SimTime::ZERO,
-            live: 0,
         }
     }
 
@@ -119,164 +104,233 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Return the queue to its boot state (time zero, no events,
-    /// sequence counter restarted) while keeping the heap's and token
-    /// table's allocations — the arena-reuse hook for repetition loops.
-    /// Slot generations are bumped, not cleared, so tokens from the
-    /// previous run stay inert instead of aliasing new events.
+    /// Return the queue to its boot state (time zero, no events, no
+    /// armed key, sequence counter restarted) while keeping the heaps'
+    /// allocations — the arena-reuse hook for repetition loops.
     pub fn reset(&mut self) {
-        self.heap.clear();
+        self.plain.clear();
+        self.timers.clear();
+        self.pos.clear();
         self.next_seq = 0;
         self.now = SimTime::ZERO;
-        self.live = 0;
-        self.free.clear();
-        // Rebuild the free list high-to-low so slots are reissued in
-        // ascending order, matching a freshly grown table.
-        for (i, slot) in self.slots.iter_mut().enumerate().rev() {
-            slot.state = SlotState::Free;
-            slot.gen = slot.gen.wrapping_add(1);
-            self.free.push(i as u32);
-        }
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events, plain and keyed.
     #[inline]
     pub fn len(&self) -> usize {
-        self.live
+        self.plain.len() + self.timers.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
-    /// Schedule `payload` at absolute time `at`. Scheduling in the past
-    /// (before `now`) is a logic error and panics in debug builds; in
+    /// Clamp `at` to `now` and draw the next sequence number. Scheduling
+    /// in the past is a logic error and panics in debug builds; in
     /// release it fires immediately at `now`.
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> EventToken {
+    #[inline]
+    fn stamp(&mut self, at: SimTime) -> (SimTime, u64) {
         debug_assert!(
             at >= self.now,
             "scheduling event in the past: at={at} now={}",
             self.now
         );
-        let at = at.max(self.now);
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    state: SlotState::Free,
-                });
-                s
-            }
-        };
-        let entry = &mut self.slots[slot as usize];
-        debug_assert!(entry.state == SlotState::Free);
-        entry.state = SlotState::Scheduled;
-        let token = EventToken::pack(slot, entry.gen);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry {
-            time: at,
+        (at.max(self.now), seq)
+    }
+
+    /// Schedule the plain event `payload` at absolute time `at`.
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
+        let (time, seq) = self.stamp(at);
+        self.plain.push(Reverse(Entry {
+            time,
             seq,
-            token,
-            payload,
+            payload: Fired::Event(payload),
         }));
-        self.live += 1;
-        token
     }
 
-    /// Cancel a previously scheduled event. Cancelling an already-fired or
-    /// already-cancelled event is a no-op.
-    pub fn cancel(&mut self, token: EventToken) {
-        if token == EventToken::NONE {
-            return;
-        }
-        let (slot, gen) = token.unpack();
-        let Some(entry) = self.slots.get_mut(slot as usize) else {
-            return;
-        };
-        if entry.gen == gen && entry.state == SlotState::Scheduled {
-            entry.state = SlotState::Cancelled;
-            self.live -= 1;
-            self.maybe_compact();
-        }
-    }
-
-    /// Cancel `token` (if still pending) and schedule `payload` at `at`,
-    /// returning the replacement's token. The single entry point for
-    /// re-prediction churn (compute-completion updates), so callers
-    /// cannot forget the cancel half and leak live duplicates.
-    pub fn reschedule(&mut self, token: EventToken, at: SimTime, payload: E) -> EventToken {
-        self.cancel(token);
-        self.schedule(at, payload)
-    }
-
-    /// Pop the next live event, advancing `now` to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if self.release(entry.token) {
-                self.live -= 1;
-                debug_assert!(entry.time >= self.now);
-                self.now = entry.time;
-                return Some((entry.time, entry.payload));
-            }
-        }
-        None
-    }
-
-    /// Peek the timestamp of the next live event without firing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop stale heads so peek is accurate.
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            let (slot, _) = entry.token.unpack();
-            if self.slots[slot as usize].state == SlotState::Cancelled {
-                let Reverse(entry) = self.heap.pop().unwrap();
-                self.release(entry.token);
-            } else {
-                return Some(entry.time);
-            }
-        }
-        None
-    }
-
-    /// Retire the heap entry for `token`, recycling its slot. Returns
-    /// true when the entry was live (scheduled, not cancelled).
+    /// Whether `key` has a pending entry.
     #[inline]
-    fn release(&mut self, token: EventToken) -> bool {
-        let (slot, gen) = token.unpack();
-        let entry = &mut self.slots[slot as usize];
-        // Each slot has exactly one heap entry per generation, so a
-        // surfaced entry's generation always matches its slot's.
-        debug_assert!(entry.gen == gen && entry.state != SlotState::Free);
-        let was_live = entry.state == SlotState::Scheduled;
-        entry.state = SlotState::Free;
-        entry.gen = entry.gen.wrapping_add(1);
-        self.free.push(slot);
-        was_live
+    pub fn is_armed(&self, key: usize) -> bool {
+        self.slot(key) != NIL
     }
 
-    /// Rebuild the heap without cancelled entries once they dominate it.
-    /// Reschedule-heavy phases (compute re-prediction on every dispatch)
-    /// would otherwise grow the heap — and every push/pop's `log n` —
-    /// without bound. Amortised O(1): a rebuild costs O(n) and only
-    /// happens after Ω(n) cancellations.
-    fn maybe_compact(&mut self) {
-        if self.heap.len() < 64 || self.heap.len() < 2 * self.live {
-            return;
-        }
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        let mut kept = Vec::with_capacity(self.live);
-        for Reverse(entry) in entries {
-            let (slot, _) = entry.token.unpack();
-            if self.slots[slot as usize].state == SlotState::Cancelled {
-                self.release(entry.token);
-            } else {
-                kept.push(Reverse(entry));
+    /// Arm timer `key` to fire at `at`. A still-pending entry for the key
+    /// is *demoted*, not dropped: it keeps its time and sequence and
+    /// still fires, but the key no longer refers to it, so it can no
+    /// longer be cancelled.
+    pub fn arm(&mut self, key: usize, at: SimTime) {
+        let new = self.stamp_timer(key, at);
+        match self.slot(key) {
+            NIL => self.insert(new),
+            i => {
+                let old = std::mem::replace(&mut self.timers[i as usize], new);
+                self.demote(old);
+                self.fix(i as usize);
             }
         }
-        self.heap = BinaryHeap::from(kept);
+    }
+
+    /// Cancel `key`'s pending entry, if any, and arm it at `at`: the
+    /// re-prediction primitive, one in-place heap update.
+    pub fn rearm(&mut self, key: usize, at: SimTime) {
+        let new = self.stamp_timer(key, at);
+        match self.slot(key) {
+            NIL => self.insert(new),
+            i => {
+                self.timers[i as usize] = new;
+                self.fix(i as usize);
+            }
+        }
+    }
+
+    /// Cancel `key`'s pending entry. Returns whether there was one;
+    /// cancelling an unarmed key is a no-op.
+    pub fn cancel(&mut self, key: usize) -> bool {
+        let i = self.slot(key);
+        if i != NIL {
+            self.remove_at(i as usize);
+        }
+        i != NIL
+    }
+
+    /// Pop the next event, advancing `now` to its timestamp. Firing a
+    /// timer releases its key: when a demoted entry fires while the key
+    /// has a newer pending entry, that entry is demoted in turn, so a
+    /// key only ever refers to an entry armed after the key last fired.
+    pub fn pop(&mut self) -> Option<(SimTime, Fired<E>)> {
+        let plain_first = match (self.plain.peek(), self.timers.first()) {
+            (None, None) => return None,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (Some(Reverse(p)), Some(t)) => (p.time, p.seq) < (t.time, t.seq),
+        };
+        let (time, fired) = if plain_first {
+            let Reverse(entry) = self.plain.pop().expect("plain head was peeked");
+            if let Fired::Timer(key) = entry.payload {
+                let i = self.slot(key);
+                if i != NIL {
+                    let pending = self.remove_at(i as usize);
+                    self.demote(pending);
+                }
+            }
+            (entry.time, entry.payload)
+        } else {
+            let t = self.remove_at(0);
+            (t.time, Fired::Timer(t.key as usize))
+        };
+        debug_assert!(time >= self.now);
+        self.now = time;
+        Some((time, fired))
+    }
+
+    /// Timestamp of the next event without firing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let plain = self.plain.peek().map(|Reverse(e)| e.time);
+        let timer = self.timers.first().map(|t| t.time);
+        match (plain, timer) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// A timer for `key` at `at`, stamped like any other event.
+    #[inline]
+    fn stamp_timer(&mut self, key: usize, at: SimTime) -> Timer {
+        debug_assert!(key < NIL as usize, "timer key {key} out of range");
+        let (time, seq) = self.stamp(at);
+        Timer {
+            time,
+            seq,
+            key: key as u32,
+        }
+    }
+
+    /// Heap index of `key`'s pending entry, or `NIL`.
+    #[inline]
+    fn slot(&self, key: usize) -> u32 {
+        self.pos.get(key).copied().unwrap_or(NIL)
+    }
+
+    /// Move a timer that its key no longer refers to into the plain heap.
+    fn demote(&mut self, t: Timer) {
+        self.plain.push(Reverse(Entry {
+            time: t.time,
+            seq: t.seq,
+            payload: Fired::Timer(t.key as usize),
+        }));
+    }
+
+    fn insert(&mut self, t: Timer) {
+        let key = t.key as usize;
+        if key >= self.pos.len() {
+            self.pos.resize(key + 1, NIL);
+        }
+        self.timers.push(t);
+        self.sift_up(self.timers.len() - 1);
+    }
+
+    fn remove_at(&mut self, i: usize) -> Timer {
+        let t = self.timers.swap_remove(i);
+        self.pos[t.key as usize] = NIL;
+        if i < self.timers.len() {
+            self.fix(i);
+        }
+        t
+    }
+
+    /// Restore the heap order around index `i` after its entry changed.
+    #[inline]
+    fn fix(&mut self, i: usize) {
+        if i > 0 && self.timers[i].before(&self.timers[(i - 1) / 2]) {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let t = self.timers[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.timers[parent];
+            if !t.before(&p) {
+                break;
+            }
+            self.timers[i] = p;
+            self.pos[p.key as usize] = i as u32;
+            i = parent;
+        }
+        self.timers[i] = t;
+        self.pos[t.key as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let t = self.timers[i];
+        let n = self.timers.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.timers[right].before(&self.timers[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.timers[child];
+            if !c.before(&t) {
+                break;
+            }
+            self.timers[i] = c;
+            self.pos[c.key as usize] = i as u32;
+            i = child;
+        }
+        self.timers[i] = t;
+        self.pos[t.key as usize] = i as u32;
     }
 }
 
@@ -284,25 +338,33 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
+    fn ev<E>(t: u64, e: E) -> Option<(SimTime, Fired<E>)> {
+        Some((SimTime(t), Fired::Event(e)))
+    }
+
+    fn timer<E>(t: u64, key: usize) -> Option<(SimTime, Fired<E>)> {
+        Some((SimTime(t), Fired::Timer(key)))
+    }
+
     #[test]
-    fn reset_restores_boot_state_and_defuses_old_tokens() {
+    fn reset_restores_boot_state_and_disarms_every_key() {
         let mut q = EventQueue::new();
-        let stale = q.schedule(SimTime(10), 1);
+        q.arm(3, SimTime(10));
         q.schedule(SimTime(20), 2);
-        assert_eq!(q.pop(), Some((SimTime(10), 1)));
+        q.arm(1, SimTime(30));
+        assert_eq!(q.pop(), timer(10, 3));
         q.reset();
         assert_eq!(q.now(), SimTime::ZERO);
         assert!(q.is_empty());
+        assert!(!q.is_armed(1));
         assert_eq!(q.pop(), None);
-        // A second run behaves exactly like a fresh queue...
-        q.schedule(SimTime(5), 7);
-        let live = q.schedule(SimTime(6), 8);
-        // ...and a token from the previous run cannot cancel its slot's
-        // new occupant.
-        q.cancel(stale);
+        // A second run behaves exactly like a fresh queue, with the
+        // sequence counter restarted.
+        q.arm(1, SimTime(5));
+        q.schedule(SimTime(5), 8);
         assert_eq!(q.len(), 2);
-        q.cancel(live);
-        assert_eq!(q.pop(), Some((SimTime(5), 7)));
+        assert_eq!(q.pop(), timer(5, 1));
+        assert_eq!(q.pop(), ev(5, 8));
         assert_eq!(q.pop(), None);
     }
 
@@ -312,44 +374,51 @@ mod tests {
         q.schedule(SimTime(30), "c");
         q.schedule(SimTime(10), "a");
         q.schedule(SimTime(20), "b");
-        assert_eq!(q.pop(), Some((SimTime(10), "a")));
-        assert_eq!(q.pop(), Some((SimTime(20), "b")));
-        assert_eq!(q.pop(), Some((SimTime(30), "c")));
+        assert_eq!(q.pop(), ev(10, "a"));
+        assert_eq!(q.pop(), ev(20, "b"));
+        assert_eq!(q.pop(), ev(30, "c"));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn ties_fire_in_insertion_order() {
+    fn ties_fire_in_insertion_order_across_both_heaps() {
         let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.schedule(SimTime(5), i);
+        for i in 0..100usize {
+            if i % 3 == 0 {
+                q.arm(i, SimTime(5));
+            } else {
+                q.schedule(SimTime(5), i);
+            }
         }
-        for i in 0..100 {
-            assert_eq!(q.pop(), Some((SimTime(5), i)));
+        for i in 0..100usize {
+            let want = if i % 3 == 0 { timer(5, i) } else { ev(5, i) };
+            assert_eq!(q.pop(), want);
         }
     }
 
     #[test]
-    fn cancellation_skips_event() {
-        let mut q = EventQueue::new();
-        let t1 = q.schedule(SimTime(10), 1);
-        q.schedule(SimTime(20), 2);
-        q.cancel(t1);
+    fn cancellation_skips_timer() {
+        let mut q = EventQueue::<u32>::new();
+        q.arm(0, SimTime(10));
+        q.arm(1, SimTime(20));
+        assert!(q.cancel(0));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime(20), 2)));
+        assert_eq!(q.pop(), timer(20, 1));
         assert!(q.is_empty());
     }
 
     #[test]
     fn cancel_is_idempotent_and_safe_after_fire() {
-        let mut q = EventQueue::new();
-        let t = q.schedule(SimTime(10), 1);
-        q.cancel(t);
-        q.cancel(t);
+        let mut q = EventQueue::<u32>::new();
+        q.arm(7, SimTime(10));
+        assert!(q.cancel(7));
+        assert!(!q.cancel(7));
+        assert!(!q.cancel(1_000)); // never armed
         assert_eq!(q.pop(), None);
-        let t2 = q.schedule(SimTime(20), 2);
-        assert_eq!(q.pop(), Some((SimTime(20), 2)));
-        q.cancel(t2); // already fired: no-op
+        q.arm(7, SimTime(20));
+        assert_eq!(q.pop(), timer(20, 7));
+        assert!(!q.is_armed(7));
+        assert!(!q.cancel(7)); // already fired: no-op
         assert!(q.is_empty());
     }
 
@@ -363,12 +432,15 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled() {
+    fn peek_time_sees_the_earlier_head() {
         let mut q = EventQueue::new();
-        let t = q.schedule(SimTime(5), 1);
+        q.arm(0, SimTime(5));
         q.schedule(SimTime(9), 2);
-        q.cancel(t);
+        assert_eq!(q.peek_time(), Some(SimTime(5)));
+        q.cancel(0);
         assert_eq!(q.peek_time(), Some(SimTime(9)));
+        q.arm(0, SimTime(7));
+        assert_eq!(q.peek_time(), Some(SimTime(7)));
     }
 
     #[test]
@@ -381,79 +453,76 @@ mod tests {
     }
 
     #[test]
-    fn stale_token_does_not_cancel_slot_reuser() {
-        let mut q = EventQueue::new();
-        let t1 = q.schedule(SimTime(10), 1);
-        assert_eq!(q.pop(), Some((SimTime(10), 1)));
-        // t1's slot is recycled for the next event.
-        let t2 = q.schedule(SimTime(20), 2);
-        q.cancel(t1); // stale: generation mismatch, must be a no-op
+    fn rearm_replaces_pending_timer() {
+        let mut q = EventQueue::<u32>::new();
+        q.arm(2, SimTime(50));
+        q.rearm(2, SimTime(10));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime(20), 2)));
-        let _ = t2;
-    }
-
-    #[test]
-    fn reschedule_replaces_pending_event() {
-        let mut q = EventQueue::new();
-        let t = q.schedule(SimTime(50), "old");
-        let t2 = q.reschedule(t, SimTime(10), "new");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime(10), "new")));
+        assert_eq!(q.pop(), timer(10, 2));
         assert_eq!(q.pop(), None);
-        q.cancel(t2); // fired already: no-op
-        assert!(q.is_empty());
+        q.rearm(2, SimTime(40)); // nothing pending: plain arm
+        assert_eq!(q.pop(), timer(40, 2));
     }
 
     #[test]
-    fn reschedule_of_fired_token_just_schedules() {
-        let mut q = EventQueue::new();
-        let t = q.schedule(SimTime(5), 1);
-        assert_eq!(q.pop(), Some((SimTime(5), 1)));
-        let _ = q.reschedule(t, SimTime(9), 2);
-        assert_eq!(q.pop(), Some((SimTime(9), 2)));
+    fn arm_over_pending_demotes_the_old_entry() {
+        let mut q = EventQueue::<u32>::new();
+        q.arm(4, SimTime(10));
+        q.arm(4, SimTime(30));
+        assert_eq!(q.len(), 2);
+        // The key now refers to the newer entry only.
+        assert!(q.cancel(4));
+        assert_eq!(q.pop(), timer(10, 4));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn compaction_bounds_heap_garbage() {
-        let mut q = EventQueue::new();
-        // A long cancel/schedule churn: without compaction the heap
-        // would hold every dead entry until pop time.
-        let mut token = EventToken::NONE;
+    fn firing_a_demoted_entry_releases_the_key() {
+        let mut q = EventQueue::<u32>::new();
+        q.arm(4, SimTime(10));
+        q.arm(4, SimTime(30));
+        assert_eq!(q.pop(), timer(10, 4));
+        // The newer entry still fires, but the key let go of it.
+        assert!(!q.is_armed(4));
+        assert!(!q.cancel(4));
+        assert_eq!(q.pop(), timer(30, 4));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn churn_leaves_no_dead_entries() {
+        let mut q = EventQueue::<u64>::new();
         for i in 0..10_000u64 {
-            token = q.reschedule(token, SimTime(1_000_000 + i), i);
+            q.rearm((i % 8) as usize, SimTime(1_000_000 + i));
         }
-        assert_eq!(q.len(), 1);
-        assert!(
-            q.heap.len() <= 128,
-            "heap kept {} entries for 1 live event",
-            q.heap.len()
-        );
-        // Slots are recycled rather than leaked.
-        assert!(
-            q.slots.len() <= 128,
-            "token table grew to {}",
-            q.slots.len()
-        );
-        assert_eq!(q.pop().map(|(_, v)| v), Some(9_999));
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.len(), 8);
+        assert_eq!(q.timers.len(), 8);
+        assert!(q.plain.is_empty());
+        let fired: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(fired.len(), 8);
+        assert_eq!(fired[0], (SimTime(1_009_992), Fired::Timer(0)));
     }
 
     #[test]
     fn interleaved_cancel_pop_stress_keeps_counts_consistent() {
         let mut q = EventQueue::new();
-        let mut tokens = Vec::new();
         for round in 0..50u64 {
             for i in 0..40u64 {
-                tokens.push(q.schedule(SimTime(round * 1000 + i * 13 % 997), (round, i)));
+                let at = SimTime(round * 1000 + i * 13 % 997);
+                if i % 2 == 0 {
+                    q.rearm((i / 2) as usize, at);
+                } else {
+                    q.schedule(at, (round, i));
+                }
             }
-            // Cancel every third token ever issued (mostly stale).
-            for t in tokens.iter().step_by(3) {
-                q.cancel(*t);
+            for key in (0..20).step_by(3) {
+                q.cancel(key);
             }
             for _ in 0..20 {
                 q.pop();
             }
+            let armed = (0..20).filter(|&k| q.is_armed(k)).count();
+            assert_eq!(armed, q.timers.len());
         }
         while q.pop().is_some() {}
         assert!(q.is_empty());

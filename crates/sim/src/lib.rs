@@ -2,7 +2,7 @@
 //!
 //! Deterministic discrete-event simulation primitives used by every other
 //! noiselab crate: virtual [`time`], a stable-ordered [`event`] queue with
-//! cancellation, and a self-contained seeded [`rng`].
+//! keyed timers, and a self-contained seeded [`rng`].
 //!
 //! Nothing in this crate knows about CPUs, schedulers or noise — it is the
 //! minimal kernel of determinism the paper's "reproducible evaluation"
@@ -13,6 +13,6 @@ pub mod event;
 pub mod rng;
 pub mod time;
 
-pub use event::{EventQueue, EventToken};
+pub use event::{EventQueue, Fired};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};
