@@ -22,7 +22,7 @@ use crate::sanitize::{EventKind, EventRecord, EventSanitizer, SanitizerConfig, S
 use crate::thread::{ActiveCompute, BlockReason, Thread, ThreadKind, ThreadState};
 use crate::trace::{NoiseClass, TraceSink};
 use crate::wire::{InternTable, WireRecord};
-use noiselab_machine::{waterfill_into, CpuId, CpuSet, Machine, PerfModel, SoloProfile};
+use noiselab_machine::{waterfill_into, CpuId, CpuSet, Machine, SoloProfile};
 use noiselab_sim::{EventQueue, Fired, Rng, SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -141,6 +141,19 @@ struct WaitQueueState {
     waiters: VecDeque<ThreadId>,
 }
 
+/// Water-fill demand of a runnable compute that wants bandwidth: its
+/// bandwidth at the upper-bound rate it would reach if bandwidth were
+/// free. The full and the local rate pass both use it, so their
+/// demands stay bit-identical.
+fn upper_bound_demand(solo: &SoloProfile, factor: f64) -> f64 {
+    let r_up = if solo.cpu_ns > 0.0 {
+        (factor * solo.solo_ns / solo.cpu_ns).min(1.0)
+    } else {
+        1.0
+    };
+    solo.bw_demand * r_up
+}
+
 /// Reusable buffers for [`Kernel::recompute_rates`], so the steady-state
 /// hot path makes no heap allocations.
 #[derive(Default)]
@@ -149,9 +162,6 @@ struct RateScratch {
     /// (Emptied, capacity kept, by [`RateScratch::reset`].)
     running: Vec<(usize, usize)>,
     factors: Vec<f64>,
-    /// Compute roofs (see `PerfModel::compute_roof`), parallel to
-    /// `factors`.
-    roofs: Vec<f64>,
     demands: Vec<f64>,
     allocs: Vec<f64>,
     order: Vec<usize>,
@@ -174,7 +184,6 @@ impl RateScratch {
     fn reset(&mut self) {
         self.running.clear();
         self.factors.clear();
-        self.roofs.clear();
         self.demands.clear();
         self.allocs.clear();
         self.order.clear();
@@ -2368,12 +2377,7 @@ impl Kernel {
         };
         let factor = self.compute_factor(cpu, now);
         if factor > 0.0 && c.solo.bw_demand > 0.0 {
-            let r_up = if c.solo.cpu_ns > 0.0 {
-                (factor * c.solo.solo_ns / c.solo.cpu_ns).min(1.0)
-            } else {
-                1.0
-            };
-            c.solo.bw_demand * r_up
+            upper_bound_demand(&c.solo, factor)
         } else {
             0.0
         }
@@ -2470,27 +2474,19 @@ impl Kernel {
         }
         // Compute factors (SMT) and bandwidth demands.
         self.scratch.factors.clear();
-        self.scratch.roofs.clear();
+        self.scratch.factors.resize(n, 0.0);
         self.scratch.demands.clear();
+        self.scratch.demands.resize(n, 0.0);
         let mut any_demand = false;
         for k in 0..n {
             let (ti, ci) = self.scratch.running[k];
             let factor = self.compute_factor(ci, now);
+            self.scratch.factors[k] = factor;
             let c = self.computes[ti].as_ref().unwrap();
-            // The compute roof serves both the demand here and the rate
-            // in the second pass (infinite for a compute-free unit,
-            // whose upper-bound rate below is then 1).
-            let roof = PerfModel::compute_roof(&c.solo, factor);
-            let demand = if factor > 0.0 && c.solo.bw_demand > 0.0 {
-                // Upper-bound rate if bandwidth were free.
+            if factor > 0.0 && c.solo.bw_demand > 0.0 {
+                self.scratch.demands[k] = upper_bound_demand(&c.solo, factor);
                 any_demand = true;
-                c.solo.bw_demand * roof.min(1.0)
-            } else {
-                0.0
-            };
-            self.scratch.factors.push(factor);
-            self.scratch.roofs.push(roof);
-            self.scratch.demands.push(demand);
+            }
         }
         // Water-fill only when some compute actually wants bandwidth;
         // with all-zero demands every allocation is zero anyway.
@@ -2523,7 +2519,7 @@ impl Kernel {
             let alloc = self.scratch.allocs[k];
             let rate = {
                 let c = self.computes[ti].as_ref().unwrap();
-                PerfModel::rate_under_roof(&c.solo, self.scratch.roofs[k], alloc)
+                self.machine.perf.rate(&c.solo, factor, alloc)
             };
             self.apply_rate(ti, factor, rate, now);
         }

@@ -86,22 +86,7 @@ impl ActiveCompute {
             return None;
         }
         let ns = self.overhead_ns + self.remaining / self.rate;
-        Some(ceil_u64(ns))
-    }
-}
-
-/// `x.ceil() as u64` for every f64 — NaN, infinities, values past
-/// `u64::MAX` and negatives included — without the libm `ceil` call
-/// that baseline x86-64 makes for it. The saturating cast truncates
-/// toward zero; below 2^53 that truncation is exact in f64, so a
-/// fraction shows as `t < x`, and from 2^53 up every f64 is an integer.
-#[inline]
-pub(crate) fn ceil_u64(x: f64) -> u64 {
-    let t = x as u64;
-    if (t as f64) < x {
-        t.saturating_add(1)
-    } else {
-        t
+        Some(ns.ceil() as u64)
     }
 }
 
@@ -235,52 +220,6 @@ mod tests {
         c.advance_to(SimTime(500));
         assert_eq!(c.overhead_ns, 0.0);
         assert!((c.remaining - 800.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn integer_ceil_matches_float_ceil_on_edge_values() {
-        let two53 = (1u64 << 53) as f64;
-        let two64 = 18_446_744_073_709_551_616.0_f64;
-        for x in [
-            0.0,
-            -0.0,
-            0.3,
-            1.0,
-            1.5,
-            -0.5,
-            -3.2,
-            -1e300,
-            two53 - 0.5,
-            two53,
-            two53 + 2.0,
-            two64 - 2048.0,
-            two64,
-            1e20,
-            f64::MIN_POSITIVE,
-            f64::EPSILON,
-            f64::MAX,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            -f64::NAN,
-        ] {
-            assert_eq!(ceil_u64(x), x.ceil() as u64, "x = {x:e}");
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
-
-        #[test]
-        fn integer_ceil_matches_float_ceil_on_any_bits(bits in proptest::prelude::any::<u64>()) {
-            let x = f64::from_bits(bits);
-            proptest::prop_assert_eq!(ceil_u64(x), x.ceil() as u64);
-        }
-
-        #[test]
-        fn integer_ceil_matches_float_ceil_on_eta_range(x in 0.0f64..1e12) {
-            proptest::prop_assert_eq!(ceil_u64(x), x.ceil() as u64);
-        }
     }
 
     #[test]

@@ -153,6 +153,12 @@ fn window_log_names_the_injected_event() {
 /// live, fire on its own, and, once fired, leave the newer timer
 /// uncancellable, exactly as the token-based queue behaved. The
 /// scenario's stream hash and end time are pinned.
+///
+/// The stale timer is a kernel defect: `Action::Wake` on a blocked
+/// thread does not cancel the wake-up timer `resume_waiter` armed for
+/// it. No pinned stream hash or benchmark digest reaches the queue's
+/// demotion path; this scenario does (ROADMAP.md, "Stale wake
+/// timers").
 #[test]
 fn rearmed_pending_wake_timer_keeps_its_pinned_stream() {
     let mut k = Kernel::new(Machine::intel_9700kf(), KernelConfig::default(), 3);

@@ -115,33 +115,19 @@ impl PerfModel {
     /// * compute: cannot retire flops faster than the core allows;
     /// * memory: cannot stream bytes faster than the allocation.
     pub fn rate(&self, solo: &SoloProfile, compute_factor: f64, bw_alloc: f64) -> f64 {
-        Self::rate_under_roof(solo, Self::compute_roof(solo, compute_factor), bw_alloc)
-    }
-
-    /// The compute half of [`Self::rate`]: the fastest rate the core
-    /// allows at `compute_factor`, or infinity for a unit with no
-    /// compute. Hot callers that also need it for a bandwidth demand
-    /// compute it once and pass it to [`Self::rate_under_roof`].
-    #[inline]
-    pub fn compute_roof(solo: &SoloProfile, compute_factor: f64) -> f64 {
         debug_assert!((0.0..=1.0).contains(&compute_factor));
-        if solo.cpu_ns > 0.0 {
+        let compute_rate = if solo.cpu_ns > 0.0 {
             // r * cpu_ns/solo_ns flops-per-ns-fraction <= compute_factor
             compute_factor * solo.solo_ns / solo.cpu_ns
         } else {
             f64::INFINITY
-        }
-    }
-
-    /// [`Self::rate`] from a precomputed [`Self::compute_roof`].
-    #[inline]
-    pub fn rate_under_roof(solo: &SoloProfile, compute_roof: f64, bw_alloc: f64) -> f64 {
+        };
         let mem_rate = if solo.bw_demand > 0.0 {
             bw_alloc / solo.bw_demand
         } else {
             f64::INFINITY
         };
-        compute_roof.min(mem_rate).clamp(0.0, 1.0)
+        compute_rate.min(mem_rate).clamp(0.0, 1.0)
     }
 
     /// Frequency-aware execution rate: `freq_factor` (current frequency

@@ -53,13 +53,10 @@ pub fn waterfill_into(
     }
 
     // Sort indices by demand ascending; satisfy small demands fully while
-    // they fit under the running fair share. Ties break by index, so
-    // already-ascending demands need no sort: the identity is the order.
+    // they fit under the running fair share.
     order.clear();
     order.extend(0..n);
-    if !demands.windows(2).all(|w| w[0] <= w[1]) {
-        order.sort_by(|&a, &b| demands[a].partial_cmp(&demands[b]).unwrap().then(a.cmp(&b)));
-    }
+    order.sort_by(|&a, &b| demands[a].partial_cmp(&demands[b]).unwrap().then(a.cmp(&b)));
 
     alloc.resize(n, 0.0);
     let mut remaining = capacity;
@@ -88,22 +85,6 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9
-    }
-
-    #[test]
-    fn ascending_input_skips_the_sort_with_identical_bits() {
-        // Ascending (with ties) and a permutation of the same demands
-        // must allocate bit-identically, element for element.
-        let asc = [0.5, 2.0, 2.0, 3.25, 7.0, 7.0, 9.5];
-        let perm = [6usize, 2, 0, 5, 1, 4, 3];
-        let shuffled: Vec<f64> = perm.iter().map(|&i| asc[i]).collect();
-        for cap in [1.0, 6.0, 12.5, 20.0, 40.0] {
-            let a = waterfill(&asc, cap);
-            let b = waterfill(&shuffled, cap);
-            for (k, &i) in perm.iter().enumerate() {
-                assert_eq!(a[i].to_bits(), b[k].to_bits(), "cap {cap}, demand {k}");
-            }
-        }
     }
 
     #[test]
