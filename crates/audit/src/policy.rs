@@ -119,8 +119,8 @@ pub const POLICIES: &[CratePolicy] = &[
         root: "crates/core",
         dirs: &["src"],
         rules: ALL,
-        // run_many's fan-out over host threads lives here, and only
-        // here: each simulated run stays a pure function of its seed.
+        // The run pool (run_batch) fans runs out over host threads here,
+        // and only here: each run stays a pure function of its spec and seed.
         host_thread_approved: &["src/harness.rs"],
     },
     CratePolicy {

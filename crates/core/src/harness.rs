@@ -5,13 +5,16 @@
 //! kernel instance).
 //!
 //! A [`RunSpec`] names everything one run depends on; [`run`] executes
-//! it once and [`run_many`] repeats it over consecutive seeds.
+//! it once. [`run_batch`] executes several run sets — each a spec
+//! repeated over consecutive seeds — in one pool of host threads, so a
+//! small set never leaves a thread idle while another set has runs
+//! left; [`run_many`] is its one-set case.
 //!
 //! Crash-proofing: a single run returns `Result<_, RunFailure>`
-//! instead of panicking, `run_many` contains host panics with
+//! instead of panicking, the pool contains host panics with
 //! `catch_unwind` so one bad run cannot poison a campaign, and the
-//! [`RunLedger`] it returns records exactly which (seed, cause) pairs
-//! produced no measurement.
+//! [`RunLedger`] each set gets back records exactly which (seed, cause)
+//! pairs produced no measurement.
 
 use crate::execconfig::{ExecConfig, Model};
 use crate::failure::{RetryPolicy, RunFailure};
@@ -127,7 +130,7 @@ pub struct InstrumentedRun {
 /// buffers, the tracer ring, and the telemetry pipeline, all kept warm
 /// between runs so back-to-back reps (overhead measurement, campaign
 /// cells, the hot-path bench) stop paying allocation churn per run.
-/// One arena serves one host thread; [`run_many`] keeps one per worker.
+/// One arena serves one host thread; [`run_batch`] keeps one per worker.
 /// Reuse is observationally pure: the arena conformance suite asserts
 /// a run through a dirty arena is bit-identical (stream hash, metrics,
 /// trace) to a run through a fresh one.
@@ -429,8 +432,8 @@ impl RunLedger {
     }
 }
 
-/// Number of host threads `run_many` uses: the `NOISELAB_HOST_THREADS`
-/// env var when set to a positive integer, else the detected host
+/// Most host threads one run pool uses: the `NOISELAB_HOST_THREADS` env
+/// var when set to a positive integer, else the detected host
 /// parallelism, else a documented fallback of 4. Malformed values are
 /// ignored with a note on stderr rather than silently coerced.
 fn host_threads() -> usize {
@@ -468,24 +471,21 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Execute `n_runs` runs of `spec` with seeds `spec.seed..spec.seed +
-/// n_runs`, parallelised over host threads. Records are ordered by
-/// seed. Host panics inside a run are caught per run and recorded as
-/// [`RunFailure::Panic`], so failed runs appear in the ledger instead of
-/// panicking the harness; a retried run re-executes with
-/// [`RetryPolicy::reseed`] so the whole ledger is a pure function of
-/// its inputs.
-pub fn run_many(spec: &RunSpec, n_runs: usize, retry: RetryPolicy) -> RunLedger {
-    if n_runs == 0 {
-        return RunLedger::default();
-    }
-    let seed_base = spec.seed;
-    let host_threads = host_threads().min(n_runs);
-    let mut results: Vec<Option<RunRecord>> = Vec::new();
-    results.resize_with(n_runs, || None);
-
-    let attempt_run = |spec: &RunSpec, arena: &mut RunArena| -> Result<RunOutput, RunFailure> {
-        catch_unwind(AssertUnwindSafe(|| run(spec, arena).map(|r| r.output))).unwrap_or_else(
+/// Run `spec` at `seed`, retrying a failed attempt up to
+/// `retry.max_retries` times with [`RetryPolicy::reseed`]. Host panics
+/// inside an attempt are caught and recorded as [`RunFailure::Panic`].
+fn run_with_retry(
+    spec: &RunSpec,
+    seed: u64,
+    retry: RetryPolicy,
+    arena: &mut RunArena,
+) -> RunRecord {
+    let mut attempt = RunSpec {
+        seed,
+        ..spec.clone()
+    };
+    let mut attempt_run = |attempt: &RunSpec| -> Result<RunOutput, RunFailure> {
+        catch_unwind(AssertUnwindSafe(|| run(attempt, arena).map(|r| r.output))).unwrap_or_else(
             |payload| {
                 Err(RunFailure::Panic {
                     message: panic_message(payload),
@@ -493,53 +493,81 @@ pub fn run_many(spec: &RunSpec, n_runs: usize, retry: RetryPolicy) -> RunLedger 
             },
         )
     };
+    let mut attempts = 1u32;
+    let mut result = attempt_run(&attempt);
+    while result.is_err() && attempts <= retry.max_retries {
+        let reseed = RetryPolicy::reseed(seed, attempts);
+        eprintln!(
+            "noiselab: run seed {seed} failed ({}); retry {attempts}/{} \
+             with seed {reseed}",
+            result.as_ref().err().map(|f| f.cause()).unwrap_or("?"),
+            retry.max_retries
+        );
+        attempt.seed = reseed;
+        result = attempt_run(&attempt);
+        attempts += 1;
+    }
+    RunRecord {
+        seed,
+        attempts,
+        result,
+    }
+}
+
+/// Execute several independent run sets in one host-thread pool. Job
+/// `(spec, n)` runs seeds `spec.seed..spec.seed + n`; the result holds
+/// one [`RunLedger`] per job, in job order, each ordered by seed and
+/// equal to what [`run_many`] returns for that job alone. Host panics
+/// inside a run are caught per run and recorded as
+/// [`RunFailure::Panic`], so failed runs appear in the ledger instead
+/// of panicking the harness; a retried run re-executes with
+/// [`RetryPolicy::reseed`] so every ledger is a pure function of its
+/// inputs.
+pub fn run_batch(jobs: &[(&RunSpec, usize)], retry: RetryPolicy) -> Vec<RunLedger> {
+    // The runs of all jobs form one index space; job j owns indices
+    // `starts[j]..starts[j] + n_j`.
+    let starts: Vec<usize> = jobs
+        .iter()
+        .scan(0, |next, &(_, n)| {
+            let start = *next;
+            *next += n;
+            Some(start)
+        })
+        .collect();
+    let total: usize = jobs.iter().map(|&(_, n)| n).sum();
+    // The job owning global index `g`: the last one starting at or
+    // before it (an empty job shares its start with the next one).
+    let locate = |g: usize| -> (usize, u64) {
+        let j = starts.partition_point(|&s| s <= g) - 1;
+        (j, jobs[j].0.seed + (g - starts[j]) as u64)
+    };
+    let mut results: Vec<Option<RunRecord>> = Vec::new();
+    results.resize_with(total, || None);
 
     // Host threads claim run indices one at a time from a shared
-    // counter, so a slow run (an anomaly, a retry) delays only the
-    // thread running it instead of a precomputed chunk behind it. Each
-    // run is a pure function of its seed, so which thread runs it does
+    // counter over every job, so a slow run (an anomaly, a retry)
+    // delays only the thread running it, and no thread idles while any
+    // job has runs left. Each run is a pure function of its spec and
+    // seed, so which thread runs it, and which arena it reuses, does
     // not matter; records come back tagged by index and land in seed
     // order below.
     let next = AtomicUsize::new(0);
-    let (attempt_run, next) = (&attempt_run, &next);
+    let (next, locate) = (&next, &locate);
     let claimed: Vec<Vec<(usize, RunRecord)>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..host_threads)
+        let workers: Vec<_> = (0..host_threads().min(total))
             .map(|_| {
                 scope.spawn(move || {
                     // One arena per worker: its runs recycle the same
-                    // kernel/tracer/telemetry buffers.
+                    // kernel/tracer/telemetry buffers, across jobs too.
                     let mut arena = RunArena::default();
-                    let mut attempt = spec.clone();
                     let mut out = Vec::new();
                     loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= n_runs {
+                        let g = next.fetch_add(1, Ordering::SeqCst);
+                        if g >= total {
                             break out;
                         }
-                        let seed = seed_base + i as u64;
-                        let mut attempts = 1u32;
-                        attempt.seed = seed;
-                        let mut result = attempt_run(&attempt, &mut arena);
-                        while result.is_err() && attempts <= retry.max_retries {
-                            let reseed = RetryPolicy::reseed(seed, attempts);
-                            eprintln!(
-                                "noiselab: run seed {seed} failed ({}); retry {attempts}/{} \
-                                 with seed {reseed}",
-                                result.as_ref().err().map(|f| f.cause()).unwrap_or("?"),
-                                retry.max_retries
-                            );
-                            attempt.seed = reseed;
-                            result = attempt_run(&attempt, &mut arena);
-                            attempts += 1;
-                        }
-                        out.push((
-                            i,
-                            RunRecord {
-                                seed,
-                                attempts,
-                                result,
-                            },
-                        ));
+                        let (j, seed) = locate(g);
+                        out.push((g, run_with_retry(jobs[j].0, seed, retry, &mut arena)));
                     }
                 })
             })
@@ -551,34 +579,63 @@ pub fn run_many(spec: &RunSpec, n_runs: usize, retry: RetryPolicy) -> RunLedger 
             .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
-    for (i, record) in claimed.into_iter().flatten() {
-        results[i] = Some(record);
+    for (g, record) in claimed.into_iter().flatten() {
+        results[g] = Some(record);
     }
 
     // Every claimed index gets a record above; an empty slot can only
     // mean a harness bug, which we record instead of unwrapping so the
     // rest of the campaign's results survive.
-    let records = results
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.unwrap_or_else(|| {
-                let seed = seed_base + i as u64;
-                eprintln!(
-                    "noiselab: internal error: no result recorded for seed {seed}; \
-                     counting it as a failed run"
-                );
-                RunRecord {
-                    seed,
-                    attempts: 0,
-                    result: Err(RunFailure::Panic {
-                        message: "host thread produced no result".into(),
-                    }),
-                }
-            })
+    let mut slots = results.into_iter().enumerate();
+    jobs.iter()
+        .map(|&(_, n)| {
+            let records = slots
+                .by_ref()
+                .take(n)
+                .map(|(g, r)| {
+                    r.unwrap_or_else(|| {
+                        let seed = locate(g).1;
+                        eprintln!(
+                            "noiselab: internal error: no result recorded for seed {seed}; \
+                             counting it as a failed run"
+                        );
+                        RunRecord {
+                            seed,
+                            attempts: 0,
+                            result: Err(RunFailure::Panic {
+                                message: "host thread produced no result".into(),
+                            }),
+                        }
+                    })
+                })
+                .collect();
+            RunLedger { records }
         })
-        .collect();
-    RunLedger { records }
+        .collect()
+}
+
+/// Execute `n_runs` runs of `spec` with seeds `spec.seed..spec.seed +
+/// n_runs`, parallelised over host threads: the one-job
+/// [`run_batch`].
+pub fn run_many(spec: &RunSpec, n_runs: usize, retry: RetryPolicy) -> RunLedger {
+    run_batch(&[(spec, n_runs)], retry)
+        .pop()
+        .unwrap_or_default()
+}
+
+/// Summary and failures of one stage's ledger. Panics only if *every*
+/// run failed: the stage then has no measurement to report.
+fn summarize(stage: &str, spec: &RunSpec, ledger: &RunLedger) -> (Summary, Vec<(u64, RunFailure)>) {
+    let samples = ledger.samples();
+    let failures = ledger.failures();
+    assert!(
+        !samples.is_empty(),
+        "{stage} {}/{}: all {} runs failed: {failures:?}",
+        spec.workload.name(),
+        spec.cfg.label(),
+        ledger.len()
+    );
+    (Summary::of(&samples), failures)
 }
 
 /// Baseline measurement of one configuration.
@@ -590,6 +647,32 @@ pub struct Baseline {
     pub anomaly_runs: Vec<usize>,
     /// Seeds (with causes) that produced no measurement.
     pub failures: Vec<(u64, RunFailure)>,
+}
+
+impl Baseline {
+    /// The baseline stage's result from the ledger of `spec`'s runs.
+    /// Panics only if every run failed.
+    pub fn from_ledger(spec: &RunSpec, ledger: RunLedger) -> Baseline {
+        let (summary, failures) = summarize("baseline", spec, &ledger);
+        let mut traces = TraceSet::default();
+        let mut anomaly_runs = Vec::new();
+        for (i, record) in ledger.records.into_iter().enumerate() {
+            let Ok(o) = record.result else { continue };
+            if o.anomaly.is_some() {
+                anomaly_runs.push(i);
+            }
+            if let Some(mut t) = o.trace {
+                t.run_index = i;
+                traces.runs.push(t);
+            }
+        }
+        Baseline {
+            summary,
+            traces,
+            anomaly_runs,
+            failures,
+        }
+    }
 }
 
 /// Run the baseline (optionally traced) stage of the pipeline. Panics
@@ -606,33 +689,7 @@ pub fn run_baseline(
         tracing,
         ..RunSpec::new(platform, workload, cfg, seed_base)
     };
-    let ledger = run_many(&spec, n_runs, RetryPolicy::none());
-    let samples = ledger.samples();
-    let failures = ledger.failures();
-    assert!(
-        !samples.is_empty(),
-        "baseline {}/{}: all {n_runs} runs failed: {failures:?}",
-        workload.name(),
-        cfg.label()
-    );
-    let mut traces = TraceSet::default();
-    let mut anomaly_runs = Vec::new();
-    for (i, record) in ledger.records.into_iter().enumerate() {
-        let Ok(o) = record.result else { continue };
-        if o.anomaly.is_some() {
-            anomaly_runs.push(i);
-        }
-        if let Some(mut t) = o.trace {
-            t.run_index = i;
-            traces.runs.push(t);
-        }
-    }
-    Baseline {
-        summary: Summary::of(&samples),
-        traces,
-        anomaly_runs,
-        failures,
-    }
+    Baseline::from_ledger(&spec, run_many(&spec, n_runs, RetryPolicy::none()))
 }
 
 /// Result of the injection stage: the replayed-noise summary plus the
@@ -641,6 +698,15 @@ pub fn run_baseline(
 pub struct Injected {
     pub summary: Summary,
     pub failures: Vec<(u64, RunFailure)>,
+}
+
+impl Injected {
+    /// The injection stage's result from the ledger of `spec`'s runs.
+    /// Panics only if every run failed.
+    pub fn from_ledger(spec: &RunSpec, ledger: RunLedger) -> Injected {
+        let (summary, failures) = summarize("injected", spec, &ledger);
+        Injected { summary, failures }
+    }
 }
 
 /// Run the injection stage: repeat the workload with the injector
@@ -657,19 +723,7 @@ pub fn run_injected(
         inject: Some(config),
         ..RunSpec::new(platform, workload, cfg, seed_base)
     };
-    let ledger = run_many(&spec, n_runs, RetryPolicy::none());
-    let samples = ledger.samples();
-    let failures = ledger.failures();
-    assert!(
-        !samples.is_empty(),
-        "injected {}/{}: all {n_runs} runs failed: {failures:?}",
-        workload.name(),
-        cfg.label()
-    );
-    Injected {
-        summary: Summary::of(&samples),
-        failures,
-    }
+    Injected::from_ledger(&spec, run_many(&spec, n_runs, RetryPolicy::none()))
 }
 
 #[cfg(test)]
@@ -711,17 +765,10 @@ mod tests {
         assert_ne!(a.stream_hash, c.stream_hash);
     }
 
-    #[test]
-    fn run_many_matches_run_once() {
+    /// One FIFO noise event on CPU 1, early in the run.
+    fn tiny_injection() -> InjectionConfig {
         use noiselab_injector::{CpuNoiseList, InjectPolicy, NoiseEventSpec};
-        let p = Platform::intel();
-        let w = tiny_nbody();
-        let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
-        let noop = FaultPlan {
-            seed: 999,
-            ..FaultPlan::default()
-        };
-        let inject = InjectionConfig {
+        InjectionConfig {
             lists: vec![CpuNoiseList {
                 cpu: noiselab_machine::CpuId(1),
                 events: vec![NoiseEventSpec {
@@ -732,7 +779,19 @@ mod tests {
                 }],
             }],
             ..InjectionConfig::default()
+        }
+    }
+
+    #[test]
+    fn run_many_matches_run_once() {
+        let p = Platform::intel();
+        let w = tiny_nbody();
+        let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
+        let noop = FaultPlan {
+            seed: 999,
+            ..FaultPlan::default()
         };
+        let inject = tiny_injection();
         let plain = RunSpec::new(&p, &w, &cfg, 100);
         let specs = [
             ("plain", plain.clone()),
@@ -791,6 +850,96 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn run_batch_matches_run_many_per_job() {
+        use noiselab_kernel::ThreadAbortSpec;
+        let p = Platform::intel();
+        let w = tiny_nbody();
+        let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
+        let inject = tiny_injection();
+        // Aborts a worker in most runs, so the retry loop runs and some
+        // seeds may exhaust their retries.
+        let abort = FaultPlan {
+            seed: 5,
+            abort: Some(ThreadAbortSpec {
+                prob: 0.7,
+                window: (SimDuration::ZERO, SimDuration::from_millis(2)),
+            }),
+            ..FaultPlan::default()
+        };
+        let plain = RunSpec::new(&p, &w, &cfg, 100);
+        let injected = RunSpec {
+            inject: Some(&inject),
+            ..RunSpec::new(&p, &w, &cfg, 300)
+        };
+        let faulted = RunSpec {
+            faults: Some(&abort),
+            ..RunSpec::new(&p, &w, &cfg, 500)
+        };
+        let jobs = [
+            (&plain, 3),
+            (&injected, 0),
+            (&faulted, 3),
+            (&injected, 1),
+            (&plain, 1),
+            (&faulted, 0),
+            (&injected, 3),
+            (&faulted, 1),
+        ];
+        let retry = RetryPolicy::retries(2);
+        let batched = run_batch(&jobs, retry);
+        assert_eq!(batched.len(), jobs.len());
+        let mut retried = false;
+        for (j, (&(spec, n), got)) in jobs.iter().zip(&batched).enumerate() {
+            let want = run_many(spec, n, retry);
+            assert_eq!((got.len(), want.len()), (n, n), "job {j}");
+            assert_eq!(got.stream_hash(), want.stream_hash(), "job {j}");
+            for (a, b) in got.records.iter().zip(&want.records) {
+                assert_eq!((a.seed, a.attempts), (b.seed, b.attempts), "job {j}");
+                match (&a.result, &b.result) {
+                    (Ok(x), Ok(y)) => {
+                        assert_eq!((x.exec, x.stream_hash), (y.exec, y.stream_hash), "job {j}");
+                        assert_eq!(x.anomaly, y.anomaly, "job {j}");
+                    }
+                    (Err(x), Err(y)) => assert_eq!(x, y, "job {j}"),
+                    _ => panic!("job {j}: seed {} outcome differs", a.seed),
+                }
+                retried |= a.attempts > 1;
+            }
+        }
+        assert!(retried, "the faulted jobs must exercise the retry loop");
+    }
+
+    #[test]
+    fn batched_inject_halves_match_separate_stages() {
+        let p = Platform::intel();
+        let w = tiny_nbody();
+        let cfg = ExecConfig::new(Model::Sycl, Mitigation::Rm);
+        let inject = tiny_injection();
+        let base_spec = RunSpec::new(&p, &w, &cfg, 10_007);
+        let inj_spec = RunSpec {
+            inject: Some(&inject),
+            ..RunSpec::new(&p, &w, &cfg, 7)
+        };
+        let [base, inj]: [RunLedger; 2] =
+            run_batch(&[(&base_spec, 3), (&inj_spec, 3)], RetryPolicy::none())
+                .try_into()
+                .expect("one ledger per job");
+        let base = Baseline::from_ledger(&base_spec, base);
+        let inj = Injected::from_ledger(&inj_spec, inj);
+        let want_base = run_baseline(&p, &w, &cfg, 3, 10_007, false);
+        let want_inj = run_injected(&p, &w, &cfg, &inject, 3, 7);
+        assert_eq!(base.summary, want_base.summary);
+        assert_eq!(base.failures, want_base.failures);
+        assert_eq!(base.anomaly_runs, want_base.anomaly_runs);
+        assert_eq!(inj.summary, want_inj.summary);
+        assert_eq!(inj.failures, want_inj.failures);
+        assert_ne!(
+            base.summary, inj.summary,
+            "the halves run different specs and seeds"
+        );
     }
 
     #[test]

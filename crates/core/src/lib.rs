@@ -30,8 +30,8 @@ pub use divergence::{
 pub use execconfig::{ExecConfig, Mitigation, Model};
 pub use failure::{RetryPolicy, RunFailure};
 pub use harness::{
-    run, run_baseline, run_injected, run_many, Baseline, Injected, InstrumentedRun, RunArena,
-    RunLedger, RunOutput, RunRecord, RunSpec,
+    run, run_baseline, run_batch, run_injected, run_many, Baseline, Injected, InstrumentedRun,
+    RunArena, RunLedger, RunOutput, RunRecord, RunSpec,
 };
 pub use overhead::{measure_overhead, OverheadReport, OverheadRow};
 pub use platform::Platform;

@@ -1,11 +1,12 @@
 //! Arena-reuse conformance: running through a *dirty* [`RunArena`] —
 //! one that already carried a different run (different seed, model,
-//! tracing mode, telemetry mode) — must be observationally identical to
-//! running through a fresh one: same dispatched event stream, same
-//! virtual execution time, same metrics snapshot, same trace. This is
-//! the property that lets repetition loops (overhead reps, campaign
-//! cells) recycle kernel/tracer/telemetry buffers without any risk of
-//! state leaking across runs.
+//! tracing mode, telemetry mode, injection replay) — must be
+//! observationally identical to running through a fresh one: same
+//! dispatched event stream, same virtual execution time, same metrics
+//! snapshot, same trace. This is the property that lets repetition
+//! loops (overhead reps, campaign cells, the run pool's workers)
+//! recycle kernel/tracer/telemetry buffers without any risk of state
+//! leaking across runs.
 
 use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunOutput, RunSpec};
 use noiselab_telemetry::TelemetryConfig;
@@ -20,6 +21,9 @@ struct Cell {
     /// governor — frequency state lives in the kernel arena too, so
     /// reuse must be clean across the dimension in both directions.
     governor: Option<noiselab_machine::Governor>,
+    /// Replay a small injection config alongside the workload: the run
+    /// pool carries one arena from baseline runs to injected ones.
+    inject: bool,
 }
 
 fn run_in(arena: &mut RunArena, cell: &Cell) -> RunOutput {
@@ -27,9 +31,11 @@ fn run_in(arena: &mut RunArena, cell: &Cell) -> RunOutput {
     let mut cfg = ExecConfig::new(cell.model, Mitigation::Rm);
     cfg.governor = cell.governor;
     let w = noiselab_testutil::tiny_nbody(2);
+    let inject = noiselab_testutil::small_injection();
     let spec = RunSpec {
         tracing: cell.tracing,
         telemetry: cell.telemetry.then(TelemetryConfig::default),
+        inject: cell.inject.then_some(&inject),
         ..RunSpec::new(&p, &w, &cfg, cell.seed)
     };
     run(&spec, arena).expect("arena run failed").output
@@ -58,6 +64,8 @@ proptest! {
         telemetry in any::<bool>(),
         dvfs in any::<bool>(),
         dirty_dvfs in any::<bool>(),
+        inject in any::<bool>(),
+        dirty_inject in any::<bool>(),
     ) {
         use noiselab_machine::Governor;
         let cell = Cell {
@@ -66,17 +74,20 @@ proptest! {
             tracing,
             telemetry,
             governor: dvfs.then_some(Governor::Schedutil),
+            inject,
         };
         // Dirty the arena with the most stateful observation mode
         // (tracer + telemetry both on) of an unrelated cell — with the
-        // DVFS dimension flipped independently, so enabled-after-disabled
-        // and disabled-after-enabled both get exercised.
+        // DVFS and injection dimensions flipped independently, so
+        // enabled-after-disabled and disabled-after-enabled both get
+        // exercised.
         let dirty = Cell {
             seed: dirty_seed,
             model: if dirty_sycl { Model::Sycl } else { Model::Omp },
             tracing: true,
             telemetry: true,
             governor: dirty_dvfs.then_some(Governor::Performance),
+            inject: dirty_inject,
         };
 
         let fresh = run_in(&mut RunArena::default(), &cell);
@@ -103,6 +114,7 @@ fn repeated_reuse_never_drifts() {
         tracing: true,
         telemetry: true,
         governor: None,
+        inject: false,
     };
     let fresh = run_in(&mut RunArena::default(), &cell);
     let mut arena = RunArena::default();
@@ -118,6 +130,7 @@ fn repeated_reuse_never_drifts() {
                 tracing: false,
                 telemetry: rep % 4 == 0,
                 governor: Some(noiselab_machine::Governor::Performance),
+                inject: rep % 4 == 2,
             };
             let _ = run_in(&mut arena, &other);
         }
@@ -135,6 +148,7 @@ fn arena_survives_mode_flips_after_partial_state() {
         tracing: false,
         telemetry: false,
         governor: None,
+        inject: false,
     };
     let fresh = run_in(&mut RunArena::default(), &cell);
     let mut arena = RunArena::default();
@@ -152,6 +166,7 @@ fn arena_survives_mode_flips_after_partial_state() {
                 tracing,
                 telemetry,
                 governor: (i % 2 == 0).then_some(noiselab_machine::Governor::Powersave),
+                inject: i == 1,
             },
         );
     }

@@ -11,10 +11,8 @@
 //! ```
 
 use noiselab_core::{ExecConfig, Mitigation, Model, Platform, RunSpec};
-use noiselab_injector::{CpuNoiseList, InjectPolicy, InjectionConfig, NoiseEventSpec};
 use noiselab_kernel::{CpuStallSpec, FaultPlan, SpuriousIrqSpec, ThreadAbortSpec};
-use noiselab_machine::CpuId;
-use noiselab_sim::{SimDuration, SimTime};
+use noiselab_sim::SimDuration;
 use noiselab_testutil::run_fresh;
 use noiselab_workloads::{Babelstream, MiniFE, NBody, Workload};
 use std::collections::BTreeMap;
@@ -79,34 +77,6 @@ fn fault_plan() -> FaultPlan {
     }
 }
 
-/// A hand-written replay config: FIFO (IRQ-like) noise on one CPU and
-/// niced thread noise on another.
-fn injection_config() -> InjectionConfig {
-    let event = |start_us: u64, dur_us: u64, policy, source: &str| NoiseEventSpec {
-        start: SimTime::ZERO + SimDuration::from_micros(start_us),
-        duration: SimDuration::from_micros(dur_us),
-        policy,
-        source: source.into(),
-    };
-    InjectionConfig {
-        origin: "stream_identity".into(),
-        anomaly_exec: SimDuration::from_millis(5),
-        lists: vec![
-            CpuNoiseList {
-                cpu: CpuId(0),
-                events: vec![
-                    event(100, 40, InjectPolicy::Fifo, "irq/nvme"),
-                    event(900, 250, InjectPolicy::Fifo, "irq/nvme"),
-                ],
-            },
-            CpuNoiseList {
-                cpu: CpuId(3),
-                events: vec![event(300, 800, InjectPolicy::Other { nice: 0 }, "kworker")],
-            },
-        ],
-    }
-}
-
 fn battery() -> BTreeMap<String, String> {
     let p = Platform::intel();
     let configs = [
@@ -115,7 +85,7 @@ fn battery() -> BTreeMap<String, String> {
         ("Rm-SYCL", ExecConfig::new(Model::Sycl, Mitigation::Rm)),
     ];
     let plan = fault_plan();
-    let inject = injection_config();
+    let inject = noiselab_testutil::small_injection();
     let mut out = BTreeMap::new();
     for (wname, w) in workloads() {
         for (cname, cfg) in &configs {

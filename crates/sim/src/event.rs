@@ -126,19 +126,19 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Clamp `at` to `now` and draw the next sequence number. Scheduling
-    /// in the past is a logic error and panics in debug builds; in
-    /// release it fires immediately at `now`.
+    /// Check `at` against `now` and draw the next sequence number.
+    /// Scheduling in the past is a logic error and panics in every
+    /// build.
     #[inline]
     fn stamp(&mut self, at: SimTime) -> (SimTime, u64) {
-        debug_assert!(
+        assert!(
             at >= self.now,
             "scheduling event in the past: at={at} now={}",
             self.now
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        (at.max(self.now), seq)
+        (at, seq)
     }
 
     /// Schedule the plain event `payload` at absolute time `at`.
@@ -445,7 +445,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "scheduling event in the past")]
-    fn scheduling_in_past_panics_in_debug() {
+    fn scheduling_in_past_panics() {
         let mut q = EventQueue::new();
         q.schedule(SimTime(10), ());
         q.pop();

@@ -15,6 +15,7 @@
 use noiselab_core::{
     run, ExecConfig, Mitigation, Model, Platform, RunArena, RunFailure, RunOutput, RunSpec,
 };
+use noiselab_injector::{CpuNoiseList, InjectPolicy, InjectionConfig, NoiseEventSpec};
 use noiselab_kernel::{
     Action, FaultPlan, Kernel, KernelConfig, NoiseClass, Policy, ScriptBehavior, ThreadId,
     ThreadKind, ThreadSpec, TraceSink,
@@ -240,6 +241,35 @@ pub fn omp_rm() -> ExecConfig {
 /// resilience gate's crash plan.
 pub fn crashy_plan() -> FaultPlan {
     FaultPlan::crashy(0xC0FFEE, 0.05, 2)
+}
+
+/// A hand-written replay config: FIFO (IRQ-like) noise on CPU 0 and
+/// fair thread noise on CPU 3, all inside the first 1.1 ms. The
+/// stream-identity battery pins its injected cells with it.
+pub fn small_injection() -> InjectionConfig {
+    let event = |start_us: u64, dur_us: u64, policy, source: &str| NoiseEventSpec {
+        start: SimTime::ZERO + SimDuration::from_micros(start_us),
+        duration: SimDuration::from_micros(dur_us),
+        policy,
+        source: source.into(),
+    };
+    InjectionConfig {
+        origin: "stream_identity".into(),
+        anomaly_exec: SimDuration::from_millis(5),
+        lists: vec![
+            CpuNoiseList {
+                cpu: CpuId(0),
+                events: vec![
+                    event(100, 40, InjectPolicy::Fifo, "irq/nvme"),
+                    event(900, 250, InjectPolicy::Fifo, "irq/nvme"),
+                ],
+            },
+            CpuNoiseList {
+                cpu: CpuId(3),
+                events: vec![event(300, 800, InjectPolicy::Other { nice: 0 }, "kworker")],
+            },
+        ],
+    }
 }
 
 /// A scratch file under the OS temp dir, namespaced per suite.

@@ -94,7 +94,10 @@
 use noiselab::core::experiments::{
     ablation, fig1, fig2, numa, runlevel, suite, table1, table2, Scale,
 };
-use noiselab::core::{run_baseline, run_injected, ExecConfig, Mitigation, Model, Platform};
+use noiselab::core::{
+    run_baseline, run_batch, Baseline, ExecConfig, Injected, Mitigation, Model, Platform,
+    RetryPolicy, RunLedger, RunSpec,
+};
 use noiselab::injector::{generate, GeneratorOptions, InjectionConfig, MergeStrategy};
 use noiselab::noise::TraceSet;
 use noiselab::workloads::Workload;
@@ -227,7 +230,7 @@ fn cmd_baseline(args: &Args) -> Result<(), String> {
 /// export a Perfetto-loadable Chrome trace (and optionally the compact
 /// NLTB binary timeline).
 fn cmd_trace_timeline(args: &Args, run_seed: u64) -> Result<(), String> {
-    use noiselab::core::{run, RunArena, RunSpec};
+    use noiselab::core::{run, RunArena};
     use noiselab::telemetry::{chrome_trace, encode, TelemetryConfig};
 
     let platform = args.platform()?;
@@ -332,22 +335,21 @@ fn cmd_inject(args: &Args) -> Result<(), String> {
     let data = std::fs::read_to_string(&config_path).map_err(|e| e.to_string())?;
     let config = InjectionConfig::from_json(&data).map_err(|e| e.to_string())?;
     let runs = args.runs(20);
-    let base = run_baseline(
-        &platform,
-        workload.as_ref(),
-        &cfg,
-        runs,
-        args.seed() + 10_000,
-        false,
-    );
-    let inj = run_injected(
-        &platform,
-        workload.as_ref(),
-        &cfg,
-        &config,
-        runs,
-        args.seed(),
-    );
+    // Both halves share one run pool: neither waits for the other to
+    // finish before its runs start.
+    let base_spec = RunSpec::new(&platform, workload.as_ref(), &cfg, args.seed() + 10_000);
+    let inj_spec = RunSpec {
+        inject: Some(&config),
+        ..RunSpec::new(&platform, workload.as_ref(), &cfg, args.seed())
+    };
+    let [base, inj]: [RunLedger; 2] = run_batch(
+        &[(&base_spec, runs), (&inj_spec, runs)],
+        RetryPolicy::none(),
+    )
+    .try_into()
+    .map_err(|_| "run pool returned the wrong number of ledgers".to_string())?;
+    let base = Baseline::from_ledger(&base_spec, base);
+    let inj = Injected::from_ledger(&inj_spec, inj);
     println!(
         "{} {} {}: baseline {:.4}s -> injected {:.4}s ({:+.1}%), accuracy {:+.1}%",
         platform.label(),
@@ -423,7 +425,6 @@ fn campaign_faults(args: &Args) -> Option<noiselab::kernel::FaultPlan> {
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
     use noiselab::core::campaign::{render_campaign_report, run_campaign, CampaignPlan};
-    use noiselab::core::RetryPolicy;
 
     // `--workers N` switches to the sharded multi-process engine.
     if args.opts.contains_key("workers") {
@@ -595,7 +596,7 @@ fn cmd_campaign_worker(args: &Args) -> Result<(), String> {
 /// with the host-time phase profile or the full observation-overhead
 /// report.
 fn cmd_metrics(args: &Args) -> Result<(), String> {
-    use noiselab::core::{measure_overhead, run, run_many, RetryPolicy, RunArena, RunSpec};
+    use noiselab::core::{measure_overhead, run, run_many, RunArena};
     use noiselab::telemetry::{MetricsSnapshot, PhaseProfiler, TelemetryConfig};
 
     // `--checkpoint <path>` is a read-only mode: render the merged
