@@ -27,7 +27,7 @@ use noiselab_kernel::NoiseClass;
 use noiselab_machine::CpuId;
 use noiselab_noise::{RunTrace, TraceEvent, TraceSet};
 use noiselab_sim::SimDuration;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-source inherent-noise statistics across the baseline runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,25 +129,31 @@ pub fn subtract_average(
     let mut events: Vec<TraceEvent> = worst.events.clone();
     let mut alive: Vec<bool> = vec![true; events.len()];
 
+    // Per source, its live events keyed by (distance from the average,
+    // index): the first key is the closest event, lowest index on ties.
+    let mut live: BTreeMap<&str, BTreeSet<(u64, usize)>> = BTreeMap::new();
+    for (i, e) in worst.events.iter().enumerate() {
+        if let Some(s) = stats.get(&e.source) {
+            let diff = e.duration.nanos().abs_diff(s.avg_duration.nanos());
+            live.entry(&e.source).or_default().insert((diff, i));
+        }
+    }
+
     for (source, s) in stats {
+        let Some(set) = live.get_mut(source.as_str()) else {
+            continue;
+        };
         let expected = s.avg_count.round() as usize;
         for _ in 0..expected {
             // Closest-to-average live event of this source.
-            let mut best: Option<(usize, u64)> = None;
-            for (i, e) in events.iter().enumerate() {
-                if !alive[i] || e.source != *source {
-                    continue;
-                }
-                let diff = e.duration.nanos().abs_diff(s.avg_duration.nanos());
-                if best.is_none_or(|(_, d)| diff < d) {
-                    best = Some((i, diff));
-                }
-            }
-            let Some((i, _)) = best else { break };
+            let Some((_, i)) = set.pop_first() else { break };
             if events[i].duration > s.avg_duration {
                 events[i].duration -= s.avg_duration;
                 if events[i].duration < min_residual {
                     alive[i] = false;
+                } else {
+                    let diff = events[i].duration.nanos().abs_diff(s.avg_duration.nanos());
+                    set.insert((diff, i));
                 }
             } else {
                 alive[i] = false;

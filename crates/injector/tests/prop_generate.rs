@@ -1,15 +1,17 @@
 //! Property tests for the injector's configuration-generation pipeline:
 //! delta subtraction conserves noise mass, never produces negative
-//! durations, and both merge strategies preserve per-CPU noise coverage.
+//! durations, matches the plain rescanning formulation exactly, and
+//! both merge strategies preserve per-CPU noise coverage.
 
 use noiselab_injector::{
-    build_config, source_statistics, subtract_average, GeneratorOptions, MergeStrategy,
+    build_config, source_statistics, subtract_average, GeneratorOptions, MergeStrategy, SourceStats,
 };
 use noiselab_kernel::NoiseClass;
 use noiselab_machine::CpuId;
 use noiselab_noise::{RunTrace, TraceEvent, TraceSet};
 use noiselab_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn class_strategy() -> impl Strategy<Value = NoiseClass> {
     prop_oneof![
@@ -53,7 +55,148 @@ fn traceset_strategy() -> impl Strategy<Value = TraceSet> {
     })
 }
 
+/// The delta subtraction as first written: for each expected
+/// occurrence, rescan the whole trace for the live event of the source
+/// closest to its average (lowest index on ties). Quadratic, kept as
+/// the oracle for `subtract_average`.
+fn subtract_average_scan(
+    worst: &RunTrace,
+    stats: &BTreeMap<String, SourceStats>,
+    min_residual: SimDuration,
+) -> Vec<TraceEvent> {
+    let mut events: Vec<TraceEvent> = worst.events.clone();
+    let mut alive: Vec<bool> = vec![true; events.len()];
+
+    for (source, s) in stats {
+        let expected = s.avg_count.round() as usize;
+        for _ in 0..expected {
+            let mut best: Option<(usize, u64)> = None;
+            for (i, e) in events.iter().enumerate() {
+                if !alive[i] || e.source != *source {
+                    continue;
+                }
+                let diff = e.duration.nanos().abs_diff(s.avg_duration.nanos());
+                if best.is_none_or(|(_, d)| diff < d) {
+                    best = Some((i, diff));
+                }
+            }
+            let Some((i, _)) = best else { break };
+            if events[i].duration > s.avg_duration {
+                events[i].duration -= s.avg_duration;
+                if events[i].duration < min_residual {
+                    alive[i] = false;
+                }
+            } else {
+                alive[i] = false;
+            }
+        }
+    }
+
+    events
+        .into_iter()
+        .zip(alive)
+        .filter_map(|(e, a)| (a && e.duration >= min_residual).then_some(e))
+        .collect()
+}
+
+const SOURCES: [&str; 5] = ["timer", "rcu", "kworker", "ghost", "unlisted"];
+
+/// A worst trace and hand-set statistics on a 250 ns grid: durations
+/// repeat, residuals land exactly on `min_residual`, and high expected
+/// counts pick one long event again and again. `ghost` may have no
+/// events; `unlisted` events have no statistics.
+fn subtraction_case_strategy(
+) -> impl Strategy<Value = (RunTrace, BTreeMap<String, SourceStats>, SimDuration)> {
+    (
+        proptest::collection::vec((0usize..5, 0u64..24, 0u32..3), 0..40),
+        proptest::collection::vec((0u64..8, 0u64..6), 4..5),
+        0u64..4,
+    )
+        .prop_map(|(events, per_source, min_k)| {
+            let events = events
+                .into_iter()
+                .enumerate()
+                .map(|(i, (src, k, cpu))| TraceEvent {
+                    cpu: CpuId(cpu),
+                    class: NoiseClass::Irq,
+                    source: SOURCES[src].to_string(),
+                    start: SimTime(i as u64 * 100),
+                    duration: SimDuration(k * 250),
+                })
+                .collect();
+            let stats = per_source
+                .into_iter()
+                .zip(SOURCES)
+                .map(|((count2, avg_k), src)| {
+                    let stats = SourceStats {
+                        // Halves, so `round` sees .5 too.
+                        avg_count: count2 as f64 * 1.5,
+                        avg_duration: SimDuration(avg_k * 250),
+                        total_count: 0,
+                    };
+                    (src.to_string(), stats)
+                })
+                .collect();
+            (
+                RunTrace::new(0, SimDuration(1), events),
+                stats,
+                SimDuration(min_k * 250),
+            )
+        })
+}
+
+#[test]
+fn subtraction_picks_one_long_event_repeatedly() {
+    let event = |source: &str, dur: u64| TraceEvent {
+        cpu: CpuId(0),
+        class: NoiseClass::Thread,
+        source: source.to_string(),
+        start: SimTime(0),
+        duration: SimDuration(dur),
+    };
+    let worst = RunTrace::new(0, SimDuration(1), vec![event("k", 10_000), event("k", 900)]);
+    let stats = BTreeMap::from([(
+        "k".to_string(),
+        SourceStats {
+            avg_count: 5.0,
+            avg_duration: SimDuration(1_000),
+            total_count: 10,
+        },
+    )]);
+    // 900 is closest first and dies; 10 000 is then reduced four times.
+    let residual = subtract_average(&worst, &stats, SimDuration(500));
+    assert_eq!(residual, vec![event("k", 6_000)]);
+    assert_eq!(
+        residual,
+        subtract_average_scan(&worst, &stats, SimDuration(500))
+    );
+}
+
 proptest! {
+    /// The ordered-set subtraction leaves exactly the residual of the
+    /// rescanning oracle: same events, durations and order.
+    #[test]
+    fn subtraction_matches_rescanning_oracle(case in subtraction_case_strategy()) {
+        let (worst, stats, min_residual) = case;
+        prop_assert_eq!(
+            subtract_average(&worst, &stats, min_residual),
+            subtract_average_scan(&worst, &stats, min_residual)
+        );
+    }
+
+    /// The same on traces drawn like the other properties here, with
+    /// statistics computed from the set.
+    #[test]
+    fn subtraction_matches_rescanning_oracle_on_trace_sets(set in traceset_strategy()) {
+        let worst = set.worst().unwrap().clone();
+        let stats = source_statistics(&set);
+        let min_residual = SimDuration(500);
+        prop_assert_eq!(
+            subtract_average(&worst, &stats, min_residual),
+            subtract_average_scan(&worst, &stats, min_residual)
+        );
+    }
+
     /// Residual events never grow: every surviving event's duration is
     /// bounded by its original, and total residual mass is bounded by
     /// the worst trace's total mass.

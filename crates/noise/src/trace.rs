@@ -117,7 +117,7 @@ impl RunTrace {
 }
 
 /// A set of baseline traces for one workload configuration.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceSet {
     pub runs: Vec<RunTrace>,
 }
