@@ -28,6 +28,9 @@
 //! regardless of file-visit order (all maps are BTree, all ranking
 //! keys are total orders, the bootstrap is seeded).
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod blame;
 pub mod input;
 pub mod recommend;

@@ -1,12 +1,13 @@
 //! A lightweight Rust tokenizer: just enough lexical structure for the
-//! determinism ruleset — identifiers, punctuation, literals — with
-//! string, comment and attribute awareness so rules never fire inside
-//! a string literal or a doc comment, and so `#[cfg(test)]` / `#[test]`
-//! regions can be located without pulling in `syn` (the workspace
+//! parser — identifiers, punctuation, literals — with string, comment
+//! and attribute awareness so nothing matches inside a string literal
+//! or a doc comment, comments reach the `audit:allow` grammar, and
+//! `#[cfg(test)]` / `#[test]` regions can be located without pulling
+//! in `syn` (the workspace
 //! builds offline from vendored stand-ins; the auditor stays
 //! dependency-free).
 
-/// Kinds of tokens the ruleset cares about. Literals keep no text —
+/// Kinds of tokens the parser cares about. Literals keep no text —
 /// their only job is to *not* be identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {

@@ -2,37 +2,53 @@
 //!
 //! The determinism auditor: a dependency-free static analyzer that
 //! walks the workspace's deterministic crates and enforces the
-//! determinism contract.
+//! value-flow half of the determinism contract.
 //!
-//! Two generations of rules share one pipeline:
+//! The contract has two halves:
 //!
-//! * **Lexical** (PR 3): token-level bans — no std hash containers, no
-//!   wall-clock reads, no entropy-seeded RNGs, no host threads outside
-//!   the harness, no `static mut`, no `.unwrap()` on I/O paths.
-//! * **Taint** (this PR): a recursive-descent parser ([`parse`])
-//!   lowers every function to a CFG ([`cfg`]); an intra-procedural
-//!   dataflow ([`taint`]) plus a call-graph summary fixpoint
-//!   ([`summary`]) track nondeterministic *values* — a wall-clock read
-//!   laundered through two helper functions, a hash-iteration fold, an
-//!   address cast — until they reach a determinism sink (stream hash,
-//!   fingerprint, checkpoint, metrics merge, event-queue key).
+//! * **API bans**, enforced by rustc and clippy: no std hash
+//!   containers, no wall-clock reads, no entropy-seeded hashers, no
+//!   host threads outside the run pool and the campaign supervisor
+//!   (`disallowed-types` / `disallowed-methods` in `crates/clippy.toml`),
+//!   no `unsafe` and so no `static mut` access
+//!   (`#![forbid(unsafe_code)]`), no library `.unwrap()`
+//!   (`#![deny(clippy::unwrap_used)]`). Approved sites carry
+//!   `#[expect(<lint>, reason = "...")]`, which clippy reports once it
+//!   no longer fires.
+//! * **Value flows**, enforced here: a recursive-descent parser
+//!   ([`parse`]) lowers every function to a CFG ([`cfg`]); an
+//!   intra-procedural dataflow ([`taint`]) plus a call-graph summary
+//!   fixpoint ([`summary`]) track nondeterministic *values* — a
+//!   wall-clock read laundered through two helper functions, a
+//!   hash-iteration fold, an address cast — until they reach a
+//!   determinism sink (stream hash, fingerprint, checkpoint, metrics
+//!   merge, event-queue key).
 //!
 //! Findings carry a source→sink hop chain in human, JSON, and SARIF
 //! output. Escape hatches are explicit and reviewed:
-//! `// audit:allow(<rule>): <reason>` on (or directly above) the
-//! source or sink line; allows that match nothing are reported stale.
+//! `// audit:allow(<taint-rule>): <reason>` on (or directly above) the
+//! source or sink line; allows that match nothing are reported stale,
+//! and `noiselab audit --static` fails on them.
 //!
 //! The runtime counterpart — the event-stream sanitizer and the
 //! dual-run divergence bisector — lives in `noiselab-kernel` and
 //! `noiselab-core`; both are driven by `noiselab audit`.
 //!
 //! ```
-//! use noiselab_audit::{scan_source, RuleId};
-//! let v = scan_source("demo.rs", "let t = std::time::Instant::now();", &RuleId::ALL, false);
-//! assert_eq!(v[0].rule, RuleId::WallClock);
+//! use noiselab_audit::{analyze_sources, RuleId, SourceSpec};
+//! let src = "fn now_ns() -> u64 { std::time::Instant::now().elapsed().as_nanos() as u64 }\n\
+//!            fn fold(seed: u64) -> u64 { fnv1a_extend(seed, now_ns()) }\n";
+//! let report = analyze_sources(&[SourceSpec {
+//!     path: "demo.rs".into(),
+//!     src: src.into(),
+//!     rules: &RuleId::ALL,
+//! }]);
+//! assert_eq!(report.violations[0].rule, RuleId::TaintWallClock);
 //! ```
 
-pub mod cache;
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod cfg;
 pub mod lexer;
 pub mod parse;
@@ -44,14 +60,12 @@ pub mod taint;
 
 pub use policy::{CratePolicy, POLICIES};
 pub use report::{AuditReport, StaleAllow};
-pub use rules::{scan_file, scan_source, Allow, FileScan, RuleId, Violation};
+pub use rules::{Allow, RuleId, Violation};
 pub use taint::{TaintFinding, TaintKind};
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-
-use cache::{fnv1a64, rules_key, Cache, FileArtifacts};
 
 /// One source file handed to the pure analysis entry point.
 pub struct SourceSpec<'a> {
@@ -60,53 +74,13 @@ pub struct SourceSpec<'a> {
     pub src: String,
     /// Rules enforced for findings whose *sink* is in this file.
     pub rules: &'a [RuleId],
-    pub host_thread_ok: bool,
 }
 
-/// Options for the workspace sweep.
-#[derive(Debug, Default)]
-pub struct AuditOptions {
-    /// Where to read/write the incremental per-file cache; `None`
-    /// disables caching.
-    pub cache_path: Option<PathBuf>,
-}
-
-impl AuditOptions {
-    /// The conventional cache location under a workspace root.
-    pub fn default_cache_path(root: &Path) -> PathBuf {
-        root.join("target").join("audit-cache.txt")
-    }
-}
-
-fn compute_artifacts(spec: &SourceSpec) -> FileArtifacts {
-    let lexed = lexer::lex(&spec.src);
-    let scan = rules::scan_file(&spec.path, &spec.src, spec.rules, spec.host_thread_ok);
-    let cfgs = parse::parse_file(&lexed)
-        .iter()
-        .map(cfg::lower_fn)
-        .collect();
-    FileArtifacts {
-        violations: scan.violations,
-        allows: scan.allows,
-        cfgs,
-    }
-}
-
-/// Run the full analysis (lexical + taint + stale-allow detection)
-/// over in-memory sources. This is the byte-deterministic core: the
-/// output depends only on the *set* of inputs, not their order.
+/// Run the full analysis (allow parsing, taint fixpoint, stale-allow
+/// detection) over in-memory sources. This is the byte-deterministic
+/// core: the output depends only on the *set* of inputs, not their
+/// order.
 pub fn analyze_sources(files: &[SourceSpec]) -> AuditReport {
-    let units: Vec<(usize, FileArtifacts)> = files
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| (i, compute_artifacts(spec)))
-        .collect();
-    finish(files, units)
-}
-
-/// Combine per-file artifacts into the final report: run the taint
-/// fixpoint, apply allows to taint findings, judge stale allows, sort.
-fn finish(files: &[SourceSpec], units: Vec<(usize, FileArtifacts)>) -> AuditReport {
     let mut report = AuditReport {
         files_scanned: files.len(),
         ..AuditReport::default()
@@ -114,20 +88,19 @@ fn finish(files: &[SourceSpec], units: Vec<(usize, FileArtifacts)>) -> AuditRepo
 
     // Assemble the global CFG list in path order so the fixpoint sees
     // a canonical input regardless of sweep order.
-    let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by(|&a, &b| files[units[a].0].path.cmp(&files[units[b].0].path));
+    let mut order: Vec<&SourceSpec> = files.iter().collect();
+    order.sort_by(|a, b| a.path.cmp(&b.path));
 
     let mut cfgs: Vec<(String, cfg::Cfg)> = Vec::new();
     let mut allows: BTreeMap<String, Vec<Allow>> = BTreeMap::new();
     let mut rules_for: BTreeMap<String, &[RuleId]> = BTreeMap::new();
-    for &u in &order {
-        let (idx, art) = &units[u];
-        let spec = &files[*idx];
-        report.violations.extend(art.violations.iter().cloned());
-        allows.insert(spec.path.clone(), art.allows.clone());
+    for spec in order {
+        let lexed = lexer::lex(&spec.src);
+        let file_allows = rules::parse_allows(&lexed.comments, &spec.path, &mut report.violations);
+        allows.insert(spec.path.clone(), file_allows);
         rules_for.insert(spec.path.clone(), spec.rules);
-        for c in &art.cfgs {
-            cfgs.push((spec.path.clone(), c.clone()));
+        for f in parse::parse_file(&lexed) {
+            cfgs.push((spec.path.clone(), cfg::lower_fn(&f)));
         }
     }
 
@@ -140,29 +113,12 @@ fn finish(files: &[SourceSpec], units: Vec<(usize, FileArtifacts)>) -> AuditRepo
         if !enabled {
             continue;
         }
-        let (sfile, sline) = {
-            let (sf, sl) = f.source();
-            (sf.to_string(), sl)
-        };
-        // An allow suppresses at the sink line, at the source line, or
-        // (for kinds with a lexical ancestor, e.g. wall-clock) via the
-        // base rule's allow at the source — so the bench harness's
-        // existing `audit:allow(wall-clock)` keeps covering flows born
-        // at that site.
+        // An allow suppresses at the sink line or at the source line.
+        let (sfile, sline) = f.source();
         let mut suppressed = false;
-        if let Some(list) = allows.get_mut(&f.file) {
-            if let Some(a) = list.iter_mut().find(|a| a.covers(f.rule, f.line)) {
-                a.used = true;
-                suppressed = true;
-            }
-        }
-        if let Some(list) = allows.get_mut(&sfile) {
-            if let Some(a) = list.iter_mut().find(|a| a.covers(f.rule, sline)) {
-                a.used = true;
-                suppressed = true;
-            }
-            if let Some(base) = f.kind.base_rule() {
-                if let Some(a) = list.iter_mut().find(|a| a.covers(base, sline)) {
+        for (file, line) in [(f.file.as_str(), f.line), (sfile, sline)] {
+            if let Some(list) = allows.get_mut(file) {
+                if let Some(a) = list.iter_mut().find(|a| a.covers(f.rule, line)) {
                     a.used = true;
                     suppressed = true;
                 }
@@ -204,23 +160,11 @@ fn finish(files: &[SourceSpec], units: Vec<(usize, FileArtifacts)>) -> AuditRepo
     report
 }
 
-/// Sweep the whole workspace rooted at `root` under [`POLICIES`] with
-/// default options (no cache).
-pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
-    audit_workspace_with(root, &AuditOptions::default())
-}
-
 /// Sweep the whole workspace rooted at `root` under [`POLICIES`].
 /// Missing crates are an error (the policy table and the workspace must
 /// agree), missing optional dirs (a crate without `benches/`) are not.
-pub fn audit_workspace_with(root: &Path, opts: &AuditOptions) -> io::Result<AuditReport> {
-    let mut cache = match &opts.cache_path {
-        Some(p) => Cache::load(p),
-        None => Cache::default(),
-    };
+pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     let mut specs: Vec<SourceSpec> = Vec::new();
-    let mut crates_scanned = 0usize;
-
     for policy in POLICIES {
         let crate_dir = root.join(policy.root);
         if !crate_dir.is_dir() {
@@ -233,7 +177,6 @@ pub fn audit_workspace_with(root: &Path, opts: &AuditOptions) -> io::Result<Audi
                 ),
             ));
         }
-        crates_scanned += 1;
         for dir in policy.dirs {
             let d = crate_dir.join(dir);
             if !d.is_dir() {
@@ -250,47 +193,17 @@ pub fn audit_workspace_with(root: &Path, opts: &AuditOptions) -> io::Result<Audi
                     .unwrap_or(&f)
                     .to_string_lossy()
                     .replace('\\', "/");
-                let crate_rel = f
-                    .strip_prefix(&crate_dir)
-                    .unwrap_or(&f)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                let host_ok = policy.host_thread_approved.contains(&crate_rel.as_str());
                 specs.push(SourceSpec {
                     path: rel,
                     src,
                     rules: policy.rules,
-                    host_thread_ok: host_ok,
                 });
             }
         }
     }
 
-    let key_of = |spec: &SourceSpec| rules_key(spec.rules);
-    let mut units: Vec<(usize, FileArtifacts)> = Vec::with_capacity(specs.len());
-    for (i, spec) in specs.iter().enumerate() {
-        let hash = fnv1a64(spec.src.as_bytes());
-        let key = key_of(spec);
-        let art = match cache.get(&spec.path, hash, spec.host_thread_ok, &key) {
-            Some(art) => art,
-            None => {
-                let art = compute_artifacts(spec);
-                cache.put(&spec.path, hash, spec.host_thread_ok, key, art.clone());
-                art
-            }
-        };
-        units.push((i, art));
-    }
-
-    if let Some(p) = &opts.cache_path {
-        let live: Vec<String> = specs.iter().map(|s| s.path.clone()).collect();
-        cache.retain_files(&live);
-        // The cache is advisory; a failed write must not fail the audit.
-        let _ = cache.save(p);
-    }
-
-    let mut report = finish(&specs, units);
-    report.crates_scanned = crates_scanned;
+    let mut report = analyze_sources(&specs);
+    report.crates_scanned = POLICIES.len();
     Ok(report)
 }
 
@@ -333,7 +246,6 @@ mod tests {
             path: path.to_string(),
             src: src.to_string(),
             rules: &RuleId::ALL,
-            host_thread_ok: false,
         }
     }
 
@@ -349,16 +261,12 @@ mod tests {
                 "pub fn fold(seed: u64) -> u64 { fnv1a_extend(seed, stamp()) }\n",
             ),
         ]);
-        // One lexical wall-clock hit in a.rs plus the taint path in b.rs.
-        let taint: Vec<_> = report
-            .violations
-            .iter()
-            .filter(|v| v.rule == RuleId::TaintWallClock)
-            .collect();
-        assert_eq!(taint.len(), 1, "{:#?}", report.violations);
-        assert_eq!(taint[0].file, "b.rs");
-        assert!(taint[0].path.len() >= 2);
-        assert_eq!(taint[0].path[0].file, "a.rs");
+        assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
+        let taint = &report.violations[0];
+        assert_eq!(taint.rule, RuleId::TaintWallClock);
+        assert_eq!(taint.file, "b.rs");
+        assert!(taint.path.len() >= 2);
+        assert_eq!(taint.path[0].file, "a.rs");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! (let / match / if / loops / closures), method chains, paths, casts
 //! and macro invocations. It exists so the taint analyzer can see
 //! *dataflow* — a wall-clock value laundered through three lets and two
-//! helper calls — where the PR-3 lexer could only see identifiers.
+//! helper calls — where a token-level or API-ban check sees only names.
 //!
 //! Design constraints, in order:
 //!

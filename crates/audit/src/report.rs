@@ -7,10 +7,9 @@
 
 use crate::rules::{RuleId, Violation};
 
-/// An `audit:allow` annotation that suppressed nothing — neither a
-/// lexical finding nor a taint path. Stale allows silently mask future
-/// violations, so they are reported (and can fail CI via
-/// `--fail-on-stale-allow`).
+/// An `audit:allow` annotation that suppressed no taint path. Stale
+/// allows silently mask future violations, so they are reported, and
+/// `noiselab audit --static` fails on them as it does on violations.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct StaleAllow {
     pub file: String,
@@ -248,14 +247,14 @@ mod tests {
             violations: vec![Violation {
                 file: "a \"b\".rs".into(),
                 line: 3,
-                rule: RuleId::WallClock,
+                rule: RuleId::TaintWallClock,
                 message: "x\ny".into(),
                 path: Vec::new(),
             }],
             stale_allows: vec![StaleAllow {
                 file: "c.rs".into(),
                 line: 9,
-                rule: "wall-clock".into(),
+                rule: "taint-env".into(),
             }],
         }
     }
@@ -268,7 +267,7 @@ mod tests {
         assert!(json.contains("\\n"));
         assert!(json.contains("\"clean\": false"));
         let human = report.render_human();
-        assert!(human.contains("a \"b\".rs:3: [wall-clock]"));
+        assert!(human.contains("a \"b\".rs:3: [taint-wall-clock]"));
     }
 
     #[test]
@@ -276,7 +275,7 @@ mod tests {
         let json = sample().render_json();
         assert!(json.contains("\"stale_allows\": ["));
         assert!(
-            json.contains("{\"file\": \"c.rs\", \"line\": 9, \"rule\": \"wall-clock\"}"),
+            json.contains("{\"file\": \"c.rs\", \"line\": 9, \"rule\": \"taint-env\"}"),
             "{json}"
         );
     }

@@ -77,17 +77,6 @@ impl TaintKind {
             TaintKind::ThreadId => "thread-id",
         }
     }
-
-    /// The PR-3 lexical rule whose `audit:allow` at the *source* site
-    /// also covers this taint kind, so existing annotations (e.g. the
-    /// approved `Instant::now` in the bench harness) keep working.
-    pub fn base_rule(self) -> Option<RuleId> {
-        match self {
-            TaintKind::WallClock => Some(RuleId::WallClock),
-            TaintKind::HashOrder => Some(RuleId::HashIteration),
-            _ => None,
-        }
-    }
 }
 
 /// The determinism-contract surfaces taint must not reach.

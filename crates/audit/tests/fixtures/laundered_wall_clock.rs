@@ -2,13 +2,13 @@
 //! hash fold through TWO intermediate function calls.
 //!
 //! There is no banned identifier anywhere in this file — `wall_clock`
-//! is the workspace's approved host-timing wrapper, so the PR-3
-//! token-level lexer reports nothing. The taint analyzer must report
+//! is the workspace's approved host-timing wrapper, so no API ban
+//! (clippy's `disallowed-methods`) fires. The taint analyzer must report
 //! one taint-wall-clock finding at the `fnv1a_extend` fold with the
 //! full source→sink hop chain.
 
 /// Models calling the approved host-timing wrapper
-/// (`noiselab_bench::wall_clock`): lexically invisible.
+/// (`noiselab_telemetry::profile::wall_clock`): invisible to API bans.
 fn read_host_timer() -> u64 {
     wall_clock()
 }

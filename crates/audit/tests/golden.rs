@@ -1,84 +1,88 @@
-//! Golden-fixture suite for the determinism auditor: every known-bad
-//! snippet under `tests/fixtures/` must trigger exactly its rule, and
-//! the allowlisted variants must not. Plus the live gate: the actual
-//! workspace must sweep clean.
+//! The `audit:allow` grammar's golden cases, plus the live gate: the
+//! actual workspace must sweep clean.
 
-use noiselab_audit::{audit_workspace, scan_source, RuleId};
+use noiselab_audit::{analyze_sources, audit_workspace, AuditReport, RuleId, SourceSpec};
 use std::path::{Path, PathBuf};
 
-fn fixture(name: &str) -> String {
+fn analyze(name: &str, src: String) -> AuditReport {
+    analyze_sources(&[SourceSpec {
+        path: name.to_string(),
+        src,
+        rules: &RuleId::ALL,
+    }])
+}
+
+fn fixture(name: &str) -> AuditReport {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()))
+    let src = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
+    analyze(name, src)
 }
 
-fn scan_fixture(name: &str) -> Vec<(RuleId, u32)> {
-    scan_source(name, &fixture(name), &RuleId::ALL, false)
-        .into_iter()
-        .map(|v| (v.rule, v.line))
-        .collect()
+fn hits(report: &AuditReport) -> Vec<(RuleId, u32)> {
+    report.violations.iter().map(|v| (v.rule, v.line)).collect()
 }
 
-/// Each bad fixture triggers exactly its own rule (possibly several
-/// sites), and no other rule.
-#[test]
-fn bad_fixtures_trigger_exactly_their_rule() {
-    let cases = [
-        ("bad_hash_iteration.rs", RuleId::HashIteration, 2),
-        ("bad_wall_clock.rs", RuleId::WallClock, 2),
-        ("bad_entropy.rs", RuleId::Entropy, 2),
-        ("bad_host_thread.rs", RuleId::HostThread, 2),
-        ("bad_static_mut.rs", RuleId::StaticMut, 1),
-        ("bad_panic_path.rs", RuleId::PanicPath, 2),
-    ];
-    for (file, rule, expected_sites) in cases {
-        let hits = scan_fixture(file);
-        assert_eq!(
-            hits.len(),
-            expected_sites,
-            "{file}: expected {expected_sites} site(s), got {hits:?}"
-        );
-        for (r, line) in &hits {
-            assert_eq!(
-                *r,
-                rule,
-                "{file}:{line} fired {} not {}",
-                r.name(),
-                rule.name()
-            );
-        }
-    }
-}
-
-/// The allowlisted variants of the same snippets are clean: a correct
-/// `audit:allow(<rule>): <reason>` suppresses the violation.
-#[test]
-fn allowed_fixtures_are_clean() {
-    for file in [
-        "allowed_sites.rs",
-        "clean_test_code.rs",
-        "clean_lookalikes.rs",
-    ] {
-        let hits = scan_fixture(file);
-        assert!(hits.is_empty(), "{file}: unexpected findings {hits:?}");
-    }
-}
-
-/// Reasonless or unknown-rule annotations fail as bad-allow — the
-/// acceptance bar is "every audit:allow carrying a reason".
+/// Reasonless and unknown-rule annotations fail as bad-allow — the
+/// acceptance bar is "every audit:allow carrying a reason" — and an
+/// allow that covers nothing is reported stale.
 #[test]
 fn malformed_allows_are_bad_allow() {
-    let hits = scan_fixture("bad_allow.rs");
-    assert!(!hits.is_empty());
-    for (r, line) in &hits {
-        assert_eq!(*r, RuleId::BadAllow, "line {line}: {}", r.name());
+    let report = fixture("bad_allow.rs");
+    assert_eq!(
+        hits(&report),
+        vec![(RuleId::BadAllow, 3), (RuleId::BadAllow, 7)],
+        "{}",
+        report.render_human()
+    );
+    assert_eq!(report.stale_allows.len(), 1, "{:?}", report.stale_allows);
+    assert_eq!(report.stale_allows[0].rule, "taint-env");
+    assert_eq!(report.stale_allows[0].line, 10);
+}
+
+/// The rules that moved to clippy no longer exist here: naming one in
+/// an allow is an unknown rule, so a leftover annotation cannot pass
+/// silently — and it suppresses nothing.
+#[test]
+fn removed_rule_names_are_unknown() {
+    for name in [
+        "hash-iteration",
+        "wall-clock",
+        "entropy",
+        "host-thread",
+        "static-mut",
+        "panic-path",
+    ] {
+        let report = analyze(
+            "old.rs",
+            format!(
+                "pub fn stamp(seed: u64) -> u64 {{\n\
+                 // audit:allow({name}): written for the old lexical rule\n\
+                 fnv1a_extend(seed, std::time::Instant::now().elapsed().as_nanos() as u64)\n}}\n"
+            ),
+        );
+        assert_eq!(
+            hits(&report),
+            vec![(RuleId::BadAllow, 2), (RuleId::TaintWallClock, 3)],
+            "{name}: {}",
+            report.render_human()
+        );
+        assert!(
+            report.violations[0]
+                .message
+                .contains(&format!("unknown rule '{name}'")),
+            "{name}: {}",
+            report.violations[0].message
+        );
+        assert!(report.stale_allows.is_empty(), "{name}");
     }
 }
 
-/// The live gate: the workspace this test runs in must sweep clean.
-/// This is the same pass CI runs via `noiselab audit --static`.
+/// The live gate: the workspace this test runs in must sweep clean,
+/// with no stale allow. This is the same pass CI runs via
+/// `noiselab audit --static`.
 #[test]
 fn workspace_sweeps_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -88,8 +92,8 @@ fn workspace_sweeps_clean() {
     let report = audit_workspace(root).expect("sweep must succeed");
     assert!(report.files_scanned > 30, "suspiciously small sweep");
     assert!(
-        report.clean(),
-        "workspace has unannotated determinism violations:\n{}",
+        report.clean() && report.stale_allows.is_empty(),
+        "workspace has unannotated determinism violations or stale allows:\n{}",
         report.render_human()
     );
 }

@@ -6,7 +6,6 @@ fn spec(path: &str, src: &str) -> SourceSpec<'static> {
         path: path.to_string(),
         src: src.to_string(),
         rules: &RuleId::ALL,
-        host_thread_ok: false,
     }
 }
 

@@ -1,9 +1,9 @@
 //! Golden tests for the taint rules: every rule has a positive, a
 //! negative, and an allowed section in its fixture, plus a
-//! cross-function pair and the seeded laundered-wall-clock bug that
-//! separates the taint analyzer from the token-level lexer.
+//! cross-function pair and the seeded laundered-wall-clock bug that no
+//! API ban can see.
 
-use noiselab_audit::{analyze_sources, scan_source, RuleId, SourceSpec};
+use noiselab_audit::{analyze_sources, RuleId, SourceSpec};
 use proptest::prelude::*;
 
 fn fixture(name: &str) -> String {
@@ -13,16 +13,14 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Analyze a set of fixtures together with only the taint rules
-/// enabled (the lexical rules have their own golden suite).
+/// Analyze a set of fixtures together.
 fn analyze_taint(names: &[&str]) -> noiselab_audit::AuditReport {
     let srcs: Vec<SourceSpec> = names
         .iter()
         .map(|n| SourceSpec {
             path: (*n).to_string(),
             src: fixture(n),
-            rules: &RuleId::TAINT,
-            host_thread_ok: true,
+            rules: &RuleId::ALL,
         })
         .collect();
     analyze_sources(&srcs)
@@ -102,27 +100,15 @@ fn cross_file_fixture_reports_both_flows() {
     }
 }
 
-/// The seeded bug from the issue: a wall-clock read laundered through
-/// TWO intermediate function calls before reaching the stream-hash
-/// fold. The PR-3 token-level lexer finds nothing (no banned
-/// identifier appears); the taint analyzer reports the full path.
+/// The seeded bug: a wall-clock read laundered through TWO
+/// intermediate function calls before reaching the stream-hash fold.
+/// No banned API appears in the fixture (it calls the approved
+/// `wall_clock()` wrapper), so only the taint analyzer can see it; it
+/// reports the full path.
 #[test]
-fn lexer_misses_laundered_wall_clock_but_taint_catches_it() {
-    let src = fixture("laundered_wall_clock.rs");
-
-    // Token-level pass, all lexical rules enabled: provably blind.
-    let lexical = scan_source("laundered_wall_clock.rs", &src, &RuleId::LEXICAL, true);
-    assert!(
-        lexical.is_empty(),
-        "the lexer should see nothing in the laundered fixture, got {:?}",
-        lexical
-            .iter()
-            .map(|v| format!("{}:{} {}", v.file, v.line, v.rule.name()))
-            .collect::<Vec<_>>()
-    );
-
-    // Taint pass: one wall-clock → stream-hash finding, whose path
-    // crosses both intermediate calls.
+fn taint_catches_laundered_wall_clock() {
+    // One wall-clock → stream-hash finding, whose path crosses both
+    // intermediate calls.
     let report = analyze_taint(&["laundered_wall_clock.rs"]);
     assert_eq!(report.violations.len(), 1, "{}", report.render_human());
     let v = &report.violations[0];
@@ -165,7 +151,6 @@ fn analyze_in_order(order: &[usize]) -> String {
             path: ORDER_FIXTURES[i].to_string(),
             src: fixture(ORDER_FIXTURES[i]),
             rules: &RuleId::ALL,
-            host_thread_ok: true,
         })
         .collect();
     analyze_sources(&srcs).render_json()

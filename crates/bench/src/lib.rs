@@ -8,6 +8,8 @@
 //! never the bench run. The fallible plumbing is exposed as `try_*`
 //! variants with typed `io::Error`s.
 
+#![forbid(unsafe_code)]
+
 use noiselab_core::experiments::inject::InjectionTable;
 use std::fs;
 use std::io;

@@ -18,6 +18,9 @@
 //! *when*. That is the whole trick: supervision can be as messy as
 //! reality requires while the measurement stays exactly reproducible.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod merge;
 pub mod proto;
 pub mod queue;

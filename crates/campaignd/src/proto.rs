@@ -67,7 +67,6 @@ impl std::error::Error for FrameError {}
 
 /// Encode a message as a frame line (no trailing newline).
 pub fn frame(msg: &WorkerMsg) -> String {
-    // audit:allow(panic-path): serializing WorkerMsg cannot fail; a panic here is a protocol-definition bug, not an I/O condition
     let json = serde_json::to_string(msg).expect("WorkerMsg serializes");
     format!("{FRAME_PREFIX}{json}")
 }

@@ -127,8 +127,12 @@ impl SupervisedReport {
 
 /// Wall-clock read for supervision timing only; results never flow into
 /// simulated data. The single annotated site the whole module uses.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "process supervision (heartbeats, timeouts, backoff) is host-time by nature"
+)]
 fn now() -> Instant {
-    Instant::now() // audit:allow(wall-clock): process supervision (heartbeats, timeouts, backoff) is host-time by nature; simulated results never depend on it
+    Instant::now() // audit:allow(taint-wall-clock): process supervision (heartbeats, timeouts, backoff) is host-time by nature; simulated results never depend on it
 }
 
 enum Event {
@@ -199,6 +203,10 @@ fn spawn_worker(
     // One reader thread per worker pipe; it dies with the pipe. Host
     // threads here schedule OS processes — nothing simulated runs on
     // them.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one reader thread per worker pipe; it schedules OS processes, never simulated work"
+    )]
     std::thread::spawn(move || {
         let reader = std::io::BufReader::new(stdout);
         for line in reader.lines() {

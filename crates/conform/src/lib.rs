@@ -25,6 +25,9 @@
 //! bugs into recorded streams and prove each one is caught by at least
 //! one layer.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod coverage;
 pub mod fuzz;
 pub mod invariants;

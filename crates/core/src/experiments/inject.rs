@@ -318,7 +318,7 @@ pub fn run_table(spec: &TableSpec, scale: Scale, small: bool) -> InjectionTable 
                 let mit_idx = Mitigation::ALL
                     .iter()
                     .position(|&m| m == source.cfg.mitigation)
-                    .unwrap();
+                    .expect("Mitigation::ALL lists every mitigation");
                 let anomaly = configs[ti].anomaly_exec.as_secs_f64();
                 if anomaly > 0.0 {
                     accuracy.push(AccuracyRecord {

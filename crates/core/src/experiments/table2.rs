@@ -31,7 +31,10 @@ impl Table2 {
     }
 
     pub fn of(&self, model: Model, m: Mitigation) -> f64 {
-        let idx = Mitigation::ALL.iter().position(|&x| x == m).unwrap();
+        let idx = Mitigation::ALL
+            .iter()
+            .position(|&x| x == m)
+            .expect("Mitigation::ALL lists every mitigation");
         match model {
             Model::Omp => self.omp[idx],
             Model::Sycl => self.sycl[idx],

@@ -23,7 +23,10 @@ impl Table6 {
                     Model::Omp => 0,
                     Model::Sycl => 1,
                 };
-                let i = Mitigation::ALL.iter().position(|&x| x == mit).unwrap();
+                let i = Mitigation::ALL
+                    .iter()
+                    .position(|&x| x == mit)
+                    .expect("Mitigation::ALL lists every mitigation");
                 sums[m][i] += pct * 100.0;
                 counts[m][i] += 1;
             }

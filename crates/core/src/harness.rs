@@ -436,6 +436,10 @@ impl RunLedger {
 /// var when set to a positive integer, else the detected host
 /// parallelism, else a documented fallback of 4. Malformed values are
 /// ignored with a note on stderr rather than silently coerced.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the run pool's width only decides which host thread runs a run, never its result"
+)]
 fn host_threads() -> usize {
     if let Ok(v) = std::env::var("NOISELAB_HOST_THREADS") {
         match parse_host_threads(&v) {
@@ -553,6 +557,10 @@ pub fn run_batch(jobs: &[(&RunSpec, usize)], retry: RetryPolicy) -> Vec<RunLedge
     // order below.
     let next = AtomicUsize::new(0);
     let (next, locate) = (&next, &locate);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the run pool: each run stays a pure function of its spec and seed"
+    )]
     let claimed: Vec<Vec<(usize, RunRecord)>> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..host_threads().min(total))
             .map(|_| {

@@ -8,6 +8,9 @@
 //! bisector behind the determinism contract, and the per-table
 //! experiment definitions in [`experiments`].
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod campaign;
 pub mod divergence;
 pub mod durable;

@@ -55,6 +55,9 @@
 //! assert_eq!(config.anomaly_exec, SimDuration(6_000_000));
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod accuracy;
 pub mod config;
 pub mod generate;

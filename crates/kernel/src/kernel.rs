@@ -672,7 +672,7 @@ impl Kernel {
                 self.flush_obs_events();
                 return Err(RunError::Horizon(horizon));
             }
-            let (_, fired) = self.queue.pop().unwrap();
+            let (_, fired) = self.queue.pop().expect("a peeked event is still queued");
             self.handle(fired);
         }
     }
@@ -690,7 +690,7 @@ impl Kernel {
                 self.flush_obs_events();
                 return Ok(());
             }
-            let (_, fired) = self.queue.pop().unwrap();
+            let (_, fired) = self.queue.pop().expect("a peeked event is still queued");
             self.handle(fired);
         }
     }
@@ -971,7 +971,10 @@ impl Kernel {
         self.threads[i].spinning = false;
         match self.threads[i].state {
             ThreadState::Running => {
-                let cpu = self.threads[i].cpu.unwrap().index();
+                let cpu = self.threads[i]
+                    .cpu
+                    .expect("a running thread has a cpu")
+                    .index();
                 self.off_cpu(tid, ThreadState::Blocked);
                 self.clear_compute(i);
                 self.recompute_rates_for(cpu);
@@ -979,7 +982,10 @@ impl Kernel {
             }
             ThreadState::Ready => {
                 // Preempted while spinning; remove from the runqueue.
-                let cpu = self.threads[i].cpu.unwrap().index();
+                let cpu = self.threads[i]
+                    .cpu
+                    .expect("a queued thread has a cpu")
+                    .index();
                 self.dequeue_ready(cpu, tid);
                 self.note_dequeue(cpu, tid);
                 self.clear_compute(i);
@@ -1388,7 +1394,7 @@ impl Kernel {
             return (c, DecisionPoint::PlaceAnyIdle);
         }
         // Least loaded.
-        let mut best = allowed.first().unwrap();
+        let mut best = allowed.first().expect("affinity masks are non-empty");
         let mut best_load = usize::MAX;
         for c in allowed.iter() {
             let load = self.cpus[c.index()].nr_running();
@@ -1692,7 +1698,7 @@ impl Kernel {
 
         if self.computes[i].is_some() {
             let pending = std::mem::take(&mut self.threads[i].pending_overhead_ns);
-            let c = self.computes[i].as_mut().unwrap();
+            let c = self.computes[i].as_mut().expect("checked is_some above");
             c.overhead_ns += pending;
             c.last_update = now;
             self.recompute_rates_for(ci);
@@ -1853,7 +1859,10 @@ impl Kernel {
                 if t <= now {
                     return false;
                 }
-                let cpu = self.threads[i].cpu.unwrap().index();
+                let cpu = self.threads[i]
+                    .cpu
+                    .expect("an acting thread is running on a cpu")
+                    .index();
                 self.off_cpu(tid, ThreadState::Sleeping);
                 self.clear_compute(i);
                 self.queue.arm(self.thread_key(i, ThreadTimer::Wake), t);
@@ -1931,7 +1940,10 @@ impl Kernel {
                 false
             }
             Action::Yield => {
-                let cpu = self.threads[i].cpu.unwrap().index();
+                let cpu = self.threads[i]
+                    .cpu
+                    .expect("an acting thread is running on a cpu")
+                    .index();
                 let has_other = !self.cpus[cpu].rt.is_empty() || !self.cpus[cpu].cfs.is_empty();
                 if !has_other {
                     return false; // nothing to yield to
@@ -1944,7 +1956,10 @@ impl Kernel {
                 true
             }
             Action::Exit => {
-                let cpu = self.threads[i].cpu.unwrap().index();
+                let cpu = self.threads[i]
+                    .cpu
+                    .expect("an acting thread is running on a cpu")
+                    .index();
                 self.off_cpu(tid, ThreadState::Exited);
                 self.clear_compute(i);
                 self.threads[i].exit_time = Some(now);
@@ -2043,7 +2058,10 @@ impl Kernel {
             self.queue
                 .arm(self.thread_key(i, ThreadTimer::Spin), now + spin);
         } else {
-            let cpu = self.threads[i].cpu.unwrap().index();
+            let cpu = self.threads[i]
+                .cpu
+                .expect("a thread starts waiting on its cpu")
+                .index();
             self.off_cpu(tid, ThreadState::Blocked);
             self.clear_compute(i);
             self.recompute_rates_for(cpu);
@@ -2158,9 +2176,13 @@ impl Kernel {
         let now = self.now();
         let depth = (self.cpus[ci].rt.len() + self.cpus[ci].cfs.len()) as u32;
         // A throttle exit needs the window start before `eval` closes it.
-        let d = self.dvfs.as_ref().unwrap();
+        let d = self.dvfs.as_ref().expect("checked is_some above");
         let window_start = d.is_throttled(ci).then(|| d.throttle_since(ci));
-        let out = self.dvfs.as_mut().unwrap().eval(ci, now, depth);
+        let out = self
+            .dvfs
+            .as_mut()
+            .expect("checked is_some above")
+            .eval(ci, now, depth);
         if let Some((heat_milli, entered)) = out.throttle {
             self.note_decision(
                 ci,
@@ -2253,14 +2275,18 @@ impl Kernel {
     /// scheduled event time remains exact, so skip the heap churn — the
     /// dominant cost in steady state.
     fn apply_rate(&mut self, ti: usize, factor: f64, rate: f64, now: SimTime) {
-        let c = self.computes[ti].as_mut().unwrap();
+        let c = self.computes[ti]
+            .as_mut()
+            .expect("a rated thread has a compute phase");
         let unchanged = (c.rate - rate).abs() <= 1e-12 * rate.max(1.0);
         c.rate = rate;
         let key = self.thread_key(ti, ThreadTimer::Compute);
         if unchanged && self.queue.is_armed(key) {
             return;
         }
-        let c = self.computes[ti].as_ref().unwrap();
+        let c = self.computes[ti]
+            .as_ref()
+            .expect("a rated thread has a compute phase");
         let eta = if factor == 0.0 { None } else { c.eta_ns() };
         match eta {
             Some(ns) => self.queue.rearm(key, now + SimDuration(ns.max(1))),
@@ -2354,10 +2380,13 @@ impl Kernel {
             if self.computes[ti].is_none() {
                 continue;
             }
-            self.computes[ti].as_mut().unwrap().advance_to(now);
+            self.computes[ti]
+                .as_mut()
+                .expect("checked is_none above")
+                .advance_to(now);
             let factor = self.compute_factor(cpu, now);
             let rate = {
-                let c = self.computes[ti].as_ref().unwrap();
+                let c = self.computes[ti].as_ref().expect("checked is_none above");
                 // No bandwidth demand anywhere, so the allocation is 0.
                 self.machine.perf.rate(&c.solo, factor, 0.0)
             };
@@ -2398,7 +2427,12 @@ impl Kernel {
         let now = self.now();
         {
             let (running, computes) = (&self.running, &mut self.computes);
-            running.for_each(|_, ti| computes[ti].as_mut().unwrap().advance_to(now));
+            running.for_each(|_, ti| {
+                computes[ti]
+                    .as_mut()
+                    .expect("a running thread has a compute phase")
+                    .advance_to(now)
+            });
         }
         let sib = self.machine.sibling_of(CpuId(ci as u32)).map(|c| c.index());
         for cpu in [Some(ci), sib].into_iter().flatten() {
@@ -2430,7 +2464,7 @@ impl Kernel {
             let factor = self.compute_factor(cpu, now);
             let alloc = self.scratch.demand_by_cpu[cpu];
             let rate = {
-                let c = self.computes[ti].as_ref().unwrap();
+                let c = self.computes[ti].as_ref().expect("checked is_none above");
                 self.machine.perf.rate(&c.solo, factor, alloc)
             };
             self.apply_rate(ti, factor, rate, now);
@@ -2470,7 +2504,10 @@ impl Kernel {
         // First pass: advance progress at old rates.
         for k in 0..n {
             let (ti, _) = self.scratch.running[k];
-            self.computes[ti].as_mut().unwrap().advance_to(now);
+            self.computes[ti]
+                .as_mut()
+                .expect("a running thread has a compute phase")
+                .advance_to(now);
         }
         // Compute factors (SMT) and bandwidth demands.
         self.scratch.factors.clear();
@@ -2482,7 +2519,9 @@ impl Kernel {
             let (ti, ci) = self.scratch.running[k];
             let factor = self.compute_factor(ci, now);
             self.scratch.factors[k] = factor;
-            let c = self.computes[ti].as_ref().unwrap();
+            let c = self.computes[ti]
+                .as_ref()
+                .expect("a running thread has a compute phase");
             if factor > 0.0 && c.solo.bw_demand > 0.0 {
                 self.scratch.demands[k] = upper_bound_demand(&c.solo, factor);
                 any_demand = true;
@@ -2518,7 +2557,9 @@ impl Kernel {
             let factor = self.scratch.factors[k];
             let alloc = self.scratch.allocs[k];
             let rate = {
-                let c = self.computes[ti].as_ref().unwrap();
+                let c = self.computes[ti]
+                    .as_ref()
+                    .expect("a running thread has a compute phase");
                 self.machine.perf.rate(&c.solo, factor, alloc)
             };
             self.apply_rate(ti, factor, rate, now);

@@ -38,6 +38,9 @@
 //! assert!((0.0009..0.0012).contains(&end.as_secs_f64()));
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod action;
 pub mod config;
 pub mod cpu;

@@ -54,8 +54,9 @@ impl WireRecord {
     /// fewer than [`WIRE_RECORD_BYTES`] bytes remain.
     pub fn decode_from(buf: &[u8], offset: usize) -> Option<WireRecord> {
         let b = buf.get(offset..offset + WIRE_RECORD_BYTES)?;
-        let u64_at = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
-        let u32_at = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
+        let u64_at =
+            |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("an 8-byte slice"));
+        let u32_at = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().expect("a 4-byte slice"));
         Some(WireRecord {
             start: u64_at(0),
             dur_ns: u64_at(8),

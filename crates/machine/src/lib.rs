@@ -9,6 +9,9 @@
 //! and the two A64FX systems (with and without firmware-reserved OS
 //! cores) behind the motivation figures.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod cpuset;
 pub mod dvfs;
 pub mod machine;

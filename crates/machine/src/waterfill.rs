@@ -56,7 +56,12 @@ pub fn waterfill_into(
     // they fit under the running fair share.
     order.clear();
     order.extend(0..n);
-    order.sort_by(|&a, &b| demands[a].partial_cmp(&demands[b]).unwrap().then(a.cmp(&b)));
+    order.sort_by(|&a, &b| {
+        demands[a]
+            .partial_cmp(&demands[b])
+            .expect("bandwidth demands are never NaN")
+            .then(a.cmp(&b))
+    });
 
     alloc.resize(n, 0.0);
     let mut remaining = capacity;

@@ -10,6 +10,9 @@
 //! * [`trace`] — the trace data model ([`RunTrace`], [`TraceSet`]) the
 //!   injector pipeline consumes, serialisable to JSON.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod analysis;
 pub mod sources;
 pub mod trace;

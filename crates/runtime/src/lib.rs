@@ -13,6 +13,9 @@
 //! difference in noise resilience the paper measures falls out of the
 //! chunking policy and overhead parameters, not from special-casing.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod omp;
 pub mod program;
 pub mod sycl;

@@ -9,6 +9,9 @@
 //! claim rests on: given the same seed, a simulation replays the exact
 //! same event sequence.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod event;
 pub mod rng;
 pub mod time;

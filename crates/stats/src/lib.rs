@@ -4,6 +4,9 @@
 //! change) and plain-text table rendering used by the experiment
 //! harness and benches to reproduce the paper's tables.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod bootstrap;
 pub mod hist;
 pub mod summary;

@@ -21,6 +21,9 @@
 //!   routed through the workspace's single audited [`wall_clock`]
 //!   site.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod binary;
 pub mod chrome;
 pub mod metrics;

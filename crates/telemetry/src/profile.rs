@@ -19,12 +19,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 
-/// The single audited host-clock read. Everything host-timed in the
+/// The single approved host-clock read. Everything host-timed in the
 /// workspace (this profiler, the bench harness banner) routes through
-/// here, so the determinism auditor has exactly one wall-clock site to
-/// approve.
+/// here, so clippy's `Instant::now` ban has exactly one expected site.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one approved host-timing site; simulated results never read it"
+)]
 pub fn wall_clock() -> Instant {
-    Instant::now() // audit:allow(wall-clock): the one approved host-timing site; simulated results never read it
+    Instant::now()
 }
 
 const N_PHASES: usize = Phase::ALL.len();

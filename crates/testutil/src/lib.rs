@@ -12,6 +12,9 @@
 //! used inline: several gates assert bit-identical behaviour across
 //! runs, so the helpers must not drift per-suite.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 use noiselab_core::{
     run, ExecConfig, Mitigation, Model, Platform, RunArena, RunFailure, RunOutput, RunSpec,
 };
@@ -275,7 +278,6 @@ pub fn small_injection() -> InjectionConfig {
 /// A scratch file under the OS temp dir, namespaced per suite.
 pub fn tmp_path(suite: &str, name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(suite);
-    // audit:allow(panic-path): test-support helper — a failed tmp-dir creation should abort the suite loudly
     std::fs::create_dir_all(&dir).expect("create tmp dir");
     dir.join(name)
 }

@@ -111,7 +111,7 @@ pub fn analyze(log: &QuantumLog) -> FwqReport {
     let log = log.borrow();
     let all: Vec<SimDuration> = log.iter().flatten().copied().collect();
     assert!(!all.is_empty(), "no FWQ samples collected");
-    let min = all.iter().copied().min().unwrap();
+    let min = all.iter().copied().min().expect("asserted non-empty above");
     let mut total = SimDuration::ZERO;
     let mut max_det = SimDuration::ZERO;
     let mut disturbed = 0;

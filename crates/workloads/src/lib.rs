@@ -14,6 +14,9 @@
 //! (bandwidth-bound), [`MiniFE`] (mixed, reduction-heavy) and
 //! [`SchedBench`] (the motivation-figure microbenchmark).
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+
 pub mod babelstream;
 pub mod fwq;
 pub mod minife;

@@ -22,7 +22,7 @@
 //! noiselab campaign --workers N [--queue DIR] [--shard-size 2] [--heartbeat-secs 120]
 //!                   [--shard-timeout-secs 3600] [--max-shard-crashes 3] [--chaos-kills 0]
 //! noiselab audit    [--static] [--dual-run] [--json] [--root .]
-//!                   [--sarif <path|->] [--fail-on-stale-allow] [--cache <path>] [--no-cache]
+//!                   [--sarif <path|->]
 //!                   [--platform intel] [--workload nbody] [--model omp] [--mitigation Rm]
 //!                   [--seed 1] [--perturb N] [--cadence 64]
 //! noiselab conform  [--fuzz N] [--seed S] [--corpus <dir>] [--json]
@@ -63,14 +63,14 @@
 //! code flips: a mutated campaign that PASSES is the failure).
 //!
 //! `audit` enforces the determinism contract: `--static` sweeps the
-//! deterministic crates with the token lexer *and* the taint analyzer
-//! (parse → CFG → dataflow), reporting any unannotated nondeterminism
-//! source that reaches a determinism sink as a source→sink path;
-//! `--sarif` emits a SARIF 2.1.0 report (to a file, or stdout with
-//! `-`), `--fail-on-stale-allow` makes unused `audit:allow`
-//! annotations fatal, and the per-file cache under `target/` (relocate
-//! with `--cache <path>`, disable with `--no-cache`) keeps warm sweeps
-//! fast. `--dual-run` executes the same cell twice and bisects the
+//! deterministic crates with the taint analyzer (parse → CFG →
+//! dataflow), reporting any unannotated nondeterminism source that
+//! reaches a determinism sink as a source→sink path, and fails on any
+//! such path or any stale `audit:allow` annotation; `--sarif` emits a
+//! SARIF 2.1.0 report (to a file, or stdout with `-`). The API bans
+//! (hash containers, wall-clock reads, entropy, host threads, unsafe,
+//! library unwraps) are clippy lints (`crates/clippy.toml`), not part
+//! of this pass. `--dual-run` executes the same cell twice and bisects the
 //! event streams, naming the first divergent event if they differ
 //! (`--perturb N` deliberately forks run B after event N to exercise
 //! the pipeline). Flags given without a value (`--static --json`) are
@@ -805,7 +805,7 @@ fn cmd_metrics_checkpoint(path: &std::path::Path, json: bool) -> Result<(), Stri
 }
 
 fn cmd_audit(args: &Args) -> Result<(), String> {
-    use noiselab::audit::{audit_workspace_with, AuditOptions};
+    use noiselab::audit::audit_workspace;
     use noiselab::core::divergence::{dual_run_harness, DualRunOutcome, DEFAULT_CADENCE};
 
     let json = args.get("json", "false") == "true";
@@ -816,23 +816,8 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
 
     if want_static {
         let root = std::path::PathBuf::from(args.get("root", "."));
-        let fail_stale = args.get("fail-on-stale-allow", "false") == "true";
-        // Incremental cache is on by default; `--no-cache` forces a
-        // cold sweep, `--cache <path>` relocates the cache file.
-        let opts = if args.get("no-cache", "false") == "true" {
-            AuditOptions { cache_path: None }
-        } else {
-            let path = match args.opts.get("cache") {
-                // Bare `--cache` parses as "true": keep the default path.
-                Some(p) if p != "true" => std::path::PathBuf::from(p),
-                _ => AuditOptions::default_cache_path(&root),
-            };
-            AuditOptions {
-                cache_path: Some(path),
-            }
-        };
         let started = std::time::Instant::now();
-        let report = audit_workspace_with(&root, &opts).map_err(|e| format!("audit: {e}"))?;
+        let report = audit_workspace(&root).map_err(|e| format!("audit: {e}"))?;
         let elapsed = started.elapsed();
         if let Some(sarif) = args.opts.get("sarif") {
             if sarif == "-" {
@@ -860,7 +845,7 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
                 report.violations.len()
             ));
         }
-        if fail_stale && !report.stale_allows.is_empty() {
+        if !report.stale_allows.is_empty() {
             return Err(format!(
                 "audit: {} stale audit:allow annotation(s)",
                 report.stale_allows.len()
