@@ -109,23 +109,6 @@ impl HotpathHistory {
     }
 }
 
-/// Mirror of `BENCH_telemetry.json` (the nested full `report` is
-/// ignored; the summary fields are what the cross-check needs).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, Deserialize)]
-pub struct TelemetryBench {
-    pub bench: String,
-    pub workload: String,
-    pub config: String,
-    pub seed: u64,
-    pub reps: u32,
-    pub events_per_run: u64,
-    pub host_ns_per_event_off: f64,
-    pub host_ns_per_event_on: f64,
-    pub telemetry_overhead_pct: f64,
-    pub tracer_overhead_pct: f64,
-    pub both_overhead_pct: f64,
-}
-
 /// Read a bench file, insisting on `"bench": "<expected>"` before any
 /// shape parsing — a file from the wrong emitter (or from before the
 /// tag existed) is refused with a sentence naming both schemas.
@@ -164,15 +147,6 @@ pub fn load_hotpath(path: &Path) -> Result<HotpathHistory, AdviseError> {
     HotpathHistory::from_value(&value).map_err(|e| AdviseError::BenchSchema {
         path: path.to_path_buf(),
         detail: format!("malformed hotpath history: {e}"),
-    })
-}
-
-/// Load and validate `BENCH_telemetry.json`.
-pub fn load_telemetry(path: &Path) -> Result<TelemetryBench, AdviseError> {
-    let value = load_bench_value(path, "telemetry_overhead")?;
-    TelemetryBench::from_value(&value).map_err(|e| AdviseError::BenchSchema {
-        path: path.to_path_buf(),
-        detail: format!("malformed telemetry bench summary: {e}"),
     })
 }
 

@@ -16,8 +16,7 @@
 //! 3. **Regression watch** ([`regress`]): judge the latest bench
 //!    snapshot against the trajectory's own step-to-step variability
 //!    (robust z over historical changes — statistics, not raw
-//!    thresholds), and cross-check `BENCH_telemetry.json` against
-//!    `BENCH_hotpath.json` so a stale file cannot lie unnoticed.
+//!    thresholds).
 //!
 //! Plus a mitigation recommendation table ([`recommend`]) re-deriving
 //! the paper's Table-2-style judgment (pin vs roam, housekeeping
@@ -40,11 +39,10 @@ pub mod smell;
 
 pub use blame::{attribute_set, Blame};
 pub use input::{
-    load_hotpath, load_telemetry, load_traces, AdviseError, HotpathCell, HotpathHistory,
-    HotpathSnapshot, TelemetryBench,
+    load_hotpath, load_traces, AdviseError, HotpathCell, HotpathHistory, HotpathSnapshot,
 };
 pub use recommend::{recommend, Recommendation};
-pub use regress::{hotpath_checks, telemetry_cross_check, BenchCheck, Verdict};
+pub use regress::{hotpath_checks, BenchCheck, Verdict};
 pub use smell::{detect_smells, Severity, Smell, SmellKind};
 
 use noiselab_core::CampaignState;
@@ -80,9 +78,6 @@ pub struct AdviseConfig {
     /// jumps from widening the tolerance for future regressions.
     pub scale_floor: f64,
     pub scale_cap: f64,
-    /// Tolerated relative disagreement between the telemetry bench's
-    /// bare ns/event and the hotpath trajectory's latest snapshot.
-    pub cross_check_tolerance: f64,
 }
 
 impl Default for AdviseConfig {
@@ -97,7 +92,6 @@ impl Default for AdviseConfig {
             change_floor: 0.20,
             scale_floor: 0.03,
             scale_cap: 0.15,
-            cross_check_tolerance: 0.25,
         }
     }
 }
@@ -112,8 +106,6 @@ pub struct AdviseInputs {
     pub traces: BTreeMap<String, TraceSet>,
     /// `(display name, parsed history)` of `BENCH_hotpath.json`.
     pub hotpath: Option<(String, HotpathHistory)>,
-    /// `(display name, parsed summary)` of `BENCH_telemetry.json`.
-    pub telemetry: Option<(String, TelemetryBench)>,
 }
 
 /// The assembled diagnosis. Serializes to the JSON report form.
@@ -246,13 +238,6 @@ pub fn advise(inputs: &AdviseInputs, cfg: &AdviseConfig) -> AdviseReport {
 
     if let Some((name, history)) = &inputs.hotpath {
         bench.extend(hotpath_checks(name, history, cfg));
-        if let Some((tname, telem)) = &inputs.telemetry {
-            let (check, smell) = telemetry_cross_check(tname, telem, history, cfg);
-            bench.push(check);
-            if let Some(s) = smell {
-                smells.push(s);
-            }
-        }
     }
     smell::sort_smells(&mut smells);
 

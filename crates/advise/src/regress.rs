@@ -9,8 +9,7 @@
 //! capped so past optimization jumps don't widen the tolerance), plus
 //! an absolute change floor so statistically-loud trivia is ignored.
 
-use crate::input::{HotpathHistory, TelemetryBench};
-use crate::smell::{Severity, Smell, SmellKind};
+use crate::input::HotpathHistory;
 use crate::AdviseConfig;
 use noiselab_stats::{mad, median};
 use serde::{Deserialize, Serialize};
@@ -151,76 +150,4 @@ pub fn hotpath_checks(file: &str, h: &HotpathHistory, cfg: &AdviseConfig) -> Vec
         }
     }
     out
-}
-
-/// Cross-check `BENCH_telemetry.json` against the hotpath trajectory:
-/// both claim a bare ns/event for the same (workload, config) cell,
-/// and a stale file shows up as a disagreement no honest re-run can
-/// produce. Returns the check row plus a critical smell when the
-/// files disagree.
-pub fn telemetry_cross_check(
-    file: &str,
-    t: &TelemetryBench,
-    h: &HotpathHistory,
-    cfg: &AdviseConfig,
-) -> (BenchCheck, Option<Smell>) {
-    let cell = format!("{}/{}", t.workload, t.config);
-    let hot = h
-        .latest()
-        .cells
-        .iter()
-        .find(|c| c.workload == t.workload && c.config == t.config);
-    let Some(hot) = hot else {
-        return (
-            BenchCheck {
-                file: file.to_string(),
-                cell: cell.clone(),
-                metric: "bare ns/event cross-check".to_string(),
-                previous: 0.0,
-                latest: t.host_ns_per_event_off,
-                change: 0.0,
-                z: 0.0,
-                verdict: Verdict::Inconclusive,
-                summary: format!("hotpath history has no {cell} cell to compare against"),
-            },
-            None,
-        );
-    };
-    let change = t.host_ns_per_event_off / hot.bare_ns_per_event - 1.0;
-    let agree = change.abs() <= cfg.cross_check_tolerance;
-    let summary = format!(
-        "telemetry bench says {:.1} ns/event bare, hotpath '{}' says {:.1} ({:+.1}%): {}",
-        t.host_ns_per_event_off,
-        h.latest().label,
-        hot.bare_ns_per_event,
-        change * 100.0,
-        if agree {
-            "trajectories agree"
-        } else {
-            "one of the two files is stale"
-        },
-    );
-    let check = BenchCheck {
-        file: file.to_string(),
-        cell,
-        metric: "bare ns/event cross-check".to_string(),
-        previous: hot.bare_ns_per_event,
-        latest: t.host_ns_per_event_off,
-        change,
-        z: 0.0,
-        verdict: if agree {
-            Verdict::Ok
-        } else {
-            Verdict::Regression
-        },
-        summary: summary.clone(),
-    };
-    let smell = (!agree).then(|| Smell {
-        severity: Severity::Critical,
-        kind: SmellKind::BenchMismatch,
-        cell: file.to_string(),
-        score: change.abs(),
-        summary,
-    });
-    (check, smell)
 }

@@ -45,8 +45,6 @@ pub enum SmellKind {
     EmptyCell,
     /// Worker crashes / heartbeat timeouts during the campaign.
     SupervisorInstability,
-    /// Two committed bench files disagree about the same quantity.
-    BenchMismatch,
 }
 
 impl SmellKind {
@@ -58,7 +56,6 @@ impl SmellKind {
             SmellKind::LostCells => "lost-cells",
             SmellKind::EmptyCell => "empty-cell",
             SmellKind::SupervisorInstability => "supervisor-instability",
-            SmellKind::BenchMismatch => "bench-mismatch",
         }
     }
 }

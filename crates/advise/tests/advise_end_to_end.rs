@@ -4,10 +4,9 @@
 //! regardless of input order; the bench watch must flag a synthetic 2x
 //! regression and accept honest history.
 
-use noiselab_advise::input::{HotpathCell, HotpathHistory, HotpathSnapshot, TelemetryBench};
+use noiselab_advise::input::{HotpathCell, HotpathHistory, HotpathSnapshot};
 use noiselab_advise::{
-    advise, hotpath_checks, telemetry_cross_check, AdviseConfig, AdviseInputs, Severity, SmellKind,
-    Verdict,
+    advise, hotpath_checks, AdviseConfig, AdviseInputs, Severity, SmellKind, Verdict,
 };
 use noiselab_core::{CampaignState, CellKey, CellRecord, QuarantineRecord};
 use noiselab_kernel::NoiseClass;
@@ -375,39 +374,6 @@ fn synthetic_2x_regression_is_flagged_and_honest_history_passes() {
         honest.iter().all(|c| c.verdict != Verdict::Regression),
         "{honest:#?}"
     );
-}
-
-#[test]
-fn stale_telemetry_bench_is_cross_checked_against_hotpath() {
-    let cfg = AdviseConfig::default();
-    let telem = |bare_off: f64| TelemetryBench {
-        bench: "telemetry_overhead".to_string(),
-        workload: "nbody".to_string(),
-        config: "Rm-OMP".to_string(),
-        seed: 1,
-        reps: 5,
-        events_per_run: 2131,
-        host_ns_per_event_off: bare_off,
-        host_ns_per_event_on: bare_off * 1.22,
-        telemetry_overhead_pct: 22.0,
-        tracer_overhead_pct: 22.0,
-        both_overhead_pct: 40.0,
-    };
-    // Stale file: claims 320 ns/event bare where the trajectory's
-    // latest honest measurement is ~201.
-    let (check, smell) =
-        telemetry_cross_check("BENCH_telemetry.json", &telem(320.0), &history(201.0), &cfg);
-    assert_eq!(check.verdict, Verdict::Regression);
-    let smell = smell.expect("stale file must smell");
-    assert_eq!(smell.kind, SmellKind::BenchMismatch);
-    assert_eq!(smell.severity, Severity::Critical);
-    assert!(smell.summary.contains("stale"), "{}", smell.summary);
-
-    // Honest regeneration agrees and raises nothing.
-    let (check, smell) =
-        telemetry_cross_check("BENCH_telemetry.json", &telem(199.0), &history(201.0), &cfg);
-    assert_eq!(check.verdict, Verdict::Ok);
-    assert!(smell.is_none());
 }
 
 #[test]

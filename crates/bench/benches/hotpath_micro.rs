@@ -2,9 +2,6 @@
 //! pipeline overhaul introduced, each isolating one mechanism the
 //! macro sweep (`hotpath.rs`) only sees in aggregate:
 //!
-//! * `observer_dispatch/{0,1,4}` — a fixed kernel scenario with N
-//!   batch-subscribed observers attached, showing the per-observer
-//!   marginal cost of the masked, batched dispatch path;
 //! * `intern/{hit,first_sight_64}` — steady-state id lookup vs the
 //!   first-sight path that allocates and inserts;
 //! * `arena/{fresh_per_run,reused}` — one fully instrumented run
@@ -19,65 +16,9 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec};
-use noiselab_kernel::{
-    Action, InternTable, Kernel, KernelConfig, KernelObserver, ScriptBehavior, ThreadKind,
-    ThreadSpec, WireRecord, WIRE_NO_THREAD, WIRE_RECORD_BYTES,
-};
-use noiselab_machine::WorkUnit;
-use noiselab_sim::SimDuration;
+use noiselab_kernel::{InternTable, WireRecord, WIRE_NO_THREAD, WIRE_RECORD_BYTES};
 use noiselab_telemetry::TelemetryConfig;
-use noiselab_testutil::{costed_machine, horizon, tiny_nbody};
-
-/// Observer that touches each batch once — the cheapest subscriber the
-/// batched `events` hook supports, so the measurement is dominated by
-/// dispatch plumbing rather than observer work.
-struct CountingObserver(u64);
-
-impl KernelObserver for CountingObserver {
-    fn events(&mut self, batch: &[WireRecord], _intern: &InternTable) {
-        self.0 += batch.len() as u64;
-    }
-}
-
-/// A fixed two-thread kernel scenario (compute, sleep, compute on a
-/// 4-core costed machine) with `n_obs` observers attached; returns the
-/// summed exit times so the run cannot be optimised away.
-fn kernel_scenario(n_obs: usize) -> u64 {
-    let mut k = Kernel::new(costed_machine(4, 1), KernelConfig::default(), 7);
-    for _ in 0..n_obs {
-        k.attach_observer(Box::new(CountingObserver(0)));
-    }
-    let spawn = |k: &mut Kernel, name: &str, fibs: f64| {
-        k.spawn(
-            ThreadSpec::new(name, ThreadKind::Workload),
-            Box::new(ScriptBehavior::new(vec![
-                Action::Compute(WorkUnit::compute(fibs)),
-                Action::SleepFor(SimDuration::from_micros(200)),
-                Action::Compute(WorkUnit::compute(fibs)),
-            ])),
-        )
-    };
-    let a = spawn(&mut k, "a", 4_000_000.0);
-    let b = spawn(&mut k, "b", 3_000_000.0);
-    [a, b]
-        .iter()
-        .map(|&t| {
-            k.run_until_exit(t, horizon())
-                .expect("bench run failed")
-                .nanos()
-        })
-        .sum()
-}
-
-fn bench_observer_dispatch(c: &mut Criterion) {
-    for (id, n_obs) in [
-        ("observer_dispatch/0", 0usize),
-        ("observer_dispatch/1", 1),
-        ("observer_dispatch/4", 4),
-    ] {
-        c.bench_function(id, |b| b.iter(|| kernel_scenario(black_box(n_obs))));
-    }
-}
+use noiselab_testutil::tiny_nbody;
 
 fn bench_intern(c: &mut Criterion) {
     let names: Vec<String> = (0..64).map(|i| format!("noise:src{i}")).collect();
@@ -193,6 +134,6 @@ criterion_group!(
         .sample_size(20)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
-    targets = bench_observer_dispatch, bench_intern, bench_arena, bench_wire_codec
+    targets = bench_intern, bench_arena, bench_wire_codec
 );
 criterion_main!(benches);

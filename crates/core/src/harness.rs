@@ -342,7 +342,12 @@ pub fn run(spec: &RunSpec, arena: &mut RunArena) -> Result<InstrumentedRun, RunF
     let report = kernel
         .take_sanitizer_report()
         .expect("sanitizer attached at kernel construction");
-    let tele_report = telemetry.map(|tele| tele.take_report(end));
+    // The sanitizer folds every dispatched event, so its count is the
+    // telemetry's `kernel.events`.
+    let tele_report = telemetry.map(|tele| {
+        tele.counter_add("kernel.events", report.events);
+        tele.take_report(end)
+    });
     kernel.retire(&mut arena.kernel);
     if let Some(prof) = &arena.profiler {
         prof.exit(noiselab_kernel::Phase::Stats);

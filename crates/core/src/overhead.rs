@@ -55,8 +55,8 @@ pub struct OverheadReport {
     pub seed: u64,
     /// Repetitions per mode; each row reports the minimum.
     pub reps: u32,
-    /// Kernel events dispatched per run (counted by the last
-    /// telemetry-attached mode).
+    /// Kernel events dispatched per run, as the sanitizer counts them
+    /// (the last mode, tracer and telemetry attached).
     pub events: u64,
     pub rows: Vec<OverheadRow>,
     /// Host self-time per simulator phase, from one profiled run with
@@ -134,14 +134,12 @@ pub fn measure_overhead(
                 ..bare.clone()
             };
             let t0 = wall_clock();
-            let out = run(&spec, &mut arena)?.output;
+            let inst = run(&spec, &mut arena)?;
             let ns = wall_clock().duration_since(t0).as_nanos() as u64;
             best_ns = best_ns.min(ns);
-            exec_s = out.exec.as_secs_f64();
-            stream_hash = out.stream_hash;
-            if let Some(m) = &out.metrics {
-                events = m.counter("kernel.events");
-            }
+            exec_s = inst.output.exec.as_secs_f64();
+            stream_hash = inst.output.stream_hash;
+            events = inst.sanitizer.events;
         }
         rows.push(OverheadRow {
             mode: mode.to_string(),
@@ -209,7 +207,7 @@ mod tests {
         let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
         let rep = measure_overhead(&p, &w, &cfg, 7, 1).expect("runs succeed");
         assert_eq!(rep.rows.len(), 4);
-        assert!(rep.events > 0, "telemetry must count kernel events");
+        assert!(rep.events > 0, "the sanitizer must count kernel events");
         // Telemetry is pure within each tracing mode...
         assert_eq!(rep.rows[0].exec_s, rep.rows[1].exec_s);
         assert_eq!(rep.rows[0].stream_hash, rep.rows[1].stream_hash);

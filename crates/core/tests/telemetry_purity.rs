@@ -8,6 +8,8 @@
 use noiselab_core::{
     run, run_many, ExecConfig, Mitigation, Model, Platform, RetryPolicy, RunArena, RunSpec,
 };
+use noiselab_kernel::{CpuStallSpec, FaultPlan, SanitizerConfig, SpuriousIrqSpec};
+use noiselab_sim::SimDuration;
 use noiselab_telemetry::{PhaseProfiler, TelemetryConfig};
 use noiselab_testutil::run_fresh;
 use noiselab_workloads::NBody;
@@ -123,4 +125,80 @@ fn tracer_drop_counters_surface_in_metrics() {
         "metrics registry must mirror the tracer's ring-buffer accounting"
     );
     assert_eq!(m.counter("trace.dropped"), trace.dropped_events);
+}
+
+/// `kernel.events` is the sanitizer's count of dispatched events, so
+/// the two agree exactly on plain, faulted and perturbed runs, traced
+/// or not. The perturbed run's synthetic IRQ is a dispatched event and
+/// counts on both sides.
+#[test]
+fn kernel_events_is_the_sanitizer_event_count() {
+    let p = Platform::intel();
+    let w = tiny_nbody();
+    let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
+    // Every fault kind that leaves the run alive: lost and late ticks,
+    // spurious IRQs and a CPU stall.
+    let plan = FaultPlan {
+        seed: 0xFA17,
+        lost_tick_prob: 0.02,
+        late_tick_prob: 0.05,
+        late_tick_max: SimDuration::from_micros(50),
+        spurious: Some(SpuriousIrqSpec {
+            rate_per_sec: 2_000.0,
+            service_mean: SimDuration::from_micros(5),
+            window: SimDuration::from_millis(20),
+        }),
+        stall: Some(CpuStallSpec {
+            start: (SimDuration::ZERO, SimDuration::from_millis(2)),
+            duration: (SimDuration::from_micros(100), SimDuration::from_micros(300)),
+        }),
+        ..FaultPlan::default()
+    };
+    let plain = RunSpec {
+        telemetry: Some(TelemetryConfig::metrics_only()),
+        ..RunSpec::new(&p, &w, &cfg, 21)
+    };
+    let specs = [
+        ("plain", plain.clone()),
+        (
+            "faulted",
+            RunSpec {
+                faults: Some(&plan),
+                ..plain.clone()
+            },
+        ),
+        (
+            "perturbed",
+            RunSpec {
+                sanitizer: SanitizerConfig {
+                    perturb_at: Some(40),
+                    ..SanitizerConfig::hash_only()
+                },
+                ..plain.clone()
+            },
+        ),
+    ];
+    for tracing in [false, true] {
+        let mut hashes = Vec::new();
+        for (label, spec) in &specs {
+            let inst = run(
+                &RunSpec {
+                    tracing,
+                    ..spec.clone()
+                },
+                &mut RunArena::default(),
+            )
+            .unwrap_or_else(|e| panic!("{label} run failed: {e}"));
+            let m = inst.output.metrics.as_ref().expect("metrics snapshot");
+            assert_eq!(
+                m.counter("kernel.events"),
+                inst.sanitizer.events,
+                "{label} run, tracing {tracing}"
+            );
+            hashes.push(inst.output.stream_hash);
+        }
+        // The faults and the perturbation really moved the stream.
+        assert_ne!(hashes[0], hashes[1], "fault plan did not fire");
+        assert_ne!(hashes[0], hashes[2], "perturbation did not fire");
+    }
 }

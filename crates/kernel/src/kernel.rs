@@ -21,7 +21,6 @@ use crate::policy::Policy;
 use crate::sanitize::{EventKind, EventRecord, EventSanitizer, SanitizerConfig, SanitizerReport};
 use crate::thread::{ActiveCompute, BlockReason, Thread, ThreadKind, ThreadState};
 use crate::trace::{NoiseClass, TraceSink};
-use crate::wire::{InternTable, WireRecord};
 use noiselab_machine::{waterfill_into, CpuId, CpuSet, Machine, SoloProfile};
 use noiselab_sim::{EventQueue, Fired, Rng, SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -286,25 +285,18 @@ pub struct Kernel {
     faults: Option<FaultState>,
     /// Threads torn down by [`Self::schedule_abort`], in abort order.
     aborted: Vec<ThreadId>,
-    /// Event-stream sanitizer, folding every dispatched event into a
-    /// running hash (see [`crate::sanitize`]). A pure observer unless
-    /// its chaos hook is armed.
+    /// Event-stream sanitizer, the one consumer of dispatched events:
+    /// it folds each into a running hash and counts them (see
+    /// [`crate::sanitize`]). A pure observer unless its chaos hook is
+    /// armed.
     sanitizer: Option<EventSanitizer>,
-    /// Telemetry observer receiving dispatch and scheduling records
-    /// (see [`crate::observe`]). Always a pure observer.
+    /// Telemetry observer receiving scheduling records (see
+    /// [`crate::observe`]). Always a pure observer; dispatched events
+    /// go only to the sanitizer.
     observer: Option<Box<dyn KernelObserver>>,
     /// Host-time phase profiler; the kernel only announces boundaries,
     /// it never reads a clock itself.
     profiler: Option<Box<dyn HostProfiler>>,
-    /// Precomputed observation mask (see `OBS_*` bits): one load tells
-    /// the dispatch loop whether any event consumer is attached.
-    /// Maintained at the attach/detach/take points.
-    obs_mask: u8,
-    /// Pending batched event records for the observer, flushed at
-    /// `OBS_BATCH` or before any scheduling record / run-loop return.
-    obs_events: Vec<WireRecord>,
-    /// Intern table for the noise-source labels in `obs_events`.
-    obs_intern: InternTable,
     /// Live DVFS state (frequency levels, turbo budget, thermal
     /// accumulator). `None` when the machine's DVFS axis is disabled:
     /// no events, no rate scaling, no state — bit-identical to the
@@ -313,13 +305,6 @@ pub struct Kernel {
     /// runtime per run keeps arena reuse trivially pure.
     dvfs: Option<crate::dvfs::DvfsRuntime>,
 }
-
-/// `obs_mask` bit: an event sanitizer is attached.
-const OBS_SANITIZER: u8 = 1;
-/// `obs_mask` bit: a kernel observer is attached.
-const OBS_OBSERVER: u8 = 2;
-/// Batched-observer flush threshold (records).
-const OBS_BATCH: usize = 64;
 
 /// Recyclable per-run kernel state: every growable buffer the kernel
 /// owns, detached from a finished run by [`Kernel::retire`] and handed
@@ -341,8 +326,6 @@ pub struct KernelStorage {
     running: RunningSet,
     scratch: RateScratch,
     aborted: Vec<ThreadId>,
-    obs_events: Vec<WireRecord>,
-    obs_intern: InternTable,
 }
 
 impl Kernel {
@@ -397,10 +380,6 @@ impl Kernel {
         scratch.reset();
         let mut aborted = std::mem::take(&mut storage.aborted);
         aborted.clear();
-        let mut obs_events = std::mem::take(&mut storage.obs_events);
-        obs_events.clear();
-        let mut obs_intern = std::mem::take(&mut storage.obs_intern);
-        obs_intern.clear();
         let dvfs = machine
             .dvfs
             .enabled
@@ -430,9 +409,6 @@ impl Kernel {
             sanitizer: None,
             observer: None,
             profiler: None,
-            obs_mask: 0,
-            obs_events,
-            obs_intern,
             dvfs,
         }
     }
@@ -453,8 +429,6 @@ impl Kernel {
         storage.running = self.running;
         storage.scratch = self.scratch;
         storage.aborted = self.aborted;
-        storage.obs_events = self.obs_events;
-        storage.obs_intern = self.obs_intern;
     }
 
     #[inline]
@@ -481,7 +455,6 @@ impl Kernel {
     /// this never changes the simulation.
     pub fn attach_sanitizer(&mut self, config: SanitizerConfig) {
         self.sanitizer = Some(EventSanitizer::new(config));
-        self.obs_mask |= OBS_SANITIZER;
     }
 
     /// Running event-stream hash, if a sanitizer is attached.
@@ -491,36 +464,18 @@ impl Kernel {
 
     /// Detach the sanitizer and return its report.
     pub fn take_sanitizer_report(&mut self) -> Option<SanitizerReport> {
-        self.obs_mask &= !OBS_SANITIZER;
         self.sanitizer.take().map(|s| s.into_report())
     }
 
-    /// Attach a telemetry observer. It receives every dispatched event
-    /// and every scheduling record until [`Self::detach_observer`];
-    /// observers are pure, so this never changes the simulation.
+    /// Attach a telemetry observer. It receives every scheduling record
+    /// until [`Self::detach_observer`]; observers are pure, so this
+    /// never changes the simulation.
     pub fn attach_observer(&mut self, obs: Box<dyn KernelObserver>) {
         self.observer = Some(obs);
-        self.obs_mask |= OBS_OBSERVER;
     }
 
     pub fn detach_observer(&mut self) -> Option<Box<dyn KernelObserver>> {
-        self.flush_obs_events();
-        self.obs_mask &= !OBS_OBSERVER;
         self.observer.take()
-    }
-
-    /// Deliver any batched event records to the observer. A no-op with
-    /// an empty batch, so call sites sprinkle it freely: before every
-    /// scheduling record and at every run-loop return, keeping the
-    /// merged event/sched stream an observer sees in dispatch order.
-    fn flush_obs_events(&mut self) {
-        if self.obs_events.is_empty() {
-            return;
-        }
-        if let Some(obs) = self.observer.as_mut() {
-            obs.events(&self.obs_events, &self.obs_intern);
-        }
-        self.obs_events.clear();
     }
 
     /// Attach a host-time phase profiler (see [`crate::observe`]).
@@ -661,15 +616,12 @@ impl Kernel {
     pub fn run_until_exit(&mut self, tid: ThreadId, horizon: SimTime) -> Result<SimTime, RunError> {
         loop {
             if let Some(t) = self.threads[tid.index()].exit_time {
-                self.flush_obs_events();
                 return Ok(t);
             }
             let Some(next) = self.queue.peek_time() else {
-                self.flush_obs_events();
                 return Err(RunError::Drained);
             };
             if next > horizon {
-                self.flush_obs_events();
                 return Err(RunError::Horizon(horizon));
             }
             let (_, fired) = self.queue.pop().expect("a peeked event is still queued");
@@ -683,11 +635,9 @@ impl Kernel {
     pub fn run_until(&mut self, until: SimTime) -> Result<(), RunError> {
         loop {
             let Some(next) = self.queue.peek_time() else {
-                self.flush_obs_events();
                 return Ok(());
             };
             if next > until {
-                self.flush_obs_events();
                 return Ok(());
             }
             let (_, fired) = self.queue.pop().expect("a peeked event is still queued");
@@ -732,7 +682,7 @@ impl Kernel {
             Fired::Event(ev) => ev,
             Fired::Timer(key) => self.timer_event(key),
         };
-        if self.obs_mask != 0 {
+        if self.sanitizer.is_some() {
             self.observe_event(&ev);
         }
         match ev {
@@ -766,8 +716,7 @@ impl Kernel {
         self.prof_exit(Phase::Dispatch);
     }
 
-    /// Feed a dispatched event to the attached telemetry observer and
-    /// fold it into the attached sanitizer, firing the sanitizer's
+    /// Fold a dispatched event into the attached sanitizer, firing its
     /// chaos hook (one synthetic device IRQ, now) when armed.
     fn observe_event(&mut self, ev: &KEvent) {
         let now = self.now();
@@ -841,26 +790,7 @@ impl Kernel {
                 source: None,
             },
         };
-        if self.obs_mask & OBS_OBSERVER != 0 {
-            let name = rec.source.map_or(u32::MAX, |s| self.obs_intern.intern(s));
-            self.obs_events.push(WireRecord {
-                start: rec.time.0,
-                dur_ns: rec.duration_ns,
-                cpu: rec.cpu.unwrap_or(u32::MAX),
-                thread: rec.thread.unwrap_or(u32::MAX),
-                name,
-                tag: rec.kind.tag(),
-            });
-            if self.obs_events.len() >= OBS_BATCH {
-                self.flush_obs_events();
-            }
-        }
-        let perturb = self
-            .sanitizer
-            .as_mut()
-            .map(|s| s.observe(&rec))
-            .unwrap_or(false);
-        if perturb {
+        if self.sanitizer.as_mut().is_some_and(|s| s.observe(&rec)) {
             self.queue.schedule(
                 now,
                 KEvent::DeviceIrq {
@@ -910,7 +840,6 @@ impl Kernel {
             stall += self.config.trace_event_overhead.nanos();
             self.prof_exit(Phase::Tracer);
         }
-        self.flush_obs_events();
         if let Some(obs) = self.observer.as_mut() {
             obs.sched(&SchedRecord::IrqSpan {
                 cpu: ci as u32,
@@ -1075,7 +1004,6 @@ impl Kernel {
                 }
                 self.prof_exit(Phase::Tracer);
             }
-            self.flush_obs_events();
             if let Some(obs) = self.observer.as_mut() {
                 obs.sched(&SchedRecord::IrqSpan {
                     cpu: ci as u32,
@@ -1422,7 +1350,6 @@ impl Kernel {
         }
         self.queued_total += 1;
         self.kick_pending = true;
-        self.flush_obs_events();
         if let Some(obs) = self.observer.as_mut() {
             let depth = (self.cpus[ci].rt.len() + self.cpus[ci].cfs.len()) as u32;
             obs.sched(&SchedRecord::Enqueue {
@@ -1517,7 +1444,6 @@ impl Kernel {
             }
         }
 
-        self.flush_obs_events();
         if let Some(obs) = self.observer.as_mut() {
             obs.sched(&SchedRecord::SwitchOut {
                 cpu: cpu.0,
@@ -1557,7 +1483,6 @@ impl Kernel {
         };
         self.off_cpu(tid, ThreadState::Ready);
         self.threads[tid.index()].stats.preemptions += 1;
-        self.flush_obs_events();
         if let Some(obs) = self.observer.as_mut() {
             obs.sched(&SchedRecord::Preempt {
                 cpu: ci as u32,
@@ -1573,7 +1498,6 @@ impl Kernel {
     /// Pure observation: no kernel state is read back.
     #[inline]
     fn note_decision(&mut self, ci: usize, point: DecisionPoint) {
-        self.flush_obs_events();
         if let Some(obs) = self.observer.as_mut() {
             obs.sched(&SchedRecord::Decision {
                 cpu: ci as u32,
@@ -1585,7 +1509,6 @@ impl Kernel {
 
     #[inline]
     fn note_dequeue(&mut self, ci: usize, tid: ThreadId) {
-        self.flush_obs_events();
         if let Some(obs) = self.observer.as_mut() {
             obs.sched(&SchedRecord::Dequeue {
                 cpu: ci as u32,
@@ -1668,7 +1591,6 @@ impl Kernel {
                     cross_numa = true;
                 }
             }
-            self.flush_obs_events();
             if let Some(obs) = self.observer.as_mut() {
                 obs.sched(&SchedRecord::Migrate {
                     thread: tid.0,
@@ -1682,7 +1604,6 @@ impl Kernel {
         self.threads[i].pending_overhead_ns += overhead;
         self.threads[i].last_cpu = Some(CpuId(ci as u32));
 
-        self.flush_obs_events();
         if let Some(obs) = self.observer.as_mut() {
             let runq_depth = (self.cpus[ci].rt.len() + self.cpus[ci].cfs.len()) as u32;
             obs.sched(&SchedRecord::SwitchIn {
@@ -1905,7 +1826,6 @@ impl Kernel {
             }
             Action::SetPolicy(p) => {
                 self.threads[i].policy = p;
-                self.flush_obs_events();
                 if let Some(obs) = self.observer.as_mut() {
                     obs.sched(&SchedRecord::PolicySwitch {
                         thread: tid.0,
@@ -2192,7 +2112,6 @@ impl Kernel {
                     DecisionPoint::ThrottleExit
                 },
             );
-            self.flush_obs_events();
             if let Some(obs) = self.observer.as_mut() {
                 obs.sched(&SchedRecord::Throttle {
                     cpu: ci as u32,
@@ -2226,7 +2145,6 @@ impl Kernel {
         }
         if let Some((from_khz, to_khz, why)) = out.transition {
             self.note_decision(ci, why);
-            self.flush_obs_events();
             if let Some(obs) = self.observer.as_mut() {
                 obs.sched(&SchedRecord::FreqTransition {
                     cpu: ci as u32,
@@ -2248,7 +2166,6 @@ impl Kernel {
             return;
         };
         self.note_decision(ci, DecisionPoint::FreqIdle);
-        self.flush_obs_events();
         if let Some(obs) = self.observer.as_mut() {
             obs.sched(&SchedRecord::FreqTransition {
                 cpu: ci as u32,

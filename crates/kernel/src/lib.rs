@@ -68,5 +68,5 @@ pub use sanitize::{
     SanitizerReport,
 };
 pub use thread::{ThreadKind, ThreadState};
-pub use trace::{NoiseClass, RecordedEvent, TraceSink, VecSink};
+pub use trace::{NoiseClass, TraceSink};
 pub use wire::{InternTable, WireRecord, WIRE_NO_THREAD, WIRE_RECORD_BYTES};

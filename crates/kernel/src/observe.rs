@@ -6,11 +6,13 @@
 //!
 //! * [`KernelObserver`] receives virtual-time scheduling records —
 //!   context switches, migrations, preemptions, enqueues, IRQ/softirq
-//!   service windows and policy switches — plus every dispatched event
-//!   (the same [`EventRecord`] stream the sanitizer folds). Observers
-//!   are pure: no method returns a value the kernel reads, so attaching
-//!   one cannot perturb the simulation. The purity property test in
-//!   `noiselab-core` proves it by `stream_hash` equality.
+//!   service windows and policy switches. Dispatched events are not
+//!   observer records: their one consumer is the kernel-owned
+//!   [`crate::sanitize::EventSanitizer`], whose report also carries the
+//!   event count. Observers are pure: no method returns a value the
+//!   kernel reads, so attaching one cannot perturb the simulation. The
+//!   purity property test in `noiselab-core` proves it by `stream_hash`
+//!   equality.
 //! * [`HostProfiler`] receives host-time phase boundaries (event
 //!   dispatch, scheduler, tracer). The kernel never reads a clock — it
 //!   only announces phase entry/exit; the boxed implementation in
@@ -19,9 +21,7 @@
 //! Every call site is guarded by an `Option` check, so a kernel with no
 //! observer attached pays one branch per hook and nothing else.
 
-use crate::sanitize::{EventKind, EventRecord};
 use crate::thread::{ThreadKind, ThreadState};
-use crate::wire::{InternTable, WireRecord};
 use noiselab_sim::SimTime;
 
 /// One scheduling-layer occurrence, flattened for observation. Borrowed
@@ -235,44 +235,10 @@ impl DecisionPoint {
     }
 }
 
-/// A pure observer of kernel activity. Both methods default to no-ops
-/// so an implementation can subscribe to only one stream.
+/// A pure observer of the kernel's scheduling layer.
 pub trait KernelObserver {
-    /// Called at the single dispatch point, with the same record the
-    /// sanitizer hashes.
-    fn event(&mut self, rec: &EventRecord<'_>) {
-        let _ = rec;
-    }
-
-    /// A batch of consecutively dispatched events, in dispatch order,
-    /// in the compact wire encoding: `tag` is [`EventKind::tag`],
-    /// `name` indexes `intern` (the event's noise-source label, absent
-    /// for `u32::MAX`), `start`/`dur_ns` carry the dispatch time and
-    /// IRQ service length. The kernel buffers small batches and always
-    /// flushes before delivering a scheduling record and before the
-    /// run-loop returns, so the merged event/sched order an observer
-    /// sees is unchanged — only the call granularity differs.
-    /// Implementations that only count can add `batch.len()` in one
-    /// step; the default decodes each record back into an
-    /// [`EventRecord`] and fans out to [`KernelObserver::event`].
-    fn events(&mut self, batch: &[WireRecord], intern: &InternTable) {
-        for w in batch {
-            let rec = EventRecord {
-                kind: EventKind::from_tag(w.tag).expect("invalid event tag in batch"),
-                cpu: (w.cpu != u32::MAX).then_some(w.cpu),
-                thread: (w.thread != u32::MAX).then_some(w.thread),
-                time: SimTime(w.start),
-                duration_ns: w.dur_ns,
-                source: intern.get(w.name),
-            };
-            self.event(&rec);
-        }
-    }
-
     /// Called at each scheduling-layer hook.
-    fn sched(&mut self, rec: &SchedRecord<'_>) {
-        let _ = rec;
-    }
+    fn sched(&mut self, rec: &SchedRecord<'_>);
 }
 
 /// Host-time phases the kernel announces to an attached

@@ -66,8 +66,7 @@ impl EventKind {
         }
     }
 
-    /// Stable wire/hash discriminant (also the `tag` byte of the
-    /// batched-observer wire records).
+    /// Stable discriminant, the first byte of each record's hash fold.
     pub fn tag(self) -> u8 {
         match self {
             EventKind::Start => 1,
@@ -79,21 +78,6 @@ impl EventKind {
             EventKind::DeviceIrq => 7,
             EventKind::Abort => 8,
         }
-    }
-
-    /// Inverse of [`EventKind::tag`].
-    pub fn from_tag(tag: u8) -> Option<EventKind> {
-        Some(match tag {
-            1 => EventKind::Start,
-            2 => EventKind::WakeTimer,
-            3 => EventKind::ComputeDone,
-            4 => EventKind::SpinExpire,
-            5 => EventKind::Tick,
-            6 => EventKind::IrqDone,
-            7 => EventKind::DeviceIrq,
-            8 => EventKind::Abort,
-            _ => return None,
-        })
     }
 }
 
@@ -278,11 +262,6 @@ impl EventSanitizer {
         self.config.perturb_at == Some(index)
     }
 
-    /// Events folded so far.
-    pub fn events(&self) -> u64 {
-        self.count
-    }
-
     /// Current running hash.
     pub fn hash(&self) -> u64 {
         self.hash
@@ -323,7 +302,7 @@ mod tests {
             b.observe(&r);
         }
         assert_eq!(a.hash(), b.hash());
-        assert_eq!(a.events(), 1000);
+        assert_eq!(a.into_report().events, 1000);
     }
 
     #[test]

@@ -36,41 +36,3 @@ pub trait TraceSink {
         duration: SimDuration,
     );
 }
-
-/// A sink that stores everything in memory; used by unit tests and as the
-/// backing store of the osnoise tracer.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    pub events: Vec<RecordedEvent>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordedEvent {
-    pub cpu: CpuId,
-    pub class: NoiseClass,
-    pub source: String,
-    pub tid: Option<ThreadId>,
-    pub start: SimTime,
-    pub duration: SimDuration,
-}
-
-impl TraceSink for VecSink {
-    fn record(
-        &mut self,
-        cpu: CpuId,
-        class: NoiseClass,
-        source: &str,
-        tid: Option<ThreadId>,
-        start: SimTime,
-        duration: SimDuration,
-    ) {
-        self.events.push(RecordedEvent {
-            cpu,
-            class,
-            source: source.to_string(),
-            tid,
-            start,
-            duration,
-        });
-    }
-}

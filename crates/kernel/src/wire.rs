@@ -1,7 +1,8 @@
 //! The compact wire record: one fixed-width encoding shared by every
 //! high-volume event store in the workspace — the osnoise tracer's ring
 //! buffer, the telemetry span recorder's timeline, and the NLTB binary
-//! trace format (schema v2).
+//! trace format (schema v2). The kernel's dispatched events are not
+//! among them: the event sanitizer folds those in place, unencoded.
 //!
 //! A [`WireRecord`] is 29 bytes, little-endian, with string payloads
 //! replaced by indices into an [`InternTable`] carried alongside the

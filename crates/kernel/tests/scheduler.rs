@@ -3,12 +3,12 @@
 //! migration and determinism.
 
 use noiselab_kernel::{
-    Action, Kernel, KernelConfig, Policy, ScriptBehavior, ThreadKind, ThreadSpec,
+    Action, Kernel, KernelConfig, NoiseClass, Policy, ScriptBehavior, ThreadKind, ThreadSpec,
 };
 use noiselab_machine::{CpuId, CpuSet, WorkUnit};
 use noiselab_sim::{SimDuration, SimTime};
 use noiselab_testutil::{
-    horizon, quiet_config, quiet_kernel as kernel, quiet_machine, spawn_compute,
+    horizon, quiet_config, quiet_kernel as kernel, quiet_machine, recorder, spawn_compute,
 };
 
 #[test]
@@ -449,62 +449,46 @@ fn exited_thread_frees_cpu() {
 
 #[test]
 fn tracer_records_timer_irqs() {
-    let mut k = kernel(2, 1);
-    k.attach_tracer(Box::new(noiselab_kernel::VecSink::default()));
-    let t = spawn_compute(&mut k, "w", 20_000_000.0, Policy::NORMAL); // 20 ms
-    k.run_until_exit(t, horizon()).unwrap();
-    let sink = k.detach_tracer().unwrap();
-    // Can't downcast Box<dyn TraceSink> without Any; instead re-check via
-    // a fresh run below. Here just ensure detach returns the sink.
-    drop(sink);
-
-    // Fresh run keeping the concrete type outside.
-    let machine = quiet_machine(2, 1);
+    // Only a busy CPU takes the timer IRQ: 20 ms of compute on one of
+    // two CPUs at 4 ms ticks is five `local_timer` records on that CPU,
+    // one tick period apart, each the quiet config's fixed 200 ns.
+    // Softirqs (probability 0.5 here) follow their tick's service.
     let mut cfg = quiet_config();
     cfg.softirq_prob = 0.5;
-    let mut k2 = Kernel::new(machine, cfg, 3);
-    let sink = noiselab_kernel::VecSink::default();
-    k2.attach_tracer(Box::new(sink));
-    let t2 = k2.spawn(
-        ThreadSpec::new("w", ThreadKind::Workload),
-        Box::new(ScriptBehavior::new(vec![Action::Compute(
-            WorkUnit::compute(20_000_000.0),
-        )])),
-    );
-    k2.run_until_exit(t2, horizon()).unwrap();
-    // 20 ms on 2 cpus at 4 ms ticks -> ~10 tick IRQs total.
-    // (VecSink is opaque behind the trait; noise crate adds an
-    // introspectable tracer — here we only verify no panic.)
+    let mut k = Kernel::new(quiet_machine(2, 1), cfg, 3);
+    let (sink, store) = recorder();
+    k.attach_tracer(Box::new(sink));
+    let t = spawn_compute(&mut k, "w", 20_000_000.0, Policy::NORMAL);
+    k.run_until_exit(t, horizon()).unwrap();
+    assert!(k.detach_tracer().is_some());
+
+    let events = store.borrow();
+    let ticks: Vec<_> = events
+        .iter()
+        .filter(|(_, c, s, _, _)| *c == NoiseClass::Irq && s == "local_timer:236")
+        .collect();
+    assert_eq!(ticks.len(), 5, "{events:?}");
+    for (a, b) in ticks.iter().zip(ticks.iter().skip(1)) {
+        assert_eq!(a.0, b.0, "ticks moved CPU: {events:?}");
+        assert_eq!(b.3 - a.3, 4_000_000, "ticks off the 4 ms grid: {events:?}");
+    }
+    assert!(ticks.iter().all(|t| t.4 == 200), "{events:?}");
+    let softirqs: Vec<_> = events
+        .iter()
+        .filter(|(_, c, _, _, _)| *c == NoiseClass::Softirq)
+        .collect();
+    assert!(!softirqs.is_empty(), "{events:?}");
+    assert!(softirqs
+        .iter()
+        .all(|s| ticks.iter().any(|t| t.0 == s.0 && t.3 + t.4 == s.3)));
+    assert_eq!(events.len(), ticks.len() + softirqs.len(), "{events:?}");
 }
 
 #[test]
 fn thread_noise_interval_traced() {
-    // Use the noise kind + a shared sink via a thin adapter.
-    use noiselab_kernel::{NoiseClass, TraceSink};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    #[derive(Default)]
-    struct Shared(Rc<RefCell<Vec<(NoiseClass, String, u64)>>>);
-    impl TraceSink for Shared {
-        fn record(
-            &mut self,
-            _cpu: CpuId,
-            class: NoiseClass,
-            source: &str,
-            _tid: Option<noiselab_kernel::ThreadId>,
-            _start: SimTime,
-            duration: SimDuration,
-        ) {
-            self.0
-                .borrow_mut()
-                .push((class, source.to_string(), duration.nanos()));
-        }
-    }
-
-    let store = Rc::new(RefCell::new(Vec::new()));
+    let (sink, store) = recorder();
     let mut k = kernel(1, 1);
-    k.attach_tracer(Box::new(Shared(store.clone())));
+    k.attach_tracer(Box::new(sink));
     let w = spawn_compute(&mut k, "w", 5_000_000.0, Policy::NORMAL);
     let noise = k.spawn(
         ThreadSpec::new("kworker/0:1", ThreadKind::Noise).start_at(SimTime::from_secs_f64(0.001)),
@@ -518,15 +502,17 @@ fn thread_noise_interval_traced() {
     let events = store.borrow();
     let thread_noise: Vec<_> = events
         .iter()
-        .filter(|(c, _, _)| *c == NoiseClass::Thread)
+        .filter(|(_, c, _, _, _)| *c == NoiseClass::Thread)
         .collect();
     assert!(!thread_noise.is_empty(), "kworker interval not traced");
-    let total: u64 = thread_noise.iter().map(|(_, _, d)| d).sum();
+    let total: u64 = thread_noise.iter().map(|(_, _, _, _, d)| d).sum();
     assert!(
         (450_000..700_000).contains(&total),
         "kworker noise total {total} ns, expected ~500us"
     );
-    assert!(thread_noise.iter().any(|(_, s, _)| s == "kworker/0:1"));
+    assert!(thread_noise
+        .iter()
+        .any(|(_, _, s, _, _)| s == "kworker/0:1"));
 }
 
 #[test]
@@ -598,31 +584,9 @@ fn burnwall_pauses_while_preempted() {
 
 #[test]
 fn device_irq_stalls_running_thread_and_is_traced() {
-    use noiselab_kernel::{NoiseClass, TraceSink};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    #[derive(Default)]
-    struct Sink(Rc<RefCell<Vec<(NoiseClass, String, u64)>>>);
-    impl TraceSink for Sink {
-        fn record(
-            &mut self,
-            _cpu: CpuId,
-            class: NoiseClass,
-            source: &str,
-            _tid: Option<noiselab_kernel::ThreadId>,
-            _start: SimTime,
-            duration: SimDuration,
-        ) {
-            self.0
-                .borrow_mut()
-                .push((class, source.to_string(), duration.nanos()));
-        }
-    }
-
-    let store = Rc::new(RefCell::new(Vec::new()));
+    let (sink, store) = recorder();
     let mut k = kernel(1, 1);
-    k.attach_tracer(Box::new(Sink(store.clone())));
+    k.attach_tracer(Box::new(sink));
     let w = spawn_compute(&mut k, "w", 5_000_000.0, Policy::NORMAL);
     // 2 ms of device IRQ at t=1ms.
     k.inject_irq(
@@ -636,7 +600,7 @@ fn device_irq_stalls_running_thread_and_is_traced() {
     let events = store.borrow();
     assert!(events
         .iter()
-        .any(|(c, s, d)| *c == NoiseClass::Irq && s == "nvme0q1:130" && *d == 2_000_000));
+        .any(|(_, c, s, _, d)| *c == NoiseClass::Irq && s == "nvme0q1:130" && *d == 2_000_000));
 }
 
 #[test]

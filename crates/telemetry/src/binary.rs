@@ -20,10 +20,9 @@
 //! ```
 //!
 //! The record layout is [`noiselab_kernel::wire::WireRecord`] — the
-//! same fixed-width encoding the tracer ring buffer and the kernel's
-//! batched observer dispatch use, so a timeline serializes with one
-//! `extend`-style cursor bump per record instead of per-field varint
-//! branching.
+//! same fixed-width encoding the tracer ring buffer uses, so a
+//! timeline serializes with one `extend`-style cursor bump per record
+//! instead of per-field varint branching.
 //!
 //! Schema **v3** appends one section to the v2 layout:
 //!

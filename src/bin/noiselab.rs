@@ -8,7 +8,7 @@
 //! noiselab metrics  [--runs 5] [--tracing true] [--json] [--profile] [--overhead [--reps 3]]
 //! noiselab metrics  --checkpoint state.json [--json]   # merged campaign + supervisor metrics
 //! noiselab advise   [--checkpoint state.json] [--traces <file|dir>] [--check]
-//!                   [--bench-hotpath BENCH_hotpath.json] [--bench-telemetry BENCH_telemetry.json]
+//!                   [--bench-hotpath BENCH_hotpath.json]
 //!                   [--json] [--markdown <path|->] [--cv-threshold 0.05] [--alpha 0.01]
 //!                   [--resamples 800] [--advise-seed N]
 //! noiselab generate --traces traces.json --out config.json [--merge improved|naive]
@@ -687,9 +687,7 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
 /// `--check` exits nonzero on any critical smell or significant bench
 /// regression (the CI gate).
 fn cmd_advise(args: &Args) -> Result<(), String> {
-    use noiselab::advise::{
-        advise, load_hotpath, load_telemetry, load_traces, AdviseConfig, AdviseInputs,
-    };
+    use noiselab::advise::{advise, load_hotpath, load_traces, AdviseConfig, AdviseInputs};
     use noiselab::core::CampaignState;
     use std::path::Path;
 
@@ -735,10 +733,6 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
     if let Some(p) = bench_path("bench-hotpath", "BENCH_hotpath.json") {
         let history = load_hotpath(&p).map_err(|e| e.to_string())?;
         inputs.hotpath = Some((p.display().to_string(), history));
-    }
-    if let Some(p) = bench_path("bench-telemetry", "BENCH_telemetry.json") {
-        let telem = load_telemetry(&p).map_err(|e| e.to_string())?;
-        inputs.telemetry = Some((p.display().to_string(), telem));
     }
     if inputs.checkpoint.is_none() && inputs.traces.is_empty() && inputs.hotpath.is_none() {
         return Err(
