@@ -310,7 +310,7 @@ fn sink_of(name: &str) -> Option<SinkKind> {
         "fingerprint" | "fingerprint_v2" => Some(SinkKind::Fingerprint),
         "write_atomic" | "save" | "save_checkpoint" => Some(SinkKind::Checkpoint),
         "merge" => Some(SinkKind::MetricsMerge),
-        "schedule" | "arm" | "rearm" => Some(SinkKind::EventKey),
+        "schedule" | "arm" => Some(SinkKind::EventKey),
         _ => None,
     }
 }

@@ -55,7 +55,7 @@ fn bench_event_queue(c: &mut Criterion) {
             let mut q = EventQueue::<u64>::new();
             q.arm(0, SimTime(1));
             for i in 1..10_000u64 {
-                q.rearm(0, SimTime(i % 4_096 + 1));
+                q.arm(0, SimTime(i % 4_096 + 1));
             }
             q.pop()
         })

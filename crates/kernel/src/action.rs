@@ -9,9 +9,9 @@
 //! runtime, noise, injector — executes inside one deterministic
 //! event loop.
 
-use crate::ids::{BarrierId, ThreadId, WaitId};
+use crate::ids::{BarrierId, ThreadId};
 use crate::policy::Policy;
-use noiselab_machine::{CpuSet, WorkUnit};
+use noiselab_machine::WorkUnit;
 use noiselab_sim::{Rng, SimDuration, SimTime};
 
 /// What a thread asks the kernel to do next.
@@ -38,19 +38,8 @@ pub enum Action {
     /// Enter barrier `id`. The thread spins on-CPU for up to `spin`
     /// before blocking; the last arrival releases everyone.
     Barrier { id: BarrierId, spin: SimDuration },
-    /// Block on wait queue `wq` (FIFO wake order), spinning on-CPU for up
-    /// to `spin` first in case a notify arrives quickly.
-    WaitOn { wq: WaitId, spin: SimDuration },
-    /// Wake up to `count` threads blocked on `wq`. Instantaneous; the
-    /// kernel immediately asks for the next action.
-    Notify { wq: WaitId, count: usize },
-    /// Wake a specific blocked/sleeping thread. Instantaneous.
-    Wake(ThreadId),
     /// Change own scheduling policy (`sched_setscheduler`). Instantaneous.
     SetPolicy(Policy),
-    /// Change own affinity mask (`sched_setaffinity`). Instantaneous; if
-    /// the current CPU is no longer allowed the thread migrates.
-    SetAffinity(CpuSet),
     /// Give up the CPU, staying runnable.
     Yield,
     /// Terminate the thread.

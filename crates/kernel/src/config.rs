@@ -1,14 +1,14 @@
 //! Kernel tunables.
 
 use noiselab_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Scheduler and interrupt-model configuration.
 ///
 /// Defaults approximate the Ubuntu 24.04 kernels of the paper's two
-/// platforms with the paper's required overrides already applied (RT
-/// throttling disabled so `SCHED_FIFO` noise can occupy 100 % of a CPU).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// platforms with the paper's required override built in: the kernel
+/// has no RT throttling, as if it were disabled, so `SCHED_FIFO` noise
+/// can occupy 100 % of a CPU.
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelConfig {
     /// CFS wakeup preemption granularity: a woken fair task preempts the
     /// running fair task only if its vruntime is at least this much
@@ -16,9 +16,6 @@ pub struct KernelConfig {
     pub wakeup_granularity: SimDuration,
     /// Minimum on-CPU time before tick-driven fair preemption.
     pub min_granularity: SimDuration,
-    /// Whether the RT throttling fail-safe is active. The paper disables
-    /// it during injection; we default to disabled for parity.
-    pub rt_throttling: bool,
     /// Mean service time of the per-tick local timer interrupt.
     pub timer_irq_mean: SimDuration,
     /// Standard deviation of the timer interrupt service time.
@@ -31,9 +28,6 @@ pub struct KernelConfig {
     /// enabled (buffer write + timestamp), producing the sub-1 % overhead
     /// of paper Table 1.
     pub trace_event_overhead: SimDuration,
-    /// Enable idle load balancing (pulling a waiting thread when a CPU
-    /// goes idle). Real kernels always do this; exposed for ablations.
-    pub idle_balance: bool,
     /// Tickless idle (NO_HZ): an idle CPU parks its timer tick instead
     /// of re-arming it every period, and is re-kicked when it gets work
     /// (or when queued work it could pull appears elsewhere). Ticks stay
@@ -43,9 +37,6 @@ pub struct KernelConfig {
     /// only the simulator's own event count changes. Exposed so the
     /// equivalence suite can run both modes at the same seed.
     pub tickless: bool,
-    /// Maximum consecutive instantaneous actions per behavior step, to
-    /// catch runaway behaviors early.
-    pub max_instant_actions: u32,
 }
 
 impl Default for KernelConfig {
@@ -53,15 +44,12 @@ impl Default for KernelConfig {
         KernelConfig {
             wakeup_granularity: SimDuration::from_millis(1),
             min_granularity: SimDuration::from_millis(3),
-            rt_throttling: false,
             timer_irq_mean: SimDuration::from_nanos(1_800),
             timer_irq_sd: SimDuration::from_nanos(600),
             softirq_prob: 0.25,
             softirq_mean: SimDuration::from_nanos(2_500),
             trace_event_overhead: SimDuration::from_nanos(2_000),
-            idle_balance: true,
             tickless: true,
-            max_instant_actions: 1024,
         }
     }
 }

@@ -25,8 +25,3 @@ impl fmt::Display for ThreadId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
 pub struct BarrierId(pub u32);
-
-/// Identifies a kernel wait queue (futex-like).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct WaitId(pub u32);

@@ -15,23 +15,23 @@ use crate::action::{Action, Behavior, Ctx};
 use crate::config::KernelConfig;
 use crate::cpu::Cpu;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
-use crate::ids::{BarrierId, ThreadId, WaitId};
+use crate::ids::{BarrierId, ThreadId};
 use crate::observe::{DecisionPoint, HostProfiler, KernelObserver, Phase, SchedRecord};
 use crate::policy::Policy;
 use crate::sanitize::{EventKind, EventRecord, EventSanitizer, SanitizerConfig, SanitizerReport};
-use crate::thread::{ActiveCompute, BlockReason, Thread, ThreadKind, ThreadState};
+use crate::thread::{ActiveCompute, Thread, ThreadKind, ThreadState};
 use crate::trace::{NoiseClass, TraceSink};
 use noiselab_machine::{waterfill_into, CpuId, CpuSet, Machine, SoloProfile};
 use noiselab_sim::{EventQueue, Fired, Rng, SimDuration, SimTime};
-use std::collections::VecDeque;
 
 /// Per-thread keyed timers (see [`Kernel::thread_key`]). Every event
 /// the kernel may cancel or re-predict is a keyed timer: these four per
 /// thread plus `IrqDone` per CPU. The rest (`Tick`, `DeviceIrq`,
 /// `Abort`, the sanitizer's perturbation IRQ) are plain
-/// fire-and-forget events. Re-predictions that cancel first use
-/// `rearm`; sites that arm a timer the thread may still have pending
-/// use `arm`, which keeps the older entry firing, uncancellable.
+/// fire-and-forget events. Arming a pending key replaces its entry:
+/// re-predictions (compute completions, IRQ windows) rely on that, and
+/// the one-shot timers go through [`Kernel::arm_once`], which asserts
+/// nothing is pending.
 #[derive(Debug, Clone, Copy)]
 enum ThreadTimer {
     Start,
@@ -53,6 +53,10 @@ impl ThreadTimer {
         ThreadTimer::Spin,
     ];
 }
+
+/// Maximum consecutive instantaneous actions per behavior step, to
+/// catch runaway behaviors early.
+const MAX_INSTANT_ACTIONS: u32 = 1024;
 
 /// Simulation events.
 #[derive(Debug, Clone)]
@@ -134,10 +138,6 @@ pub enum RunError {
 struct BarrierState {
     parties: usize,
     waiting: Vec<ThreadId>,
-}
-
-struct WaitQueueState {
-    waiters: VecDeque<ThreadId>,
 }
 
 /// Water-fill demand of a runnable compute that wants bandwidth: its
@@ -247,7 +247,6 @@ pub struct Kernel {
     behaviors: Vec<Option<Box<dyn Behavior>>>,
     cpus: Vec<Cpu>,
     barriers: Vec<BarrierState>,
-    waitqs: Vec<WaitQueueState>,
     rng: Rng,
     tracer: Option<Box<dyn TraceSink>>,
     /// Per-CPU trace-write overhead accumulated since the last tick,
@@ -320,7 +319,6 @@ pub struct KernelStorage {
     behaviors: Vec<Option<Box<dyn Behavior>>>,
     cpus: Vec<Cpu>,
     barriers: Vec<BarrierState>,
-    waitqs: Vec<WaitQueueState>,
     pending_trace_ns: Vec<u64>,
     computes: Vec<Option<ActiveCompute>>,
     running: RunningSet,
@@ -367,8 +365,6 @@ impl Kernel {
         behaviors.clear();
         let mut barriers = std::mem::take(&mut storage.barriers);
         barriers.clear();
-        let mut waitqs = std::mem::take(&mut storage.waitqs);
-        waitqs.clear();
         let mut pending_trace_ns = std::mem::take(&mut storage.pending_trace_ns);
         pending_trace_ns.clear();
         pending_trace_ns.resize(n, 0);
@@ -392,7 +388,6 @@ impl Kernel {
             behaviors,
             cpus,
             barriers,
-            waitqs,
             rng: Rng::new(seed),
             tracer: None,
             pending_trace_ns,
@@ -423,7 +418,6 @@ impl Kernel {
         storage.behaviors = self.behaviors;
         storage.cpus = self.cpus;
         storage.barriers = self.barriers;
-        storage.waitqs = self.waitqs;
         storage.pending_trace_ns = self.pending_trace_ns;
         storage.computes = self.computes;
         storage.running = self.running;
@@ -578,8 +572,7 @@ impl Kernel {
         self.computes.push(None);
         self.behaviors.push(Some(behavior));
         let at = spec.start.max(self.now());
-        self.queue
-            .arm(self.thread_key(id.index(), ThreadTimer::Start), at);
+        self.arm_once(id.index(), ThreadTimer::Start, at);
         id
     }
 
@@ -589,14 +582,6 @@ impl Kernel {
         self.barriers.push(BarrierState {
             parties,
             waiting: Vec::new(),
-        });
-        id
-    }
-
-    pub fn new_waitq(&mut self) -> WaitId {
-        let id = WaitId(self.waitqs.len() as u32);
-        self.waitqs.push(WaitQueueState {
-            waiters: VecDeque::new(),
         });
         id
     }
@@ -653,6 +638,17 @@ impl Kernel {
     #[inline]
     fn thread_key(&self, ti: usize, which: ThreadTimer) -> usize {
         self.cpus.len() + ti * THREAD_TIMERS + which as usize
+    }
+
+    /// Arm a one-shot thread timer. Arming a pending key would replace
+    /// its entry and silently drop an event, so the key must be idle.
+    fn arm_once(&mut self, ti: usize, which: ThreadTimer, at: SimTime) {
+        let key = self.thread_key(ti, which);
+        debug_assert!(
+            !self.queue.is_armed(key),
+            "{which:?} timer of thread {ti} armed while pending"
+        );
+        self.queue.arm(key, at);
     }
 
     /// The event a fired timer key stands for.
@@ -856,7 +852,7 @@ impl Kernel {
         let end = now + SimDuration(stall);
         if end > self.cpus[ci].irq_until {
             self.cpus[ci].irq_until = end;
-            self.queue.rearm(ci, end);
+            self.queue.arm(ci, end);
         }
         if self.cpus[ci].current.is_some() {
             self.recompute_rates_for(ci);
@@ -1042,7 +1038,7 @@ impl Kernel {
             let end = now + SimDuration(stall);
             if end > self.cpus[ci].irq_until {
                 self.cpus[ci].irq_until = end;
-                self.queue.rearm(ci, end);
+                self.queue.arm(ci, end);
             }
             // The busy tick is the periodic governor/thermal evaluation
             // point (runtime was just charged, so heat is current); the
@@ -1146,7 +1142,7 @@ impl Kernel {
     /// ticking until the pull actually succeeds, exactly as an eager
     /// kernel would keep attempting it every tick.
     fn any_pullable(&self, ci: usize) -> bool {
-        if !self.config.idle_balance || self.queued_total == 0 {
+        if self.queued_total == 0 {
             return false;
         }
         let me = CpuId(ci as u32);
@@ -1166,20 +1162,18 @@ impl Kernel {
 
     /// Fault injection: tear `tid` down mid-region as if it crashed.
     /// The thread exits through the ordinary descheduling paths from
-    /// whatever state it is in; it is removed from runqueues, wait
-    /// queues and barrier arrival lists, so peers that depend on it
-    /// block forever (the deadlock the harness then reports).
+    /// whatever state it is in; it is removed from runqueues and
+    /// barrier arrival lists, so peers that depend on it block forever
+    /// (the deadlock the harness then reports).
     fn force_abort(&mut self, tid: ThreadId) {
         let now = self.now();
         let i = tid.index();
         if self.threads[i].state == ThreadState::Exited {
             return; // already exited (or aborted twice)
         }
-        // A dead thread never arrives at its barrier or wait queue.
-        match self.threads[i].block_reason {
-            BlockReason::Barrier(b) => self.barriers[b.0 as usize].waiting.retain(|&t| t != tid),
-            BlockReason::Wait(wq) => self.waitqs[wq.0 as usize].waiters.retain(|&t| t != tid),
-            BlockReason::None | BlockReason::Direct => {}
+        // A dead thread never arrives at its barrier.
+        if let Some(b) = self.threads[i].barrier {
+            self.barriers[b.0 as usize].waiting.retain(|&t| t != tid);
         }
         match self.threads[i].state {
             ThreadState::Running => {
@@ -1223,7 +1217,7 @@ impl Kernel {
         self.queue.cancel(self.thread_key(i, ThreadTimer::Compute));
         self.queue.cancel(self.thread_key(i, ThreadTimer::Spin));
         self.threads[i].spinning = false;
-        self.threads[i].block_reason = BlockReason::None;
+        self.threads[i].barrier = None;
         self.threads[i].exit_time = Some(now);
         self.behaviors[i] = None;
         self.aborted.push(tid);
@@ -1243,7 +1237,6 @@ impl Kernel {
             // Spurious wake of a runnable/exited thread: ignore.
             _ => return,
         }
-        self.threads[i].block_reason = BlockReason::None;
         let (cpu, placement) = self.select_rq(tid);
         self.note_decision(cpu.index(), placement);
         if let Some(last) = self.threads[i].last_cpu {
@@ -1631,9 +1624,6 @@ impl Kernel {
     /// Idle balancing: pull a waiting thread from the busiest CPU that
     /// has queued work this CPU is allowed to run.
     fn try_steal(&mut self, ci: usize) -> Option<ThreadId> {
-        if !self.config.idle_balance {
-            return None;
-        }
         let this_cpu = CpuId(ci as u32);
         let mut best: Option<(usize, ThreadId, bool)> = None; // (score, tid, is_rt)
         for v in 0..self.cpus.len() {
@@ -1731,7 +1721,7 @@ impl Kernel {
             self.behaviors[i] = Some(b);
             instants += 1;
             assert!(
-                instants <= self.config.max_instant_actions,
+                instants <= MAX_INSTANT_ACTIONS,
                 "thread {} looped on instant actions",
                 self.threads[i].name
             );
@@ -1786,44 +1776,13 @@ impl Kernel {
                     .index();
                 self.off_cpu(tid, ThreadState::Sleeping);
                 self.clear_compute(i);
-                self.queue.arm(self.thread_key(i, ThreadTimer::Wake), t);
+                self.arm_once(i, ThreadTimer::Wake, t);
                 self.recompute_rates_for(cpu);
                 self.dispatch(cpu);
                 true
             }
             Action::SleepFor(d) => self.apply_action(tid, Action::SleepUntil(now + d)),
             Action::Barrier { id, spin } => self.barrier_arrive(tid, id, spin),
-            Action::WaitOn { wq, spin } => {
-                self.waitqs[wq.0 as usize].waiters.push_back(tid);
-                self.start_waiting(tid, BlockReason::Wait(wq), spin);
-                true
-            }
-            Action::Notify { wq, count } => {
-                for _ in 0..count {
-                    let Some(w) = self.waitqs[wq.0 as usize].waiters.pop_front() else {
-                        break;
-                    };
-                    self.resume_waiter(w);
-                }
-                false
-            }
-            Action::Wake(other) => {
-                match self.threads[other.index()].state {
-                    ThreadState::Sleeping => {
-                        self.cancel_timer(other.index());
-                        self.wake_thread(other);
-                    }
-                    ThreadState::Blocked => {
-                        // Remove from any wait queue it may be in.
-                        if let BlockReason::Wait(wq) = self.threads[other.index()].block_reason {
-                            self.waitqs[wq.0 as usize].waiters.retain(|&t| t != other);
-                        }
-                        self.wake_thread(other);
-                    }
-                    _ => {}
-                }
-                false
-            }
             Action::SetPolicy(p) => {
                 self.threads[i].policy = p;
                 if let Some(obs) = self.observer.as_mut() {
@@ -1836,26 +1795,6 @@ impl Kernel {
                 // A demotion may make a queued task preferable.
                 if let Some(cpu) = self.threads[i].cpu {
                     self.resched_if_needed(cpu.index());
-                }
-                false
-            }
-            Action::SetAffinity(mask) => {
-                assert!(!mask.intersection(self.machine.all_cpus()).is_empty());
-                self.threads[i].affinity = mask;
-                if let Some(cpu) = self.threads[i].cpu {
-                    if !mask.contains(cpu) && self.threads[i].state == ThreadState::Running {
-                        // Forced migration off this CPU.
-                        let ci = cpu.index();
-                        self.off_cpu(tid, ThreadState::Ready);
-                        let (target, placement) = self.select_rq(tid);
-                        self.note_decision(target.index(), placement);
-                        self.threads[i].pending_migration = true;
-                        self.threads[i].cpu = Some(target);
-                        self.enqueue(target.index(), tid);
-                        self.recompute_rates_for(ci);
-                        self.dispatch(ci);
-                        self.check_preempt(target.index(), tid);
-                    }
                 }
                 false
             }
@@ -1942,7 +1881,7 @@ impl Kernel {
     }
 
     // ------------------------------------------------------------------
-    // Barriers and wait queues
+    // Barriers
     // ------------------------------------------------------------------
 
     /// Returns `true` if the action blocks.
@@ -1957,16 +1896,16 @@ impl Kernel {
             false
         } else {
             b.waiting.push(tid);
-            self.start_waiting(tid, BlockReason::Barrier(id), spin);
+            self.start_waiting(tid, id, spin);
             true
         }
     }
 
-    /// Begin waiting: spin on-CPU for `spin`, then block.
-    fn start_waiting(&mut self, tid: ThreadId, reason: BlockReason, spin: SimDuration) {
+    /// Begin waiting at barrier `id`: spin on-CPU for `spin`, then block.
+    fn start_waiting(&mut self, tid: ThreadId, id: BarrierId, spin: SimDuration) {
         let now = self.now();
         let i = tid.index();
-        self.threads[i].block_reason = reason;
+        self.threads[i].barrier = Some(id);
         if spin > SimDuration::ZERO {
             // Busy-wait: occupies the CPU (and its SMT capacity).
             let solo = SoloProfile {
@@ -1975,8 +1914,7 @@ impl Kernel {
                 bw_demand: 0.0,
             };
             self.install_compute(tid, solo, f64::INFINITY, true);
-            self.queue
-                .arm(self.thread_key(i, ThreadTimer::Spin), now + spin);
+            self.arm_once(i, ThreadTimer::Spin, now + spin);
         } else {
             let cpu = self.threads[i]
                 .cpu
@@ -1989,12 +1927,12 @@ impl Kernel {
         }
     }
 
-    /// A barrier released or a notify arrived for `w`.
+    /// The barrier `w` waits at released it.
     fn resume_waiter(&mut self, w: ThreadId) {
         let now = self.now();
         let i = w.index();
         self.queue.cancel(self.thread_key(i, ThreadTimer::Spin));
-        self.threads[i].block_reason = BlockReason::None;
+        self.threads[i].barrier = None;
         match self.threads[i].state {
             ThreadState::Running => {
                 // Spinning: proceeds immediately on its CPU.
@@ -2017,10 +1955,7 @@ impl Kernel {
             }
             ThreadState::Blocked => {
                 // Blocked: wake-up latency applies.
-                self.queue.arm(
-                    self.thread_key(i, ThreadTimer::Wake),
-                    now + self.machine.wake_latency,
-                );
+                self.arm_once(i, ThreadTimer::Wake, now + self.machine.wake_latency);
             }
             _ => {}
         }
@@ -2206,7 +2141,7 @@ impl Kernel {
             .expect("a rated thread has a compute phase");
         let eta = if factor == 0.0 { None } else { c.eta_ns() };
         match eta {
-            Some(ns) => self.queue.rearm(key, now + SimDuration(ns.max(1))),
+            Some(ns) => self.queue.arm(key, now + SimDuration(ns.max(1))),
             None => {
                 self.queue.cancel(key);
             }

@@ -14,8 +14,8 @@
 //!   OS noise;
 //! * SMT contention and max-min-fair memory-bandwidth sharing via the
 //!   roofline model of `noiselab-machine`;
-//! * barriers and wait queues with spin-then-block semantics, the
-//!   building blocks of the OpenMP- and SYCL-style runtimes;
+//! * barriers with spin-then-block semantics, the building block of the
+//!   OpenMP- and SYCL-style runtimes;
 //! * trace hooks reporting every interference interval (IRQ, softirq,
 //!   foreign thread) to an attached sink — the substrate for the
 //!   `osnoise`-style tracer in `noiselab-noise`.
@@ -59,7 +59,7 @@ pub use action::{Action, Behavior, Ctx, FnBehavior, ScriptBehavior};
 pub use config::KernelConfig;
 pub use dvfs::{DvfsRuntime, DvfsSummary};
 pub use fault::{CpuStallSpec, FaultPlan, FaultStats, SpuriousIrqSpec, ThreadAbortSpec};
-pub use ids::{BarrierId, ThreadId, WaitId};
+pub use ids::{BarrierId, ThreadId};
 pub use kernel::{Kernel, KernelStorage, RunError, ThreadSpec};
 pub use observe::{DecisionPoint, HostProfiler, KernelObserver, Phase, SchedRecord};
 pub use policy::Policy;

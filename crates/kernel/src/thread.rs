@@ -1,6 +1,6 @@
 //! Per-thread kernel state.
 
-use crate::ids::ThreadId;
+use crate::ids::{BarrierId, ThreadId};
 use crate::policy::Policy;
 use noiselab_machine::{CpuId, CpuSet, SoloProfile};
 use noiselab_sim::{SimDuration, SimTime};
@@ -29,7 +29,7 @@ pub enum ThreadState {
     Running,
     /// Waiting for a timer.
     Sleeping,
-    /// Blocked on a wait queue or barrier (off-CPU).
+    /// Blocked at a barrier (off-CPU).
     Blocked,
     /// Done; never runs again.
     Exited,
@@ -41,7 +41,7 @@ pub struct ActiveCompute {
     /// Roofline profile of the work unit being executed.
     pub solo: SoloProfile,
     /// Remaining solo-equivalent nanoseconds. `f64::INFINITY` while
-    /// spinning on a barrier/wait queue.
+    /// spinning at a barrier.
     pub remaining: f64,
     /// Rate of progress at the last update (solo-ns per wall-ns).
     pub rate: f64,
@@ -90,16 +90,6 @@ impl ActiveCompute {
     }
 }
 
-/// Why a blocked thread is blocked (used to route wake-ups).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockReason {
-    None,
-    Barrier(crate::ids::BarrierId),
-    Wait(crate::ids::WaitId),
-    /// Explicitly waiting for `Action::Wake`.
-    Direct,
-}
-
 /// Runtime statistics for assertions and reports.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadStats {
@@ -129,9 +119,10 @@ pub struct Thread {
     pub last_cpu: Option<CpuId>,
     /// CFS virtual runtime (weighted ns).
     pub vruntime: u64,
-    /// True while the thread spins in a barrier/wait instead of blocking.
+    /// True while the thread spins at a barrier instead of blocking.
     pub spinning: bool,
-    pub block_reason: BlockReason,
+    /// The barrier the thread is waiting at, spinning or blocked.
+    pub barrier: Option<BarrierId>,
     /// Time the thread went on-CPU (for tick-based preemption decisions).
     pub on_cpu_since: SimTime,
     /// Runtime has been charged (vruntime + stats) up to this instant.
@@ -166,7 +157,7 @@ impl Thread {
             last_cpu: None,
             vruntime: 0,
             spinning: false,
-            block_reason: BlockReason::None,
+            barrier: None,
             on_cpu_since: SimTime::ZERO,
             charged_until: SimTime::ZERO,
             pending_overhead_ns: 0.0,

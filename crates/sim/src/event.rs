@@ -10,9 +10,10 @@
 //! ([`EventQueue::schedule`]) are fire-and-forget and live in a binary
 //! heap. Keyed timers ([`EventQueue::arm`]) carry a small dense key
 //! chosen by the caller, with at most one pending entry per key, in an
-//! indexed min-heap: re-arming or cancelling a key updates its entry in
-//! place, so the churn of re-predicted events (compute completions move
-//! on every rate change) never leaves a dead entry behind.
+//! indexed min-heap: arming a pending key or cancelling it updates its
+//! entry in place, so the churn of re-predicted events (compute
+//! completions move on every rate change) never leaves a dead entry
+//! behind.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -32,7 +33,7 @@ const NIL: u32 = u32::MAX;
 struct Entry<E> {
     time: SimTime,
     seq: u64,
-    payload: Fired<E>,
+    payload: E,
 }
 
 // Ordering: earliest time first, then lowest sequence.
@@ -144,11 +145,7 @@ impl<E> EventQueue<E> {
     /// Schedule the plain event `payload` at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let (time, seq) = self.stamp(at);
-        self.plain.push(Reverse(Entry {
-            time,
-            seq,
-            payload: Fired::Event(payload),
-        }));
+        self.plain.push(Reverse(Entry { time, seq, payload }));
     }
 
     /// Whether `key` has a pending entry.
@@ -158,24 +155,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Arm timer `key` to fire at `at`. A still-pending entry for the key
-    /// is *demoted*, not dropped: it keeps its time and sequence and
-    /// still fires, but the key no longer refers to it, so it can no
-    /// longer be cancelled.
+    /// is replaced in place: the re-prediction primitive, one heap
+    /// update.
     pub fn arm(&mut self, key: usize, at: SimTime) {
-        let new = self.stamp_timer(key, at);
-        match self.slot(key) {
-            NIL => self.insert(new),
-            i => {
-                let old = std::mem::replace(&mut self.timers[i as usize], new);
-                self.demote(old);
-                self.fix(i as usize);
-            }
-        }
-    }
-
-    /// Cancel `key`'s pending entry, if any, and arm it at `at`: the
-    /// re-prediction primitive, one in-place heap update.
-    pub fn rearm(&mut self, key: usize, at: SimTime) {
         let new = self.stamp_timer(key, at);
         match self.slot(key) {
             NIL => self.insert(new),
@@ -197,9 +179,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the next event, advancing `now` to its timestamp. Firing a
-    /// timer releases its key: when a demoted entry fires while the key
-    /// has a newer pending entry, that entry is demoted in turn, so a
-    /// key only ever refers to an entry armed after the key last fired.
+    /// timer disarms its key.
     pub fn pop(&mut self) -> Option<(SimTime, Fired<E>)> {
         let plain_first = match (self.plain.peek(), self.timers.first()) {
             (None, None) => return None,
@@ -209,14 +189,7 @@ impl<E> EventQueue<E> {
         };
         let (time, fired) = if plain_first {
             let Reverse(entry) = self.plain.pop().expect("plain head was peeked");
-            if let Fired::Timer(key) = entry.payload {
-                let i = self.slot(key);
-                if i != NIL {
-                    let pending = self.remove_at(i as usize);
-                    self.demote(pending);
-                }
-            }
-            (entry.time, entry.payload)
+            (entry.time, Fired::Event(entry.payload))
         } else {
             let t = self.remove_at(0);
             (t.time, Fired::Timer(t.key as usize))
@@ -252,15 +225,6 @@ impl<E> EventQueue<E> {
     #[inline]
     fn slot(&self, key: usize) -> u32 {
         self.pos.get(key).copied().unwrap_or(NIL)
-    }
-
-    /// Move a timer that its key no longer refers to into the plain heap.
-    fn demote(&mut self, t: Timer) {
-        self.plain.push(Reverse(Entry {
-            time: t.time,
-            seq: t.seq,
-            payload: Fired::Timer(t.key as usize),
-        }));
     }
 
     fn insert(&mut self, t: Timer) {
@@ -453,47 +417,22 @@ mod tests {
     }
 
     #[test]
-    fn rearm_replaces_pending_timer() {
+    fn arm_replaces_pending_timer() {
         let mut q = EventQueue::<u32>::new();
         q.arm(2, SimTime(50));
-        q.rearm(2, SimTime(10));
+        q.arm(2, SimTime(10));
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), timer(10, 2));
         assert_eq!(q.pop(), None);
-        q.rearm(2, SimTime(40)); // nothing pending: plain arm
+        q.arm(2, SimTime(40)); // nothing pending: plain arm
         assert_eq!(q.pop(), timer(40, 2));
-    }
-
-    #[test]
-    fn arm_over_pending_demotes_the_old_entry() {
-        let mut q = EventQueue::<u32>::new();
-        q.arm(4, SimTime(10));
-        q.arm(4, SimTime(30));
-        assert_eq!(q.len(), 2);
-        // The key now refers to the newer entry only.
-        assert!(q.cancel(4));
-        assert_eq!(q.pop(), timer(10, 4));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn firing_a_demoted_entry_releases_the_key() {
-        let mut q = EventQueue::<u32>::new();
-        q.arm(4, SimTime(10));
-        q.arm(4, SimTime(30));
-        assert_eq!(q.pop(), timer(10, 4));
-        // The newer entry still fires, but the key let go of it.
-        assert!(!q.is_armed(4));
-        assert!(!q.cancel(4));
-        assert_eq!(q.pop(), timer(30, 4));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn churn_leaves_no_dead_entries() {
         let mut q = EventQueue::<u64>::new();
         for i in 0..10_000u64 {
-            q.rearm((i % 8) as usize, SimTime(1_000_000 + i));
+            q.arm((i % 8) as usize, SimTime(1_000_000 + i));
         }
         assert_eq!(q.len(), 8);
         assert_eq!(q.timers.len(), 8);
@@ -510,7 +449,7 @@ mod tests {
             for i in 0..40u64 {
                 let at = SimTime(round * 1000 + i * 13 % 997);
                 if i % 2 == 0 {
-                    q.rearm((i / 2) as usize, at);
+                    q.arm((i / 2) as usize, at);
                 } else {
                     q.schedule(at, (round, i));
                 }

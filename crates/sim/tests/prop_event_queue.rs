@@ -87,7 +87,7 @@ proptest! {
             if i % 2 == 0 {
                 q.schedule(SimTime(t), ());
             } else {
-                q.rearm(i % KEYS, SimTime(t));
+                q.arm(i % KEYS, SimTime(t));
             }
         }
         let mut prev = SimTime::ZERO;
@@ -98,7 +98,7 @@ proptest! {
     }
 
     /// Random interleavings of schedule, arm (often over a still-pending
-    /// key), rearm, cancel and pop agree step for step with a naive list
+    /// key), cancel and pop agree step for step with a naive list
     /// ordered by `(time, seq)` that cancels through the latest handle
     /// per key.
     #[test]
@@ -114,12 +114,8 @@ proptest! {
                     q.schedule(at, step);
                     model.push(at.0, Fired::Event(step), None);
                 }
-                1 => {
+                1 | 2 => {
                     q.arm(key, at);
-                    model.push(at.0, Fired::Timer(key), Some(key));
-                }
-                2 => {
-                    q.rearm(key, at);
                     model.cancel(key);
                     model.push(at.0, Fired::Timer(key), Some(key));
                 }
