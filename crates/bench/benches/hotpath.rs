@@ -143,10 +143,18 @@ fn check(history: &History, fresh: &Snapshot) -> Vec<(String, String)> {
 
 fn main() {
     let t0 = noiselab_bench::wall_clock();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the rep count only sets how often a cell is timed"
+    )]
     let reps: u32 = std::env::var("NOISELAB_BENCH_REPS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(5);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "selects gate mode over snapshot mode; no cell reads it"
+    )]
     let check_mode = std::env::var("NOISELAB_BENCH_CHECK").is_ok_and(|v| v == "1");
     let existing: Option<History> = std::fs::read_to_string(OUT)
         .ok()
@@ -184,6 +192,10 @@ fn main() {
 
     let history = match existing {
         None => {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the label only names the snapshot step"
+            )]
             let label = std::env::var("NOISELAB_BENCH_LABEL").unwrap_or_else(|_| "baseline".into());
             History {
                 bench: "hotpath".into(),
@@ -192,6 +204,10 @@ fn main() {
             }
         }
         Some(mut h) => {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the label only names the snapshot step"
+            )]
             let label = std::env::var("NOISELAB_BENCH_LABEL")
                 .unwrap_or_else(|_| format!("step-{}", h.steps.len() + 1));
             h.steps.push(sweep(reps, label));

@@ -9,6 +9,7 @@
 //! variants with typed `io::Error`s.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::ref_as_ptr)]
 
 use noiselab_core::experiments::inject::InjectionTable;
 use std::fs;
@@ -16,7 +17,7 @@ use std::io;
 use std::path::PathBuf;
 
 /// Host-side timing for bench banners, routed through the workspace's
-/// single audited wall-clock site in `noiselab_telemetry`. Simulated
+/// single host-clock site in `noiselab_telemetry`. Simulated
 /// time never touches this — it lives in `noiselab_sim::SimTime`.
 pub fn wall_clock() -> std::time::Instant {
     noiselab_telemetry::wall_clock()
@@ -26,6 +27,10 @@ pub fn wall_clock() -> std::time::Instant {
 /// written (`NOISELAB_RESULTS`, default `target/noiselab-results`,
 /// resolved relative to the bench cwd (the package directory under
 /// `cargo bench`)).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "NOISELAB_RESULTS only moves the results cache on disk"
+)]
 pub fn try_results_dir() -> io::Result<PathBuf> {
     let dir = std::env::var("NOISELAB_RESULTS")
         .map(PathBuf::from)

@@ -132,7 +132,7 @@ impl SupervisedReport {
     reason = "process supervision (heartbeats, timeouts, backoff) is host-time by nature"
 )]
 fn now() -> Instant {
-    Instant::now() // audit:allow(taint-wall-clock): process supervision (heartbeats, timeouts, backoff) is host-time by nature; simulated results never depend on it
+    Instant::now()
 }
 
 enum Event {

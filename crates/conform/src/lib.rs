@@ -27,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
+#![deny(clippy::ref_as_ptr)]
 
 pub mod coverage;
 pub mod fuzz;

@@ -67,6 +67,10 @@ impl Scale {
     }
 
     /// Scale selected by `NOISELAB_SCALE` (default: bench).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "picks how many runs a table repeats; every run stays a function of its seed"
+    )]
     pub fn from_env() -> Scale {
         match std::env::var("NOISELAB_SCALE").as_deref() {
             Ok("smoke") => Scale::smoke(),

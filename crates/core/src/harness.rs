@@ -34,6 +34,11 @@ use noiselab_telemetry::{
 };
 use noiselab_workloads::Workload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the run pool's work counter only decides which host thread takes a run; \
+              results are stored by run index"
+)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Virtual-time safety horizon per run.
@@ -443,7 +448,8 @@ impl RunLedger {
 /// ignored with a note on stderr rather than silently coerced.
 #[expect(
     clippy::disallowed_methods,
-    reason = "the run pool's width only decides which host thread runs a run, never its result"
+    reason = "the run pool's width, from NOISELAB_HOST_THREADS or the host's parallelism, \
+              only decides which host thread runs a run, never its result"
 )]
 fn host_threads() -> usize {
     if let Ok(v) = std::env::var("NOISELAB_HOST_THREADS") {

@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
+#![deny(clippy::ref_as_ptr)]
 
 pub mod campaign;
 pub mod divergence;

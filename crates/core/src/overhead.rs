@@ -14,9 +14,9 @@
 //!   modes, proven property-style in the purity suite).
 //!
 //! Host cost is real for both and is measured through the workspace's
-//! single audited [`wall_clock`] site. A host-time phase profile (event
-//! dispatch / scheduler / tracer / stats) rides along so regressions
-//! can be localised.
+//! single host-clock site, [`wall_clock`], under a clippy `#[expect]`.
+//! A host-time phase profile (event dispatch / scheduler / tracer /
+//! stats) rides along so regressions can be localised.
 
 use crate::execconfig::ExecConfig;
 use crate::failure::RunFailure;
@@ -133,8 +133,16 @@ pub fn measure_overhead(
                 telemetry: telemetry.then(TelemetryConfig::default),
                 ..bare.clone()
             };
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "host time only fills the report's ns column"
+            )]
             let t0 = wall_clock();
             let inst = run(&spec, &mut arena)?;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "host time only fills the report's ns column"
+            )]
             let ns = wall_clock().duration_since(t0).as_nanos() as u64;
             best_ns = best_ns.min(ns);
             exec_s = inst.output.exec.as_secs_f64();

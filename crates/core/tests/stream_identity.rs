@@ -129,6 +129,10 @@ fn battery() -> BTreeMap<String, String> {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "NOISELAB_UPDATE_FIXTURES=1 rewrites the pinned hashes; it never reaches a run"
+)]
 fn event_streams_match_committed_fixture() {
     let got = battery();
     if std::env::var("NOISELAB_UPDATE_FIXTURES").is_ok_and(|v| v == "1") {

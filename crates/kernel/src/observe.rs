@@ -16,7 +16,7 @@
 //! * [`HostProfiler`] receives host-time phase boundaries (event
 //!   dispatch, scheduler, tracer). The kernel never reads a clock — it
 //!   only announces phase entry/exit; the boxed implementation in
-//!   `noiselab-telemetry` reads the single audited `wall_clock()` site.
+//!   `noiselab-telemetry` reads the single host-clock site, `wall_clock()`.
 //!
 //! Every call site is guarded by an `Option` check, so a kernel with no
 //! observer attached pays one branch per hook and nothing else.

@@ -26,8 +26,8 @@
 //! (milli-heat per busy microsecond) to the scaled accumulator, and
 //! each wall nanosecond removes `cool_per_us`. No division happens on
 //! the accumulation path, so the value is exact regardless of how the
-//! kernel slices charges — a requirement of the determinism audit
-//! (float-order taint must never reach `state_hash`).
+//! kernel slices charges — a requirement of the determinism contract
+//! (an order-dependent float sum must never reach `state_hash`).
 
 use serde::{Deserialize, Serialize};
 

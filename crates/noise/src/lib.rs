@@ -12,6 +12,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
+#![deny(clippy::ref_as_ptr)]
 
 pub mod analysis;
 pub mod sources;

@@ -51,6 +51,10 @@ fn fixture_trace() -> RunTrace {
     buf.take_trace(3, SimDuration(2_000_000_000))
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UPDATE_GOLDEN rewrites the fixture; it never reaches the rendered summary"
+)]
 fn golden() -> String {
     let rendered = render_per_cpu_summary(&fixture_trace());
     let path = fixture_path();

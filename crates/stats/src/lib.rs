@@ -6,6 +6,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
+#![deny(clippy::ref_as_ptr)]
 
 pub mod bootstrap;
 pub mod hist;

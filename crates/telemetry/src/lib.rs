@@ -18,11 +18,12 @@
 //! * [`binary`] — a compact self-describing binary timeline format
 //!   with a golden-fixture-tested decoder.
 //! * [`profile`] — host-time phase profiling of the simulator itself,
-//!   routed through the workspace's single audited [`wall_clock`]
-//!   site.
+//!   routed through the workspace's single host-clock site,
+//!   [`wall_clock`], whose every caller carries a clippy `#[expect]`.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
+#![deny(clippy::ref_as_ptr)]
 
 pub mod binary;
 pub mod chrome;

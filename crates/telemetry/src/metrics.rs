@@ -3,7 +3,7 @@
 //!
 //! Registry keys are `&'static str` so the hot recording path never
 //! allocates; storage is `BTreeMap` (never `HashMap` — hash iteration
-//! order is a nondeterminism hazard the audit crate bans), so snapshots
+//! order is a nondeterminism hazard clippy bans), so snapshots
 //! enumerate metrics in a stable order and two identical runs produce
 //! byte-identical snapshot JSON.
 

@@ -5,7 +5,7 @@
 //! tracer) through [`noiselab_kernel::HostProfiler`]; the harness
 //! announces its stats phase the same way. This module owns the only
 //! place in the workspace where host time is actually read — the
-//! audited [`wall_clock`] below — and attributes *self time* per phase
+//! clippy-gated [`wall_clock`] below — and attributes *self time* per phase
 //! with a frame stack, so nested phases (dispatch contains scheduler
 //! contains tracer) do not double-count.
 //!
@@ -22,6 +22,8 @@ use std::time::Instant;
 /// The single approved host-clock read. Everything host-timed in the
 /// workspace (this profiler, the bench harness banner) routes through
 /// here, so clippy's `Instant::now` ban has exactly one expected site.
+/// Clippy bans calls to this function too: each caller carries its own
+/// `#[expect]` saying why host time cannot reach a simulated result.
 #[expect(
     clippy::disallowed_methods,
     reason = "the one approved host-timing site; simulated results never read it"
@@ -107,6 +109,10 @@ impl PhaseProfiler {
 }
 
 impl ProfInner {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a phase's host start time only feeds its self-time row"
+    )]
     fn enter(&mut self, phase: Phase) {
         self.stack.push(Frame {
             phase,
@@ -123,6 +129,10 @@ impl ProfInner {
         if frame.phase != phase {
             self.unbalanced += 1;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a phase's host end time only feeds its self-time row"
+        )]
         let total = wall_clock().duration_since(frame.start).as_nanos() as u64;
         let own = total.saturating_sub(frame.child_ns);
         self.self_ns[frame.phase.index()] += own;

@@ -98,6 +98,10 @@ pub fn fixture_path(name: &str) -> PathBuf {
 
 /// True when the caller asked to rewrite fixtures
 /// (`UPDATE_GOLDEN=1 cargo test -p noiselab-telemetry`).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test-only switch that rewrites fixtures; it never reaches a simulated value"
+)]
 pub fn update_golden() -> bool {
     std::env::var_os("UPDATE_GOLDEN").is_some()
 }

@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
+#![deny(clippy::ref_as_ptr)]
 
 use noiselab_core::{
     run, ExecConfig, Mitigation, Model, Platform, RunArena, RunFailure, RunOutput, RunSpec,

@@ -8,6 +8,10 @@ use noiselab::workloads::{Babelstream, MiniFE, NBody, Workload};
 
 fn probe(platform: &Platform, w: &(dyn Workload + Sync), model: Model, paper: f64) {
     let cfg = ExecConfig::new(model, Mitigation::Rm);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host time only labels the printed output"
+    )]
     let t0 = std::time::Instant::now();
     let out = run(
         &RunSpec::new(platform, w, &cfg, 1),

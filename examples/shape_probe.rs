@@ -6,6 +6,10 @@ use noiselab::core::experiments::{ablation, fig1, inject, Scale};
 
 fn main() {
     let scale = Scale::bench();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host time only labels the printed output"
+    )]
     let t0 = std::time::Instant::now();
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
 

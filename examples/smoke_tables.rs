@@ -7,6 +7,10 @@ use noiselab::core::experiments::{ablation, fig1, fig2, inject, table1, table6, 
 
 fn main() {
     let scale = Scale::smoke();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host time only labels the printed output"
+    )]
     let t0 = std::time::Instant::now();
 
     let t1 = table1::run(scale);

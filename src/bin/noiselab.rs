@@ -21,8 +21,7 @@
 //!                   [--dvfs true]   # grow the grid by the governor mitigation matrix
 //! noiselab campaign --workers N [--queue DIR] [--shard-size 2] [--heartbeat-secs 120]
 //!                   [--shard-timeout-secs 3600] [--max-shard-crashes 3] [--chaos-kills 0]
-//! noiselab audit    [--static] [--dual-run] [--json] [--root .]
-//!                   [--sarif <path|->]
+//! noiselab audit    [--dual-run] [--json]
 //!                   [--platform intel] [--workload nbody] [--model omp] [--mitigation Rm]
 //!                   [--seed 1] [--perturb N] [--cadence 64]
 //! noiselab conform  [--fuzz N] [--seed S] [--corpus <dir>] [--json]
@@ -62,18 +61,14 @@
 //! seeds a known scheduler bug to prove the suite catches it (the exit
 //! code flips: a mutated campaign that PASSES is the failure).
 //!
-//! `audit` enforces the determinism contract: `--static` sweeps the
-//! deterministic crates with the taint analyzer (parse → CFG →
-//! dataflow), reporting any unannotated nondeterminism source that
-//! reaches a determinism sink as a source→sink path, and fails on any
-//! such path or any stale `audit:allow` annotation; `--sarif` emits a
-//! SARIF 2.1.0 report (to a file, or stdout with `-`). The API bans
-//! (hash containers, wall-clock reads, entropy, host threads, unsafe,
-//! library unwraps) are clippy lints (`crates/clippy.toml`), not part
-//! of this pass. `--dual-run` executes the same cell twice and bisects the
-//! event streams, naming the first divergent event if they differ
-//! (`--perturb N` deliberately forks run B after event N to exercise
-//! the pipeline). Flags given without a value (`--static --json`) are
+//! `audit` is the dynamic half of the determinism contract: it executes
+//! the same cell twice and bisects the event streams, naming the first
+//! divergent event if they differ (`--perturb N` deliberately forks run
+//! B after event N to exercise the pipeline; `--dual-run` is accepted
+//! and is the only mode). The static half is clippy: the lists in the
+//! root `clippy.toml` and the lint levels on each crate root. The
+//! removed `--static`, `--sarif` and `--root` flags are errors that
+//! point there. Flags given without a value (`--dual-run --json`) are
 //! booleans.
 //!
 //! `advise` is the measurement-quality advisor (crates/advise): it
@@ -101,22 +96,22 @@ use noiselab::core::{
 use noiselab::injector::{generate, GeneratorOptions, InjectionConfig, MergeStrategy};
 use noiselab::noise::TraceSet;
 use noiselab::workloads::Workload;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 struct Args {
     cmd: String,
-    opts: HashMap<String, String>,
+    opts: BTreeMap<String, String>,
 }
 
 fn parse_args() -> Option<Args> {
     let mut it = std::env::args().skip(1).peekable();
     let cmd = it.next()?;
-    let mut opts = HashMap::new();
+    let mut opts = BTreeMap::new();
     while let Some(key) = it.next() {
         let key = key.strip_prefix("--")?.to_string();
         // A flag followed by another flag (or the end of the line) is a
-        // bare boolean: `--static --json` means static=true json=true.
+        // bare boolean: `--dual-run --json` means dual-run=true json=true.
         let value = match it.peek() {
             Some(next) if !next.starts_with("--") => it.next()?,
             _ => "true".to_string(),
@@ -798,102 +793,76 @@ fn cmd_metrics_checkpoint(path: &std::path::Path, json: bool) -> Result<(), Stri
     Ok(())
 }
 
+/// Flags `audit` rejects: the static checks they selected are clippy
+/// lints, and naming one must fail rather than fall through to a dual
+/// run that exits 0.
+const REMOVED_AUDIT_FLAGS: [&str; 3] = ["static", "sarif", "root"];
+
 fn cmd_audit(args: &Args) -> Result<(), String> {
-    use noiselab::audit::audit_workspace;
     use noiselab::core::divergence::{dual_run_harness, DualRunOutcome, DEFAULT_CADENCE};
 
-    let json = args.get("json", "false") == "true";
-    let want_static = args.get("static", "false") == "true";
-    let want_dual = args.get("dual-run", "false") == "true";
-    // Bare `noiselab audit` runs the static pass.
-    let want_static = want_static || !want_dual;
-
-    if want_static {
-        let root = std::path::PathBuf::from(args.get("root", "."));
-        let started = std::time::Instant::now();
-        let report = audit_workspace(&root).map_err(|e| format!("audit: {e}"))?;
-        let elapsed = started.elapsed();
-        if let Some(sarif) = args.opts.get("sarif") {
-            if sarif == "-" {
-                println!("{}", report.render_sarif());
-            } else {
-                std::fs::write(sarif, report.render_sarif())
-                    .map_err(|e| format!("audit: write {sarif}: {e}"))?;
-            }
-        }
-        // `--sarif -` owns stdout; keep it parseable and move the
-        // human summary to stderr.
-        let sarif_on_stdout = args.opts.get("sarif").is_some_and(|s| s == "-");
-        if json && !sarif_on_stdout {
-            println!("{}", report.render_json());
-        } else if !sarif_on_stdout {
-            print!("{}", report.render_human());
-            eprintln!("audit: static pass took {:.3}s", elapsed.as_secs_f64());
-        } else {
-            eprint!("{}", report.render_human());
-            eprintln!("audit: static pass took {:.3}s", elapsed.as_secs_f64());
-        }
-        if !report.clean() {
-            return Err(format!(
-                "audit: {} unannotated determinism violation(s)",
-                report.violations.len()
-            ));
-        }
-        if !report.stale_allows.is_empty() {
-            return Err(format!(
-                "audit: {} stale audit:allow annotation(s)",
-                report.stale_allows.len()
-            ));
-        }
+    if let Some(flag) = REMOVED_AUDIT_FLAGS
+        .iter()
+        .find(|f| args.opts.contains_key(**f))
+    {
+        return Err(format!(
+            "audit: --{flag} was removed; the static determinism checks are clippy lints: \
+             run `cargo clippy --workspace --all-targets -- -D warnings`"
+        ));
     }
+    let json = args.get("json", "false") == "true";
+    let number = |key: &str| -> Result<Option<u64>, String> {
+        args.opts
+            .get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("audit: --{key} wants a non-negative integer, got '{v}'"))
+            })
+            .transpose()
+    };
+    let perturb = number("perturb")?;
+    let cadence = number("cadence")?.unwrap_or(DEFAULT_CADENCE);
 
-    if want_dual {
-        let platform = args.platform()?;
-        let workload = args.workload(&platform)?;
-        let cfg = args.exec_config()?;
-        let perturb = args.opts.get("perturb").and_then(|v| v.parse().ok());
-        let cadence = args
-            .get("cadence", &DEFAULT_CADENCE.to_string())
-            .parse()
-            .unwrap_or(DEFAULT_CADENCE);
-        let outcome = dual_run_harness(
-            &platform,
-            workload.as_ref(),
-            &cfg,
-            args.seed(),
-            perturb,
-            cadence,
-        )?;
-        match outcome {
-            DualRunOutcome::Identical { events, hash } => {
-                if json {
-                    println!(
-                        "{{\"dual_run\": \"identical\", \"events\": {events}, \
-                         \"hash\": \"{hash:016x}\"}}"
-                    );
-                } else {
-                    println!("dual run identical: {events} events, stream hash {hash:016x}");
-                }
+    let platform = args.platform()?;
+    let workload = args.workload(&platform)?;
+    let cfg = args.exec_config()?;
+    let outcome = dual_run_harness(
+        &platform,
+        workload.as_ref(),
+        &cfg,
+        args.seed(),
+        perturb,
+        cadence,
+    )?;
+    match outcome {
+        DualRunOutcome::Identical { events, hash } => {
+            if json {
+                println!(
+                    "{{\"dual_run\": \"identical\", \"events\": {events}, \
+                     \"hash\": \"{hash:016x}\"}}"
+                );
+            } else {
+                println!("dual run identical: {events} events, stream hash {hash:016x}");
             }
-            DualRunOutcome::Diverged(report) => {
-                if json {
-                    println!(
-                        "{{\"dual_run\": \"diverged\", \"hash_a\": \"{:016x}\", \
-                         \"hash_b\": \"{:016x}\", \"events_a\": {}, \"events_b\": {}, \
-                         \"first_index\": {}, \"first_a\": {:?}, \"first_b\": {:?}}}",
-                        report.hash_a,
-                        report.hash_b,
-                        report.events_a,
-                        report.events_b,
-                        report.first_a.index,
-                        report.first_a.digest,
-                        report.first_b.digest,
-                    );
-                } else {
-                    println!("{}", report.render());
-                }
-                return Err("audit: dual run diverged".into());
+        }
+        DualRunOutcome::Diverged(report) => {
+            if json {
+                println!(
+                    "{{\"dual_run\": \"diverged\", \"hash_a\": \"{:016x}\", \
+                     \"hash_b\": \"{:016x}\", \"events_a\": {}, \"events_b\": {}, \
+                     \"first_index\": {}, \"first_a\": {:?}, \"first_b\": {:?}}}",
+                    report.hash_a,
+                    report.hash_b,
+                    report.events_a,
+                    report.events_b,
+                    report.first_a.index,
+                    report.first_a.digest,
+                    report.first_b.digest,
+                );
+            } else {
+                println!("{}", report.render());
             }
+            return Err("audit: dual run diverged".into());
         }
     }
     Ok(())

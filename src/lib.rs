@@ -4,8 +4,11 @@
 //! individual crates for details; `noiselab_core::prelude` is the usual
 //! entry point.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+#![deny(clippy::ref_as_ptr)]
+
 pub use noiselab_advise as advise;
-pub use noiselab_audit as audit;
 pub use noiselab_campaignd as campaignd;
 pub use noiselab_conform as conform;
 pub use noiselab_core as core;
