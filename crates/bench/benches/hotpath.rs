@@ -37,12 +37,49 @@ struct Cell {
     both_overhead_pct: f64,
 }
 
-/// One labelled measurement of the whole sweep.
+/// One labelled measurement of the whole sweep, with the commit,
+/// toolchain and CPU it was taken on (empty in snapshots that predate
+/// those fields).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Snapshot {
     label: String,
     reps: u32,
+    #[serde(default)]
+    commit: String,
+    #[serde(default)]
+    rustc: String,
+    #[serde(default)]
+    cpu_model: String,
     cells: Vec<Cell>,
+}
+
+/// First line a command prints, or `"unknown"`.
+fn first_line(cmd: &str, args: &[&str]) -> String {
+    std::process::Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| {
+            String::from_utf8_lossy(&o.stdout)
+                .lines()
+                .next()
+                .map(str::to_string)
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The host's CPU model from `/proc/cpuinfo`, or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// The on-disk history: baseline first, then one snapshot per
@@ -105,7 +142,14 @@ fn sweep(reps: u32, label: String) -> Snapshot {
             );
         }
     }
-    Snapshot { label, reps, cells }
+    Snapshot {
+        label,
+        reps,
+        commit: first_line("git", &["describe", "--always", "--dirty", "--abbrev=12"]),
+        rustc: first_line("rustc", &["-V"]),
+        cpu_model: cpu_model(),
+        cells,
+    }
 }
 
 /// Compare a fresh sweep against the committed history; returns the

@@ -21,7 +21,8 @@ use crate::failure::{RetryPolicy, RunFailure};
 use crate::platform::Platform;
 use noiselab_injector::{spawn_injectors, InjectionConfig};
 use noiselab_kernel::{
-    FaultPlan, Kernel, KernelConfig, KernelStorage, RunError, SanitizerConfig, SanitizerReport,
+    FaultPlan, Kernel, KernelConfig, KernelStorage, RateCounts, RunError, SanitizerConfig,
+    SanitizerReport,
 };
 use noiselab_noise::{
     install, OsNoiseTracer, RunTrace, TraceBuffer, TraceSet, DEFAULT_TRACE_CAPACITY,
@@ -129,6 +130,9 @@ pub struct InstrumentedRun {
     pub sanitizer: SanitizerReport,
     /// Present when [`RunSpec::telemetry`] was set.
     pub telemetry: Option<TelemetryReport>,
+    /// The rate layer's work counts for the run; no simulated value
+    /// reads them.
+    pub rates: RateCounts,
 }
 
 /// Reusable per-run state for repetition loops: the kernel's growable
@@ -347,6 +351,7 @@ pub fn run(spec: &RunSpec, arena: &mut RunArena) -> Result<InstrumentedRun, RunF
     let report = kernel
         .take_sanitizer_report()
         .expect("sanitizer attached at kernel construction");
+    let rates = kernel.rate_counts();
     // The sanitizer folds every dispatched event, so its count is the
     // telemetry's `kernel.events`.
     let tele_report = telemetry.map(|tele| {
@@ -367,6 +372,7 @@ pub fn run(spec: &RunSpec, arena: &mut RunArena) -> Result<InstrumentedRun, RunF
         },
         sanitizer: report,
         telemetry: tele_report,
+        rates,
     })
 }
 

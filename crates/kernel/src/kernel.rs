@@ -18,10 +18,11 @@ use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::ids::{BarrierId, ThreadId};
 use crate::observe::{DecisionPoint, HostProfiler, KernelObserver, Phase, SchedRecord};
 use crate::policy::Policy;
+use crate::rates::{RateScratch, RunningSet};
 use crate::sanitize::{EventKind, EventRecord, EventSanitizer, SanitizerConfig, SanitizerReport};
 use crate::thread::{ActiveCompute, Thread, ThreadKind, ThreadState};
 use crate::trace::{NoiseClass, TraceSink};
-use noiselab_machine::{waterfill_into, CpuId, CpuSet, Machine, SoloProfile};
+use noiselab_machine::{CpuId, CpuSet, Machine, SoloProfile};
 use noiselab_sim::{EventQueue, Fired, Rng, SimDuration, SimTime};
 
 /// Per-thread keyed timers (see [`Kernel::thread_key`]). Every event
@@ -33,7 +34,7 @@ use noiselab_sim::{EventQueue, Fired, Rng, SimDuration, SimTime};
 /// the one-shot timers go through [`Kernel::arm_once`], which asserts
 /// nothing is pending.
 #[derive(Debug, Clone, Copy)]
-enum ThreadTimer {
+pub(crate) enum ThreadTimer {
     Start,
     Wake,
     Compute,
@@ -60,7 +61,7 @@ const MAX_INSTANT_ACTIONS: u32 = 1024;
 
 /// Simulation events.
 #[derive(Debug, Clone)]
-enum KEvent {
+pub(crate) enum KEvent {
     /// Thread start (spawn delay elapsed).
     Start(ThreadId),
     /// Sleep or delayed wake expired.
@@ -140,112 +141,14 @@ struct BarrierState {
     waiting: Vec<ThreadId>,
 }
 
-/// Water-fill demand of a runnable compute that wants bandwidth: its
-/// bandwidth at the upper-bound rate it would reach if bandwidth were
-/// free. The full and the local rate pass both use it, so their
-/// demands stay bit-identical.
-fn upper_bound_demand(solo: &SoloProfile, factor: f64) -> f64 {
-    let r_up = if solo.cpu_ns > 0.0 {
-        (factor * solo.solo_ns / solo.cpu_ns).min(1.0)
-    } else {
-        1.0
-    };
-    solo.bw_demand * r_up
-}
-
-/// Reusable buffers for [`Kernel::recompute_rates`], so the steady-state
-/// hot path makes no heap allocations.
-#[derive(Default)]
-struct RateScratch {
-    /// Running `(thread index, cpu index)` pairs with active computes.
-    /// (Emptied, capacity kept, by [`RateScratch::reset`].)
-    running: Vec<(usize, usize)>,
-    factors: Vec<f64>,
-    demands: Vec<f64>,
-    allocs: Vec<f64>,
-    order: Vec<usize>,
-    /// Waterfill input of the compute running on each CPU as of the
-    /// last recompute (0.0 when idle or demandless). Only meaningful
-    /// while `cache_valid`; lets [`Kernel::recompute_rates_local`]
-    /// re-derive the saturation check without touching other CPUs.
-    demand_by_cpu: Vec<f64>,
-    /// Whether the last recompute left the waterfill unsaturated, i.e.
-    /// every allocation was a bit-exact copy of its demand.
-    cache_unsaturated: bool,
-    /// Whether `demand_by_cpu` reflects the live running set. Cleared
-    /// by the demandless local path (which does not maintain it).
-    cache_valid: bool,
-}
-
-impl RateScratch {
-    /// Empty every buffer and invalidate the waterfill cache, keeping
-    /// allocations for the next run.
-    fn reset(&mut self) {
-        self.running.clear();
-        self.factors.clear();
-        self.demands.clear();
-        self.allocs.clear();
-        self.order.clear();
-        self.demand_by_cpu.clear();
-        self.cache_unsaturated = false;
-        self.cache_valid = false;
-    }
-}
-
-/// Dense index of the CPUs whose current thread holds an active
-/// compute — the set every rate recompute iterates. A bitmask (visited
-/// in CPU-index order, matching the historical all-CPU scan) plus a
-/// per-CPU thread index keep the hot loops on two small arrays instead
-/// of walking the full `Cpu` and `Thread` structs.
-#[derive(Default)]
-struct RunningSet {
-    mask: Vec<u64>,
-    tid: Vec<u32>,
-}
-
-impl RunningSet {
-    /// Size for `n_cpus` and mark every CPU idle, keeping allocations.
-    fn reset(&mut self, n_cpus: usize) {
-        self.mask.clear();
-        self.mask.resize(n_cpus.div_ceil(64), 0);
-        self.tid.clear();
-        self.tid.resize(n_cpus, u32::MAX);
-    }
-
-    #[inline]
-    fn insert(&mut self, ci: usize, ti: usize) {
-        self.mask[ci >> 6] |= 1u64 << (ci & 63);
-        self.tid[ci] = ti as u32;
-    }
-
-    #[inline]
-    fn remove(&mut self, ci: usize) {
-        self.mask[ci >> 6] &= !(1u64 << (ci & 63));
-        self.tid[ci] = u32::MAX;
-    }
-
-    /// Visit running `(cpu index, thread index)` pairs in CPU order.
-    #[inline]
-    fn for_each(&self, mut f: impl FnMut(usize, usize)) {
-        for (w, &word) in self.mask.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let ci = (w << 6) | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                f(ci, self.tid[ci] as usize);
-            }
-        }
-    }
-}
-
 /// The simulated kernel. See module docs.
 pub struct Kernel {
     pub machine: Machine,
     pub config: KernelConfig,
-    queue: EventQueue<KEvent>,
-    threads: Vec<Thread>,
+    pub(crate) queue: EventQueue<KEvent>,
+    pub(crate) threads: Vec<Thread>,
     behaviors: Vec<Option<Box<dyn Behavior>>>,
-    cpus: Vec<Cpu>,
+    pub(crate) cpus: Vec<Cpu>,
     barriers: Vec<BarrierState>,
     rng: Rng,
     tracer: Option<Box<dyn TraceSink>>,
@@ -270,14 +173,16 @@ pub struct Kernel {
     /// consulted on every rate recompute. Maintained at the four
     /// mutation points (dispatch, off_cpu, install/clear compute) and
     /// cross-checked against the scan in debug builds.
-    bw_running: u32,
+    pub(crate) bw_running: u32,
     /// Active computes, parallel to `threads`. Kept out of the big
     /// `Thread` control block so rate recomputes walk a dense array.
-    computes: Vec<Option<ActiveCompute>>,
+    pub(crate) computes: Vec<Option<ActiveCompute>>,
     /// CPUs currently running a compute (see [`RunningSet`]).
     /// Maintained at the same four mutation points as `bw_running`.
-    running: RunningSet,
-    scratch: RateScratch,
+    pub(crate) running: RunningSet,
+    /// Buffers, caches and work counts of the rate layer (see
+    /// [`crate::rates`]).
+    pub(crate) scratch: RateScratch,
     /// Installed fault plan state, if any. Faults draw from their own
     /// RNG stream so a `None` here (or an all-zero plan) leaves the
     /// event sequence bit-identical to an unfaulted run.
@@ -302,7 +207,7 @@ pub struct Kernel {
     /// pre-DVFS simulator. Deliberately *not* recycled through
     /// [`KernelStorage`]: the vectors are tiny (per-CPU) and a fresh
     /// runtime per run keeps arena reuse trivially pure.
-    dvfs: Option<crate::dvfs::DvfsRuntime>,
+    pub(crate) dvfs: Option<crate::dvfs::DvfsRuntime>,
 }
 
 /// Recyclable per-run kernel state: every growable buffer the kernel
@@ -482,14 +387,14 @@ impl Kernel {
     }
 
     #[inline]
-    fn prof_enter(&mut self, phase: Phase) {
+    pub(crate) fn prof_enter(&mut self, phase: Phase) {
         if let Some(p) = self.profiler.as_mut() {
             p.enter(phase);
         }
     }
 
     #[inline]
-    fn prof_exit(&mut self, phase: Phase) {
+    pub(crate) fn prof_exit(&mut self, phase: Phase) {
         if let Some(p) = self.profiler.as_mut() {
             p.exit(phase);
         }
@@ -636,7 +541,7 @@ impl Kernel {
 
     /// Timer key of `ThreadTimer` `which` for thread index `ti`.
     #[inline]
-    fn thread_key(&self, ti: usize, which: ThreadTimer) -> usize {
+    pub(crate) fn thread_key(&self, ti: usize, which: ThreadTimer) -> usize {
         self.cpus.len() + ti * THREAD_TIMERS + which as usize
     }
 
@@ -1447,10 +1352,7 @@ impl Kernel {
         }
 
         if self.computes[i].is_some() {
-            self.running.remove(cpu.index());
-            if self.thread_demands_bw(i) {
-                self.bw_running -= 1;
-            }
+            self.leave_running(cpu.index(), i);
         }
         self.cpus[cpu.index()].current = None;
         self.threads[i].last_cpu = Some(cpu);
@@ -1551,10 +1453,7 @@ impl Kernel {
         debug_assert_eq!(self.threads[i].state, ThreadState::Ready);
         self.cpus[ci].current = Some(tid);
         if self.computes[i].is_some() {
-            self.running.insert(ci, i);
-            if self.thread_demands_bw(i) {
-                self.bw_running += 1;
-            }
+            self.join_running(ci, i);
         }
         // A busy CPU always ticks; re-arm if this CPU had parked.
         self.arm_tick(ci);
@@ -1858,25 +1757,21 @@ impl Kernel {
         let i = tid.index();
         debug_assert_eq!(self.threads[i].state, ThreadState::Running);
         let overhead = std::mem::take(&mut self.threads[i].pending_overhead_ns);
-        let had_bw = self.thread_demands_bw(i);
-        self.computes[i] = Some(ActiveCompute {
-            solo,
-            remaining,
-            rate: 0.0,
-            last_update: now,
-            overhead_ns: overhead,
-        });
-        match (had_bw, solo.bw_demand > 0.0) {
-            (false, true) => self.bw_running += 1,
-            (true, false) => self.bw_running -= 1,
-            _ => {}
-        }
+        self.set_compute(
+            i,
+            ActiveCompute {
+                solo,
+                remaining,
+                rate: 0.0,
+                last_update: now,
+                overhead_ns: overhead,
+            },
+        );
         self.threads[i].spinning = spin;
         let cpu = self.threads[i]
             .cpu
             .expect("running thread without cpu")
             .index();
-        self.running.insert(cpu, i);
         self.recompute_rates_for(cpu);
     }
 
@@ -1962,7 +1857,7 @@ impl Kernel {
     }
 
     // ------------------------------------------------------------------
-    // Accounting and rates
+    // Accounting
     // ------------------------------------------------------------------
 
     /// Charge on-CPU time since `charged_until` to vruntime and stats.
@@ -1994,28 +1889,6 @@ impl Kernel {
             }
         }
         self.threads[i].charged_until = now;
-    }
-
-    /// SMT/IRQ/frequency throughput factor for the compute running on
-    /// `ci`. Frequency multiplies in here (and nowhere else), so both
-    /// the rate and the water-fill demand paths see it consistently; a
-    /// disabled DVFS axis contributes exactly nothing.
-    fn compute_factor(&self, ci: usize, now: SimTime) -> f64 {
-        let mut factor = 1.0;
-        if let Some(sib) = self.machine.sibling_of(CpuId(ci as u32)) {
-            if let Some(sib_cur) = self.cpus[sib.index()].current {
-                if self.computes[sib_cur.index()].is_some() && !self.cpus[sib.index()].in_irq(now) {
-                    factor = self.machine.perf.smt_factor;
-                }
-            }
-        }
-        if let Some(d) = self.dvfs.as_ref() {
-            factor *= d.factor(ci);
-        }
-        if self.cpus[ci].in_irq(now) {
-            factor = 0.0;
-        }
-        factor
     }
 
     // ------------------------------------------------------------------
@@ -2120,301 +1993,5 @@ impl Kernel {
     /// Current frequency of a CPU in kHz, when DVFS is enabled.
     pub fn cpu_khz(&self, cpu: CpuId) -> Option<u32> {
         self.dvfs.as_ref().map(|d| d.khz(cpu.index()))
-    }
-
-    /// Set `tid`'s rate and (re)schedule its completion. When the rate is
-    /// unchanged and the completion event is still armed, the previously
-    /// scheduled event time remains exact, so skip the heap churn — the
-    /// dominant cost in steady state.
-    fn apply_rate(&mut self, ti: usize, factor: f64, rate: f64, now: SimTime) {
-        let c = self.computes[ti]
-            .as_mut()
-            .expect("a rated thread has a compute phase");
-        let unchanged = (c.rate - rate).abs() <= 1e-12 * rate.max(1.0);
-        c.rate = rate;
-        let key = self.thread_key(ti, ThreadTimer::Compute);
-        if unchanged && self.queue.is_armed(key) {
-            return;
-        }
-        let c = self.computes[ti]
-            .as_ref()
-            .expect("a rated thread has a compute phase");
-        let eta = if factor == 0.0 { None } else { c.eta_ns() };
-        match eta {
-            Some(ns) => self.queue.arm(key, now + SimDuration(ns.max(1))),
-            None => {
-                self.queue.cancel(key);
-            }
-        }
-    }
-
-    /// Does thread `i` hold a compute that demands memory bandwidth?
-    #[inline]
-    fn thread_demands_bw(&self, i: usize) -> bool {
-        self.computes[i]
-            .as_ref()
-            .is_some_and(|c| c.solo.bw_demand > 0.0)
-    }
-
-    /// Clear thread `i`'s compute, keeping [`Self::bw_running`] and the
-    /// running set in sync when the thread is some CPU's current
-    /// occupant (paths that go through `off_cpu` first have already
-    /// updated both there).
-    fn clear_compute(&mut self, i: usize) {
-        let was_bw = self.thread_demands_bw(i);
-        let had = self.computes[i].take().is_some();
-        if had {
-            if let Some(c) = self.threads[i].cpu {
-                if self.cpus[c.index()].current == Some(ThreadId(i as u32)) {
-                    self.running.remove(c.index());
-                    if was_bw {
-                        self.bw_running -= 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Does any running compute demand memory bandwidth? When none does,
-    /// the water-fill couples nothing and rate changes stay local to a
-    /// CPU and its SMT sibling. O(1) via the maintained counter; debug
-    /// builds cross-check it against the definitional scan.
-    fn bw_demand_active(&self) -> bool {
-        debug_assert_eq!(
-            self.bw_running > 0,
-            self.cpus
-                .iter()
-                .any(|c| { c.current.is_some_and(|t| self.thread_demands_bw(t.index())) }),
-            "bw_running counter drifted from the running set"
-        );
-        self.bw_running > 0
-    }
-
-    /// Recompute rates after a change confined to CPU `ci` (its current
-    /// thread, compute, or IRQ window changed). When no running compute
-    /// demands bandwidth, only `ci` and its SMT sibling can be affected,
-    /// so the global pass — with its all-CPU scan and water-fill — is
-    /// skipped. Falls back to [`Self::recompute_rates`] otherwise; both
-    /// paths produce bit-identical rates.
-    fn recompute_rates_for(&mut self, ci: usize) {
-        self.prof_enter(Phase::Rates);
-        if self.bw_demand_active() {
-            // Bandwidth couples rates through the waterfill; but while
-            // the fill is unsaturated every allocation is a bit-exact
-            // copy of its demand, so the update stays local to `ci` and
-            // its sibling (see recompute_rates_local). Outside that
-            // regime — or before a full pass has primed the demand
-            // cache — fall back to the global pass.
-            if self.scratch.cache_valid && self.scratch.cache_unsaturated {
-                self.recompute_rates_local(ci);
-            } else {
-                self.recompute_rates();
-            }
-        } else {
-            self.recompute_rates_pair(ci);
-        }
-        self.prof_exit(Phase::Rates);
-    }
-
-    /// Demandless path of [`Self::recompute_rates_for`]: re-rate only
-    /// `ci` and its SMT sibling.
-    fn recompute_rates_pair(&mut self, ci: usize) {
-        // No demand cached below, so the next bandwidth-active
-        // recompute must start with a full pass.
-        self.scratch.cache_valid = false;
-        let now = self.now();
-        let sib = self.machine.sibling_of(CpuId(ci as u32)).map(|c| c.index());
-        for cpu in [Some(ci), sib].into_iter().flatten() {
-            let Some(tid) = self.cpus[cpu].current else {
-                continue;
-            };
-            let ti = tid.index();
-            if self.computes[ti].is_none() {
-                continue;
-            }
-            self.computes[ti]
-                .as_mut()
-                .expect("checked is_none above")
-                .advance_to(now);
-            let factor = self.compute_factor(cpu, now);
-            let rate = {
-                let c = self.computes[ti].as_ref().expect("checked is_none above");
-                // No bandwidth demand anywhere, so the allocation is 0.
-                self.machine.perf.rate(&c.solo, factor, 0.0)
-            };
-            self.apply_rate(ti, factor, rate, now);
-        }
-    }
-
-    /// Waterfill demand of the compute currently on `cpu`, exactly as
-    /// [`Self::recompute_rates`] would feed it to the fill: zero unless
-    /// the compute can run (`factor > 0`) and wants bandwidth.
-    fn waterfill_demand(&self, cpu: usize, now: SimTime) -> f64 {
-        let Some(tid) = self.cpus[cpu].current else {
-            return 0.0;
-        };
-        let Some(c) = self.computes[tid.index()].as_ref() else {
-            return 0.0;
-        };
-        let factor = self.compute_factor(cpu, now);
-        if factor > 0.0 && c.solo.bw_demand > 0.0 {
-            upper_bound_demand(&c.solo, factor)
-        } else {
-            0.0
-        }
-    }
-
-    /// Bandwidth-active local fast path for a change confined to CPU
-    /// `ci`. Valid only while the waterfill is unsaturated before *and*
-    /// after the change: then `alloc[k] == demands[k]` bit-for-bit
-    /// (see `waterfill_into`), and since an unaffected CPU's factor
-    /// inputs are unchanged between recomputes (any event that changes
-    /// them recomputes that CPU), its demand, allocation and rate are
-    /// bit-identical to what the full pass would produce — so only `ci`
-    /// and its SMT sibling need their rate re-applied. Progress is
-    /// still advanced on *every* running compute, in the same order as
-    /// the full pass: interval splitting is not associative in f64, so
-    /// skipping an advance would change rounding downstream.
-    fn recompute_rates_local(&mut self, ci: usize) {
-        let now = self.now();
-        {
-            let (running, computes) = (&self.running, &mut self.computes);
-            running.for_each(|_, ti| {
-                computes[ti]
-                    .as_mut()
-                    .expect("a running thread has a compute phase")
-                    .advance_to(now)
-            });
-        }
-        let sib = self.machine.sibling_of(CpuId(ci as u32)).map(|c| c.index());
-        for cpu in [Some(ci), sib].into_iter().flatten() {
-            self.scratch.demand_by_cpu[cpu] = self.waterfill_demand(cpu, now);
-        }
-        // Saturation check with the same value sequence the full pass
-        // would sum (running-set order is CPU-index order there too).
-        let mut total = 0.0;
-        {
-            let (running, demand) = (&self.running, &self.scratch.demand_by_cpu);
-            running.for_each(|cpu, _| total += demand[cpu]);
-        }
-        // Negated so a NaN total falls into the conservative branch.
-        let unsaturated = total <= self.machine.perf.socket_bw;
-        if !unsaturated {
-            // Transitioned into saturation: allocations now couple
-            // globally. The duplicate advances above are exact no-ops.
-            self.recompute_rates();
-            return;
-        }
-        for cpu in [Some(ci), sib].into_iter().flatten() {
-            let Some(tid) = self.cpus[cpu].current else {
-                continue;
-            };
-            let ti = tid.index();
-            if self.computes[ti].is_none() {
-                continue;
-            }
-            let factor = self.compute_factor(cpu, now);
-            let alloc = self.scratch.demand_by_cpu[cpu];
-            let rate = {
-                let c = self.computes[ti].as_ref().expect("checked is_none above");
-                self.machine.perf.rate(&c.solo, factor, alloc)
-            };
-            self.apply_rate(ti, factor, rate, now);
-        }
-    }
-
-    /// Recompute execution rates for every running compute and reschedule
-    /// completion events. Called whenever the set of running threads, the
-    /// IRQ state, or SMT occupancy changes in a way that is not confined
-    /// to one CPU (see [`Self::recompute_rates_for`]).
-    fn recompute_rates(&mut self) {
-        let now = self.now();
-        // Collect running (tid, cpu) pairs with active computes into the
-        // reusable scratch (CPU-index order), driven by the incrementally
-        // maintained running-set mask rather than a scan of every CPU.
-        {
-            let (running, scratch) = (&self.running, &mut self.scratch);
-            scratch.running.clear();
-            running.for_each(|ci, ti| scratch.running.push((ti, ci)));
-        }
-        #[cfg(debug_assertions)]
-        {
-            let mut scan = Vec::new();
-            for (ci, cpu) in self.cpus.iter().enumerate() {
-                if let Some(tid) = cpu.current {
-                    if self.computes[tid.index()].is_some() {
-                        scan.push((tid.index(), ci));
-                    }
-                }
-            }
-            debug_assert_eq!(
-                self.scratch.running, scan,
-                "running-set mask drifted from the definitional scan"
-            );
-        }
-        let n = self.scratch.running.len();
-        // First pass: advance progress at old rates.
-        for k in 0..n {
-            let (ti, _) = self.scratch.running[k];
-            self.computes[ti]
-                .as_mut()
-                .expect("a running thread has a compute phase")
-                .advance_to(now);
-        }
-        // Compute factors (SMT) and bandwidth demands.
-        self.scratch.factors.clear();
-        self.scratch.factors.resize(n, 0.0);
-        self.scratch.demands.clear();
-        self.scratch.demands.resize(n, 0.0);
-        let mut any_demand = false;
-        for k in 0..n {
-            let (ti, ci) = self.scratch.running[k];
-            let factor = self.compute_factor(ci, now);
-            self.scratch.factors[k] = factor;
-            let c = self.computes[ti]
-                .as_ref()
-                .expect("a running thread has a compute phase");
-            if factor > 0.0 && c.solo.bw_demand > 0.0 {
-                self.scratch.demands[k] = upper_bound_demand(&c.solo, factor);
-                any_demand = true;
-            }
-        }
-        // Water-fill only when some compute actually wants bandwidth;
-        // with all-zero demands every allocation is zero anyway.
-        let unsaturated = if any_demand {
-            waterfill_into(
-                &self.scratch.demands,
-                self.machine.perf.socket_bw,
-                &mut self.scratch.allocs,
-                &mut self.scratch.order,
-            )
-        } else {
-            self.scratch.allocs.clear();
-            self.scratch.allocs.resize(n, 0.0);
-            true
-        };
-        // Prime the per-CPU demand cache for the local fast path.
-        let n_cpus = self.cpus.len();
-        self.scratch.demand_by_cpu.clear();
-        self.scratch.demand_by_cpu.resize(n_cpus, 0.0);
-        for k in 0..n {
-            let (_, ci) = self.scratch.running[k];
-            self.scratch.demand_by_cpu[ci] = self.scratch.demands[k];
-        }
-        self.scratch.cache_unsaturated = unsaturated;
-        self.scratch.cache_valid = true;
-        // Second pass: set new rates and (re)schedule completions.
-        for k in 0..n {
-            let (ti, _) = self.scratch.running[k];
-            let factor = self.scratch.factors[k];
-            let alloc = self.scratch.allocs[k];
-            let rate = {
-                let c = self.computes[ti]
-                    .as_ref()
-                    .expect("a running thread has a compute phase");
-                self.machine.perf.rate(&c.solo, factor, alloc)
-            };
-            self.apply_rate(ti, factor, rate, now);
-        }
     }
 }

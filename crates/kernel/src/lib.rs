@@ -51,6 +51,7 @@ pub mod ids;
 pub mod kernel;
 pub mod observe;
 pub mod policy;
+mod rates;
 pub mod sanitize;
 pub mod thread;
 pub mod trace;
@@ -64,6 +65,7 @@ pub use ids::{BarrierId, ThreadId};
 pub use kernel::{Kernel, KernelStorage, RunError, ThreadSpec};
 pub use observe::{DecisionPoint, HostProfiler, KernelObserver, Phase, SchedRecord};
 pub use policy::Policy;
+pub use rates::RateCounts;
 pub use sanitize::{
     EventKind, EventRecord, EventSanitizer, HashCheckpoint, LoggedEvent, SanitizerConfig,
     SanitizerReport,

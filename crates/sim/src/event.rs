@@ -14,6 +14,14 @@
 //! entry in place, so the churn of re-predicted events (compute
 //! completions move on every rate change) never leaves a dead entry
 //! behind.
+//!
+//! Timer placement is deferred. `arm` and `cancel` stamp the seq and
+//! update the entry and its key's slot at once, but only note which heap
+//! indices changed; the next [`EventQueue::pop`] or
+//! [`EventQueue::peek_time`] repairs the heap in one go. A key re-armed
+//! several times between two pops thus sifts once. This cannot change
+//! what fires when: `(time, seq)` pairs are unique, so the pop order is a
+//! function of the live pairs alone, not of the heap's shape.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -78,6 +86,11 @@ pub struct EventQueue<E> {
     /// `pos[key]` is the index of `key`'s pending entry in `timers`, or
     /// `NIL`. Grows on demand to the largest key armed.
     pos: Vec<u32>,
+    /// Indices in `timers` whose entry changed since the last repair
+    /// (possibly repeated, possibly past the end after a removal).
+    dirty: Vec<u32>,
+    /// Repairs so far by branch: sifted, heapified.
+    repairs: (u64, u64),
     next_seq: u64,
     now: SimTime,
 }
@@ -94,6 +107,8 @@ impl<E> EventQueue<E> {
             plain: BinaryHeap::new(),
             timers: Vec::new(),
             pos: Vec::new(),
+            dirty: Vec::new(),
+            repairs: (0, 0),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -112,6 +127,8 @@ impl<E> EventQueue<E> {
         self.plain.clear();
         self.timers.clear();
         self.pos.clear();
+        self.dirty.clear();
+        self.repairs = (0, 0);
         self.next_seq = 0;
         self.now = SimTime::ZERO;
     }
@@ -155,17 +172,26 @@ impl<E> EventQueue<E> {
     }
 
     /// Arm timer `key` to fire at `at`. A still-pending entry for the key
-    /// is replaced in place: the re-prediction primitive, one heap
-    /// update.
+    /// is replaced in place: the re-prediction primitive. The heap is
+    /// repaired at the next pop or peek.
     pub fn arm(&mut self, key: usize, at: SimTime) {
         let new = self.stamp_timer(key, at);
-        match self.slot(key) {
-            NIL => self.insert(new),
+        let i = match self.slot(key) {
+            NIL => {
+                if key >= self.pos.len() {
+                    self.pos.resize(key + 1, NIL);
+                }
+                let i = self.timers.len() as u32;
+                self.timers.push(new);
+                self.pos[key] = i;
+                i
+            }
             i => {
                 self.timers[i as usize] = new;
-                self.fix(i as usize);
+                i
             }
-        }
+        };
+        self.mark(i);
     }
 
     /// Cancel `key`'s pending entry. Returns whether there was one;
@@ -173,14 +199,24 @@ impl<E> EventQueue<E> {
     pub fn cancel(&mut self, key: usize) -> bool {
         let i = self.slot(key);
         if i != NIL {
-            self.remove_at(i as usize);
+            self.take(i as usize);
+            if (i as usize) < self.timers.len() {
+                self.mark(i);
+            }
         }
         i != NIL
+    }
+
+    /// Repairs of the timer heap so far, by branch: `(sifted,
+    /// heapified)`. A work count for reports; reset by [`Self::reset`].
+    pub fn repair_counts(&self) -> (u64, u64) {
+        self.repairs
     }
 
     /// Pop the next event, advancing `now` to its timestamp. Firing a
     /// timer disarms its key.
     pub fn pop(&mut self) -> Option<(SimTime, Fired<E>)> {
+        self.repair();
         let plain_first = match (self.plain.peek(), self.timers.first()) {
             (None, None) => return None,
             (Some(_), None) => true,
@@ -191,7 +227,10 @@ impl<E> EventQueue<E> {
             let Reverse(entry) = self.plain.pop().expect("plain head was peeked");
             (entry.time, Fired::Event(entry.payload))
         } else {
-            let t = self.remove_at(0);
+            let t = self.take(0);
+            if !self.timers.is_empty() {
+                self.sift_down(0);
+            }
             (t.time, Fired::Timer(t.key as usize))
         };
         debug_assert!(time >= self.now);
@@ -200,7 +239,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the next event without firing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.repair();
         let plain = self.plain.peek().map(|Reverse(e)| e.time);
         let timer = self.timers.first().map(|t| t.time);
         match (plain, timer) {
@@ -227,32 +267,52 @@ impl<E> EventQueue<E> {
         self.pos.get(key).copied().unwrap_or(NIL)
     }
 
-    fn insert(&mut self, t: Timer) {
-        let key = t.key as usize;
-        if key >= self.pos.len() {
-            self.pos.resize(key + 1, NIL);
+    /// Note that the entry at heap index `i` changed.
+    #[inline]
+    fn mark(&mut self, i: u32) {
+        if self.dirty.last() != Some(&i) {
+            self.dirty.push(i);
         }
-        self.timers.push(t);
-        self.sift_up(self.timers.len() - 1);
     }
 
-    fn remove_at(&mut self, i: usize) -> Timer {
+    /// Remove the entry at index `i`, moving the last entry into its
+    /// place without restoring the heap order there.
+    fn take(&mut self, i: usize) -> Timer {
         let t = self.timers.swap_remove(i);
         self.pos[t.key as usize] = NIL;
-        if i < self.timers.len() {
-            self.fix(i);
+        if let Some(moved) = self.timers.get(i) {
+            self.pos[moved.key as usize] = i as u32;
         }
         t
     }
 
-    /// Restore the heap order around index `i` after its entry changed.
-    #[inline]
-    fn fix(&mut self, i: usize) {
-        if i > 0 && self.timers[i].before(&self.timers[(i - 1) / 2]) {
-            self.sift_up(i);
-        } else {
-            self.sift_down(i);
+    /// Restore the heap order after the changes noted in `dirty`: one
+    /// changed entry sifts up or down, several re-heapify the whole heap.
+    fn repair(&mut self) {
+        if self.dirty.is_empty() {
+            return;
         }
+        let n = self.timers.len();
+        self.dirty.retain(|&i| (i as usize) < n);
+        match *self.dirty.as_slice() {
+            [] => {}
+            [i] => {
+                self.repairs.0 += 1;
+                let i = i as usize;
+                if i > 0 && self.timers[i].before(&self.timers[(i - 1) / 2]) {
+                    self.sift_up(i);
+                } else {
+                    self.sift_down(i);
+                }
+            }
+            _ => {
+                self.repairs.1 += 1;
+                for i in (0..n / 2).rev() {
+                    self.sift_down(i);
+                }
+            }
+        }
+        self.dirty.clear();
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -426,6 +486,64 @@ mod tests {
         assert_eq!(q.pop(), None);
         q.arm(2, SimTime(40)); // nothing pending: plain arm
         assert_eq!(q.pop(), timer(40, 2));
+    }
+
+    #[test]
+    fn a_burst_of_rearms_and_a_cancel_then_rearm_repair_once() {
+        let mut q = EventQueue::<u32>::new();
+        for key in 0..6 {
+            q.arm(key, SimTime(100 + key as u64));
+        }
+        assert_eq!(q.pop(), timer(100, 0));
+        let before = q.repair_counts();
+        // One burst between two pops: key 3 re-armed three times (last
+        // arm wins, with its own seq), key 1 cancelled then re-armed.
+        q.arm(3, SimTime(500));
+        q.arm(3, SimTime(100));
+        q.arm(3, SimTime(150));
+        assert!(q.cancel(1));
+        assert!(!q.is_armed(1));
+        q.arm(1, SimTime(150));
+        assert!(q.is_armed(1) && q.is_armed(3));
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(SimTime(102)));
+        let after = q.repair_counts();
+        let repairs = (after.0 - before.0) + (after.1 - before.1);
+        assert_eq!(repairs, 1, "the burst is repaired once");
+        assert_eq!(q.pop(), timer(102, 2));
+        assert_eq!(q.pop(), timer(104, 4));
+        assert_eq!(q.pop(), timer(105, 5));
+        // Equal times fire in arm order: key 3's last arm came first.
+        assert_eq!(q.pop(), timer(150, 3));
+        assert_eq!(q.pop(), timer(150, 1));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn repair_sifts_one_change_and_heapifies_several() {
+        let mut q = EventQueue::<u32>::new();
+        for key in 0..200 {
+            q.arm(key, SimTime(1_000 + (key as u64 * 7919) % 997));
+        }
+        q.peek_time();
+        let base = q.repair_counts();
+        // One key re-armed twice between pops changes one entry: sift.
+        q.arm(17, SimTime(9));
+        q.arm(17, SimTime(5));
+        assert_eq!(q.peek_time(), Some(SimTime(5)));
+        assert_eq!(q.repair_counts(), (base.0 + 1, base.1));
+        // Two changes: heapify.
+        q.arm(150, SimTime(3_000));
+        q.cancel(60);
+        assert_eq!(q.pop(), timer(5, 17));
+        assert_eq!(q.repair_counts(), (base.0 + 1, base.1 + 1));
+        let mut last = (SimTime(5), 0);
+        while let Some((t, _)) = q.pop() {
+            assert!(t >= last.0);
+            last.0 = t;
+            last.1 += 1;
+        }
+        assert_eq!(last.1, 198);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the event queue: total ordering, stable ties,
-//! exact cancellation, monotone time, reset, and a model check of keyed
-//! timers against a naive reference list.
+//! exact cancellation, monotone time, reset, and model checks of keyed
+//! timers (step by step, and in bursts between pops that exercise the
+//! deferred heap repair) against a naive reference list.
 
 use noiselab_sim::{EventQueue, Fired, SimTime};
 use proptest::prelude::*;
@@ -8,6 +9,13 @@ use proptest::prelude::*;
 /// Number of distinct timer keys the model check draws from: small, so
 /// re-arming a key that is still pending is common.
 const KEYS: usize = 6;
+
+/// Largest heap the burst model check fills before its bursts.
+const MAX_HEAP: usize = 200;
+
+/// Keys the burst model check draws from: every key of the largest heap
+/// plus a quarter more, so bursts also arm fresh keys.
+const BURST_KEYS: usize = MAX_HEAP + MAX_HEAP / 4;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -106,7 +114,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..5, 0usize..KEYS, 0u64..50), 1..300),
     ) {
         let mut q = EventQueue::new();
-        let mut model = Model::default();
+        let mut model = Model::new(KEYS);
         for (step, &(kind, key, dt)) in ops.iter().enumerate() {
             let at = SimTime(model.now + dt);
             match kind {
@@ -130,6 +138,62 @@ proptest! {
             }
         }
         // Drain: the tails agree too.
+        loop {
+            let got = q.pop();
+            prop_assert_eq!(got.clone(), model.pop());
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// Between pops, bursts of 1–40 arms, same-key re-arms and cancels
+    /// hit a timer heap of 2–200 entries. The queue repairs the heap
+    /// only at the next peek or pop, sifting when one entry changed and
+    /// heapifying when several did; every peek, pop and `is_armed` must
+    /// agree with the model either way.
+    #[test]
+    fn deferred_repair_matches_the_reference_model(
+        size in 2usize..MAX_HEAP + 1,
+        fill in proptest::collection::vec(0u64..1_000, MAX_HEAP..MAX_HEAP + 1),
+        bursts in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, 0usize..BURST_KEYS, 0u64..1_000), 1..41),
+            1..12,
+        ),
+    ) {
+        let mut q = EventQueue::<usize>::new();
+        let mut model = Model::new(BURST_KEYS);
+        for (key, &t) in fill.iter().take(size).enumerate() {
+            q.arm(key, SimTime(t));
+            model.cancel(key);
+            model.push(t, Fired::Timer(key), Some(key));
+        }
+        for burst in &bursts {
+            let mut last = None;
+            for &(kind, key, dt) in burst {
+                let at = model.now + dt;
+                // Kind 1 re-arms the burst's previous key, so one key
+                // often changes several times between two repairs.
+                let key = match (kind, last) {
+                    (1, Some(k)) => k,
+                    _ => key,
+                };
+                if kind == 2 {
+                    prop_assert_eq!(q.cancel(key), model.cancel(key));
+                } else {
+                    q.arm(key, SimTime(at));
+                    model.cancel(key);
+                    model.push(at, Fired::Timer(key), Some(key));
+                }
+                last = Some(key);
+            }
+            prop_assert_eq!(q.len(), model.live.len());
+            for k in 0..BURST_KEYS {
+                prop_assert_eq!(q.is_armed(k), model.armed(k));
+            }
+            prop_assert_eq!(q.peek_time(), model.peek_time());
+            prop_assert_eq!(q.pop(), model.pop());
+        }
         loop {
             let got = q.pop();
             prop_assert_eq!(got.clone(), model.pop());
@@ -182,16 +246,24 @@ fn drive(q: &mut EventQueue<usize>, ops: &[(u8, usize, u64)]) -> Vec<String> {
 /// kernel held one cancellation handle per timer field; the handle is
 /// dropped when it is used to cancel or when any timer of that key
 /// fires, as the kernel cleared its field in the event handler.
-#[derive(Default)]
 struct Model {
     /// `(time, seq, payload)` of every live event.
     live: Vec<(u64, u64, Fired<usize>)>,
-    handle: [Option<u64>; KEYS],
+    handle: Vec<Option<u64>>,
     next_seq: u64,
     now: u64,
 }
 
 impl Model {
+    fn new(keys: usize) -> Self {
+        Model {
+            live: Vec::new(),
+            handle: vec![None; keys],
+            next_seq: 0,
+            now: 0,
+        }
+    }
+
     fn push(&mut self, time: u64, payload: Fired<usize>, key: Option<usize>) {
         let seq = self.next_seq;
         self.next_seq += 1;
