@@ -16,7 +16,6 @@ use noiselab_sim::SimDuration;
 use noiselab_testutil::run_fresh;
 use noiselab_workloads::{Babelstream, MiniFE, NBody, Workload};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -129,63 +128,6 @@ fn battery() -> BTreeMap<String, String> {
 }
 
 #[test]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "NOISELAB_UPDATE_FIXTURES=1 rewrites the pinned hashes; it never reaches a run"
-)]
 fn event_streams_match_committed_fixture() {
-    let got = battery();
-    if std::env::var("NOISELAB_UPDATE_FIXTURES").is_ok_and(|v| v == "1") {
-        let mut json = String::from("{\n");
-        for (i, (k, v)) in got.iter().enumerate() {
-            let comma = if i + 1 == got.len() { "" } else { "," };
-            writeln!(json, "  \"{k}\": \"{v}\"{comma}").unwrap();
-        }
-        json.push_str("}\n");
-        std::fs::write(FIXTURE, json).expect("write fixture");
-        eprintln!(
-            "stream_identity: fixture regenerated with {} cells",
-            got.len()
-        );
-        return;
-    }
-    let raw = std::fs::read_to_string(FIXTURE)
-        .expect("missing stream-hash fixture; run with NOISELAB_UPDATE_FIXTURES=1 to create it");
-    // Flat `"key": "value"` map written by the update branch above;
-    // parsed by hand because the vendored serde stub has no map
-    // deserializer.
-    let mut want = BTreeMap::new();
-    for line in raw.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let Some((key, rest)) = rest.split_once("\": \"") else {
-            continue;
-        };
-        let Some(value) = rest.strip_suffix('"') else {
-            continue;
-        };
-        want.insert(key.to_string(), value.to_string());
-    }
-    assert!(!want.is_empty(), "fixture parse failed");
-    let mut bad = Vec::new();
-    for (k, v) in &want {
-        match got.get(k) {
-            Some(g) if g == v => {}
-            Some(g) => bad.push(format!("{k}: fixture {v} != current {g}")),
-            None => bad.push(format!("{k}: cell missing from battery")),
-        }
-    }
-    for k in got.keys() {
-        if !want.contains_key(k) {
-            bad.push(format!("{k}: not in fixture (regenerate)"));
-        }
-    }
-    assert!(
-        bad.is_empty(),
-        "event-stream identity violated ({} cells):\n  {}",
-        bad.len(),
-        bad.join("\n  ")
-    );
+    noiselab_testutil::assert_matches_fixture(FIXTURE, &battery());
 }

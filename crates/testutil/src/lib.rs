@@ -28,6 +28,8 @@ use noiselab_machine::{CpuId, CpuSet, Machine, PerfModel, WorkUnit};
 use noiselab_sim::{SimDuration, SimTime};
 use noiselab_workloads::{Babelstream, MiniFE, NBody, Workload};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------
@@ -281,6 +283,72 @@ pub fn tmp_path(suite: &str, name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(suite);
     std::fs::create_dir_all(&dir).expect("create tmp dir");
     dir.join(name)
+}
+
+// ---------------------------------------------------------------------
+// Pinned fixtures
+// ---------------------------------------------------------------------
+
+/// Compare a battery's `cell -> value` map with the flat JSON fixture at
+/// `path`, listing every cell that differs, is missing or is new. With
+/// `NOISELAB_UPDATE_FIXTURES=1` the fixture is rewritten from `got`
+/// instead (only when a semantic change is intended and called out in
+/// EXPERIMENTS.md).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "NOISELAB_UPDATE_FIXTURES=1 rewrites the pinned values; it never reaches a run"
+)]
+pub fn assert_matches_fixture(path: &str, got: &BTreeMap<String, String>) {
+    if std::env::var("NOISELAB_UPDATE_FIXTURES").is_ok_and(|v| v == "1") {
+        let mut json = String::from("{\n");
+        for (i, (k, v)) in got.iter().enumerate() {
+            let comma = if i + 1 == got.len() { "" } else { "," };
+            writeln!(json, "  \"{k}\": \"{v}\"{comma}").expect("write to a String");
+        }
+        json.push_str("}\n");
+        std::fs::write(path, json).expect("write fixture");
+        eprintln!("fixture {path} regenerated with {} cells", got.len());
+        return;
+    }
+    let raw = std::fs::read_to_string(path)
+        .expect("missing fixture; run with NOISELAB_UPDATE_FIXTURES=1 to create it");
+    // Flat `"key": "value"` map written by the update branch above;
+    // parsed by hand because the vendored serde stub has no map
+    // deserializer.
+    let mut want = BTreeMap::new();
+    for line in raw.lines() {
+        let line = line.trim().trim_end_matches(',');
+        let Some(rest) = line.strip_prefix('"') else {
+            continue;
+        };
+        let Some((key, rest)) = rest.split_once("\": \"") else {
+            continue;
+        };
+        let Some(value) = rest.strip_suffix('"') else {
+            continue;
+        };
+        want.insert(key.to_string(), value.to_string());
+    }
+    assert!(!want.is_empty(), "fixture parse failed");
+    let mut bad = Vec::new();
+    for (k, v) in &want {
+        match got.get(k) {
+            Some(g) if g == v => {}
+            Some(g) => bad.push(format!("{k}: fixture {v} != current {g}")),
+            None => bad.push(format!("{k}: cell missing from battery")),
+        }
+    }
+    for k in got.keys() {
+        if !want.contains_key(k) {
+            bad.push(format!("{k}: not in fixture (regenerate)"));
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "event-stream identity violated ({} cells):\n  {}",
+        bad.len(),
+        bad.join("\n  ")
+    );
 }
 
 #[cfg(test)]
