@@ -39,7 +39,7 @@ use crate::kernel::{Kernel, ThreadTimer};
 use crate::observe::Phase;
 use crate::thread::ActiveCompute;
 use crate::ThreadId;
-use noiselab_machine::{waterfill_into, CpuId, SoloProfile};
+use noiselab_machine::{certify_unsaturated, waterfill_into, CpuId, SoloProfile};
 use noiselab_sim::{SimDuration, SimTime};
 
 /// Work done by the rate layer in one run: passes by kind, advance
@@ -53,6 +53,9 @@ pub struct RateCounts {
     /// Unsaturated local passes that stayed local (one that finds the
     /// fill saturated runs, and counts, a full pass instead).
     pub local: u64,
+    /// Local passes whose unsaturated fill was certified from the demand
+    /// bound alone, without summing the demands (counted in `local` too).
+    pub local_certified: u64,
     /// Saturated passes after a change that left the touched pair's
     /// water-fill demands bit-identical.
     pub neutral: u64,
@@ -68,6 +71,9 @@ pub struct RateCounts {
     pub walks_skipped: u64,
     /// Compute-completion timers armed (or re-armed).
     pub arms: u64,
+    /// Re-arms skipped because the rate was unchanged and the timer
+    /// still armed.
+    pub rearms_skipped: u64,
     /// Timer-heap repairs that sifted the changed entries.
     pub repairs_sift: u64,
     /// Timer-heap repairs that re-heapified the whole heap.
@@ -103,6 +109,11 @@ pub(crate) struct RateScratch {
     /// `cache_valid`; lets the local and neutral passes re-derive the
     /// fill's regime without touching other CPUs.
     demand_by_cpu: Vec<f64>,
+    /// Upper bound on every `demand_by_cpu` slot (NaN once any slot was
+    /// NaN): the full pass sets it to the largest demand it primes, the
+    /// local pass raises it. Lets the local pass certify an unsaturated
+    /// fill without summing (see [`certify_unsaturated`]).
+    demand_max: f64,
     /// Allocation of the compute running on each CPU in the last full
     /// pass (0.0 when idle or demandless). Only meaningful while the
     /// cache is valid and saturated, which only a full pass sets up.
@@ -120,6 +131,16 @@ pub(crate) struct RateScratch {
 }
 
 impl RateScratch {
+    /// Raise `demand_max` to cover a slot that now holds `d`; a NaN
+    /// sticks until the next full pass, so the certificate keeps
+    /// falling back to the sum.
+    #[inline]
+    fn cover_demand(&mut self, d: f64) {
+        if d > self.demand_max || d.is_nan() {
+            self.demand_max = d;
+        }
+    }
+
     /// Empty every buffer, invalidate the caches and zero the counts,
     /// keeping allocations for the next run.
     pub(crate) fn reset(&mut self) {
@@ -130,6 +151,7 @@ impl RateScratch {
         self.order.clear();
         self.demand_by_cpu.clear();
         self.alloc_by_cpu.clear();
+        self.demand_max = 0.0;
         self.cache_unsaturated = false;
         self.cache_valid = false;
         self.walked_at = None;
@@ -311,6 +333,7 @@ impl Kernel {
         c.rate = rate;
         let key = self.thread_key(ti, ThreadTimer::Compute);
         if unchanged && self.queue.is_armed(key) {
+            self.scratch.counts.rearms_skipped += 1;
             return;
         }
         let c = self.computes[ti]
@@ -449,17 +472,21 @@ impl Kernel {
         self.advance_running(now);
         let sib = self.machine.sibling_of(CpuId(ci as u32)).map(|c| c.index());
         for cpu in [Some(ci), sib].into_iter().flatten() {
-            self.scratch.demand_by_cpu[cpu] = self.waterfill_demand(cpu, now);
+            let d = self.waterfill_demand(cpu, now);
+            self.scratch.demand_by_cpu[cpu] = d;
+            self.scratch.cover_demand(d);
         }
-        // Saturation check with the same value sequence the full pass
-        // would sum (running-set order is CPU-index order there too).
-        let mut total = 0.0;
-        {
-            let (running, demand) = (&self.running, &self.scratch.demand_by_cpu);
-            running.for_each(|cpu, _| total += demand[cpu]);
-        }
-        // Negated so a NaN total falls into the conservative branch.
-        let unsaturated = total <= self.machine.perf.socket_bw;
+        // The full pass's saturation test sums the running demands in
+        // CPU order. Every slot is at most `demand_max`, so a bound on
+        // that sum usually decides it without the O(CPUs) walk.
+        let socket_bw = self.machine.perf.socket_bw;
+        let certified = certify_unsaturated(self.cpus.len(), self.scratch.demand_max, socket_bw);
+        debug_assert!(
+            !certified || self.running_demand_sum() <= socket_bw,
+            "certified an unsaturated fill the CPU-order sum saturates"
+        );
+        // A NaN sum compares false and takes the conservative branch.
+        let unsaturated = certified || self.running_demand_sum() <= socket_bw;
         if !unsaturated {
             // Transitioned into saturation: allocations now couple
             // globally. The full pass skips the walk done above.
@@ -467,6 +494,7 @@ impl Kernel {
             return;
         }
         self.scratch.counts.local += 1;
+        self.scratch.counts.local_certified += u64::from(certified);
         for cpu in [Some(ci), sib].into_iter().flatten() {
             let Some(tid) = self.cpus[cpu].current else {
                 continue;
@@ -483,6 +511,15 @@ impl Kernel {
             };
             self.apply_rate(ti, factor, rate, now);
         }
+    }
+
+    /// Sum of the running CPUs' cached demands, added in CPU order: the
+    /// value sequence the full pass's fill would sum.
+    fn running_demand_sum(&self) -> f64 {
+        let mut total = 0.0;
+        let demand = &self.scratch.demand_by_cpu;
+        self.running.for_each(|cpu, _| total += demand[cpu]);
+        total
     }
 
     /// Whether the saturated fill's input is untouched by a change on
@@ -653,9 +690,12 @@ impl Kernel {
         scratch.demand_by_cpu.resize(n_cpus, 0.0);
         scratch.alloc_by_cpu.clear();
         scratch.alloc_by_cpu.resize(n_cpus, 0.0);
+        scratch.demand_max = 0.0;
         for k in 0..n {
             let (_, ci) = scratch.running[k];
-            scratch.demand_by_cpu[ci] = scratch.demands[k];
+            let d = scratch.demands[k];
+            scratch.demand_by_cpu[ci] = d;
+            scratch.cover_demand(d);
             scratch.alloc_by_cpu[ci] = scratch.allocs[k];
         }
         scratch.cache_unsaturated = unsaturated;

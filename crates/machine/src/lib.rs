@@ -23,4 +23,4 @@ pub use cpuset::{CpuId, CpuSet};
 pub use dvfs::{DvfsConfig, FreqLevel, Governor};
 pub use machine::Machine;
 pub use perf::{PerfModel, SoloProfile, WorkUnit};
-pub use waterfill::{waterfill, waterfill_into};
+pub use waterfill::{certify_unsaturated, waterfill, waterfill_into};

@@ -84,9 +84,73 @@ pub fn waterfill_into(
     false
 }
 
+/// Whether `capacity` certainly covers the f64 sum, added left to right
+/// in any order, of at most `n` demands that each lie in `[0, max]`,
+/// without summing them. `true` proves `sum <= capacity`; `false` proves
+/// nothing, and the caller sums.
+///
+/// Proof. Each addition of nonnegative terms rounds with relative error
+/// at most `u = 2^-53`, so the sum of `m <= n` terms is at most
+/// `n·max·(1+u)^(n-1) <= n·max·(1 + 2nu)` while `nu < 2^-10`. With
+/// `max` normal (or zero) and no overflow, the three roundings in
+/// `n·max·(1 + 4nε)` (`ε = 2u`) leave it at least
+/// `n·max·(1 + 8nu)(1 - u)^3 >= n·max·(1 + 4nu)`, which covers the sum.
+/// A NaN, infinite, negative or subnormal `max`, or `n >= 2^32`, is
+/// never certified; an overflowed bound is infinite and fails the test.
+pub fn certify_unsaturated(n: usize, max: f64, capacity: f64) -> bool {
+    let max_ok = max == 0.0 || (max >= f64::MIN_POSITIVE && max.is_finite());
+    if !max_ok || n >= 1 << 32 {
+        return false;
+    }
+    let n = n as f64;
+    n * max * (1.0 + 4.0 * n * f64::EPSILON) < capacity
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The CPU-order sum the certificate stands in for.
+    fn ordered_sum(demands: &[f64]) -> f64 {
+        demands.iter().fold(0.0, |acc, &d| acc + d)
+    }
+
+    #[test]
+    fn nan_or_infinite_max_falls_back() {
+        assert!(!certify_unsaturated(4, f64::NAN, 100.0));
+        assert!(!certify_unsaturated(4, f64::INFINITY, f64::INFINITY));
+        assert!(!certify_unsaturated(4, f64::INFINITY, 100.0));
+        assert!(!certify_unsaturated(4, 1.0, f64::NAN));
+    }
+
+    #[test]
+    fn zero_max_certifies_any_positive_capacity() {
+        assert!(certify_unsaturated(48, 0.0, f64::MIN_POSITIVE));
+        assert!(!certify_unsaturated(48, 0.0, 0.0));
+    }
+
+    #[test]
+    fn capacity_just_above_an_equal_sum_needs_the_bound() {
+        // 48 equal demands whose sum is exact: a capacity one ulp above
+        // it lies inside the rounding margin, so only the sum decides.
+        let d = 0.25;
+        let sum = ordered_sum(&[d; 48]);
+        assert_eq!(sum, 12.0);
+        let just_above = f64::from_bits(sum.to_bits() + 1);
+        assert!(!certify_unsaturated(48, d, just_above));
+        assert!(!certify_unsaturated(48, d, sum));
+        // Clear of the margin it certifies.
+        let margin = sum * (1.0 + 4.0 * 48.0 * f64::EPSILON);
+        let clear = f64::from_bits(margin.to_bits() + 1);
+        assert!(certify_unsaturated(48, d, clear));
+        assert!(ordered_sum(&[d; 48]) <= clear);
+    }
+
+    #[test]
+    fn subnormal_max_falls_back() {
+        assert!(!certify_unsaturated(2, f64::MIN_POSITIVE / 4.0, 1.0));
+        assert!(certify_unsaturated(2, f64::MIN_POSITIVE, 1.0));
+    }
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9
