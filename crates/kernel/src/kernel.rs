@@ -772,21 +772,19 @@ impl Kernel {
             debug_assert!(false, "ComputeDone for non-running {tid}");
             return;
         }
-        if let Some(c) = self.computes[i].as_mut() {
-            c.advance_to(now);
-            debug_assert!(
-                c.remaining < 1.0 && c.overhead_ns < 1.0,
-                "ComputeDone fired early for {tid}: remaining={} overhead={}",
-                c.remaining,
-                c.overhead_ns
-            );
-        }
-        self.charge_runtime(tid);
-        self.clear_compute(i);
         let cpu = self.threads[i]
             .cpu
             .expect("running thread without cpu")
             .index();
+        if self.computes[i].is_some() {
+            let (remaining, overhead) = self.running.advance(cpu, now);
+            debug_assert!(
+                remaining < 1.0 && overhead < 1.0,
+                "ComputeDone fired early for {tid}: remaining={remaining} overhead={overhead}"
+            );
+        }
+        self.charge_runtime(tid);
+        self.clear_compute(i);
         self.recompute_rates_for(cpu);
         self.step_behavior(tid);
     }
@@ -1511,9 +1509,7 @@ impl Kernel {
 
         if self.computes[i].is_some() {
             let pending = std::mem::take(&mut self.threads[i].pending_overhead_ns);
-            let c = self.computes[i].as_mut().expect("checked is_some above");
-            c.overhead_ns += pending;
-            c.last_update = now;
+            self.running.resume(ci, pending, now);
             self.recompute_rates_for(ci);
         } else {
             self.step_behavior(tid);

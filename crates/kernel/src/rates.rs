@@ -25,6 +25,17 @@
 //! so no advance may be skipped). A walk at an instant that already had
 //! one is skipped: every compute that joins the running set later starts
 //! at `now`, so the repeat walk would be a chain of `dt == 0` no-ops.
+//! While a compute runs, its progress lives in the running set's
+//! CPU-indexed lanes, so the walk is one branch-free loop over dense
+//! arrays (see [`RunningSet`]).
+//!
+//! The local pass must know whether the fill is still unsaturated, which
+//! the full pass decides by summing the running demands in CPU order.
+//! The layer keeps an upper bound on every cached demand, and
+//! [`certify_unsaturated`] proves from it alone, in O(1), that the sum is
+//! within the socket's bandwidth; only when the proof fails does the
+//! local pass sum. On the wide machines' fine-chunk cells every local
+//! pass is certified.
 //!
 //! The neutral pass relies on one more fact: between passes, a running
 //! CPU's factor can change without a touch only when its IRQ window
@@ -37,7 +48,7 @@
 
 use crate::kernel::{Kernel, ThreadTimer};
 use crate::observe::Phase;
-use crate::thread::ActiveCompute;
+use crate::thread::{advance_progress, eta_ns, ActiveCompute};
 use crate::ThreadId;
 use noiselab_machine::{certify_unsaturated, waterfill_into, CpuId, SoloProfile};
 use noiselab_sim::{SimDuration, SimTime};
@@ -164,11 +175,27 @@ impl RateScratch {
 /// in CPU-index order, matching the historical all-CPU scan) plus a
 /// per-CPU thread index keep the hot loops on two small arrays instead
 /// of walking the full `Cpu` and `Thread` structs.
+///
+/// While a compute runs, its progress (`remaining`, `rate`,
+/// `overhead_ns`, `last_update`) lives in this set's CPU-indexed lanes,
+/// not in its `ActiveCompute`: [`RunningSet::insert`] loads a lane and
+/// [`RunningSet::unload`] writes it back, so there is one live copy.
+/// Idle lanes hold rate 0 and overhead 0, which makes advancing them an
+/// exact no-op, so the advance walk is one loop over every lane.
 #[derive(Default)]
 pub(crate) struct RunningSet {
     mask: Vec<u64>,
     tid: Vec<u32>,
+    remaining: Vec<f64>,
+    rate: Vec<f64>,
+    overhead: Vec<f64>,
+    /// `last_update` in ns, as f64: exact below 2^53 ns (104 days), and
+    /// so is the difference of two such instants.
+    last: Vec<f64>,
 }
+
+/// Lane times are f64 nanoseconds; every integer below this is exact.
+const LANE_TIME_LIMIT: u64 = 1 << 53;
 
 impl RunningSet {
     /// Size for `n_cpus` and mark every CPU idle, keeping allocations.
@@ -177,18 +204,86 @@ impl RunningSet {
         self.mask.resize(n_cpus.div_ceil(64), 0);
         self.tid.clear();
         self.tid.resize(n_cpus, u32::MAX);
+        for lane in [
+            &mut self.remaining,
+            &mut self.rate,
+            &mut self.overhead,
+            &mut self.last,
+        ] {
+            lane.clear();
+            lane.resize(n_cpus, 0.0);
+        }
     }
 
+    /// Thread `ti` runs compute `c` on CPU `ci`: load its progress.
     #[inline]
-    fn insert(&mut self, ci: usize, ti: usize) {
+    fn insert(&mut self, ci: usize, ti: usize, c: &ActiveCompute) {
+        assert!(
+            c.last_update.0 < LANE_TIME_LIMIT,
+            "virtual time past the exact range of the rate lanes"
+        );
         self.mask[ci >> 6] |= 1u64 << (ci & 63);
         self.tid[ci] = ti as u32;
+        self.remaining[ci] = c.remaining;
+        self.rate[ci] = c.rate;
+        self.overhead[ci] = c.overhead_ns;
+        self.last[ci] = c.last_update.0 as f64;
     }
 
+    /// CPU `ci`'s compute stops running: drop it from the set and idle
+    /// its lane (the caller has written the progress back or drops it).
     #[inline]
     fn remove(&mut self, ci: usize) {
         self.mask[ci >> 6] &= !(1u64 << (ci & 63));
         self.tid[ci] = u32::MAX;
+        self.rate[ci] = 0.0;
+        self.overhead[ci] = 0.0;
+    }
+
+    /// Write CPU `ci`'s progress back into its compute `c`, then remove.
+    fn unload(&mut self, ci: usize, c: &mut ActiveCompute) {
+        c.remaining = self.remaining[ci];
+        c.rate = self.rate[ci];
+        c.overhead_ns = self.overhead[ci];
+        c.last_update = SimTime(self.last[ci] as u64);
+        self.remove(ci);
+    }
+
+    /// Advance every lane to `now` (see [`advance_progress`]).
+    fn advance_all(&mut self, now: SimTime) {
+        let now = now.0 as f64;
+        let lanes = self
+            .remaining
+            .iter_mut()
+            .zip(&mut self.overhead)
+            .zip(&self.rate)
+            .zip(&mut self.last);
+        for (((remaining, overhead), &rate), last) in lanes {
+            advance_progress(remaining, overhead, rate, now - *last);
+            *last = now;
+        }
+    }
+
+    /// Advance CPU `ci`'s lane to `now`; returns its `(remaining,
+    /// overhead_ns)`.
+    pub(crate) fn advance(&mut self, ci: usize, now: SimTime) -> (f64, f64) {
+        let now = now.0 as f64;
+        let (remaining, overhead) = (&mut self.remaining[ci], &mut self.overhead[ci]);
+        advance_progress(remaining, overhead, self.rate[ci], now - self.last[ci]);
+        self.last[ci] = now;
+        (*remaining, *overhead)
+    }
+
+    /// CPU `ci`'s compute starts running at `now` after `pending` ns of
+    /// switch overhead accumulated off-CPU.
+    pub(crate) fn resume(&mut self, ci: usize, pending: f64, now: SimTime) {
+        self.overhead[ci] += pending;
+        self.last[ci] = now.0 as f64;
+    }
+
+    /// Completion time of CPU `ci`'s compute at its lane's rate.
+    fn eta_ns(&self, ci: usize) -> Option<u64> {
+        eta_ns(self.remaining[ci], self.overhead[ci], self.rate[ci])
     }
 
     /// Visit running `(cpu index, thread index)` pairs in CPU order.
@@ -222,7 +317,10 @@ impl Kernel {
 
     /// Thread `i`, whose compute is set, became CPU `ci`'s occupant.
     pub(crate) fn join_running(&mut self, ci: usize, i: usize) {
-        self.running.insert(ci, i);
+        let c = self.computes[i]
+            .as_ref()
+            .expect("a joining thread has a compute");
+        self.running.insert(ci, i, c);
         if self.thread_demands_bw(i) {
             self.bw_running += 1;
         }
@@ -230,7 +328,10 @@ impl Kernel {
 
     /// Thread `i`, whose compute is still set, stops occupying CPU `ci`.
     pub(crate) fn leave_running(&mut self, ci: usize, i: usize) {
-        self.running.remove(ci);
+        let c = self.computes[i]
+            .as_mut()
+            .expect("a leaving thread has a compute");
+        self.running.unload(ci, c);
         if self.thread_demands_bw(i) {
             self.bw_running -= 1;
         }
@@ -240,7 +341,6 @@ impl Kernel {
     pub(crate) fn set_compute(&mut self, i: usize, compute: ActiveCompute) {
         let had_bw = self.thread_demands_bw(i);
         let wants_bw = compute.solo.bw_demand > 0.0;
-        self.computes[i] = Some(compute);
         match (had_bw, wants_bw) {
             (false, true) => self.bw_running += 1,
             (true, false) => self.bw_running -= 1,
@@ -250,7 +350,8 @@ impl Kernel {
             .cpu
             .expect("running thread without cpu")
             .index();
-        self.running.insert(cpu, i);
+        self.running.insert(cpu, i, &compute);
+        self.computes[i] = Some(compute);
     }
 
     /// Clear thread `i`'s compute, keeping `bw_running` and the running
@@ -325,21 +426,20 @@ impl Kernel {
     /// unchanged and the completion event is still armed, the previously
     /// scheduled event time remains exact, so skip the heap churn — the
     /// dominant cost in steady state.
-    fn apply_rate(&mut self, ti: usize, factor: f64, rate: f64, now: SimTime) {
-        let c = self.computes[ti]
-            .as_mut()
-            .expect("a rated thread has a compute phase");
-        let unchanged = (c.rate - rate).abs() <= 1e-12 * rate.max(1.0);
-        c.rate = rate;
+    fn apply_rate(&mut self, ci: usize, ti: usize, factor: f64, rate: f64, now: SimTime) {
+        let lane_rate = &mut self.running.rate[ci];
+        let unchanged = (*lane_rate - rate).abs() <= 1e-12 * rate.max(1.0);
+        *lane_rate = rate;
         let key = self.thread_key(ti, ThreadTimer::Compute);
         if unchanged && self.queue.is_armed(key) {
             self.scratch.counts.rearms_skipped += 1;
             return;
         }
-        let c = self.computes[ti]
-            .as_ref()
-            .expect("a rated thread has a compute phase");
-        let eta = if factor == 0.0 { None } else { c.eta_ns() };
+        let eta = if factor == 0.0 {
+            None
+        } else {
+            self.running.eta_ns(ci)
+        };
         match eta {
             Some(ns) => {
                 self.scratch.counts.arms += 1;
@@ -407,23 +507,15 @@ impl Kernel {
         if self.scratch.walked_at == Some(now) {
             self.scratch.counts.walks_skipped += 1;
             #[cfg(debug_assertions)]
-            self.running.for_each(|ci, ti| {
-                let at = self.computes[ti].as_ref().map(|c| c.last_update);
+            self.running.for_each(|ci, _| {
                 debug_assert_eq!(
-                    at,
-                    Some(now),
+                    self.running.last[ci], now.0 as f64,
                     "skipped walk left cpu {ci}'s compute behind now"
                 );
             });
             return;
         }
-        let (running, computes) = (&self.running, &mut self.computes);
-        running.for_each(|_, ti| {
-            computes[ti]
-                .as_mut()
-                .expect("a running thread has a compute phase")
-                .advance_to(now)
-        });
+        self.running.advance_all(now);
         self.scratch.walked_at = Some(now);
         self.scratch.counts.walks += 1;
     }
@@ -445,17 +537,14 @@ impl Kernel {
             if self.computes[ti].is_none() {
                 continue;
             }
-            self.computes[ti]
-                .as_mut()
-                .expect("checked is_none above")
-                .advance_to(now);
+            self.running.advance(cpu, now);
             let factor = self.compute_factor(cpu, now);
             let rate = {
                 let c = self.computes[ti].as_ref().expect("checked is_none above");
                 // No bandwidth demand anywhere, so the allocation is 0.
                 self.machine.perf.rate(&c.solo, factor, 0.0)
             };
-            self.apply_rate(ti, factor, rate, now);
+            self.apply_rate(cpu, ti, factor, rate, now);
         }
     }
 
@@ -509,7 +598,7 @@ impl Kernel {
                 let c = self.computes[ti].as_ref().expect("checked is_none above");
                 self.machine.perf.rate(&c.solo, factor, alloc)
             };
-            self.apply_rate(ti, factor, rate, now);
+            self.apply_rate(cpu, ti, factor, rate, now);
         }
     }
 
@@ -567,7 +656,7 @@ impl Kernel {
                 .machine
                 .perf
                 .rate(&c.solo, factor, self.scratch.alloc_by_cpu[cpu]);
-            self.apply_rate(ti, factor, rate, now);
+            self.apply_rate(cpu, ti, factor, rate, now);
         }
         #[cfg(debug_assertions)]
         self.debug_check_full_pass(now);
@@ -602,14 +691,18 @@ impl Kernel {
         for (k, &(ci, ti)) in running.iter().enumerate() {
             let c = self.computes[ti].as_ref().expect("running compute");
             let rate = self.machine.perf.rate(&c.solo, factors[k], allocs[k]);
+            let held = self.running.rate[ci];
             debug_assert_eq!(
-                c.rate.to_bits(),
+                held.to_bits(),
                 rate.to_bits(),
-                "neutral pass left cpu {ci} at rate {} where the full pass gives {rate}",
-                c.rate
+                "neutral pass left cpu {ci} at rate {held} where the full pass gives {rate}"
             );
             let key = self.thread_key(ti, ThreadTimer::Compute);
-            let eta = if factors[k] == 0.0 { None } else { c.eta_ns() };
+            let eta = if factors[k] == 0.0 {
+                None
+            } else {
+                self.running.eta_ns(ci)
+            };
             debug_assert_eq!(
                 self.queue.is_armed(key),
                 factors[k] > 0.0 && eta.is_some(),
@@ -702,7 +795,7 @@ impl Kernel {
         scratch.cache_valid = true;
         // Then: set new rates and (re)schedule completions.
         for k in 0..n {
-            let (ti, _) = self.scratch.running[k];
+            let (ti, ci) = self.scratch.running[k];
             let factor = self.scratch.factors[k];
             let alloc = self.scratch.allocs[k];
             let rate = {
@@ -711,7 +804,7 @@ impl Kernel {
                     .expect("a running thread has a compute phase");
                 self.machine.perf.rate(&c.solo, factor, alloc)
             };
-            self.apply_rate(ti, factor, rate, now);
+            self.apply_rate(ci, ti, factor, rate, now);
         }
     }
 }

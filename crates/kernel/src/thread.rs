@@ -55,39 +55,55 @@ pub struct ActiveCompute {
 impl ActiveCompute {
     /// Advance progress to time `now` at the current rate.
     pub fn advance_to(&mut self, now: SimTime) {
-        let mut dt = now.since(self.last_update).nanos() as f64;
+        let dt = now.since(self.last_update).nanos() as f64;
         self.last_update = now;
-        if dt <= 0.0 {
-            return;
-        }
-        if self.overhead_ns > 0.0 {
-            let burn = self.overhead_ns.min(dt);
-            self.overhead_ns -= burn;
-            dt -= burn;
-        }
-        if dt > 0.0 && self.remaining.is_finite() {
-            self.remaining = (self.remaining - dt * self.rate).max(0.0);
-        }
+        advance_progress(&mut self.remaining, &mut self.overhead_ns, self.rate, dt);
     }
 
     /// Wall-clock nanoseconds until completion at the current rate, or
     /// `None` if it will never complete at this rate (spin / zero rate).
     pub fn eta_ns(&self) -> Option<u64> {
-        if !self.remaining.is_finite() {
-            return None;
-        }
-        if self.remaining <= 0.0 && self.overhead_ns <= 0.0 {
-            return Some(0);
-        }
-        if self.rate <= 0.0 {
-            // Overhead still burns at rate 1 even if work rate is 0 only
-            // when the thread is actually on-CPU; a zero rate here means
-            // the CPU is stalled (IRQ) so nothing progresses.
-            return None;
-        }
-        let ns = self.overhead_ns + self.remaining / self.rate;
-        Some(ns.ceil() as u64)
+        eta_ns(self.remaining, self.overhead_ns, self.rate)
     }
+}
+
+/// The one definition of progress: `dt >= 0` wall ns at `rate` burn the
+/// overhead first (at rate 1), and the rest of `dt` consumes `remaining`
+/// (left as is while spinning, when it is infinite). Free of branches on
+/// the data, and an exact no-op at `dt == 0` or on an idle lane (rate 0,
+/// overhead 0), so the rate layer's dense walk runs it over every CPU.
+#[inline(always)]
+pub(crate) fn advance_progress(remaining: &mut f64, overhead: &mut f64, rate: f64, dt: f64) {
+    let burn = if *overhead > 0.0 {
+        overhead.min(dt)
+    } else {
+        0.0
+    };
+    *overhead -= burn;
+    let dt = dt - burn;
+    let next = (*remaining - dt * rate).max(0.0);
+    // A bit select, not a branch, so a loop over lanes vectorizes.
+    let take = u64::from(dt > 0.0 && remaining.is_finite()).wrapping_neg();
+    *remaining = f64::from_bits((next.to_bits() & take) | (remaining.to_bits() & !take));
+}
+
+/// Wall-clock nanoseconds until a compute with this progress completes
+/// at `rate`, or `None` if it never will (spin / zero rate).
+pub(crate) fn eta_ns(remaining: f64, overhead: f64, rate: f64) -> Option<u64> {
+    if !remaining.is_finite() {
+        return None;
+    }
+    if remaining <= 0.0 && overhead <= 0.0 {
+        return Some(0);
+    }
+    if rate <= 0.0 {
+        // Overhead still burns at rate 1 even if work rate is 0 only
+        // when the thread is actually on-CPU; a zero rate here means
+        // the CPU is stalled (IRQ) so nothing progresses.
+        return None;
+    }
+    let ns = overhead + remaining / rate;
+    Some(ns.ceil() as u64)
 }
 
 /// Runtime statistics for assertions and reports.
