@@ -48,11 +48,19 @@ pub struct HotpathCell {
     pub both_overhead_pct: f64,
 }
 
+/// Probe time, in ms, of the reference host that the hotpath sweep's
+/// host probe is scaled to (`noiselab_bench::PROBE_REF_MS`).
+pub const PROBE_REF_MS: f64 = 65.0;
+
 /// One labelled snapshot of the hotpath sweep.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, Deserialize)]
 pub struct HotpathSnapshot {
     pub label: String,
     pub reps: u32,
+    /// Median host probe over the sweep, in ms; 0 in snapshots taken
+    /// before the sweep recorded it.
+    #[serde(default)]
+    pub probe_ms: f64,
     pub cells: Vec<HotpathCell>,
 }
 
@@ -91,9 +99,10 @@ impl HotpathHistory {
         keys
     }
 
-    /// The metric's series for one cell, oldest-first; snapshots
-    /// missing the cell are skipped.
-    pub fn series<F>(&self, workload: &str, config: &str, metric: F) -> Vec<f64>
+    /// The metric's series for one cell, oldest-first, each value with
+    /// its snapshot's `probe_ms`; snapshots missing the cell are
+    /// skipped.
+    pub fn series<F>(&self, workload: &str, config: &str, metric: F) -> Vec<(f64, f64)>
     where
         F: Fn(&HotpathCell) -> f64,
     {
@@ -103,7 +112,7 @@ impl HotpathHistory {
                 snap.cells
                     .iter()
                     .find(|c| c.workload == workload && c.config == config)
-                    .map(&metric)
+                    .map(|c| (metric(c), snap.probe_ms))
             })
             .collect()
     }

@@ -8,8 +8,14 @@
 //! changes, floored so two-snapshot histories aren't oversensitive and
 //! capped so past optimization jumps don't widen the tolerance), plus
 //! an absolute change floor so statistically-loud trivia is ignored.
+//!
+//! Host ns move with the host's speed, so a step between two snapshots
+//! that both carry a host probe is judged on probe-normalized ns
+//! (`ns × PROBE_REF_MS / probe_ms`, the reference host's ns). A step
+//! that touches an older, unprobed snapshot is judged on raw ns, and
+//! its row says so.
 
-use crate::input::HotpathHistory;
+use crate::input::{HotpathHistory, PROBE_REF_MS};
 use crate::AdviseConfig;
 use noiselab_stats::{mad, median};
 use serde::{Deserialize, Serialize};
@@ -46,7 +52,9 @@ pub struct BenchCheck {
     /// `workload/config` cell, or a cross-check description.
     pub cell: String,
     pub metric: String,
-    /// Value at the previous snapshot (or the comparison reference).
+    /// Value at the previous snapshot (or the comparison reference);
+    /// with `latest`, probe-normalized when both snapshots carry a host
+    /// probe.
     pub previous: f64,
     pub latest: f64,
     /// Relative change latest vs previous, as a fraction.
@@ -58,13 +66,36 @@ pub struct BenchCheck {
     pub summary: String,
 }
 
-/// Judge one series (oldest-first) of a metric.
-fn judge_series(series: &[f64], cfg: &AdviseConfig) -> Option<(f64, f64, f64, Verdict)> {
+/// One step of a `(value, probe_ms)` series: the two values it
+/// compares, probe-normalized when both snapshots were probed (the flag
+/// says which), raw otherwise.
+fn step(a: (f64, f64), b: (f64, f64)) -> (f64, f64, bool) {
+    let ((va, pa), (vb, pb)) = (a, b);
+    if pa > 0.0 && pb > 0.0 {
+        (va * PROBE_REF_MS / pa, vb * PROBE_REF_MS / pb, true)
+    } else {
+        (va, vb, false)
+    }
+}
+
+/// A judged step: the two values compared, the relative change, its
+/// robust z, the verdict, and whether the values are probe-normalized.
+struct Judged {
+    previous: f64,
+    latest: f64,
+    change: f64,
+    z: f64,
+    verdict: Verdict,
+    normalized: bool,
+}
+
+/// Judge the last step of one `(value, probe_ms)` series (oldest-first)
+/// of a metric.
+fn judge_series(series: &[(f64, f64)], cfg: &AdviseConfig) -> Option<Judged> {
     if series.len() < 2 {
         return None;
     }
-    let latest = *series.last().expect("non-empty series");
-    let previous = series[series.len() - 2];
+    let (previous, latest, normalized) = step(series[series.len() - 2], series[series.len() - 1]);
     if previous <= 0.0 {
         return None;
     }
@@ -72,8 +103,9 @@ fn judge_series(series: &[f64], cfg: &AdviseConfig) -> Option<(f64, f64, f64, Ve
     // Historical step-to-step changes, excluding the step under test.
     let history: Vec<f64> = series[..series.len() - 1]
         .windows(2)
-        .filter(|w| w[0] > 0.0)
-        .map(|w| w[1] / w[0] - 1.0)
+        .map(|w| step(w[0], w[1]))
+        .filter(|&(a, _, _)| a > 0.0)
+        .map(|(a, b, _)| b / a - 1.0)
         .collect();
     let center = if history.is_empty() {
         0.0
@@ -93,7 +125,14 @@ fn judge_series(series: &[f64], cfg: &AdviseConfig) -> Option<(f64, f64, f64, Ve
     } else {
         Verdict::Ok
     };
-    Some((previous, change, z, verdict))
+    Some(Judged {
+        previous,
+        latest,
+        change,
+        z,
+        verdict,
+        normalized,
+    })
 }
 
 /// Watch every cell of the hotpath trajectory on its two host-cost
@@ -115,7 +154,7 @@ pub fn hotpath_checks(file: &str, h: &HotpathHistory, cfg: &AdviseConfig) -> Vec
                     cell,
                     metric: metric.to_string(),
                     previous: 0.0,
-                    latest: series.last().copied().unwrap_or(0.0),
+                    latest: series.last().map_or(0.0, |&(v, _)| v),
                     change: 0.0,
                     z: 0.0,
                     verdict: Verdict::Inconclusive,
@@ -124,28 +163,30 @@ pub fn hotpath_checks(file: &str, h: &HotpathHistory, cfg: &AdviseConfig) -> Vec
                         series.len()
                     ),
                 }),
-                Some((previous, change, z, verdict)) => {
-                    let latest = *series.last().expect("non-empty series");
-                    out.push(BenchCheck {
-                        file: file.to_string(),
-                        cell,
-                        metric: metric.to_string(),
-                        previous,
-                        latest,
-                        change,
-                        z,
-                        verdict,
-                        summary: format!(
-                            "{:.1} \u{2192} {:.1} ns/event ({:+.1}%, robust z {:+.1} over {} snapshot(s)): {}",
-                            previous,
-                            latest,
-                            change * 100.0,
-                            z,
-                            series.len(),
-                            verdict.label(),
-                        ),
-                    });
-                }
+                Some(j) => out.push(BenchCheck {
+                    file: file.to_string(),
+                    cell,
+                    metric: metric.to_string(),
+                    previous: j.previous,
+                    latest: j.latest,
+                    change: j.change,
+                    z: j.z,
+                    verdict: j.verdict,
+                    summary: format!(
+                        "{:.1} \u{2192} {:.1} ns/event {} ({:+.1}%, robust z {:+.1} over {} snapshot(s)): {}",
+                        j.previous,
+                        j.latest,
+                        if j.normalized {
+                            "at the reference host probe"
+                        } else {
+                            "raw, a snapshot has no host probe"
+                        },
+                        j.change * 100.0,
+                        j.z,
+                        series.len(),
+                        j.verdict.label(),
+                    ),
+                }),
             }
         }
     }

@@ -329,9 +329,14 @@ fn dvfs_matrix_ranks_governors_and_blames_throttling() {
 }
 
 fn snapshot(label: &str, bare: f64, telemetry: f64) -> HotpathSnapshot {
+    probed_snapshot(label, bare, telemetry, 0.0)
+}
+
+fn probed_snapshot(label: &str, bare: f64, telemetry: f64, probe_ms: f64) -> HotpathSnapshot {
     HotpathSnapshot {
         label: label.to_string(),
         reps: 5,
+        probe_ms,
         cells: vec![HotpathCell {
             workload: "nbody".to_string(),
             config: "Rm-OMP".to_string(),
@@ -373,6 +378,72 @@ fn synthetic_2x_regression_is_flagged_and_honest_history_passes() {
     assert!(
         honest.iter().all(|c| c.verdict != Verdict::Regression),
         "{honest:#?}"
+    );
+}
+
+/// A history whose snapshots all carry the reference probe (65 ms),
+/// except the last, taken with `last_probe`.
+fn probed_history(last_bare: f64, last_probe: f64) -> HotpathHistory {
+    HotpathHistory {
+        bench: "hotpath".to_string(),
+        baseline: probed_snapshot("baseline", 200.0, 250.0, 65.0),
+        steps: vec![
+            probed_snapshot("step1", 204.0, 251.0, 65.0),
+            probed_snapshot("step2", 198.0, 249.0, 65.0),
+            probed_snapshot("step3", last_bare, 249.0 * last_probe / 65.0, last_probe),
+        ],
+    }
+}
+
+fn bare_row(checks: &[noiselab_advise::BenchCheck]) -> &noiselab_advise::BenchCheck {
+    checks
+        .iter()
+        .find(|c| c.metric == "bare_ns_per_event")
+        .expect("bare row")
+}
+
+#[test]
+fn slow_host_phase_is_normalized_by_the_probe() {
+    let cfg = AdviseConfig::default();
+    // +60 % raw ns while the probe also read +60 %: the host, not the
+    // code, got slower.
+    let slow_host = hotpath_checks(
+        "BENCH_hotpath.json",
+        &probed_history(198.0 * 1.6, 104.0),
+        &cfg,
+    );
+    let bare = bare_row(&slow_host);
+    assert_eq!(bare.verdict, Verdict::Ok, "{bare:#?}");
+    assert!(bare.change.abs() < 1e-9, "{:.3}", bare.change);
+    assert!(
+        bare.summary.contains("reference host probe"),
+        "{}",
+        bare.summary
+    );
+
+    // +60 % raw ns at an equal probe is a regression.
+    let slow_code = hotpath_checks(
+        "BENCH_hotpath.json",
+        &probed_history(198.0 * 1.6, 65.0),
+        &cfg,
+    );
+    let bare = bare_row(&slow_code);
+    assert_eq!(bare.verdict, Verdict::Regression, "{bare:#?}");
+    assert!((bare.change - 0.6).abs() < 1e-9, "{:.3}", bare.change);
+}
+
+#[test]
+fn step_from_an_unprobed_snapshot_is_judged_raw() {
+    let cfg = AdviseConfig::default();
+    let mut h = probed_history(198.0 * 1.6, 104.0);
+    h.steps[1].probe_ms = 0.0;
+    let checks = hotpath_checks("BENCH_hotpath.json", &h, &cfg);
+    let bare = bare_row(&checks);
+    assert_eq!(bare.verdict, Verdict::Regression, "{bare:#?}");
+    assert!(
+        bare.summary.contains("raw, a snapshot has no host probe"),
+        "{}",
+        bare.summary
     );
 }
 

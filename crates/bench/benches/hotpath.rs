@@ -15,6 +15,7 @@
 //! * `NOISELAB_BENCH_LABEL` — snapshot label for the history
 //! * `NOISELAB_BENCH_CHECK` — compare, don't write; exit 1 on regression
 
+use noiselab_bench::PROBE_REF_MS;
 use noiselab_core::experiments::suite;
 use noiselab_core::{measure_overhead, ExecConfig, Mitigation, Model, Platform};
 use noiselab_workloads::Workload;
@@ -38,8 +39,8 @@ struct Cell {
 }
 
 /// One labelled measurement of the whole sweep, with the commit,
-/// toolchain and CPU it was taken on (empty in snapshots that predate
-/// those fields).
+/// toolchain and CPU it was taken on and the median host probe over the
+/// sweep (empty, or 0, in snapshots that predate those fields).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Snapshot {
     label: String,
@@ -50,6 +51,10 @@ struct Snapshot {
     rustc: String,
     #[serde(default)]
     cpu_model: String,
+    /// Median of `noiselab_bench::probe_ms` taken before each cell and
+    /// after the last; `advise` normalizes ns by it.
+    #[serde(default)]
+    probe_ms: f64,
     cells: Vec<Cell>,
 }
 
@@ -110,8 +115,10 @@ fn sweep(reps: u32, label: String) -> Snapshot {
         ExecConfig::new(Model::Omp, Mitigation::Tp),
     ];
     let mut cells = Vec::new();
+    let mut probes = Vec::new();
     for w in &workloads {
         for cfg in &configs {
+            probes.push(noiselab_bench::probe_ms());
             let rep = measure_overhead(&platform, w.as_ref(), cfg, 1, reps)
                 .expect("hotpath bench cell failed");
             let row = |mode: &str| {
@@ -142,12 +149,16 @@ fn sweep(reps: u32, label: String) -> Snapshot {
             );
         }
     }
+    probes.push(noiselab_bench::probe_ms());
+    let probe_ms = noiselab_stats::median(&probes);
+    println!("host probe: median {probe_ms:.1} ms (reference {PROBE_REF_MS} ms)");
     Snapshot {
         label,
         reps,
         commit: first_line("git", &["describe", "--always", "--dirty", "--abbrev=12"]),
         rustc: first_line("rustc", &["-V"]),
         cpu_model: cpu_model(),
+        probe_ms,
         cells,
     }
 }

@@ -1,7 +1,8 @@
 //! Shared plumbing for the bench targets: result persistence so the
 //! aggregate benches (Tables 6 and 7) can reuse the outcomes of the
 //! per-workload injection benches (Tables 3-5) instead of re-running
-//! them, plus a tee helper writing each rendered table to disk.
+//! them, a tee helper writing each rendered table to disk, and the host
+//! probe that host-time figures are normalized by.
 //!
 //! Everything here degrades instead of panicking: a missing or
 //! unwritable results directory costs the cache and the on-disk copy,
@@ -75,6 +76,37 @@ pub fn emit(name: &str, rendered: &str) {
     if let Err(e) = try_write_rendered(name, rendered) {
         eprintln!("noiselab-bench: {name}: rendered table not written: {e}");
     }
+}
+
+/// Map operations in one host probe.
+const PROBE_OPS: u64 = 400_000;
+
+/// Probe time, in ms, that defines the reference host (a quiet 2-vCPU
+/// Xeon VM). A host-time figure `x` measured while the probe took `p`
+/// ms reads `x * PROBE_REF_MS / p` on the reference host.
+pub const PROBE_REF_MS: f64 = 65.0;
+
+/// Time a fixed loop of ordered-map inserts and removes over pseudo-
+/// random keys, in ms. It shares no code with the simulator but stresses
+/// what the simulator's hot path stresses (allocation, branches, pointer
+/// chasing through cache), so its time tracks host speed. The same loop
+/// as `noiselab-benchmark`'s `host::probe_ms`, so both harnesses
+/// normalize to one reference host.
+pub fn probe_ms() -> f64 {
+    let t0 = wall_clock();
+    let mut map = std::collections::BTreeMap::new();
+    let mut x = std::hint::black_box(0x9E37_79B9_7F4A_7C15u64);
+    for k in 0..PROBE_OPS {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        map.insert(x % 100_000, k);
+        if k % 3 == 0 {
+            map.remove(&(x % 50_000));
+        }
+    }
+    std::hint::black_box(map.len());
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
 /// Wall-clock banner helper.
