@@ -177,9 +177,9 @@ pub fn hotpath_checks(file: &str, h: &HotpathHistory, cfg: &AdviseConfig) -> Vec
                         j.previous,
                         j.latest,
                         if j.normalized {
-                            "at the reference host probe"
+                            "probe-normalized"
                         } else {
-                            "raw, a snapshot has no host probe"
+                            "raw (a snapshot has no host probe)"
                         },
                         j.change * 100.0,
                         j.z,

@@ -416,7 +416,7 @@ fn slow_host_phase_is_normalized_by_the_probe() {
     assert_eq!(bare.verdict, Verdict::Ok, "{bare:#?}");
     assert!(bare.change.abs() < 1e-9, "{:.3}", bare.change);
     assert!(
-        bare.summary.contains("reference host probe"),
+        bare.summary.contains("probe-normalized"),
         "{}",
         bare.summary
     );
@@ -441,7 +441,7 @@ fn step_from_an_unprobed_snapshot_is_judged_raw() {
     let bare = bare_row(&checks);
     assert_eq!(bare.verdict, Verdict::Regression, "{bare:#?}");
     assert!(
-        bare.summary.contains("raw, a snapshot has no host probe"),
+        bare.summary.contains("raw (a snapshot has no host probe)"),
         "{}",
         bare.summary
     );

@@ -59,12 +59,6 @@ impl ActiveCompute {
         self.last_update = now;
         advance_progress(&mut self.remaining, &mut self.overhead_ns, self.rate, dt);
     }
-
-    /// Wall-clock nanoseconds until completion at the current rate, or
-    /// `None` if it will never complete at this rate (spin / zero rate).
-    pub fn eta_ns(&self) -> Option<u64> {
-        eta_ns(self.remaining, self.overhead_ns, self.rate)
-    }
 }
 
 /// The one definition of progress: `dt >= 0` wall ns at `rate` burn the
@@ -233,15 +227,15 @@ mod tests {
     fn eta_includes_overhead() {
         let mut c = compute(1000.0, 0.5);
         c.overhead_ns = 100.0;
-        assert_eq!(c.eta_ns(), Some(2100));
+        assert_eq!(eta_ns(c.remaining, c.overhead_ns, c.rate), Some(2100));
     }
 
     #[test]
     fn eta_none_when_spinning_or_stalled() {
         let c = compute(f64::INFINITY, 1.0);
-        assert_eq!(c.eta_ns(), None);
+        assert_eq!(eta_ns(c.remaining, c.overhead_ns, c.rate), None);
         let c2 = compute(100.0, 0.0);
-        assert_eq!(c2.eta_ns(), None);
+        assert_eq!(eta_ns(c2.remaining, c2.overhead_ns, c2.rate), None);
     }
 
     #[test]
@@ -263,6 +257,46 @@ mod tests {
         heavy.charge_vruntime(SimDuration(1000));
         normal.charge_vruntime(SimDuration(1000));
         assert!(heavy.vruntime < normal.vruntime);
+    }
+
+    /// The branchy form `advance_progress` replaced: it must agree bit
+    /// for bit, idle lanes and `dt == 0` included.
+    fn reference_advance(remaining: &mut f64, overhead: &mut f64, rate: f64, mut dt: f64) {
+        if dt <= 0.0 {
+            return;
+        }
+        if *overhead > 0.0 {
+            let burn = overhead.min(dt);
+            *overhead -= burn;
+            dt -= burn;
+        }
+        if dt > 0.0 && remaining.is_finite() {
+            *remaining = (*remaining - dt * rate).max(0.0);
+        }
+    }
+
+    #[test]
+    fn advance_progress_matches_the_branchy_reference() {
+        let values = [0.0, -0.0, 1e-300, 0.25, 1.0, 3.0, 1e9, f64::INFINITY];
+        let rates = [0.0, 1e-3, 0.5, 1.0];
+        let dts = [0.0, 1.0, 2.5, 1e6];
+        for &remaining in &values {
+            for &overhead in &values[..7] {
+                for &rate in &rates {
+                    for &dt in &dts {
+                        let (mut r1, mut o1) = (remaining, overhead);
+                        let (mut r2, mut o2) = (remaining, overhead);
+                        advance_progress(&mut r1, &mut o1, rate, dt);
+                        reference_advance(&mut r2, &mut o2, rate, dt);
+                        assert_eq!(
+                            (r1.to_bits(), o1.to_bits()),
+                            (r2.to_bits(), o2.to_bits()),
+                            "remaining {remaining} overhead {overhead} rate {rate} dt {dt}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
