@@ -139,7 +139,7 @@ fn load_bench_value(path: &Path, expected: &str) -> Result<serde::Value, AdviseE
             path: path.to_path_buf(),
             detail: format!(
                 "no `bench` schema tag; expected a `{expected}` bench file \
-                 (regenerate it with `cargo bench -p noiselab-bench`)"
+                 (regenerate it with `cargo bench -p noiselab-bench --bench {expected}`)"
             ),
         }),
         Some(tag) if tag != expected => Err(AdviseError::BenchSchema {

@@ -21,7 +21,6 @@ use noiselab_injector::{generate, GeneratorOptions, MergeStrategy};
 use noiselab_noise::{AnomalyKind, AnomalySpec};
 use noiselab_sim::SimDuration;
 use noiselab_stats::TextTable;
-use noiselab_workloads::Workload;
 
 /// Outcome of the merge-strategy ablation.
 #[derive(Debug, Clone)]
@@ -63,6 +62,28 @@ impl MergeAblation {
         out.push_str("paper: compromised trace improved from 25.74% to 5.70%\n");
         out
     }
+
+    /// The paper's shape: the improved merge replicates better and puts
+    /// less of the injected noise under FIFO.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let replicates_better = self.improved_accuracy < self.naive_accuracy;
+        if !replicates_better {
+            return Err(format!(
+                "merge ablation: improved merge should replicate better: {:.2}% vs {:.2}%",
+                self.improved_accuracy * 100.0,
+                self.naive_accuracy * 100.0
+            ));
+        }
+        let naive_more_fifo = self.naive_fifo_frac > self.improved_fifo_frac;
+        if !naive_more_fifo {
+            return Err(format!(
+                "merge ablation: naive merge should inject more under FIFO: {:.0}% vs {:.0}%",
+                self.naive_fifo_frac * 100.0,
+                self.improved_fifo_frac * 100.0
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Run the merge-strategy ablation on the Intel platform with MiniFE
@@ -72,7 +93,7 @@ impl MergeAblation {
 /// of diverse noise" — thread storms overlapping an interrupt storm. To
 /// reproduce that condition deterministically, trace collection forces
 /// both a kworker storm and an IRQ storm in every run.
-pub fn merge_ablation(scale: Scale, small: bool) -> MergeAblation {
+pub fn merge_ablation(scale: Scale) -> MergeAblation {
     let platform = Platform::intel();
     let mut collection = platform.clone();
     collection.noise.force_all_anomalies = true;
@@ -99,21 +120,10 @@ pub fn merge_ablation(scale: Scale, small: bool) -> MergeAblation {
             start: (SimDuration::from_millis(10), SimDuration::from_millis(60)),
         },
     ];
-    let workload: Box<dyn Workload + Sync> = if small {
-        Box::new(suite::small::minife_for(&platform))
-    } else {
-        Box::new(suite::minife_for(&platform))
-    };
+    let workload = suite::minife_for(&platform);
     let source = ExecConfig::new(Model::Omp, Mitigation::Rm);
 
-    let traced = run_baseline(
-        &collection,
-        workload.as_ref(),
-        &source,
-        scale.traced_runs,
-        77,
-        true,
-    );
+    let traced = run_baseline(&collection, &workload, &source, scale.traced_runs, 77, true);
 
     let eval = |merge: MergeStrategy| -> (f64, f64, f64) {
         let opts = GeneratorOptions {
@@ -127,7 +137,7 @@ pub fn merge_ablation(scale: Scale, small: bool) -> MergeAblation {
             let cfg = ExecConfig::new(Model::Omp, mit);
             let s = run_injected(
                 &platform,
-                workload.as_ref(),
+                &workload,
                 &cfg,
                 &config,
                 scale.inject_runs,
@@ -197,16 +207,27 @@ impl MemoryNoiseAblation {
         );
         out
     }
+
+    /// The paper's shape: housekeeping helps more against CPU noise
+    /// than against memory noise.
+    pub fn check_shape(&self) -> Result<(), String> {
+        if self.cpu_gain() > self.mem_gain() {
+            Ok(())
+        } else {
+            Err(format!(
+                "memory ablation: housekeeping should help less against memory noise: \
+                 cpu {:.1}% vs mem {:.1}%",
+                self.cpu_gain() * 100.0,
+                self.mem_gain() * 100.0
+            ))
+        }
+    }
 }
 
 /// Compare housekeeping effectiveness against CPU vs memory noise.
-pub fn memory_noise_ablation(scale: Scale, small: bool) -> MemoryNoiseAblation {
+pub fn memory_noise_ablation(scale: Scale) -> MemoryNoiseAblation {
     let base = Platform::intel();
-    let workload: Box<dyn Workload + Sync> = if small {
-        Box::new(suite::small::babelstream_for(&base))
-    } else {
-        Box::new(suite::babelstream_for(&base))
-    };
+    let workload = suite::babelstream_for(&base);
 
     // The CPU-occupation arm uses FIFO-class stalls (an interrupt
     // flood): a CFS thread storm barely hurts a bandwidth-saturated
@@ -244,14 +265,7 @@ pub fn memory_noise_ablation(scale: Scale, small: bool) -> MemoryNoiseAblation {
         p.noise.anomaly_prob = 1.0;
         p.noise.anomalies = vec![anomaly.clone()];
         let cfg = ExecConfig::new(Model::Omp, mit);
-        let b = run_baseline(
-            &p,
-            workload.as_ref(),
-            &cfg,
-            scale.inject_runs,
-            12_345,
-            false,
-        );
+        let b = run_baseline(&p, &workload, &cfg, scale.inject_runs, 12_345, false);
         b.summary.mean
     };
 
@@ -267,25 +281,71 @@ pub fn memory_noise_ablation(scale: Scale, small: bool) -> MemoryNoiseAblation {
 mod tests {
     use super::*;
 
-    #[test]
-    fn render_shapes() {
-        let m = MergeAblation {
+    fn merge() -> MergeAblation {
+        MergeAblation {
             naive_accuracy: 0.25,
             improved_accuracy: 0.05,
             naive_fifo_frac: 0.9,
             improved_fifo_frac: 0.2,
             naive_mitigation_spread: 0.01,
             improved_mitigation_spread: 0.2,
-        };
-        assert!(m.render().contains("naive-pessimistic"));
+        }
+    }
 
-        let a = MemoryNoiseAblation {
+    fn memory() -> MemoryNoiseAblation {
+        MemoryNoiseAblation {
             cpu_rm: 1.2,
             cpu_hk2: 1.0,
             mem_rm: 1.3,
             mem_hk2: 1.28,
-        };
+        }
+    }
+
+    #[test]
+    fn render_shapes() {
+        let m = merge();
+        assert!(m.render().contains("naive-pessimistic"));
+        assert_eq!(m.check_shape(), Ok(()));
+
+        let a = memory();
         assert!(a.cpu_gain() > a.mem_gain());
         assert!(a.render().contains("memory hog"));
+        assert_eq!(a.check_shape(), Ok(()));
+    }
+
+    #[test]
+    fn merge_shape_fails_when_improved_is_no_more_accurate() {
+        let m = MergeAblation {
+            improved_accuracy: 0.25,
+            ..merge()
+        };
+        let err = m.check_shape().unwrap_err();
+        assert!(
+            err.contains("merge ablation") && err.contains("replicate"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn merge_shape_fails_when_naive_fifo_share_is_not_larger() {
+        let m = MergeAblation {
+            naive_fifo_frac: 0.2,
+            ..merge()
+        };
+        let err = m.check_shape().unwrap_err();
+        assert!(
+            err.contains("merge ablation") && err.contains("FIFO"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn memory_shape_fails_when_housekeeping_helps_memory_noise_as_much() {
+        let a = MemoryNoiseAblation {
+            mem_hk2: 1.0,
+            ..memory()
+        };
+        let err = a.check_shape().unwrap_err();
+        assert!(err.contains("memory ablation"), "{err}");
     }
 }

@@ -55,12 +55,10 @@ impl Fig1 {
             out.push_str(&t.render());
         }
         // Headline comparison.
-        let avg =
-            |ps: &[SpreadPoint]| ps.iter().map(|p| p.sd_ms).sum::<f64>() / ps.len().max(1) as f64;
         out.push_str(&format!(
             "average s.d.: reserved {:.2} ms vs w/o {:.2} ms\n",
-            avg(&self.reserved),
-            avg(&self.unreserved)
+            Fig1::avg_sd(&self.reserved),
+            Fig1::avg_sd(&self.unreserved)
         ));
         out
     }
@@ -68,20 +66,29 @@ impl Fig1 {
     pub fn avg_sd(points: &[SpreadPoint]) -> f64 {
         points.iter().map(|p| p.sd_ms).sum::<f64>() / points.len().max(1) as f64
     }
+
+    /// The paper's shape: the unreserved system is markedly noisier.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let reserved = Fig1::avg_sd(&self.reserved);
+        let unreserved = Fig1::avg_sd(&self.unreserved);
+        if unreserved > reserved * 1.5 {
+            Ok(())
+        } else {
+            Err(format!(
+                "Figure 1: unreserved system should be markedly noisier: \
+                 {unreserved:.2} vs {reserved:.2} ms"
+            ))
+        }
+    }
 }
 
-fn measure(platform: &Platform, scale: Scale, small: bool) -> Vec<SpreadPoint> {
+fn measure(platform: &Platform, scale: Scale) -> Vec<SpreadPoint> {
     let mut points = Vec::new();
     for (label, schedule) in SchedBench::figure1_configs() {
         let mut sb = SchedBench::with_schedule(schedule);
-        if small {
-            sb.repeats = 10;
-            sb.items = 4_096;
-        } else {
-            // ~0.3 s per run on the A64FX, long enough for anomaly
-            // windows to overlap the measurement.
-            sb.repeats = 200;
-        }
+        // ~0.3 s per run on the A64FX, long enough for anomaly windows
+        // to overlap the measurement.
+        sb.repeats = 200;
         let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm).with_schedule(schedule);
         let spec = RunSpec::new(platform, &sb, &cfg, 3_000);
         let ledger = run_many(&spec, scale.baseline_runs, RetryPolicy::none());
@@ -102,12 +109,12 @@ fn measure(platform: &Platform, scale: Scale, small: bool) -> Vec<SpreadPoint> {
 }
 
 /// Run the Figure 1 experiment.
-pub fn run(scale: Scale, small: bool) -> Fig1 {
+pub fn run(scale: Scale) -> Fig1 {
     let reserved = scale.boost(&Platform::a64fx(true));
     let unreserved = scale.boost(&Platform::a64fx(false));
     Fig1 {
-        reserved: measure(&reserved, scale, small),
-        unreserved: measure(&unreserved, scale, small),
+        reserved: measure(&reserved, scale),
+        unreserved: measure(&unreserved, scale),
     }
 }
 
@@ -115,15 +122,30 @@ pub fn run(scale: Scale, small: bool) -> Fig1 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn render_lists_nine_configs_per_system() {
-        let p = SpreadPoint {
+    fn point(sd_ms: f64) -> SpreadPoint {
+        SpreadPoint {
             label: "st:1".into(),
             median_ms: 100.0,
             p10_ms: 99.0,
             p90_ms: 105.0,
-            sd_ms: 2.0,
+            sd_ms,
+        }
+    }
+
+    #[test]
+    fn shape_needs_unreserved_half_again_noisier() {
+        let fig = |reserved, unreserved| Fig1 {
+            reserved: vec![point(reserved)],
+            unreserved: vec![point(unreserved)],
         };
+        assert_eq!(fig(2.0, 3.1).check_shape(), Ok(()));
+        let err = fig(2.0, 3.0).check_shape().unwrap_err();
+        assert!(err.contains("Figure 1"), "{err}");
+    }
+
+    #[test]
+    fn render_lists_nine_configs_per_system() {
+        let p = point(2.0);
         let f = Fig1 {
             reserved: vec![p.clone()],
             unreserved: vec![p],

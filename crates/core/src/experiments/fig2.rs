@@ -62,16 +62,29 @@ impl Fig2 {
             .map(|p| p.sd_ms)
             .unwrap_or(0.0)
     }
+
+    /// The paper's shape: at full occupancy the unreserved system is
+    /// noisier.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let r = Fig2::full_occupancy_sd(&self.reserved);
+        let u = Fig2::full_occupancy_sd(&self.unreserved);
+        if u > r {
+            Ok(())
+        } else {
+            Err(format!(
+                "Figure 2: full occupancy on the unreserved system should be noisier: \
+                 {u:.2} vs {r:.2} ms"
+            ))
+        }
+    }
 }
 
-fn measure(platform: &Platform, scale: Scale, small: bool, threads: &[usize]) -> Vec<ThreadPoint> {
-    // ~0.2 s per run at full scale so anomaly windows overlap the
-    // measurement (the dot kernel itself is very fast on HBM).
-    let elements = if small { 1 << 21 } else { 33_554_432 };
-    let iterations = if small { 20 } else { 200 };
-    let bs = Babelstream::dot_only(elements, iterations);
+fn measure(platform: &Platform, scale: Scale) -> Vec<ThreadPoint> {
+    // ~0.2 s per run so anomaly windows overlap the measurement (the
+    // dot kernel itself is very fast on HBM).
+    let bs = Babelstream::dot_only(33_554_432, 200);
     let mut points = Vec::new();
-    for &n in threads {
+    for n in [6, 12, 24, 36, 48] {
         let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm).with_threads(n);
         let spec = RunSpec::new(platform, &bs, &cfg, 4_000);
         let ledger = run_many(&spec, scale.baseline_runs, RetryPolicy::none());
@@ -92,17 +105,12 @@ fn measure(platform: &Platform, scale: Scale, small: bool, threads: &[usize]) ->
 }
 
 /// Run the Figure 2 experiment.
-pub fn run(scale: Scale, small: bool) -> Fig2 {
-    let threads: &[usize] = if small {
-        &[12, 48]
-    } else {
-        &[6, 12, 24, 36, 48]
-    };
+pub fn run(scale: Scale) -> Fig2 {
     let reserved = scale.boost(&Platform::a64fx(true));
     let unreserved = scale.boost(&Platform::a64fx(false));
     Fig2 {
-        reserved: measure(&reserved, scale, small, threads),
-        unreserved: measure(&unreserved, scale, small, threads),
+        reserved: measure(&reserved, scale),
+        unreserved: measure(&unreserved, scale),
     }
 }
 
@@ -110,17 +118,31 @@ pub fn run(scale: Scale, small: bool) -> Fig2 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn full_occupancy_picks_max_threads() {
-        let mk = |threads, sd_ms| ThreadPoint {
+    fn mk(threads: usize, sd_ms: f64) -> ThreadPoint {
+        ThreadPoint {
             threads,
             median_ms: 0.0,
             p10_ms: 0.0,
             p90_ms: 0.0,
             sd_ms,
-        };
+        }
+    }
+
+    #[test]
+    fn full_occupancy_picks_max_threads() {
         let pts = vec![mk(12, 1.0), mk(48, 9.0), mk(24, 2.0)];
         assert_eq!(Fig2::full_occupancy_sd(&pts), 9.0);
+    }
+
+    #[test]
+    fn shape_needs_unreserved_noisier_at_full_occupancy() {
+        let fig = |reserved, unreserved| Fig2 {
+            reserved: vec![mk(12, 9.0), mk(48, reserved)],
+            unreserved: vec![mk(12, 0.0), mk(48, unreserved)],
+        };
+        assert_eq!(fig(2.0, 2.5).check_shape(), Ok(()));
+        let err = fig(2.0, 2.0).check_shape().unwrap_err();
+        assert!(err.contains("Figure 2"), "{err}");
     }
 
     #[test]

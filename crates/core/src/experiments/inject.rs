@@ -77,7 +77,7 @@ pub struct PlatformSpec {
 
 /// Which workload the table evaluates (sized per platform by
 /// [`suite`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     NBody,
     Babelstream,
@@ -85,14 +85,11 @@ pub enum WorkloadKind {
 }
 
 impl WorkloadKind {
-    fn instantiate(self, platform: &Platform, small: bool) -> Box<dyn Workload + Sync> {
-        match (self, small) {
-            (WorkloadKind::NBody, false) => Box::new(suite::nbody_for(platform)),
-            (WorkloadKind::NBody, true) => Box::new(suite::small::nbody_for(platform)),
-            (WorkloadKind::Babelstream, false) => Box::new(suite::babelstream_for(platform)),
-            (WorkloadKind::Babelstream, true) => Box::new(suite::small::babelstream_for(platform)),
-            (WorkloadKind::MiniFE, false) => Box::new(suite::minife_for(platform)),
-            (WorkloadKind::MiniFE, true) => Box::new(suite::small::minife_for(platform)),
+    fn instantiate(self, platform: &Platform) -> Box<dyn Workload + Sync> {
+        match self {
+            WorkloadKind::NBody => Box::new(suite::nbody_for(platform)),
+            WorkloadKind::Babelstream => Box::new(suite::babelstream_for(platform)),
+            WorkloadKind::MiniFE => Box::new(suite::minife_for(platform)),
         }
     }
 
@@ -114,7 +111,7 @@ pub struct TableSpec {
 }
 
 /// One cell: baseline vs injected means (seconds).
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Cell {
     pub base_mean: f64,
     pub inj_mean: f64,
@@ -126,7 +123,7 @@ impl Cell {
     }
 }
 
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RowResult {
     pub label: String,
     pub model: Model,
@@ -136,7 +133,7 @@ pub struct RowResult {
     pub cells: [Cell; 6],
 }
 
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Block {
     pub platform: String,
     pub rows: Vec<RowResult>,
@@ -144,7 +141,7 @@ pub struct Block {
 
 /// Accuracy sample for Table 7: the injected mean of the trace's source
 /// configuration vs the anomaly execution time it replays.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccuracyRecord {
     pub workload: String,
     pub config_label: String,
@@ -152,15 +149,13 @@ pub struct AccuracyRecord {
     pub error: f64,
 }
 
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InjectionTable {
     pub title: String,
     pub workload: WorkloadKind,
     pub blocks: Vec<Block>,
     pub accuracy: Vec<AccuracyRecord>,
-    /// Runs across all stages that produced no measurement (absent in
-    /// reports produced before fault tracking existed).
-    #[serde(default)]
+    /// Runs across all stages that produced no measurement.
     pub failed_runs: usize,
 }
 
@@ -204,14 +199,14 @@ impl InjectionTable {
 }
 
 /// Execute a table plan.
-pub fn run_table(spec: &TableSpec, scale: Scale, small: bool) -> InjectionTable {
+pub fn run_table(spec: &TableSpec, scale: Scale) -> InjectionTable {
     let mut blocks = Vec::new();
     let mut accuracy = Vec::new();
     // Cell: both the baseline closure and the row loop below add to it.
     let failed_runs = std::cell::Cell::new(0usize);
 
     for (pi, pspec) in spec.platforms.iter().enumerate() {
-        let workload = spec.workload.instantiate(&pspec.platform, small);
+        let workload = spec.workload.instantiate(&pspec.platform);
         let boosted = scale.boost(&pspec.platform);
 
         // --- stage 1+2: trace collection and config generation ---------

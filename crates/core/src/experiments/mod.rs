@@ -1,11 +1,13 @@
 //! Per-table experiment definitions (the evaluation section of the
-//! paper). Each submodule regenerates one table or figure; the bench
-//! harness in `noiselab-bench` runs them and prints the result next to
-//! the paper's numbers.
+//! paper). Each submodule regenerates one table or figure;
+//! `noiselab report` runs them, prints each result next to the paper's
+//! numbers and checks the paper's shape claim with the result type's
+//! `check_shape`.
 
 pub mod ablation;
 pub mod fig1;
 pub mod fig2;
+pub mod fwq;
 pub mod inject;
 pub mod numa;
 pub mod runlevel;
@@ -20,7 +22,7 @@ use crate::platform::Platform;
 /// Replication counts. The paper uses 1000 baseline and 200 injection
 /// repetitions; on a single-CPU simulation host the default bench scale
 /// trades statistical resolution for runtime while keeping the pipeline
-/// identical. `NOISELAB_SCALE=smoke|bench|paper` selects at runtime.
+/// identical. `noiselab report --scale smoke|bench|paper` selects one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Traced baseline runs per trace collection (paper: 1000).
@@ -46,7 +48,7 @@ impl Scale {
         }
     }
 
-    /// Default scale for `cargo bench`.
+    /// Default scale for `noiselab report`.
     pub fn bench() -> Scale {
         Scale {
             traced_runs: 30,
@@ -63,19 +65,6 @@ impl Scale {
             baseline_runs: 1000,
             inject_runs: 200,
             anomaly_boost: 1.0,
-        }
-    }
-
-    /// Scale selected by `NOISELAB_SCALE` (default: bench).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "picks how many runs a table repeats; every run stays a function of its seed"
-    )]
-    pub fn from_env() -> Scale {
-        match std::env::var("NOISELAB_SCALE").as_deref() {
-            Ok("smoke") => Scale::smoke(),
-            Ok("paper") => Scale::paper(),
-            _ => Scale::bench(),
         }
     }
 

@@ -87,23 +87,34 @@ impl NumaComparison {
     pub fn row(&self, label: &str) -> Option<&NumaRow> {
         self.rows.iter().find(|r| r.label == label)
     }
+
+    /// The extension's shape: pinned threads never migrate, roaming
+    /// threads do under node noise.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let (Some(rm), Some(tp)) = (self.row("Rm-OMP"), self.row("TP-OMP")) else {
+            return Err("NUMA: the Rm-OMP and TP-OMP rows are both required".into());
+        };
+        if tp.migrations != 0.0 {
+            return Err(format!(
+                "NUMA: pinned threads must not migrate: TP-OMP {:.0} migrations per run",
+                tp.migrations
+            ));
+        }
+        let roaming_migrate = rm.migrations > 0.0;
+        if !roaming_migrate {
+            return Err("NUMA: roaming threads should migrate under node noise".into());
+        }
+        Ok(())
+    }
 }
 
 /// Run the comparison. `runs` baseline repetitions per configuration.
-pub fn run(runs: usize, small: bool) -> NumaComparison {
+pub fn run(runs: usize) -> NumaComparison {
     let platform = numa_platform();
-    let workload = if small {
-        NBody {
-            bodies: 48_000,
-            steps: 3,
-            sycl_kernel_efficiency: 1.3,
-        }
-    } else {
-        NBody {
-            bodies: 120_000,
-            steps: 5,
-            sycl_kernel_efficiency: 1.3,
-        }
+    let workload = NBody {
+        bodies: 120_000,
+        steps: 5,
+        sycl_kernel_efficiency: 1.3,
     };
 
     let mut rows = Vec::new();
@@ -195,7 +206,7 @@ mod tests {
 
     #[test]
     fn pinning_eliminates_cross_numa_migrations() {
-        let cmp = run(4, true);
+        let cmp = run(4);
         let rm = cmp.row("Rm-OMP").unwrap();
         let tp = cmp.row("TP-OMP").unwrap();
         assert_eq!(tp.migrations, 0.0, "pinned threads must not migrate");
@@ -205,5 +216,34 @@ mod tests {
             "roaming threads should migrate under node noise"
         );
         assert!(cmp.render().contains("cross-NUMA"));
+        assert_eq!(cmp.check_shape(), Ok(()));
+    }
+
+    fn row(label: &str, migrations: f64) -> NumaRow {
+        NumaRow {
+            label: label.into(),
+            mean: 1.0,
+            sd_ms: 1.0,
+            migrations,
+            numa_migrations: 0.0,
+        }
+    }
+
+    #[test]
+    fn shape_fails_when_pinned_threads_migrate() {
+        let cmp = NumaComparison {
+            rows: vec![row("Rm-OMP", 5.0), row("TP-OMP", 1.0)],
+        };
+        let err = cmp.check_shape().unwrap_err();
+        assert!(err.contains("NUMA") && err.contains("pinned"), "{err}");
+    }
+
+    #[test]
+    fn shape_fails_when_roaming_threads_stay_put() {
+        let cmp = NumaComparison {
+            rows: vec![row("Rm-OMP", 0.0), row("TP-OMP", 0.0)],
+        };
+        let err = cmp.check_shape().unwrap_err();
+        assert!(err.contains("NUMA") && err.contains("roaming"), "{err}");
     }
 }

@@ -9,7 +9,6 @@ use crate::experiments::{suite, Scale};
 use crate::harness::run_baseline;
 use crate::platform::Platform;
 use noiselab_stats::TextTable;
-use noiselab_workloads::Workload;
 
 #[derive(Debug, Clone)]
 pub struct RunlevelRow {
@@ -51,37 +50,34 @@ impl RunlevelComparison {
     pub fn avg_rl3(&self) -> f64 {
         self.rows.iter().map(|r| r.sd_rl3_ms).sum::<f64>() / self.rows.len().max(1) as f64
     }
+
+    /// The paper's shape: disabling the GUI does not increase
+    /// variability (within 20 %).
+    pub fn check_shape(&self) -> Result<(), String> {
+        if self.avg_rl3() <= self.avg_rl5() * 1.2 {
+            Ok(())
+        } else {
+            Err(format!(
+                "runlevel 3: disabling the GUI should not increase variability: \
+                 rl3 {:.2} vs rl5 {:.2}",
+                self.avg_rl3(),
+                self.avg_rl5()
+            ))
+        }
+    }
 }
 
 /// Compare baseline variability with the GUI stack active vs disabled.
-pub fn run(scale: Scale, small: bool) -> RunlevelComparison {
+pub fn run(scale: Scale) -> RunlevelComparison {
     let rl5 = Platform::intel();
     let rl3 = Platform::intel().runlevel3();
-    let workload: Box<dyn Workload + Sync> = if small {
-        Box::new(suite::small::nbody_for(&rl5))
-    } else {
-        Box::new(suite::nbody_for(&rl5))
-    };
+    let workload = suite::nbody_for(&rl5);
 
     let mut rows = Vec::new();
     for mit in Mitigation::ALL {
         let cfg = ExecConfig::new(Model::Omp, mit);
-        let b5 = run_baseline(
-            &rl5,
-            workload.as_ref(),
-            &cfg,
-            scale.baseline_runs,
-            4_500,
-            false,
-        );
-        let b3 = run_baseline(
-            &rl3,
-            workload.as_ref(),
-            &cfg,
-            scale.baseline_runs,
-            4_500,
-            false,
-        );
+        let b5 = run_baseline(&rl5, &workload, &cfg, scale.baseline_runs, 4_500, false);
+        let b3 = run_baseline(&rl3, &workload, &cfg, scale.baseline_runs, 4_500, false);
         rows.push(RunlevelRow {
             mitigation: mit,
             sd_rl5_ms: b5.summary.sd * 1e3,
@@ -107,5 +103,19 @@ mod tests {
         let s = c.render();
         assert!(s.contains("runlevel 3"));
         assert_eq!(c.avg_rl5(), 7.0);
+        assert_eq!(c.check_shape(), Ok(()));
+    }
+
+    #[test]
+    fn shape_fails_when_runlevel3_is_much_noisier() {
+        let c = RunlevelComparison {
+            rows: vec![RunlevelRow {
+                mitigation: Mitigation::Rm,
+                sd_rl5_ms: 5.0,
+                sd_rl3_ms: 6.5,
+            }],
+        };
+        let err = c.check_shape().unwrap_err();
+        assert!(err.contains("runlevel 3"), "{err}");
     }
 }

@@ -93,8 +93,9 @@ pub const WORKLOAD_NAMES: [&str; 7] = [
     "nbody-tiny",
 ];
 
-/// Proportionally reduced instances for smoke-scale runs (~10x smaller),
-/// preserving each workload's phase structure.
+/// Proportionally reduced instances (~10x smaller) behind the `*-small`
+/// workload names and fast tests, preserving each workload's phase
+/// structure.
 pub mod small {
     use super::*;
 

@@ -50,6 +50,21 @@ impl Table1 {
         }
         out
     }
+
+    /// The paper's shape: tracing costs every workload less than 2 %.
+    pub fn check_shape(&self) -> Result<(), String> {
+        for r in &self.rows {
+            let below = r.increase() < 0.02;
+            if !below {
+                return Err(format!(
+                    "Table 1: tracing overhead for {} is {:.2}%, expected < 2%",
+                    r.workload,
+                    r.increase() * 100.0
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Run the tracing-overhead experiment on the Intel platform.
@@ -123,5 +138,20 @@ mod tests {
         let s = t.render();
         assert!(s.contains("nbody"));
         assert!(s.contains("+0.7%"));
+        assert_eq!(t.check_shape(), Ok(()));
+    }
+
+    #[test]
+    fn shape_fails_at_two_percent_overhead() {
+        let t = Table1 {
+            rows: vec![Row {
+                workload: "minife".into(),
+                off_mean: 1.0,
+                on_mean: 1.03,
+                failed: 0,
+            }],
+        };
+        let err = t.check_shape().unwrap_err();
+        assert!(err.contains("Table 1") && err.contains("minife"), "{err}");
     }
 }

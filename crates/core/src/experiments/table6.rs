@@ -14,7 +14,7 @@ pub struct Table6 {
 
 impl Table6 {
     /// Aggregate from the outcomes of Tables 3-5.
-    pub fn aggregate(tables: &[InjectionTable]) -> Table6 {
+    pub fn aggregate<'a>(tables: impl IntoIterator<Item = &'a InjectionTable>) -> Table6 {
         let mut sums = [[0.0f64; 6]; 2];
         let mut counts = [[0usize; 6]; 2];
         for t in tables {
@@ -52,6 +52,19 @@ impl Table6 {
         let o: f64 = self.omp.iter().sum::<f64>() / 6.0;
         let s: f64 = self.sycl.iter().sum::<f64>() / 6.0;
         o - s
+    }
+
+    /// The paper's shape: SYCL is more resilient on average.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let advantage = self.sycl_advantage_points();
+        if advantage > 0.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "Table 6: SYCL should be more resilient on average \
+                 (paper: 16.82 points), got {advantage:.2} points"
+            ))
+        }
     }
 
     pub fn render(&self) -> String {
@@ -111,6 +124,15 @@ mod tests {
         assert!((agg.omp[0] - 30.0).abs() < 1e-9);
         assert!((agg.sycl[0] - 20.0).abs() < 1e-9);
         assert!(agg.sycl_advantage_points() > 0.0);
+        assert_eq!(agg.check_shape(), Ok(()));
+    }
+
+    #[test]
+    fn shape_fails_without_a_sycl_advantage() {
+        let omp = table_with(Model::Omp, [0.1; 6]);
+        let sycl = table_with(Model::Sycl, [0.1; 6]);
+        let err = Table6::aggregate(&[omp, sycl]).check_shape().unwrap_err();
+        assert!(err.contains("Table 6") && err.contains("SYCL"), "{err}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! each of the ten worst-case traces, computed from the accuracy
 //! records of the Tables 3-5 runs.
 
-use crate::experiments::inject::AccuracyRecord;
+use crate::experiments::inject::{AccuracyRecord, InjectionTable};
 use noiselab_stats::TextTable;
 
 #[derive(Debug, Clone)]
@@ -11,9 +11,22 @@ pub struct Table7 {
 }
 
 impl Table7 {
-    pub fn from_tables(tables: &[crate::experiments::inject::InjectionTable]) -> Table7 {
+    pub fn from_tables<'a>(tables: impl IntoIterator<Item = &'a InjectionTable>) -> Table7 {
         Table7 {
-            records: tables.iter().flat_map(|t| t.accuracy.clone()).collect(),
+            records: tables
+                .into_iter()
+                .flat_map(|t| t.accuracy.iter().cloned())
+                .collect(),
+        }
+    }
+
+    /// The paper's shape: ten worst-case traces.
+    pub fn check_shape(&self) -> Result<(), String> {
+        match self.records.len() {
+            10 => Ok(()),
+            n => Err(format!(
+                "Table 7: {n} worst-case traces, expected 10 (the paper uses ten)"
+            )),
         }
     }
 
@@ -76,5 +89,20 @@ mod tests {
         let t = Table7 { records: vec![] };
         assert_eq!(t.mean_abs(), 0.0);
         assert!(t.render().contains("Average absolute accuracy"));
+    }
+
+    #[test]
+    fn shape_needs_ten_traces() {
+        let record = AccuracyRecord {
+            workload: "N-body".into(),
+            config_label: "Rm-OMP".into(),
+            error: 0.04,
+        };
+        let t = Table7 {
+            records: vec![record; 10],
+        };
+        assert_eq!(t.check_shape(), Ok(()));
+        let err = Table7 { records: vec![] }.check_shape().unwrap_err();
+        assert!(err.contains("Table 7") && err.contains("10"), "{err}");
     }
 }

@@ -1362,11 +1362,6 @@ impl Kernel {
         };
         // Cancel any pending completion; it will be rescheduled on resume.
         self.queue.cancel(self.thread_key(i, ThreadTimer::Compute));
-        if let Some(c) = self.computes[i].as_mut() {
-            // Credit progress at the old rate before the thread stops.
-            c.advance_to(now);
-            c.rate = 0.0;
-        }
     }
 
     /// Preempt the current thread (stays runnable, requeued here).
@@ -1509,7 +1504,7 @@ impl Kernel {
 
         if self.computes[i].is_some() {
             let pending = std::mem::take(&mut self.threads[i].pending_overhead_ns);
-            self.running.resume(ci, pending, now);
+            self.running.resume(ci, pending);
             self.recompute_rates_for(ci);
         } else {
             self.step_behavior(tid);
@@ -1749,7 +1744,6 @@ impl Kernel {
     }
 
     fn install_compute(&mut self, tid: ThreadId, solo: SoloProfile, remaining: f64, spin: bool) {
-        let now = self.now();
         let i = tid.index();
         debug_assert_eq!(self.threads[i].state, ThreadState::Running);
         let overhead = std::mem::take(&mut self.threads[i].pending_overhead_ns);
@@ -1758,8 +1752,6 @@ impl Kernel {
             ActiveCompute {
                 solo,
                 remaining,
-                rate: 0.0,
-                last_update: now,
                 overhead_ns: overhead,
             },
         );

@@ -176,10 +176,11 @@ impl RateScratch {
 /// per-CPU thread index keep the hot loops on two small arrays instead
 /// of walking the full `Cpu` and `Thread` structs.
 ///
-/// While a compute runs, its progress (`remaining`, `rate`,
-/// `overhead_ns`, `last_update`) lives in this set's CPU-indexed lanes,
-/// not in its `ActiveCompute`: [`RunningSet::insert`] loads a lane and
-/// [`RunningSet::unload`] writes it back, so there is one live copy.
+/// While a compute runs, its progress (`remaining`, `overhead_ns`) and
+/// its rate and last update live only in this set's CPU-indexed lanes:
+/// [`RunningSet::insert`] loads a lane at rate 0 from `now`, and
+/// [`Kernel::leave_running`] advances it to `now` and writes the
+/// progress back into the `ActiveCompute`.
 /// Idle lanes hold rate 0 and overhead 0, which makes advancing them an
 /// exact no-op, so the advance walk is one loop over every lane.
 #[derive(Default)]
@@ -189,8 +190,8 @@ pub(crate) struct RunningSet {
     remaining: Vec<f64>,
     rate: Vec<f64>,
     overhead: Vec<f64>,
-    /// `last_update` in ns, as f64: exact below 2^53 ns (104 days), and
-    /// so is the difference of two such instants.
+    /// Time of the lane's last update in ns, as f64: exact below 2^53 ns
+    /// (104 days), and so is the difference of two such instants.
     last: Vec<f64>,
 }
 
@@ -215,19 +216,20 @@ impl RunningSet {
         }
     }
 
-    /// Thread `ti` runs compute `c` on CPU `ci`: load its progress.
+    /// Thread `ti` runs compute `c` on CPU `ci` from `now`: load its
+    /// progress into a lane at rate 0 (the next pass rates it).
     #[inline]
-    fn insert(&mut self, ci: usize, ti: usize, c: &ActiveCompute) {
+    fn insert(&mut self, ci: usize, ti: usize, c: &ActiveCompute, now: SimTime) {
         assert!(
-            c.last_update.0 < LANE_TIME_LIMIT,
+            now.0 < LANE_TIME_LIMIT,
             "virtual time past the exact range of the rate lanes"
         );
         self.mask[ci >> 6] |= 1u64 << (ci & 63);
         self.tid[ci] = ti as u32;
         self.remaining[ci] = c.remaining;
-        self.rate[ci] = c.rate;
+        self.rate[ci] = 0.0;
         self.overhead[ci] = c.overhead_ns;
-        self.last[ci] = c.last_update.0 as f64;
+        self.last[ci] = now.0 as f64;
     }
 
     /// CPU `ci`'s compute stops running: drop it from the set and idle
@@ -238,15 +240,6 @@ impl RunningSet {
         self.tid[ci] = u32::MAX;
         self.rate[ci] = 0.0;
         self.overhead[ci] = 0.0;
-    }
-
-    /// Write CPU `ci`'s progress back into its compute `c`, then remove.
-    fn unload(&mut self, ci: usize, c: &mut ActiveCompute) {
-        c.remaining = self.remaining[ci];
-        c.rate = self.rate[ci];
-        c.overhead_ns = self.overhead[ci];
-        c.last_update = SimTime(self.last[ci] as u64);
-        self.remove(ci);
     }
 
     /// Advance every lane to `now` (see [`advance_progress`]).
@@ -274,11 +267,10 @@ impl RunningSet {
         (*remaining, *overhead)
     }
 
-    /// CPU `ci`'s compute starts running at `now` after `pending` ns of
-    /// switch overhead accumulated off-CPU.
-    pub(crate) fn resume(&mut self, ci: usize, pending: f64, now: SimTime) {
+    /// CPU `ci`'s compute, inserted at this instant, starts running
+    /// after `pending` ns of switch overhead accumulated off-CPU.
+    pub(crate) fn resume(&mut self, ci: usize, pending: f64) {
         self.overhead[ci] += pending;
-        self.last[ci] = now.0 as f64;
     }
 
     /// Completion time of CPU `ci`'s compute at its lane's rate.
@@ -317,21 +309,27 @@ impl Kernel {
 
     /// Thread `i`, whose compute is set, became CPU `ci`'s occupant.
     pub(crate) fn join_running(&mut self, ci: usize, i: usize) {
+        let now = self.now();
         let c = self.computes[i]
             .as_ref()
             .expect("a joining thread has a compute");
-        self.running.insert(ci, i, c);
+        self.running.insert(ci, i, c, now);
         if self.thread_demands_bw(i) {
             self.bw_running += 1;
         }
     }
 
-    /// Thread `i`, whose compute is still set, stops occupying CPU `ci`.
+    /// Thread `i`, whose compute is still set, stops occupying CPU `ci`:
+    /// credit its progress up to `now` at the lane's rate and write it
+    /// back into the compute.
     pub(crate) fn leave_running(&mut self, ci: usize, i: usize) {
+        let (remaining, overhead) = self.running.advance(ci, self.now());
+        self.running.remove(ci);
         let c = self.computes[i]
             .as_mut()
             .expect("a leaving thread has a compute");
-        self.running.unload(ci, c);
+        c.remaining = remaining;
+        c.overhead_ns = overhead;
         if self.thread_demands_bw(i) {
             self.bw_running -= 1;
         }
@@ -350,7 +348,7 @@ impl Kernel {
             .cpu
             .expect("running thread without cpu")
             .index();
-        self.running.insert(cpu, i, &compute);
+        self.running.insert(cpu, i, &compute, self.now());
         self.computes[i] = Some(compute);
     }
 

@@ -35,7 +35,9 @@ pub enum ThreadState {
     Exited,
 }
 
-/// An in-progress compute action.
+/// An in-progress compute action. While its thread runs, the progress
+/// (`remaining`, `overhead_ns`) lives only in the rate layer's CPU lanes
+/// and these fields are stale; they hold it while the thread is off CPU.
 #[derive(Debug, Clone)]
 pub struct ActiveCompute {
     /// Roofline profile of the work unit being executed.
@@ -43,22 +45,9 @@ pub struct ActiveCompute {
     /// Remaining solo-equivalent nanoseconds. `f64::INFINITY` while
     /// spinning at a barrier.
     pub remaining: f64,
-    /// Rate of progress at the last update (solo-ns per wall-ns).
-    pub rate: f64,
-    /// Virtual time of the last progress update.
-    pub last_update: SimTime,
     /// Unproductive time (context switch, migration penalty) to burn at
     /// rate 1 before productive progress resumes.
     pub overhead_ns: f64,
-}
-
-impl ActiveCompute {
-    /// Advance progress to time `now` at the current rate.
-    pub fn advance_to(&mut self, now: SimTime) {
-        let dt = now.since(self.last_update).nanos() as f64;
-        self.last_update = now;
-        advance_progress(&mut self.remaining, &mut self.overhead_ns, self.rate, dt);
-    }
 }
 
 /// The one definition of progress: `dt >= 0` wall ns at `rate` burn the
@@ -193,49 +182,30 @@ impl Thread {
 mod tests {
     use super::*;
 
-    fn compute(remaining: f64, rate: f64) -> ActiveCompute {
-        ActiveCompute {
-            solo: SoloProfile {
-                solo_ns: remaining,
-                cpu_ns: remaining,
-                bw_demand: 0.0,
-            },
-            remaining,
-            rate,
-            last_update: SimTime::ZERO,
-            overhead_ns: 0.0,
-        }
-    }
-
     #[test]
     fn advance_consumes_at_rate() {
-        let mut c = compute(1000.0, 0.5);
-        c.advance_to(SimTime(1000));
-        assert!((c.remaining - 500.0).abs() < 1e-9);
+        let (mut remaining, mut overhead) = (1000.0, 0.0);
+        advance_progress(&mut remaining, &mut overhead, 0.5, 1000.0);
+        assert!((remaining - 500.0).abs() < 1e-9);
     }
 
     #[test]
     fn advance_burns_overhead_first() {
-        let mut c = compute(1000.0, 1.0);
-        c.overhead_ns = 300.0;
-        c.advance_to(SimTime(500));
-        assert_eq!(c.overhead_ns, 0.0);
-        assert!((c.remaining - 800.0).abs() < 1e-9);
+        let (mut remaining, mut overhead) = (1000.0, 300.0);
+        advance_progress(&mut remaining, &mut overhead, 1.0, 500.0);
+        assert_eq!(overhead, 0.0);
+        assert!((remaining - 800.0).abs() < 1e-9);
     }
 
     #[test]
     fn eta_includes_overhead() {
-        let mut c = compute(1000.0, 0.5);
-        c.overhead_ns = 100.0;
-        assert_eq!(eta_ns(c.remaining, c.overhead_ns, c.rate), Some(2100));
+        assert_eq!(eta_ns(1000.0, 100.0, 0.5), Some(2100));
     }
 
     #[test]
     fn eta_none_when_spinning_or_stalled() {
-        let c = compute(f64::INFINITY, 1.0);
-        assert_eq!(eta_ns(c.remaining, c.overhead_ns, c.rate), None);
-        let c2 = compute(100.0, 0.0);
-        assert_eq!(eta_ns(c2.remaining, c2.overhead_ns, c2.rate), None);
+        assert_eq!(eta_ns(f64::INFINITY, 0.0, 1.0), None);
+        assert_eq!(eta_ns(100.0, 0.0, 0.0), None);
     }
 
     #[test]
@@ -301,8 +271,8 @@ mod tests {
 
     #[test]
     fn advance_never_goes_negative() {
-        let mut c = compute(10.0, 1.0);
-        c.advance_to(SimTime(1000));
-        assert_eq!(c.remaining, 0.0);
+        let (mut remaining, mut overhead) = (10.0, 0.0);
+        advance_progress(&mut remaining, &mut overhead, 1.0, 1000.0);
+        assert_eq!(remaining, 0.0);
     }
 }

@@ -14,7 +14,8 @@
 //! noiselab generate --traces traces.json --out config.json [--merge improved|naive]
 //! noiselab inject   --platform intel --workload nbody --config config.json [--runs 20]
 //! noiselab analyze  --traces traces.json [--top 10]
-//! noiselab report   --what table1|table2|fig1|fig2|merge|memory|runlevel3 [--scale smoke|bench|paper]
+//! noiselab report   [--what all|table1..table7|fig1|fig2|merge|memory|runlevel3|numa|fwq]
+//!                   [--scale smoke|bench|paper]
 //! noiselab campaign --platform intel --workload nbody [--runs 20] [--checkpoint state.json]
 //!                   [--resume true] [--crash-prob 0.05] [--crash-window-ms 2]
 //!                   [--fault-seed 1] [--retries 0] [--limit N] [--verify-resume true]
@@ -37,6 +38,12 @@
 //! the metrics registry over a few runs; `--profile` adds the host-time
 //! phase profile and `--overhead` the Table-1-style observation
 //! overhead report.
+//!
+//! `report` regenerates the paper's evaluation: each table or figure
+//! (`--what all` runs every one, Tables 3-5 once for their own sections
+//! and both aggregates), printed and then checked against the paper's
+//! shape claim. A violated shape goes to stderr and makes the exit
+//! status nonzero.
 //!
 //! `campaign` sweeps every model x mitigation cell, checkpointing after
 //! each completed cell; a killed campaign resumes bit-identical with
@@ -86,8 +93,9 @@
 //! markdown. Bench files with a missing or foreign schema tag are
 //! refused with an error naming the file.
 
+use noiselab::core::experiments::inject::{self, InjectionTable};
 use noiselab::core::experiments::{
-    ablation, fig1, fig2, numa, runlevel, suite, table1, table2, Scale,
+    ablation, fig1, fig2, fwq, numa, runlevel, suite, table1, table2, table6, table7, Scale,
 };
 use noiselab::core::{
     run_baseline, run_batch, Baseline, ExecConfig, Injected, Mitigation, Model, Platform,
@@ -191,11 +199,12 @@ impl Args {
         self.get("seed", "1").parse().unwrap_or(1)
     }
 
-    fn scale(&self) -> Scale {
+    fn scale(&self) -> Result<Scale, String> {
         match self.get("scale", "bench").as_str() {
-            "smoke" => Scale::smoke(),
-            "paper" => Scale::paper(),
-            _ => Scale::bench(),
+            "smoke" => Ok(Scale::smoke()),
+            "bench" => Ok(Scale::bench()),
+            "paper" => Ok(Scale::paper()),
+            other => Err(format!("unknown scale '{other}' (smoke|bench|paper)")),
         }
     }
 }
@@ -361,25 +370,97 @@ fn cmd_inject(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Every `report --what` value but `all`, in the order `all` runs them.
+const REPORTS: &str =
+    "table1|table2|table3|table4|table5|table6|table7|fig1|fig2|merge|memory|runlevel3|numa|fwq";
+
+/// Tables 3-5, each run on first use, so `report --what all` runs them
+/// once for their own sections and both aggregates.
+struct InjectionTables {
+    scale: Scale,
+    tables: [Option<InjectionTable>; 3],
+}
+
+impl InjectionTables {
+    fn table(&mut self, k: usize) -> &InjectionTable {
+        let spec = [
+            inject::table3_spec,
+            inject::table4_spec,
+            inject::table5_spec,
+        ][k];
+        let scale = self.scale;
+        self.tables[k].get_or_insert_with(|| inject::run_table(&spec(), scale))
+    }
+
+    fn all(&mut self) -> impl Iterator<Item = &InjectionTable> {
+        for k in 0..3 {
+            self.table(k);
+        }
+        self.tables.iter().flatten()
+    }
+}
+
 fn cmd_report(args: &Args) -> Result<(), String> {
-    let scale = args.scale();
-    match args.get("what", "table1").as_str() {
-        "table1" => print!("{}", table1::run(scale).render()),
-        "table2" => print!("{}", table2::run(scale).render()),
-        "fig1" => print!("{}", fig1::run(scale, false).render()),
-        "fig2" => print!("{}", fig2::run(scale, false).render()),
-        "merge" => print!("{}", ablation::merge_ablation(scale, false).render()),
-        "memory" => print!("{}", ablation::memory_noise_ablation(scale, false).render()),
-        "runlevel3" => print!("{}", runlevel::run(scale, false).render()),
-        "numa" => print!("{}", numa::run(scale.baseline_runs, false).render()),
-        other => {
-            return Err(format!(
-                "unknown report '{other}' (table1|table2|fig1|fig2|merge|memory|runlevel3|numa; \
-                 tables 3-7 via cargo bench)"
-            ))
+    let scale = args.scale()?;
+    let what = args.get("what", "table1");
+    let names: Vec<&str> = match what.as_str() {
+        "all" => REPORTS.split('|').collect(),
+        one if REPORTS.split('|').any(|r| r == one) => vec![one],
+        other => return Err(format!("unknown report '{other}' ({REPORTS}|all)")),
+    };
+    let mut injection = InjectionTables {
+        scale,
+        tables: [None, None, None],
+    };
+    let mut violated = 0;
+    for (n, name) in names.into_iter().enumerate() {
+        if n > 0 {
+            println!();
+        }
+        // Printed before the check, so a violation still shows its numbers.
+        let (rendered, shape) = report_section(name, scale, &mut injection);
+        print!("{rendered}");
+        if let Err(e) = shape {
+            eprintln!("shape violated: {e}");
+            violated += 1;
         }
     }
-    Ok(())
+    match violated {
+        0 => Ok(()),
+        n => Err(format!("{n} of the paper's shapes violated")),
+    }
+}
+
+/// One `report` section: the rendered result and its shape check
+/// (Tables 2-5 claim no shape of their own).
+fn report_section(
+    name: &str,
+    scale: Scale,
+    injection: &mut InjectionTables,
+) -> (String, Result<(), String>) {
+    macro_rules! checked {
+        ($result:expr) => {{
+            let r = $result;
+            (r.render(), r.check_shape())
+        }};
+    }
+    match name {
+        "table1" => checked!(table1::run(scale)),
+        "table2" => (table2::run(scale).render(), Ok(())),
+        "table3" => (injection.table(0).render(), Ok(())),
+        "table4" => (injection.table(1).render(), Ok(())),
+        "table5" => (injection.table(2).render(), Ok(())),
+        "table6" => checked!(table6::Table6::aggregate(injection.all())),
+        "table7" => checked!(table7::Table7::from_tables(injection.all())),
+        "fig1" => checked!(fig1::run(scale)),
+        "fig2" => checked!(fig2::run(scale)),
+        "merge" => checked!(ablation::merge_ablation(scale)),
+        "memory" => checked!(ablation::memory_noise_ablation(scale)),
+        "runlevel3" => checked!(runlevel::run(scale)),
+        "numa" => checked!(numa::run(scale.baseline_runs)),
+        "fwq" => checked!(fwq::run()),
+        other => unreachable!("REPORTS lists '{other}' without a section"),
+    }
 }
 
 /// The model x mitigation sweep both campaign engines run. With
