@@ -196,24 +196,42 @@ fn check(history: &History, fresh: &Snapshot) -> Vec<(String, String)> {
     bad
 }
 
+/// Stop before measuring anything: the history or the rep count is unusable.
+fn refuse(why: &str) -> ! {
+    eprintln!("noiselab-bench: hotpath: {why}");
+    std::process::exit(2)
+}
+
 fn main() {
     let t0 = noiselab_bench::wall_clock();
     #[expect(
         clippy::disallowed_methods,
         reason = "the rep count only sets how often a cell is timed"
     )]
-    let reps: u32 = std::env::var("NOISELAB_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+    let reps: u32 = match std::env::var("NOISELAB_BENCH_REPS") {
+        Err(std::env::VarError::NotPresent) => 5,
+        Ok(v) => v.parse().unwrap_or_else(|_| {
+            refuse(&format!(
+                "NOISELAB_BENCH_REPS wants a count of reps, got '{v}'"
+            ))
+        }),
+        Err(e) => refuse(&format!("NOISELAB_BENCH_REPS: {e}")),
+    };
     #[expect(
         clippy::disallowed_methods,
         reason = "selects gate mode over snapshot mode; no cell reads it"
     )]
     let check_mode = std::env::var("NOISELAB_BENCH_CHECK").is_ok_and(|v| v == "1");
-    let existing: Option<History> = std::fs::read_to_string(OUT)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok());
+    // A missing history starts a new one; an unreadable one is refused,
+    // never overwritten by a fresh baseline.
+    let existing: Option<History> = match std::fs::read_to_string(OUT) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => refuse(&format!("cannot read {OUT}: {e}")),
+        Ok(text) => Some(
+            serde_json::from_str(&text)
+                .unwrap_or_else(|e| refuse(&format!("{OUT} is not a hot-path history: {e}"))),
+        ),
+    };
 
     if check_mode {
         let history = existing.expect("check mode needs a committed BENCH_hotpath.json");

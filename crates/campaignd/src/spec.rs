@@ -35,11 +35,13 @@ pub struct CampaignSpec {
     pub retry: RetryPolicy,
 }
 
-/// A spec that named an unknown platform or workload.
+/// A spec that named an unknown platform or workload, or carries a
+/// fault plan that fails [`FaultPlan::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
     UnknownPlatform(String),
     UnknownWorkload(String),
+    InvalidFaults(String),
 }
 
 impl fmt::Display for SpecError {
@@ -55,6 +57,7 @@ impl fmt::Display for SpecError {
                 "unknown workload {name:?} (expected one of {})",
                 suite::WORKLOAD_NAMES.join(", ")
             ),
+            SpecError::InvalidFaults(why) => write!(f, "invalid fault plan: {why}"),
         }
     }
 }
@@ -78,8 +81,13 @@ impl fmt::Debug for ResolvedCampaign {
 }
 
 impl CampaignSpec {
-    /// Resolve the platform/workload names to concrete instances.
+    /// Resolve the platform/workload names to concrete instances and
+    /// check the fault plan, so a worker never runs a manifest whose
+    /// plan was edited into nonsense.
     pub fn resolve(&self) -> Result<ResolvedCampaign, SpecError> {
+        if let Some(faults) = &self.faults {
+            faults.validate().map_err(SpecError::InvalidFaults)?;
+        }
         let platform = Platform::by_name(&self.platform)
             .ok_or_else(|| SpecError::UnknownPlatform(self.platform.clone()))?;
         let workload = suite::workload_by_name(&platform, &self.workload)
@@ -177,6 +185,11 @@ mod tests {
         spec.workload = "hpl".into();
         let err = spec.resolve().unwrap_err();
         assert!(err.to_string().contains("nbody"), "{err}");
+        let mut spec = tiny_spec();
+        spec.faults = Some(FaultPlan::crashy(1, 1.5, 2));
+        let err = spec.resolve().unwrap_err();
+        assert!(matches!(err, SpecError::InvalidFaults(_)), "{err}");
+        assert!(err.to_string().contains("not a probability"), "{err}");
     }
 
     #[test]

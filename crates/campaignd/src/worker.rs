@@ -194,6 +194,25 @@ mod tests {
     }
 
     #[test]
+    fn worker_refuses_a_manifest_with_an_invalid_fault_plan() {
+        let root = std::env::temp_dir().join("noiselab-worker-bad-faults");
+        let _ = std::fs::remove_dir_all(&root);
+        let (queue, mut manifest) = WorkQueue::init(&root, &tiny_spec(), 1).unwrap();
+        // Hand-edit the manifest's plan to a probability above 1.
+        manifest.spec.faults = Some(noiselab_kernel::FaultPlan::crashy(1, 1.5, 2));
+        let text = serde_json::to_string_pretty(&manifest).unwrap();
+        std::fs::write(queue.manifest_path(), text).unwrap();
+        let err = worker_main(&WorkerConfig {
+            queue: root.clone(),
+            worker_id: "unit".into(),
+        })
+        .unwrap_err();
+        assert!(err.contains("not a probability"), "{err}");
+        assert_eq!(queue.status(&manifest).done, 0, "no cell ran");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn wip_resume_completes_a_half_done_shard_identically() {
         let spec = tiny_spec();
         // Reference: a full run in one pass.

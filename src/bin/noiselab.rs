@@ -2,34 +2,45 @@
 //! stage, with JSON artifacts on disk between stages.
 //!
 //! ```text
-//! noiselab baseline --platform intel --workload nbody [--model omp] [--mitigation Rm] [--runs 40]
-//! noiselab trace    --platform intel --workload nbody --out traces.json [--boost 10]
-//! noiselab trace    --run <seed> --out trace.json [--binary trace.nltb]   # Perfetto timeline
-//! noiselab metrics  [--runs 5] [--tracing true] [--json] [--profile] [--overhead [--reps 3]]
+//! noiselab baseline <cell> [--runs 40] [--seed 1]
+//! noiselab trace    <cell> --out traces.json [--boost 1] [--runs 40] [--seed 1]
+//! noiselab trace    <cell> --run <seed> --out trace.json [--binary trace.nltb]   # Perfetto timeline
+//! noiselab metrics  <cell> [--seed 1] [--json] [--runs 5] [--tracing] [--profile]
+//! noiselab metrics  <cell> [--seed 1] [--json] --overhead [--reps 3]
 //! noiselab metrics  --checkpoint state.json [--json]   # merged campaign + supervisor metrics
 //! noiselab advise   [--checkpoint state.json] [--traces <file|dir>] [--check]
 //!                   [--bench-hotpath BENCH_hotpath.json]
 //!                   [--json] [--markdown <path|->] [--cv-threshold 0.05] [--alpha 0.01]
 //!                   [--resamples 800] [--advise-seed N]
 //! noiselab generate --traces traces.json --out config.json [--merge improved|naive]
-//! noiselab inject   --platform intel --workload nbody --config config.json [--runs 20]
+//! noiselab inject   <cell> --config config.json [--runs 20] [--seed 1]
 //! noiselab analyze  --traces traces.json [--top 10]
-//! noiselab report   [--what all|table1..table7|fig1|fig2|merge|memory|runlevel3|numa|fwq]
-//!                   [--scale smoke|bench|paper]
-//! noiselab campaign --platform intel --workload nbody [--runs 20] [--checkpoint state.json]
-//!                   [--resume true] [--crash-prob 0.05] [--crash-window-ms 2]
-//!                   [--fault-seed 1] [--retries 0] [--limit N] [--verify-resume true]
-//!                   [--dvfs true]   # grow the grid by the governor mitigation matrix
-//! noiselab campaign --workers N [--queue DIR] [--shard-size 2] [--heartbeat-secs 120]
-//!                   [--shard-timeout-secs 3600] [--max-shard-crashes 3] [--chaos-kills 0]
-//! noiselab audit    [--dual-run] [--json]
-//!                   [--platform intel] [--workload nbody] [--model omp] [--mitigation Rm]
-//!                   [--seed 1] [--perturb N] [--cadence 64]
-//! noiselab conform  [--fuzz N] [--seed S] [--corpus <dir>] [--json]
-//!                   [--mutate swap-pick|drop-irq-span|affinity-break|ghost-run
-//!                             |turbo-leak|throttle-early|ghost-turbo|throttle-stuck]
+//! noiselab report   [--what table1..table7|fig1|fig2|merge|memory|runlevel3|numa|fwq|all]
+//!                   [--scale bench|smoke|paper]
+//! noiselab campaign [--platform intel] [--workload nbody] [--runs 20] [--seed 1]
+//!                   [--dvfs]   # grow the grid by the governor mitigation matrix
+//!                   [--crash-prob 0] [--crash-window-ms 2] [--fault-seed 1] [--retries 0]
+//!                   [--checkpoint state.json]
+//!                   [--resume] [--limit N] [--verify-resume true]   # single process only
+//! noiselab campaign ... --workers N [--queue campaign.queue] [--shard-size 2]
+//!                   [--heartbeat-secs 120] [--shard-timeout-secs 3600]
+//!                   [--max-shard-crashes 3] [--max-respawns 16] [--chaos-kills 0]
+//! noiselab campaign-worker --queue DIR [--id NAME]   # spawned by campaign --workers
+//! noiselab audit    <cell> [--dual-run] [--json] [--seed 1] [--perturb N] [--cadence 64]
+//! noiselab conform  [--fuzz 500] [--seed 0xC0DE] [--corpus <dir>] [--json] [--mutate <bug>]
 //! noiselab conform  --replay <case.json | repro-line-file | '// conform:repro {...}'>
+//!                   [--json] [--mutate <bug>]
+//!
+//! <cell> = [--platform intel] [--workload nbody] [--model omp|sycl]
+//!          [--mitigation Rm|RmHK|RmHK2|TP|TPHK|TPHK2] [--smt off|on]
+//! <bug>  = swap-pick|drop-irq-span|affinity-break|ghost-run
+//!          |turbo-leak|throttle-early|ghost-turbo|throttle-stuck
 //! ```
+//!
+//! A flag given without a value (`--dual-run --json`) is the boolean
+//! `true`; booleans otherwise take `true` or `false`, integers decimal
+//! or `0x` hex. A malformed value, or a flag the subcommand does not
+//! read, is an error that names the flag; nothing runs.
 //!
 //! `trace --run <seed>` runs one seed with the telemetry recorder and
 //! writes a Chrome trace-event JSON timeline (one track per logical
@@ -47,7 +58,7 @@
 //!
 //! `campaign` sweeps every model x mitigation cell, checkpointing after
 //! each completed cell; a killed campaign resumes bit-identical with
-//! `--resume true` and the same flags (`--verify-resume true`, the
+//! `--resume` and the same flags (`--verify-resume true`, the
 //! default, re-runs the last completed cell and requires its event
 //! stream hash to match the checkpoint before continuing).
 //! `campaign --workers N` runs the same sweep on the sharded
@@ -75,8 +86,7 @@
 //! and is the only mode). The static half is clippy: the lists in the
 //! root `clippy.toml` and the lint levels on each crate root. The
 //! removed `--static`, `--sarif` and `--root` flags are errors that
-//! point there. Flags given without a value (`--dual-run --json`) are
-//! booleans.
+//! point there.
 //!
 //! `advise` is the measurement-quality advisor (crates/advise): it
 //! reads whatever artifacts exist — a campaign checkpoint, per-cell
@@ -93,23 +103,30 @@
 //! markdown. Bench files with a missing or foreign schema tag are
 //! refused with an error naming the file.
 
+use noiselab::campaignd::{CampaignSpec, CellSpec};
 use noiselab::core::experiments::inject::{self, InjectionTable};
 use noiselab::core::experiments::{
     ablation, fig1, fig2, fwq, numa, runlevel, suite, table1, table2, table6, table7, Scale,
 };
 use noiselab::core::{
-    run_baseline, run_batch, Baseline, ExecConfig, Injected, Mitigation, Model, Platform,
-    RetryPolicy, RunLedger, RunSpec,
+    run_baseline, run_batch, Baseline, CampaignState, ExecConfig, Injected, Mitigation, Model,
+    Platform, RetryPolicy, RunLedger, RunSpec,
 };
 use noiselab::injector::{generate, GeneratorOptions, InjectionConfig, MergeStrategy};
 use noiselab::noise::TraceSet;
 use noiselab::workloads::Workload;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// One subcommand's `--key value` options. Every option is read through
+/// one of the typed readers below, which records the key; [`Args::finish`]
+/// then refuses any key the subcommand never read, so a misspelt flag or
+/// one of another mode is an error instead of a silent default.
 struct Args {
     cmd: String,
     opts: BTreeMap<String, String>,
+    read: BTreeSet<String>,
 }
 
 fn parse_args() -> Option<Args> {
@@ -126,95 +143,135 @@ fn parse_args() -> Option<Args> {
         };
         opts.insert(key, value);
     }
-    Some(Args { cmd, opts })
+    Some(Args {
+        cmd,
+        opts,
+        read: BTreeSet::new(),
+    })
+}
+
+const MODELS: [(&str, Model); 2] = [("omp", Model::Omp), ("sycl", Model::Sycl)];
+
+/// What every integer flag wants; the audit tests match this wording.
+const INTEGER: &str = "a non-negative integer";
+
+/// A non-negative integer, decimal or `0x` hex, that fits `T`.
+fn integer<T: TryFrom<u64>>(v: &str) -> Option<T> {
+    let n = match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    T::try_from(n.ok()?).ok()
 }
 
 impl Args {
-    fn get(&self, key: &str, default: &str) -> String {
-        self.opts
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+    /// The raw value of `--key`, recording the key as read.
+    fn raw(&mut self, key: &str) -> Option<String> {
+        self.read.insert(key.to_string());
+        self.opts.get(key).cloned()
     }
 
-    fn required(&self, key: &str) -> Result<String, String> {
-        self.opts
-            .get(key)
-            .cloned()
+    /// Every typed reader ends here: an absent flag is `default`, and a
+    /// present one parses or is an error naming the flag.
+    fn parsed<T>(
+        &mut self,
+        key: &str,
+        default: T,
+        wants: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        match self.raw(key) {
+            None => Ok(default),
+            Some(v) => parse(&v).ok_or_else(|| format!("--{key} wants {wants}, got '{v}'")),
+        }
+    }
+
+    fn string(&mut self, key: &str, default: &str) -> String {
+        match self.raw(key) {
+            Some(v) => v,
+            None => default.to_string(),
+        }
+    }
+
+    fn path(&mut self, key: &str) -> Option<PathBuf> {
+        self.raw(key).map(PathBuf::from)
+    }
+
+    fn required(&mut self, key: &str) -> Result<String, String> {
+        self.raw(key)
             .ok_or_else(|| format!("missing required --{key}"))
     }
 
-    /// Platform/workload names resolve through the same tables the
-    /// sharded campaign workers use, so `--workers N` and the
-    /// single-process path can never disagree on what a name means.
-    fn platform(&self) -> Result<Platform, String> {
-        let name = self.get("platform", "intel");
-        Platform::by_name(&name)
-            .ok_or_else(|| format!("unknown platform '{name}' ({})", Platform::NAMES.join("|")))
+    /// An integer flag of any width: `u64`, `usize` or `u32`.
+    fn int<T: TryFrom<u64>>(&mut self, key: &str, default: T) -> Result<T, String> {
+        self.parsed(key, default, INTEGER, integer)
     }
 
-    fn workload(&self, platform: &Platform) -> Result<Box<dyn Workload + Sync>, String> {
-        let name = self.get("workload", "nbody");
-        suite::workload_by_name(platform, &name).ok_or_else(|| {
-            format!(
-                "unknown workload '{name}' ({})",
-                suite::WORKLOAD_NAMES.join("|")
-            )
+    fn opt_int<T: TryFrom<u64>>(&mut self, key: &str) -> Result<Option<T>, String> {
+        self.parsed(key, None, INTEGER, |v| integer(v).map(Some))
+    }
+
+    fn f64(&mut self, key: &str, default: f64) -> Result<f64, String> {
+        self.parsed(key, default, "a number", |v| v.parse().ok())
+    }
+
+    /// `--key true|false`, or a bare `--key`.
+    fn flag(&mut self, key: &str, default: bool) -> Result<bool, String> {
+        self.parsed(key, default, "true or false", |v| v.parse().ok())
+    }
+
+    /// A choice flag, resolved from the table that defines its names.
+    fn pick<T: Copy>(&mut self, key: &str, default: T, table: &[(&str, T)]) -> Result<T, String> {
+        let names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+        let wants = format!("one of {}", names.join("|"));
+        self.parsed(key, default, &wants, |v| {
+            table.iter().find(|(name, _)| *name == v).map(|(_, t)| *t)
         })
     }
 
-    fn exec_config(&self) -> Result<ExecConfig, String> {
-        let model = match self.get("model", "omp").as_str() {
-            "omp" => Model::Omp,
-            "sycl" => Model::Sycl,
-            other => return Err(format!("unknown model '{other}' (omp|sycl)")),
-        };
-        let mitigation = match self.get("mitigation", "Rm").as_str() {
-            "Rm" => Mitigation::Rm,
-            "RmHK" => Mitigation::RmHK,
-            "RmHK2" => Mitigation::RmHK2,
-            "TP" => Mitigation::Tp,
-            "TPHK" => Mitigation::TpHK,
-            "TPHK2" => Mitigation::TpHK2,
-            other => {
-                return Err(format!(
-                    "unknown mitigation '{other}' (Rm|RmHK|RmHK2|TP|TPHK|TPHK2)"
-                ))
-            }
-        };
-        let mut cfg = ExecConfig::new(model, mitigation);
-        if self.get("smt", "off") == "on" {
-            cfg = cfg.with_smt();
+    /// Refuse any flag the subcommand never read. Called once every
+    /// option is read, before anything runs.
+    fn finish(&self) -> Result<(), String> {
+        match self.opts.keys().find(|key| !self.read.contains(*key)) {
+            None => Ok(()),
+            Some(key) => Err(format!(
+                "{}: --{key} is not a flag of this command (or of this mode of it)",
+                self.cmd
+            )),
         }
-        Ok(cfg)
     }
 
-    fn runs(&self, default: usize) -> usize {
-        self.get("runs", &default.to_string())
-            .parse()
-            .unwrap_or(default)
+    /// `--platform` and `--workload`, checked against the name tables
+    /// the sharded campaign workers resolve through too, so `--workers N`
+    /// and the single-process path can never disagree on a name.
+    fn target_names(&mut self) -> Result<(&'static str, &'static str), String> {
+        Ok((
+            self.pick("platform", "intel", &Platform::NAMES.map(|n| (n, n)))?,
+            self.pick("workload", "nbody", &suite::WORKLOAD_NAMES.map(|n| (n, n)))?,
+        ))
     }
 
-    fn seed(&self) -> u64 {
-        self.get("seed", "1").parse().unwrap_or(1)
-    }
-
-    fn scale(&self) -> Result<Scale, String> {
-        match self.get("scale", "bench").as_str() {
-            "smoke" => Ok(Scale::smoke()),
-            "bench" => Ok(Scale::bench()),
-            "paper" => Ok(Scale::paper()),
-            other => Err(format!("unknown scale '{other}' (smoke|bench|paper)")),
-        }
+    /// The one cell `baseline`, `trace`, `inject`, `metrics` and `audit` run.
+    fn cell(&mut self) -> Result<(Platform, Box<dyn Workload + Sync>, ExecConfig), String> {
+        let (platform, workload) = self.target_names()?;
+        let platform = Platform::by_name(platform).expect("every Platform::NAMES entry resolves");
+        let workload = suite::workload_by_name(&platform, workload)
+            .expect("every WORKLOAD_NAMES entry resolves");
+        let model = self.pick("model", Model::Omp, &MODELS)?;
+        let mitigations = Mitigation::ALL.map(|m| (m.label(), m));
+        let mitigation = self.pick("mitigation", Mitigation::Rm, &mitigations)?;
+        let smt = self.pick("smt", false, &[("off", false), ("on", true)])?;
+        let cfg = ExecConfig::new(model, mitigation);
+        Ok((platform, workload, if smt { cfg.with_smt() } else { cfg }))
     }
 }
 
-fn cmd_baseline(args: &Args) -> Result<(), String> {
-    let platform = args.platform()?;
-    let workload = args.workload(&platform)?;
-    let cfg = args.exec_config()?;
-    let runs = args.runs(40);
-    let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, args.seed(), false);
+fn cmd_baseline(args: &mut Args) -> Result<(), String> {
+    let (platform, workload, cfg) = args.cell()?;
+    let runs = args.int("runs", 40)?;
+    let seed = args.int("seed", 1)?;
+    args.finish()?;
+    let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, seed, false);
     println!(
         "{} {} {}: {} runs, mean {:.4}s, sd {:.2}ms, min {:.4}s, max {:.4}s, p99 {:.4}s",
         platform.label(),
@@ -233,14 +290,14 @@ fn cmd_baseline(args: &Args) -> Result<(), String> {
 /// `trace --run <seed>`: run one seed with the telemetry recorder and
 /// export a Perfetto-loadable Chrome trace (and optionally the compact
 /// NLTB binary timeline).
-fn cmd_trace_timeline(args: &Args, run_seed: u64) -> Result<(), String> {
+fn cmd_trace_timeline(args: &mut Args, run_seed: u64) -> Result<(), String> {
     use noiselab::core::{run, RunArena};
     use noiselab::telemetry::{chrome_trace, encode, TelemetryConfig};
 
-    let platform = args.platform()?;
-    let workload = args.workload(&platform)?;
-    let cfg = args.exec_config()?;
+    let (platform, workload, cfg) = args.cell()?;
     let out = args.required("out")?;
+    let binary = args.path("binary");
+    args.finish()?;
     let spec = RunSpec {
         telemetry: Some(TelemetryConfig::default()),
         ..RunSpec::new(&platform, workload.as_ref(), &cfg, run_seed)
@@ -255,7 +312,7 @@ fn cmd_trace_timeline(args: &Args, run_seed: u64) -> Result<(), String> {
         run_seed
     );
     std::fs::write(&out, chrome_trace(&report, &label)).map_err(|e| e.to_string())?;
-    if let Some(bin) = args.opts.get("binary") {
+    if let Some(bin) = binary {
         std::fs::write(bin, encode(&report)).map_err(|e| e.to_string())?;
     }
     println!(
@@ -271,24 +328,22 @@ fn cmd_trace_timeline(args: &Args, run_seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(args: &Args) -> Result<(), String> {
+fn cmd_trace(args: &mut Args) -> Result<(), String> {
     // `--run <seed>` switches to single-run timeline export; without it
     // this is the legacy TraceSet pipeline stage `generate` consumes.
-    if let Some(seed) = args.opts.get("run") {
-        let seed = seed
-            .parse()
-            .map_err(|_| format!("--run wants a seed (got {seed:?})"))?;
+    if let Some(seed) = args.opt_int("run")? {
         return cmd_trace_timeline(args, seed);
     }
-    let mut platform = args.platform()?;
-    if let Ok(boost) = args.get("boost", "1").parse::<f64>() {
-        platform.noise.anomaly_prob = (platform.noise.anomaly_prob * boost).min(0.5);
-    }
-    let workload = args.workload(&platform)?;
-    let cfg = args.exec_config()?;
+    let (mut platform, workload, cfg) = args.cell()?;
+    let boost = args.f64("boost", 1.0)?;
+    // The workload is sized by the machine alone, so boosting after
+    // building it changes nothing but the noise.
+    platform.noise.anomaly_prob = (platform.noise.anomaly_prob * boost).min(0.5);
     let out = args.required("out")?;
-    let runs = args.runs(40);
-    let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, args.seed(), true);
+    let runs = args.int("runs", 40)?;
+    let seed = args.int("seed", 1)?;
+    args.finish()?;
+    let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, seed, true);
     let json = serde_json::to_string(&base.traces).map_err(|e| e.to_string())?;
     std::fs::write(&out, json).map_err(|e| e.to_string())?;
     println!(
@@ -302,15 +357,17 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
+fn cmd_generate(args: &mut Args) -> Result<(), String> {
     let traces_path = args.required("traces")?;
     let out = args.required("out")?;
+    let merges = [
+        ("improved", MergeStrategy::Improved),
+        ("naive", MergeStrategy::NaivePessimistic),
+    ];
+    let merge = args.pick("merge", MergeStrategy::Improved, &merges)?;
+    args.finish()?;
     let data = std::fs::read_to_string(&traces_path).map_err(|e| e.to_string())?;
     let traces: TraceSet = serde_json::from_str(&data).map_err(|e| e.to_string())?;
-    let merge = match args.get("merge", "improved").as_str() {
-        "naive" => MergeStrategy::NaivePessimistic,
-        _ => MergeStrategy::Improved,
-    };
     let opts = GeneratorOptions {
         merge,
         ..GeneratorOptions::default()
@@ -331,20 +388,23 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_inject(args: &Args) -> Result<(), String> {
-    let platform = args.platform()?;
-    let workload = args.workload(&platform)?;
-    let cfg = args.exec_config()?;
+fn cmd_inject(args: &mut Args) -> Result<(), String> {
+    let (platform, workload, cfg) = args.cell()?;
     let config_path = args.required("config")?;
+    let runs = args.int("runs", 20)?;
+    let seed: u64 = args.int("seed", 1)?;
+    args.finish()?;
     let data = std::fs::read_to_string(&config_path).map_err(|e| e.to_string())?;
     let config = InjectionConfig::from_json(&data).map_err(|e| e.to_string())?;
-    let runs = args.runs(20);
+    config
+        .validate()
+        .map_err(|e| format!("--config {config_path}: {e}"))?;
     // Both halves share one run pool: neither waits for the other to
     // finish before its runs start.
-    let base_spec = RunSpec::new(&platform, workload.as_ref(), &cfg, args.seed() + 10_000);
+    let base_spec = RunSpec::new(&platform, workload.as_ref(), &cfg, seed + 10_000);
     let inj_spec = RunSpec {
         inject: Some(&config),
-        ..RunSpec::new(&platform, workload.as_ref(), &cfg, args.seed())
+        ..RunSpec::new(&platform, workload.as_ref(), &cfg, seed)
     };
     let [base, inj]: [RunLedger; 2] = run_batch(
         &[(&base_spec, runs), (&inj_spec, runs)],
@@ -400,13 +460,19 @@ impl InjectionTables {
     }
 }
 
-fn cmd_report(args: &Args) -> Result<(), String> {
-    let scale = args.scale()?;
-    let what = args.get("what", "table1");
-    let names: Vec<&str> = match what.as_str() {
+fn cmd_report(args: &mut Args) -> Result<(), String> {
+    let scales = [
+        ("smoke", Scale::smoke()),
+        ("bench", Scale::bench()),
+        ("paper", Scale::paper()),
+    ];
+    let scale = args.pick("scale", Scale::bench(), &scales)?;
+    let whats: Vec<(&str, &str)> = REPORTS.split('|').chain(["all"]).map(|r| (r, r)).collect();
+    let what = args.pick("what", "table1", &whats)?;
+    args.finish()?;
+    let names = match what {
         "all" => REPORTS.split('|').collect(),
-        one if REPORTS.split('|').any(|r| r == one) => vec![one],
-        other => return Err(format!("unknown report '{other}' ({REPORTS}|all)")),
+        one => vec![one],
     };
     let mut injection = InjectionTables {
         scale,
@@ -468,83 +534,90 @@ fn report_section(
 /// pinned and roaming cells under every governor — so `advise` can
 /// rank governors and re-ask the placement question under a shared
 /// turbo budget and thermal throttling.
-fn campaign_cells(dvfs: bool) -> Vec<(String, ExecConfig)> {
-    let mut cells: Vec<(String, ExecConfig)> = Mitigation::ALL
+fn campaign_cells(dvfs: bool) -> Vec<CellSpec> {
+    let cell = |config: ExecConfig| CellSpec {
+        label: config.label(),
+        config,
+    };
+    let mut cells: Vec<CellSpec> = Mitigation::ALL
         .iter()
-        .flat_map(|&mit| {
-            [Model::Omp, Model::Sycl].map(|model| {
-                let cfg = ExecConfig::new(model, mit);
-                (cfg.label(), cfg)
-            })
-        })
+        .flat_map(|&mit| MODELS.map(|(_, model)| cell(ExecConfig::new(model, mit))))
         .collect();
     if dvfs {
         for mit in [Mitigation::Rm, Mitigation::Tp] {
             for g in noiselab::machine::Governor::ALL {
-                let cfg = ExecConfig::new(Model::Omp, mit).with_governor(g);
-                cells.push((cfg.label(), cfg));
+                cells.push(cell(ExecConfig::new(Model::Omp, mit).with_governor(g)));
             }
         }
     }
     cells
 }
 
-/// The optional deterministic fault plan shared by both engines:
+/// The optional deterministic crash plan both engines run:
 /// `--crash-prob p` with `--crash-window-ms w` and `--fault-seed s`.
-fn campaign_faults(args: &Args) -> Option<noiselab::kernel::FaultPlan> {
-    let crash_prob: f64 = args.get("crash-prob", "0").parse().unwrap_or(0.0);
-    let fault_seed: u64 = args.get("fault-seed", "1").parse().unwrap_or(1);
-    let window_ms: u64 = args.get("crash-window-ms", "2").parse().unwrap_or(2);
-    (crash_prob > 0.0)
-        .then(|| noiselab::kernel::FaultPlan::crashy(fault_seed, crash_prob, window_ms))
+fn campaign_faults(args: &mut Args) -> Result<Option<noiselab::kernel::FaultPlan>, String> {
+    let prob = args.f64("crash-prob", 0.0)?;
+    let seed = args.int("fault-seed", 1)?;
+    let window_ms = args.int("crash-window-ms", 2)?;
+    if prob == 0.0 {
+        return Ok(None);
+    }
+    let plan = noiselab::kernel::FaultPlan::crashy(seed, prob, window_ms);
+    plan.validate().map_err(|e| format!("--crash-prob: {e}"))?;
+    Ok(Some(plan))
 }
 
-fn cmd_campaign(args: &Args) -> Result<(), String> {
-    use noiselab::core::campaign::{render_campaign_report, run_campaign, CampaignPlan};
+/// `campaign`: both engines run the one [`CampaignSpec`] its shared
+/// flags build; only the engine-specific flags differ.
+fn cmd_campaign(args: &mut Args) -> Result<(), String> {
+    use noiselab::core::campaign::{run_campaign, CampaignPlan};
 
-    // `--workers N` switches to the sharded multi-process engine.
-    if args.opts.contains_key("workers") {
-        return cmd_campaign_sharded(args);
-    }
-
-    let platform = args.platform()?;
-    let workload = args.workload(&platform)?;
-    let runs = args.runs(20);
-    let checkpoint = args.opts.get("checkpoint").map(std::path::PathBuf::from);
-    if args.get("resume", "false") == "true" && checkpoint.is_none() {
-        return Err("--resume true requires --checkpoint <path>".into());
-    }
-    if args.get("resume", "false") != "true" {
-        // A fresh campaign must not silently continue an old one.
-        if let Some(p) = &checkpoint {
-            if p.exists() {
-                return Err(format!(
-                    "checkpoint {} already exists; pass --resume true to continue it \
-                     or delete it to start over",
-                    p.display()
-                ));
-            }
-        }
-    }
-
-    let faults = campaign_faults(args);
-    let retry = RetryPolicy::retries(args.get("retries", "0").parse().unwrap_or(0));
-    let cells = campaign_cells(args.get("dvfs", "false") == "true");
-    let n_cells = cells.len();
-
-    let plan = CampaignPlan {
-        platform: &platform,
-        workload: workload.as_ref(),
-        cells,
-        runs_per_cell: runs,
-        seed_base: args.seed(),
-        faults,
-        retry,
-        checkpoint,
-        limit: args.opts.get("limit").and_then(|v| v.parse().ok()),
-        verify_resume: args.get("verify-resume", "true") == "true",
+    let (platform, workload) = args.target_names()?;
+    let spec = CampaignSpec {
+        platform: platform.into(),
+        workload: workload.into(),
+        cells: campaign_cells(args.flag("dvfs", false)?),
+        runs_per_cell: args.int("runs", 20)?,
+        seed_base: args.int("seed", 1)?,
+        faults: campaign_faults(args)?,
+        retry: RetryPolicy::retries(args.int("retries", 0)?),
     };
-    let state = run_campaign(&plan).map_err(|e| e.to_string())?;
+    let checkpoint = args.path("checkpoint");
+    // `--workers N` switches to the sharded multi-process engine.
+    if let Some(workers) = args.opt_int("workers")? {
+        return cmd_campaign_sharded(args, &spec, workers, checkpoint);
+    }
+    let resume = args.flag("resume", false)?;
+    let limit = args.opt_int("limit")?;
+    let verify_resume = args.flag("verify-resume", true)?;
+    args.finish()?;
+    match &checkpoint {
+        None if resume => return Err("--resume true requires --checkpoint <path>".into()),
+        // A fresh campaign must not silently continue an old one.
+        Some(p) if !resume && p.exists() => {
+            return Err(format!(
+                "checkpoint {} already exists; pass --resume true to continue it \
+                 or delete it to start over",
+                p.display()
+            ))
+        }
+        _ => {}
+    }
+    let resolved = spec.resolve().map_err(|e| e.to_string())?;
+    let state = run_campaign(&CampaignPlan {
+        checkpoint,
+        limit,
+        verify_resume,
+        ..spec.plan(&resolved)
+    })
+    .map_err(|e| e.to_string())?;
+    print_campaign(&state, spec.cells.len());
+    Ok(())
+}
+
+/// The report and failure lines both campaign engines print.
+fn print_campaign(state: &CampaignState, n_cells: usize) {
+    use noiselab::core::campaign::render_campaign_report;
     print!("{}", render_campaign_report(&state.report(n_cells)));
     for cell in &state.cells {
         for f in &cell.failures {
@@ -554,7 +627,6 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
             );
         }
     }
-    Ok(())
 }
 
 /// `campaign --workers N`: the sharded multi-process engine. The cell
@@ -566,72 +638,40 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
 /// `--workers`. Re-running the same command against the same queue
 /// resumes; shards that repeatedly kill workers are quarantined and
 /// reported by name instead of aborting the campaign.
-fn cmd_campaign_sharded(args: &Args) -> Result<(), String> {
-    use noiselab::campaignd::{
-        run_supervised, CampaignSpec, CellSpec, SupervisorConfig, WorkQueue,
-    };
-    use noiselab::core::campaign::render_campaign_report;
-    use noiselab::core::RetryPolicy;
+fn cmd_campaign_sharded(
+    args: &mut Args,
+    spec: &CampaignSpec,
+    workers: usize,
+    checkpoint: Option<PathBuf>,
+) -> Result<(), String> {
+    use noiselab::campaignd::{run_supervised, SupervisorConfig, WorkQueue};
     use std::time::Duration;
 
-    let workers: usize = args
-        .get("workers", "4")
-        .parse()
-        .map_err(|_| "--workers wants a count".to_string())?;
-    let spec = CampaignSpec {
-        platform: args.get("platform", "intel"),
-        workload: args.get("workload", "nbody"),
-        cells: campaign_cells(args.get("dvfs", "false") == "true")
-            .into_iter()
-            .map(|(label, config)| CellSpec { label, config })
-            .collect(),
-        runs_per_cell: args.runs(20),
-        seed_base: args.seed(),
-        faults: campaign_faults(args),
-        retry: RetryPolicy::retries(args.get("retries", "0").parse().unwrap_or(0)),
+    let queue_root = PathBuf::from(args.string("queue", "campaign.queue"));
+    let shard_size = args.int("shard-size", 2)?;
+    let cfg = SupervisorConfig {
+        workers,
+        heartbeat_timeout: Duration::from_secs(args.int("heartbeat-secs", 120)?),
+        shard_timeout: Duration::from_secs(args.int("shard-timeout-secs", 3600)?),
+        max_shard_crashes: args.int("max-shard-crashes", 3)?,
+        max_respawns_per_slot: args.int("max-respawns", 16)?,
+        chaos_kills: args.int("chaos-kills", 0)?,
+        ..SupervisorConfig::default()
     };
-    spec.resolve().map_err(|e| e.to_string())?;
+    args.finish()?;
     let n_cells = spec.cells.len();
-
-    let queue_root = std::path::PathBuf::from(args.get("queue", "campaign.queue"));
-    let shard_size: usize = args.get("shard-size", "2").parse().unwrap_or(2);
     let (_queue, manifest) =
-        WorkQueue::init(&queue_root, &spec, shard_size).map_err(|e| e.to_string())?;
+        WorkQueue::init(&queue_root, spec, shard_size).map_err(|e| e.to_string())?;
     eprintln!(
         "noiselab: sharded campaign: {} cell(s) in {} shard(s), {workers} worker(s), queue {}",
         n_cells,
         manifest.shards.len(),
         queue_root.display()
     );
-
-    let secs = |key: &str, default: u64| {
-        Duration::from_secs(
-            args.get(key, &default.to_string())
-                .parse()
-                .unwrap_or(default),
-        )
-    };
-    let cfg = SupervisorConfig {
-        workers,
-        heartbeat_timeout: secs("heartbeat-secs", 120),
-        shard_timeout: secs("shard-timeout-secs", 3600),
-        max_shard_crashes: args.get("max-shard-crashes", "3").parse().unwrap_or(3),
-        max_respawns_per_slot: args.get("max-respawns", "16").parse().unwrap_or(16),
-        chaos_kills: args.get("chaos-kills", "0").parse().unwrap_or(0),
-        ..SupervisorConfig::default()
-    };
     let binary = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
     let report = run_supervised(&binary, &queue_root, &cfg)?;
 
-    print!("{}", render_campaign_report(&report.state.report(n_cells)));
-    for cell in &report.state.cells {
-        for f in &cell.failures {
-            println!(
-                "  {}: failed run seed {}: {}",
-                cell.key.label, f.seed, f.cause
-            );
-        }
-    }
+    print_campaign(&report.state, n_cells);
     println!(
         "merged ledger hash {:016x} ({} worker(s) spawned, {} crash(es), \
          {} chaos kill(s), {} timeout(s), {} shard(s) quarantined)",
@@ -642,8 +682,7 @@ fn cmd_campaign_sharded(args: &Args) -> Result<(), String> {
         report.timeouts,
         report.quarantined_shards.len()
     );
-    if let Some(path) = args.opts.get("checkpoint") {
-        let path = std::path::Path::new(path);
+    if let Some(path) = checkpoint {
         // Fold the supervisor health record in only at save time, after
         // the deterministic merge: the merged ledger (and its
         // state_hash) stays bit-identical to the single-process path,
@@ -651,7 +690,7 @@ fn cmd_campaign_sharded(args: &Args) -> Result<(), String> {
         // `noiselab metrics --checkpoint` and `noiselab advise`.
         let mut state = report.state.clone();
         state.supervisor = report.health_metrics();
-        state.save(path).map_err(|e| e.to_string())?;
+        state.save(&path).map_err(|e| e.to_string())?;
         eprintln!("noiselab: merged state saved to {}", path.display());
     }
     Ok(())
@@ -660,10 +699,11 @@ fn cmd_campaign_sharded(args: &Args) -> Result<(), String> {
 /// Hidden subcommand: one sharded-campaign worker process. Spawned by
 /// the supervisor, never by hand; claims shards from `--queue` until
 /// the queue is drained, streaming progress frames on stdout.
-fn cmd_campaign_worker(args: &Args) -> Result<(), String> {
+fn cmd_campaign_worker(args: &mut Args) -> Result<(), String> {
     use noiselab::campaignd::{worker_main, WorkerConfig};
-    let queue = std::path::PathBuf::from(args.required("queue")?);
-    let worker_id = args.get("id", &format!("pid{}", std::process::id()));
+    let queue = PathBuf::from(args.required("queue")?);
+    let worker_id = args.string("id", &format!("pid{}", std::process::id()));
+    args.finish()?;
     worker_main(&WorkerConfig { queue, worker_id })
 }
 
@@ -671,28 +711,26 @@ fn cmd_campaign_worker(args: &Args) -> Result<(), String> {
 /// (counters summed, histograms merged, gauges averaged), optionally
 /// with the host-time phase profile or the full observation-overhead
 /// report.
-fn cmd_metrics(args: &Args) -> Result<(), String> {
+fn cmd_metrics(args: &mut Args) -> Result<(), String> {
     use noiselab::core::{measure_overhead, run, run_many, RunArena};
     use noiselab::telemetry::{MetricsSnapshot, PhaseProfiler, TelemetryConfig};
 
+    let json = args.flag("json", false)?;
     // `--checkpoint <path>` is a read-only mode: render the merged
     // per-cell metrics and the supervisor health record of a saved
     // campaign checkpoint instead of running anything.
-    if let Some(path) = args.opts.get("checkpoint") {
-        return cmd_metrics_checkpoint(
-            std::path::Path::new(path),
-            args.get("json", "false") == "true",
-        );
+    if let Some(path) = args.path("checkpoint") {
+        args.finish()?;
+        return cmd_metrics_checkpoint(&path, json);
     }
 
-    let platform = args.platform()?;
-    let workload = args.workload(&platform)?;
-    let cfg = args.exec_config()?;
-    let json = args.get("json", "false") == "true";
+    let (platform, workload, cfg) = args.cell()?;
+    let seed = args.int("seed", 1)?;
 
-    if args.get("overhead", "false") == "true" {
-        let reps: u32 = args.get("reps", "3").parse().unwrap_or(3);
-        let report = measure_overhead(&platform, workload.as_ref(), &cfg, args.seed(), reps)
+    if args.flag("overhead", false)? {
+        let reps = args.int("reps", 3)?;
+        args.finish()?;
+        let report = measure_overhead(&platform, workload.as_ref(), &cfg, seed, reps)
             .map_err(|e| format!("run failed: {e}"))?;
         if json {
             println!(
@@ -705,12 +743,14 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let runs = args.runs(5);
-    let tracing = args.get("tracing", "false") == "true";
+    let runs = args.int("runs", 5)?;
+    let tracing = args.flag("tracing", false)?;
+    let profile = args.flag("profile", false)?;
+    args.finish()?;
     let spec = RunSpec {
         tracing,
         telemetry: Some(TelemetryConfig::metrics_only()),
-        ..RunSpec::new(&platform, workload.as_ref(), &cfg, args.seed())
+        ..RunSpec::new(&platform, workload.as_ref(), &cfg, seed)
     };
     let ledger = run_many(&spec, runs, RetryPolicy::none());
     let mut merged = MetricsSnapshot::default();
@@ -723,7 +763,7 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         return Err(format!("all {runs} runs failed: {:?}", ledger.failures()));
     }
 
-    let profile = if args.get("profile", "false") == "true" {
+    let profile = if profile {
         let profiler = PhaseProfiler::new();
         run(&spec, &mut RunArena::profiled(profiler.clone()))
             .map_err(|e| format!("profiled run failed: {e}"))?;
@@ -762,51 +802,39 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
 /// regression verdicts, and the mitigation recommendation table.
 /// `--check` exits nonzero on any critical smell or significant bench
 /// regression (the CI gate).
-fn cmd_advise(args: &Args) -> Result<(), String> {
+fn cmd_advise(args: &mut Args) -> Result<(), String> {
     use noiselab::advise::{advise, load_hotpath, load_traces, AdviseConfig, AdviseInputs};
-    use noiselab::core::CampaignState;
-    use std::path::Path;
 
-    let mut cfg = AdviseConfig::default();
-    let parse_f64 = |key: &str, into: &mut f64| -> Result<(), String> {
-        if let Some(v) = args.opts.get(key) {
-            *into = v.parse().map_err(|_| format!("--{key} wants a number"))?;
-        }
-        Ok(())
+    let defaults = AdviseConfig::default();
+    let cfg = AdviseConfig {
+        cv_threshold: args.f64("cv-threshold", defaults.cv_threshold)?,
+        alpha: args.f64("alpha", defaults.alpha)?,
+        resamples: args.int("resamples", defaults.resamples)?,
+        seed: args.int("advise-seed", defaults.seed)?,
+        ..defaults
     };
-    parse_f64("cv-threshold", &mut cfg.cv_threshold)?;
-    parse_f64("alpha", &mut cfg.alpha)?;
-    if let Some(v) = args.opts.get("resamples") {
-        cfg.resamples = v
-            .parse()
-            .map_err(|_| "--resamples wants a count".to_string())?;
-    }
-    if let Some(v) = args.opts.get("advise-seed") {
-        cfg.seed = v
-            .parse()
-            .map_err(|_| "--advise-seed wants a u64".to_string())?;
-    }
-
-    let mut inputs = AdviseInputs::default();
-    if let Some(p) = args.opts.get("checkpoint") {
-        inputs.checkpoint = Some(CampaignState::load(Path::new(p)).map_err(|e| e.to_string())?);
-    }
-    if let Some(p) = args.opts.get("traces") {
-        inputs.traces = load_traces(Path::new(p)).map_err(|e| e.to_string())?;
-    }
+    let checkpoint = args.path("checkpoint");
+    let traces = args.path("traces");
     // Bench files: an explicit flag must load (a schema mismatch is a
     // hard, clearly-worded refusal); the default path loads only when
     // the file exists.
-    let bench_path = |flag: &str, default: &str| -> Option<std::path::PathBuf> {
-        match args.opts.get(flag) {
-            Some(p) => Some(std::path::PathBuf::from(p)),
-            None => {
-                let p = std::path::PathBuf::from(default);
-                p.exists().then_some(p)
-            }
-        }
-    };
-    if let Some(p) = bench_path("bench-hotpath", "BENCH_hotpath.json") {
+    let hotpath = args.path("bench-hotpath").or_else(|| {
+        let p = PathBuf::from("BENCH_hotpath.json");
+        p.exists().then_some(p)
+    });
+    let markdown = args.raw("markdown");
+    let json = args.flag("json", false)?;
+    let check = args.flag("check", false)?;
+    args.finish()?;
+
+    let mut inputs = AdviseInputs::default();
+    if let Some(p) = checkpoint {
+        inputs.checkpoint = Some(CampaignState::load(&p).map_err(|e| e.to_string())?);
+    }
+    if let Some(p) = traces {
+        inputs.traces = load_traces(&p).map_err(|e| e.to_string())?;
+    }
+    if let Some(p) = hotpath {
         let history = load_hotpath(&p).map_err(|e| e.to_string())?;
         inputs.hotpath = Some((p.display().to_string(), history));
     }
@@ -819,22 +847,22 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
     }
 
     let report = advise(&inputs, &cfg);
-    let markdown_on_stdout = args.opts.get("markdown").is_some_and(|p| p == "-");
-    if let Some(md) = args.opts.get("markdown") {
+    let markdown_on_stdout = markdown.as_deref() == Some("-");
+    if let Some(md) = markdown {
         if md == "-" {
             println!("{}", report.render_markdown());
         } else {
-            std::fs::write(md, report.render_markdown())
+            std::fs::write(&md, report.render_markdown())
                 .map_err(|e| format!("advise: write {md}: {e}"))?;
             eprintln!("noiselab: markdown report saved to {md}");
         }
     }
-    if args.get("json", "false") == "true" && !markdown_on_stdout {
+    if json && !markdown_on_stdout {
         println!("{}", report.to_json());
     } else if !markdown_on_stdout {
         print!("{}", report.render_human());
     }
-    if args.get("check", "false") == "true" && report.check_failed() {
+    if check && report.check_failed() {
         return Err("advise --check: measurements are not trustworthy as-is \
              (critical smell or significant bench regression; see report)"
             .into());
@@ -874,47 +902,31 @@ fn cmd_metrics_checkpoint(path: &std::path::Path, json: bool) -> Result<(), Stri
     Ok(())
 }
 
-/// Flags `audit` rejects: the static checks they selected are clippy
-/// lints, and naming one must fail rather than fall through to a dual
-/// run that exits 0.
-const REMOVED_AUDIT_FLAGS: [&str; 3] = ["static", "sarif", "root"];
-
-fn cmd_audit(args: &Args) -> Result<(), String> {
+fn cmd_audit(args: &mut Args) -> Result<(), String> {
     use noiselab::core::divergence::{dual_run_harness, DualRunOutcome, DEFAULT_CADENCE};
 
-    if let Some(flag) = REMOVED_AUDIT_FLAGS
-        .iter()
-        .find(|f| args.opts.contains_key(**f))
+    // The static checks these removed flags selected are clippy lints;
+    // naming one must fail rather than fall through to a dual run.
+    if let Some(flag) = ["static", "sarif", "root"]
+        .into_iter()
+        .find(|f| args.raw(f).is_some())
     {
         return Err(format!(
             "audit: --{flag} was removed; the static determinism checks are clippy lints: \
              run `cargo clippy --workspace --all-targets -- -D warnings`"
         ));
     }
-    let json = args.get("json", "false") == "true";
-    let number = |key: &str| -> Result<Option<u64>, String> {
-        args.opts
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("audit: --{key} wants a non-negative integer, got '{v}'"))
-            })
-            .transpose()
-    };
-    let perturb = number("perturb")?;
-    let cadence = number("cadence")?.unwrap_or(DEFAULT_CADENCE);
+    if !args.flag("dual-run", true)? {
+        return Err("audit: --dual-run is the only mode; it cannot be false".into());
+    }
+    let json = args.flag("json", false)?;
+    let perturb = args.opt_int("perturb")?;
+    let cadence = args.int("cadence", DEFAULT_CADENCE)?;
+    let (platform, workload, cfg) = args.cell()?;
+    let seed = args.int("seed", 1)?;
+    args.finish()?;
 
-    let platform = args.platform()?;
-    let workload = args.workload(&platform)?;
-    let cfg = args.exec_config()?;
-    let outcome = dual_run_harness(
-        &platform,
-        workload.as_ref(),
-        &cfg,
-        args.seed(),
-        perturb,
-        cadence,
-    )?;
+    let outcome = dual_run_harness(&platform, workload.as_ref(), &cfg, seed, perturb, cadence)?;
     match outcome {
         DualRunOutcome::Identical { events, hash } => {
             if json {
@@ -949,43 +961,25 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Campaign seeds read naturally in either base: `--seed 0xC0DE` or
-/// `--seed 49374`.
-fn parse_seed(s: &str) -> u64 {
-    match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).unwrap_or(0xC0DE),
-        None => s.parse().unwrap_or(0xC0DE),
-    }
-}
-
 /// `conform`: drive the scheduler conformance suite — either a fuzz
 /// campaign (oracle + invariants over generated scenarios, shrunk
 /// repros on failure) or a single-case replay of a shrunk repro.
-fn cmd_conform(args: &Args) -> Result<(), String> {
+fn cmd_conform(args: &mut Args) -> Result<(), String> {
     use noiselab::conform::{
         check_scenario, fuzz, render_json, render_text, FuzzConfig, Mutation, Scenario,
         REPRO_MARKER,
     };
 
-    let json = args.get("json", "false") == "true";
-    let mutation = match args.opts.get("mutate") {
-        None => None,
-        Some(name) => Some(Mutation::from_name(name).ok_or_else(|| {
-            format!(
-                "unknown mutation '{name}' ({})",
-                Mutation::ALL.map(|m| m.name()).join("|")
-            )
-        })?),
-    };
+    let json = args.flag("json", false)?;
+    let mutation = args.pick("mutate", None, &Mutation::ALL.map(|m| (m.name(), Some(m))))?;
 
-    if let Some(case) = args.opts.get("replay") {
+    if let Some(case) = args.raw("replay") {
+        args.finish()?;
         // Accept a corpus case file (scenario JSON), a file holding a
         // `// conform:repro` line, or the repro line pasted directly.
-        let text = match std::fs::read_to_string(case) {
+        let text = match std::fs::read_to_string(&case) {
             Ok(contents) => contents,
-            Err(_) if case.contains(REPRO_MARKER) || case.trim_start().starts_with('{') => {
-                case.clone()
-            }
+            Err(_) if case.contains(REPRO_MARKER) || case.trim_start().starts_with('{') => case,
             Err(e) => return Err(format!("cannot read replay case {case}: {e}")),
         };
         let sc: Scenario = if text.contains(REPRO_MARKER) {
@@ -1021,14 +1015,15 @@ fn cmd_conform(args: &Args) -> Result<(), String> {
             }
         }
     } else {
-        let iterations: u64 = args.get("fuzz", "500").parse().unwrap_or(500);
+        let iterations = args.int("fuzz", 500)?;
         let cfg = FuzzConfig {
             iterations,
-            seed: parse_seed(&args.get("seed", "0xC0DE")),
-            corpus_dir: args.opts.get("corpus").map(std::path::PathBuf::from),
+            seed: args.int("seed", 0xC0DE)?,
+            corpus_dir: args.path("corpus"),
             mutation,
             ..FuzzConfig::default()
         };
+        args.finish()?;
         let report = fuzz(&cfg);
         if json {
             println!("{}", render_json(&report));
@@ -1061,11 +1056,12 @@ fn cmd_conform(args: &Args) -> Result<(), String> {
     }
 }
 
-fn cmd_analyze(args: &Args) -> Result<(), String> {
+fn cmd_analyze(args: &mut Args) -> Result<(), String> {
     let traces_path = args.required("traces")?;
+    let top_k = args.int("top", 10)?;
+    args.finish()?;
     let data = std::fs::read_to_string(&traces_path).map_err(|e| e.to_string())?;
     let traces: TraceSet = serde_json::from_str(&data).map_err(|e| e.to_string())?;
-    let top_k: usize = args.get("top", "10").parse().unwrap_or(10);
     let summary = noiselab::noise::analysis::summarize_set(&traces, top_k)
         .ok_or("trace set is empty".to_string())?;
     print!(
@@ -1098,24 +1094,24 @@ fn usage() {
 }
 
 fn main() -> ExitCode {
-    let Some(args) = parse_args() else {
+    let Some(mut args) = parse_args() else {
         usage();
         return ExitCode::FAILURE;
     };
     let result = match args.cmd.as_str() {
-        "baseline" => cmd_baseline(&args),
-        "trace" => cmd_trace(&args),
-        "generate" => cmd_generate(&args),
-        "inject" => cmd_inject(&args),
-        "analyze" => cmd_analyze(&args),
-        "report" => cmd_report(&args),
-        "campaign" => cmd_campaign(&args),
+        "baseline" => cmd_baseline(&mut args),
+        "trace" => cmd_trace(&mut args),
+        "generate" => cmd_generate(&mut args),
+        "inject" => cmd_inject(&mut args),
+        "analyze" => cmd_analyze(&mut args),
+        "report" => cmd_report(&mut args),
+        "campaign" => cmd_campaign(&mut args),
         // Hidden: spawned by `campaign --workers N`, not user-facing.
-        "campaign-worker" => cmd_campaign_worker(&args),
-        "metrics" => cmd_metrics(&args),
-        "advise" => cmd_advise(&args),
-        "audit" => cmd_audit(&args),
-        "conform" => cmd_conform(&args),
+        "campaign-worker" => cmd_campaign_worker(&mut args),
+        "metrics" => cmd_metrics(&mut args),
+        "advise" => cmd_advise(&mut args),
+        "audit" => cmd_audit(&mut args),
+        "conform" => cmd_conform(&mut args),
         _ => {
             usage();
             return ExitCode::FAILURE;
