@@ -35,7 +35,8 @@ impl fmt::Display for AdviseError {
 
 impl std::error::Error for AdviseError {}
 
-/// Mirror of one `BENCH_hotpath.json` cell.
+/// One (workload, config) cell of a `BENCH_hotpath.json` snapshot: its
+/// per-mode host cost.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, Deserialize)]
 pub struct HotpathCell {
     pub workload: String,
@@ -48,23 +49,35 @@ pub struct HotpathCell {
     pub both_overhead_pct: f64,
 }
 
-/// Probe time, in ms, of the reference host that the hotpath sweep's
-/// host probe is scaled to (`noiselab_bench::PROBE_REF_MS`).
+/// Probe time, in ms, that defines the reference host (a quiet 2-vCPU
+/// Xeon VM). A host-time figure `x` measured while
+/// `noiselab_bench::probe_ms` took `p` ms reads `x * PROBE_REF_MS / p`
+/// on the reference host.
 pub const PROBE_REF_MS: f64 = 65.0;
 
-/// One labelled snapshot of the hotpath sweep.
+/// One labelled measurement of the whole hotpath sweep, with the
+/// commit, toolchain and CPU it was taken on (empty, or 0, in snapshots
+/// that predate those fields). Fields serialize in this order.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, Deserialize)]
 pub struct HotpathSnapshot {
     pub label: String,
     pub reps: u32,
-    /// Median host probe over the sweep, in ms; 0 in snapshots taken
-    /// before the sweep recorded it.
+    #[serde(default)]
+    pub commit: String,
+    #[serde(default)]
+    pub rustc: String,
+    #[serde(default)]
+    pub cpu_model: String,
+    /// Median host probe over the sweep, in ms: taken before each cell
+    /// and after the last.
     #[serde(default)]
     pub probe_ms: f64,
     pub cells: Vec<HotpathCell>,
 }
 
-/// The committed `BENCH_hotpath.json` trajectory.
+/// The `BENCH_hotpath.json` trajectory: the `hotpath` bench appends to
+/// it and `advise` judges it. Baseline first, then one snapshot per
+/// optimization step.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, Deserialize)]
 pub struct HotpathHistory {
     pub bench: String,
@@ -255,6 +268,53 @@ mod tests {
         assert!(matches!(err, AdviseError::BenchSchema { .. }), "{err}");
         assert!(err.to_string().contains("malformed hotpath history"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The `hotpath` bench check mode refuses through this same error
+    /// when no history is committed.
+    #[test]
+    fn missing_history_is_one_sentence_naming_the_path() {
+        let missing = tmpdir("missing").join("BENCH_hotpath.json");
+        let err = load_hotpath(&missing).unwrap_err();
+        assert!(matches!(err, AdviseError::Io { .. }), "{err}");
+        let msg = err.to_string();
+        assert!(msg.starts_with("cannot read "), "{msg}");
+        assert!(msg.contains("BENCH_hotpath.json"), "{msg}");
+        assert!(!msg.contains('\n'), "{msg}");
+    }
+
+    const COMMITTED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
+
+    fn write_and_reload(tag: &str, history: &HotpathHistory) -> HotpathHistory {
+        let dir = tmpdir(tag);
+        let path = dir.join("BENCH_hotpath.json");
+        let json = serde_json::to_string_pretty(history).unwrap();
+        std::fs::write(&path, json + "\n").unwrap();
+        let back = load_hotpath(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        back
+    }
+
+    #[test]
+    fn committed_history_round_trips() {
+        let history = load_hotpath(Path::new(COMMITTED)).unwrap();
+        assert!(!history.steps.is_empty());
+        assert_eq!(write_and_reload("committed", &history), history);
+    }
+
+    #[test]
+    fn snapshot_host_metadata_survives_a_write_and_a_read() {
+        let mut history = load_hotpath(Path::new(COMMITTED)).unwrap();
+        let mut snap = history.latest().clone();
+        snap.label = "probed".into();
+        snap.commit = "0123456789ab-dirty".into();
+        snap.rustc = "rustc 1.95.0 (59807616e 2026-04-14)".into();
+        snap.cpu_model = "Intel(R) Xeon(R) CPU @ 2.20GHz".into();
+        snap.probe_ms = 71.25;
+        history.steps.push(snap.clone());
+        let back = write_and_reload("metadata", &history);
+        assert_eq!(back.latest(), &snap);
+        assert_eq!(back, history);
     }
 
     #[test]

@@ -336,6 +336,9 @@ fn probed_snapshot(label: &str, bare: f64, telemetry: f64, probe_ms: f64) -> Hot
     HotpathSnapshot {
         label: label.to_string(),
         reps: 5,
+        commit: "0123456789ab".to_string(),
+        rustc: "rustc 1.95.0".to_string(),
+        cpu_model: "Test CPU @ 2.0GHz".to_string(),
         probe_ms,
         cells: vec![HotpathCell {
             workload: "nbody".to_string(),

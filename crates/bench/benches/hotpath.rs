@@ -15,48 +15,17 @@
 //! * `NOISELAB_BENCH_LABEL` — snapshot label for the history
 //! * `NOISELAB_BENCH_CHECK` — compare, don't write; exit 1 on regression
 
-use noiselab_bench::PROBE_REF_MS;
+use noiselab_advise::input::{
+    load_hotpath, HotpathCell, HotpathHistory, HotpathSnapshot, PROBE_REF_MS,
+};
 use noiselab_core::experiments::suite;
 use noiselab_core::{measure_overhead, ExecConfig, Mitigation, Model, Platform};
 use noiselab_workloads::Workload;
-use serde::{Deserialize, Serialize};
+use std::path::Path;
 
 const OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
 /// Allowed bare-path regression before the check mode fails the run.
 const GATE_PCT: f64 = 25.0;
-
-/// One (workload, config) cell's per-mode cost.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Cell {
-    workload: String,
-    config: String,
-    events_per_run: u64,
-    bare_ns_per_event: f64,
-    telemetry_ns_per_event: f64,
-    telemetry_overhead_pct: f64,
-    tracer_overhead_pct: f64,
-    both_overhead_pct: f64,
-}
-
-/// One labelled measurement of the whole sweep, with the commit,
-/// toolchain and CPU it was taken on and the median host probe over the
-/// sweep (empty, or 0, in snapshots that predate those fields).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Snapshot {
-    label: String,
-    reps: u32,
-    #[serde(default)]
-    commit: String,
-    #[serde(default)]
-    rustc: String,
-    #[serde(default)]
-    cpu_model: String,
-    /// Median of `noiselab_bench::probe_ms` taken before each cell and
-    /// after the last; `advise` normalizes ns by it.
-    #[serde(default)]
-    probe_ms: f64,
-    cells: Vec<Cell>,
-}
 
 /// First line a command prints, or `"unknown"`.
 fn first_line(cmd: &str, args: &[&str]) -> String {
@@ -87,22 +56,7 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// The on-disk history: baseline first, then one snapshot per
-/// optimization step.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct History {
-    bench: String,
-    baseline: Snapshot,
-    steps: Vec<Snapshot>,
-}
-
-impl History {
-    fn latest(&self) -> &Snapshot {
-        self.steps.last().unwrap_or(&self.baseline)
-    }
-}
-
-fn sweep(reps: u32, label: String) -> Snapshot {
+fn sweep(reps: u32, label: String) -> HotpathSnapshot {
     let platform = Platform::intel();
     let workloads: Vec<Box<dyn Workload + Sync>> = vec![
         Box::new(suite::nbody_for(&platform)),
@@ -127,7 +81,7 @@ fn sweep(reps: u32, label: String) -> Snapshot {
                     .find(|r| r.mode == mode)
                     .unwrap_or_else(|| panic!("mode {mode} missing"))
             };
-            cells.push(Cell {
+            let cell = HotpathCell {
                 workload: rep.workload.clone(),
                 config: rep.config.clone(),
                 events_per_run: rep.events,
@@ -136,23 +90,24 @@ fn sweep(reps: u32, label: String) -> Snapshot {
                 telemetry_overhead_pct: row("+telemetry").overhead_pct,
                 tracer_overhead_pct: row("+tracer").overhead_pct,
                 both_overhead_pct: row("+both").overhead_pct,
-            });
+            };
             println!(
                 "{:<12} {:<8} {:>7} ev  bare {:>7.1} ns/ev  tel {:>+6.1}%  trc {:>+6.1}%  both {:>+6.1}%",
-                cells.last().unwrap().workload,
-                cells.last().unwrap().config,
-                cells.last().unwrap().events_per_run,
-                cells.last().unwrap().bare_ns_per_event,
-                cells.last().unwrap().telemetry_overhead_pct,
-                cells.last().unwrap().tracer_overhead_pct,
-                cells.last().unwrap().both_overhead_pct,
+                cell.workload,
+                cell.config,
+                cell.events_per_run,
+                cell.bare_ns_per_event,
+                cell.telemetry_overhead_pct,
+                cell.tracer_overhead_pct,
+                cell.both_overhead_pct,
             );
+            cells.push(cell);
         }
     }
     probes.push(noiselab_bench::probe_ms());
     let probe_ms = noiselab_stats::median(&probes);
     println!("host probe: median {probe_ms:.1} ms (reference {PROBE_REF_MS} ms)");
-    Snapshot {
+    HotpathSnapshot {
         label,
         reps,
         commit: first_line("git", &["describe", "--always", "--dirty", "--abbrev=12"]),
@@ -165,7 +120,7 @@ fn sweep(reps: u32, label: String) -> Snapshot {
 
 /// Compare a fresh sweep against the committed history; returns the
 /// regressions as `(workload/config key, human-readable line)` pairs.
-fn check(history: &History, fresh: &Snapshot) -> Vec<(String, String)> {
+fn check(history: &HotpathHistory, fresh: &HotpathSnapshot) -> Vec<(String, String)> {
     let committed = history.latest();
     let mut bad = Vec::new();
     for cell in &fresh.cells {
@@ -222,19 +177,14 @@ fn main() {
         reason = "selects gate mode over snapshot mode; no cell reads it"
     )]
     let check_mode = std::env::var("NOISELAB_BENCH_CHECK").is_ok_and(|v| v == "1");
-    // A missing history starts a new one; an unreadable one is refused,
-    // never overwritten by a fresh baseline.
-    let existing: Option<History> = match std::fs::read_to_string(OUT) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => refuse(&format!("cannot read {OUT}: {e}")),
-        Ok(text) => Some(
-            serde_json::from_str(&text)
-                .unwrap_or_else(|e| refuse(&format!("{OUT} is not a hot-path history: {e}"))),
-        ),
-    };
+    // An unusable history gets the refusal `noiselab advise` gives and
+    // is never overwritten.
+    let out = Path::new(OUT);
+    let load = || load_hotpath(out).unwrap_or_else(|e| refuse(&e.to_string()));
 
     if check_mode {
-        let history = existing.expect("check mode needs a committed BENCH_hotpath.json");
+        // The gate needs the committed history; a missing one is refused.
+        let history = load();
         let fresh = sweep(reps, "check".into());
         let mut bad = check(&history, &fresh);
         if !bad.is_empty() {
@@ -263,14 +213,15 @@ fn main() {
         return;
     }
 
-    let history = match existing {
+    // A snapshot run starts a new history only where none exists.
+    let history = match out.exists().then(load) {
         None => {
             #[expect(
                 clippy::disallowed_methods,
                 reason = "the label only names the snapshot step"
             )]
             let label = std::env::var("NOISELAB_BENCH_LABEL").unwrap_or_else(|_| "baseline".into());
-            History {
+            HotpathHistory {
                 bench: "hotpath".into(),
                 baseline: sweep(reps, label),
                 steps: Vec::new(),

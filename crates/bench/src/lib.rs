@@ -1,7 +1,7 @@
-//! Shared plumbing for the host-time bench targets: the host clock, a
-//! wall-time banner, and the host probe that host-time figures are
-//! normalized by. The paper's tables and figures are regenerated by
-//! `noiselab report`, not by benches.
+//! Shared plumbing for the `hotpath` bench and the `noiselab-benchmark`
+//! package: the host clock, a wall-time banner, and the host probe that
+//! host-time figures are normalized by. The paper's tables and figures
+//! are regenerated by `noiselab report`, not by benches.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::ref_as_ptr)]
@@ -16,17 +16,12 @@ pub fn wall_clock() -> std::time::Instant {
 /// Map operations in one host probe.
 const PROBE_OPS: u64 = 400_000;
 
-/// Probe time, in ms, that defines the reference host (a quiet 2-vCPU
-/// Xeon VM). A host-time figure `x` measured while the probe took `p`
-/// ms reads `x * PROBE_REF_MS / p` on the reference host.
-pub const PROBE_REF_MS: f64 = 65.0;
-
 /// Time a fixed loop of ordered-map inserts and removes over pseudo-
 /// random keys, in ms. It shares no code with the simulator but stresses
 /// what the simulator's hot path stresses (allocation, branches, pointer
 /// chasing through cache), so its time tracks host speed. The same loop
 /// as `noiselab-benchmark`'s `host::probe_ms`, so both harnesses
-/// normalize to one reference host.
+/// normalize to one reference host (`noiselab_advise::input::PROBE_REF_MS`).
 pub fn probe_ms() -> f64 {
     let t0 = wall_clock();
     let mut map = std::collections::BTreeMap::new();

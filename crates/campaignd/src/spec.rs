@@ -8,7 +8,7 @@
 //! interpretation of "intel" or "nbody" than the supervisor hashed.
 
 use noiselab_core::experiments::suite;
-use noiselab_core::{CampaignPlan, ExecConfig, Platform, RetryPolicy};
+use noiselab_core::{cell_seed, seeds_fit, CampaignPlan, ExecConfig, Platform, RetryPolicy};
 use noiselab_kernel::FaultPlan;
 use noiselab_workloads::Workload;
 use serde::{Deserialize, Serialize};
@@ -35,13 +35,19 @@ pub struct CampaignSpec {
     pub retry: RetryPolicy,
 }
 
-/// A spec that named an unknown platform or workload, or carries a
-/// fault plan that fails [`FaultPlan::validate`].
+/// A spec that named an unknown platform or workload, carries a fault
+/// plan that fails [`FaultPlan::validate`], or runs seeds past
+/// `u64::MAX`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
     UnknownPlatform(String),
     UnknownWorkload(String),
     InvalidFaults(String),
+    SeedOverflow {
+        seed_base: u64,
+        cells: usize,
+        runs_per_cell: usize,
+    },
 }
 
 impl fmt::Display for SpecError {
@@ -58,6 +64,16 @@ impl fmt::Display for SpecError {
                 suite::WORKLOAD_NAMES.join(", ")
             ),
             SpecError::InvalidFaults(why) => write!(f, "invalid fault plan: {why}"),
+            SpecError::SeedOverflow {
+                seed_base,
+                cells,
+                runs_per_cell,
+            } => write!(
+                f,
+                "--seed {seed_base}: {cells} cells of {runs_per_cell} runs from it \
+                 run past the largest seed, {}",
+                u64::MAX
+            ),
         }
     }
 }
@@ -82,11 +98,20 @@ impl fmt::Debug for ResolvedCampaign {
 
 impl CampaignSpec {
     /// Resolve the platform/workload names to concrete instances and
-    /// check the fault plan, so a worker never runs a manifest whose
-    /// plan was edited into nonsense.
+    /// check the fault plan and the seed range, so a worker never runs
+    /// a manifest that was edited into nonsense.
     pub fn resolve(&self) -> Result<ResolvedCampaign, SpecError> {
         if let Some(faults) = &self.faults {
             faults.validate().map_err(SpecError::InvalidFaults)?;
+        }
+        let runs = self.cells.len().checked_mul(self.runs_per_cell);
+        let runs = runs.and_then(|n| u64::try_from(n).ok());
+        if !runs.is_some_and(|n| seeds_fit(self.seed_base, n)) {
+            return Err(SpecError::SeedOverflow {
+                seed_base: self.seed_base,
+                cells: self.cells.len(),
+                runs_per_cell: self.runs_per_cell,
+            });
         }
         let platform = Platform::by_name(&self.platform)
             .ok_or_else(|| SpecError::UnknownPlatform(self.platform.clone()))?;
@@ -127,7 +152,8 @@ impl CampaignSpec {
     /// First seed of cell `i`, identical to the single-process driver's
     /// derivation: fixed by position, independent of execution order.
     pub fn cell_seed(&self, i: usize) -> u64 {
-        self.seed_base + (i * self.runs_per_cell) as u64
+        cell_seed(self.seed_base, self.runs_per_cell, i)
+            .expect("seed range overflows u64; CampaignSpec::resolve refuses it")
     }
 }
 
@@ -190,6 +216,27 @@ mod tests {
         let err = spec.resolve().unwrap_err();
         assert!(matches!(err, SpecError::InvalidFaults(_)), "{err}");
         assert!(err.to_string().contains("not a probability"), "{err}");
+    }
+
+    #[test]
+    fn a_seed_range_past_u64_max_is_refused() {
+        // 4 cells x 2 runs: seeds seed_base..seed_base + 8.
+        let mut spec = tiny_spec();
+        spec.seed_base = u64::MAX - 7;
+        assert!(spec.resolve().is_ok(), "the last seed is u64::MAX");
+        spec.seed_base = u64::MAX - 6;
+        let err = spec.resolve().unwrap_err();
+        assert!(matches!(err, SpecError::SeedOverflow { .. }), "{err}");
+        assert!(
+            err.to_string().starts_with("--seed 18446744073709551609:"),
+            "{err}"
+        );
+        let mut spec = tiny_spec();
+        spec.runs_per_cell = usize::MAX;
+        assert!(matches!(
+            spec.resolve().unwrap_err(),
+            SpecError::SeedOverflow { .. }
+        ));
     }
 
     #[test]

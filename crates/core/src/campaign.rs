@@ -513,6 +513,13 @@ pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignState, CampaignError>
     Ok(state)
 }
 
+/// First seed of cell `i` when each cell runs `runs_per_cell` seeds
+/// from `seed_base`, or `None` when it does not fit u64.
+pub fn cell_seed(seed_base: u64, runs_per_cell: usize, i: usize) -> Option<u64> {
+    let offset = u64::try_from(i.checked_mul(runs_per_cell)?).ok()?;
+    seed_base.checked_add(offset)
+}
+
 /// Execute one campaign cell. Each cell owns a disjoint seed range,
 /// fixed by its position: resume order cannot change which seeds a cell
 /// runs, and a re-run of the same cell is bit-identical. Public so the
@@ -520,7 +527,8 @@ pub fn run_campaign(plan: &CampaignPlan) -> Result<CampaignState, CampaignError>
 /// exact same path as the single-process driver — the merged ledger is
 /// then bit-identical by construction.
 pub fn run_cell(plan: &CampaignPlan, i: usize, label: &str, cfg: &ExecConfig) -> CellRecord {
-    let seed = plan.seed_base + (i * plan.runs_per_cell) as u64;
+    let seed = cell_seed(plan.seed_base, plan.runs_per_cell, i)
+        .expect("campaign seed range overflows u64; CampaignSpec::resolve refuses it");
     // Metrics-only telemetry: per-run counters/histograms aggregate
     // into the cell record without storing any timeline.
     let spec = RunSpec {

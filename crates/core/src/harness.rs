@@ -560,7 +560,10 @@ pub fn run_batch(jobs: &[(&RunSpec, usize)], retry: RetryPolicy) -> Vec<RunLedge
     // before it (an empty job shares its start with the next one).
     let locate = |g: usize| -> (usize, u64) {
         let j = starts.partition_point(|&s| s <= g) - 1;
-        (j, jobs[j].0.seed + (g - starts[j]) as u64)
+        let offset = (g - starts[j]) as u64;
+        let seed = jobs[j].0.seed.checked_add(offset);
+        let seed = seed.expect("run seeds overflow u64; callers refuse such a --seed");
+        (j, seed)
     };
     let mut results: Vec<Option<RunRecord>> = Vec::new();
     results.resize_with(total, || None);
@@ -637,6 +640,12 @@ pub fn run_batch(jobs: &[(&RunSpec, usize)], retry: RetryPolicy) -> Vec<RunLedge
             RunLedger { records }
         })
         .collect()
+}
+
+/// Whether the `n` seeds `seed..seed + n` all fit u64: the last one
+/// does not wrap.
+pub fn seeds_fit(seed: u64, n: u64) -> bool {
+    seed.checked_add(n.saturating_sub(1)).is_some()
 }
 
 /// Execute `n_runs` runs of `spec` with seeds `spec.seed..spec.seed +

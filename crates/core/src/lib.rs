@@ -23,8 +23,8 @@ pub mod overhead;
 pub mod platform;
 
 pub use campaign::{
-    render_campaign_report, run_campaign, run_cell, CampaignError, CampaignPlan, CampaignReport,
-    CampaignState, CellKey, CellRecord, CellReport, CheckpointError, FailureRecord,
+    cell_seed, render_campaign_report, run_campaign, run_cell, CampaignError, CampaignPlan,
+    CampaignReport, CampaignState, CellKey, CellRecord, CellReport, CheckpointError, FailureRecord,
     QuarantineRecord, CHECKPOINT_SCHEMA,
 };
 pub use divergence::{
@@ -34,8 +34,8 @@ pub use divergence::{
 pub use execconfig::{ExecConfig, Mitigation, Model};
 pub use failure::{RetryPolicy, RunFailure};
 pub use harness::{
-    run, run_baseline, run_batch, run_injected, run_many, Baseline, Injected, InstrumentedRun,
-    RunArena, RunLedger, RunOutput, RunRecord, RunSpec,
+    run, run_baseline, run_batch, run_injected, run_many, seeds_fit, Baseline, Injected,
+    InstrumentedRun, RunArena, RunLedger, RunOutput, RunRecord, RunSpec,
 };
 pub use overhead::{measure_overhead, OverheadReport, OverheadRow};
 pub use platform::Platform;

@@ -98,20 +98,24 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// A plan that only aborts a worker thread in roughly `prob` of the
     /// runs, within the first ~`window_ms` milliseconds — the crashy
-    /// campaign of the resilience suite.
+    /// campaign of the resilience suite. Panics when `window_ms` in
+    /// nanoseconds overflows u64; the CLI refuses such a window first.
     pub fn crashy(seed: u64, prob: f64, window_ms: u64) -> FaultPlan {
+        let end = SimDuration::checked_from_millis(window_ms)
+            .expect("crash window overflows u64 nanoseconds");
         FaultPlan {
             seed,
             abort: Some(ThreadAbortSpec {
                 prob,
-                window: (SimDuration::ZERO, SimDuration(window_ms * 1_000_000)),
+                window: (SimDuration::ZERO, end),
             }),
             ..FaultPlan::default()
         }
     }
 
-    /// Check probabilities are valid; returns a description of the first
-    /// problem found.
+    /// Check probabilities are valid and every half-open `[lo, hi)`
+    /// range a fault draws from is non-empty; returns a description of
+    /// the first problem found.
     pub fn validate(&self) -> Result<(), String> {
         let probs = [
             ("lost_tick_prob", self.lost_tick_prob),
@@ -129,6 +133,20 @@ impl FaultPlan {
         if let Some(sp) = &self.spurious {
             if sp.rate_per_sec < 0.0 {
                 return Err(format!("spurious.rate_per_sec = {}", sp.rate_per_sec));
+            }
+        }
+        let ranges = [
+            ("abort.window", self.abort.as_ref().map(|a| a.window)),
+            ("stall.start", self.stall.as_ref().map(|s| s.start)),
+            ("stall.duration", self.stall.as_ref().map(|s| s.duration)),
+        ];
+        for (name, range) in ranges {
+            if let Some((lo, hi)) = range.filter(|(lo, hi)| lo >= hi) {
+                return Err(format!(
+                    "{name} = [{}, {}) ns is empty or inverted",
+                    lo.nanos(),
+                    hi.nanos()
+                ));
             }
         }
         Ok(())
@@ -212,6 +230,41 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(p.validate().is_err(), "late prob without max must fail");
+    }
+
+    #[test]
+    fn validate_rejects_empty_or_inverted_ranges() {
+        let ms = SimDuration::from_millis;
+        let err = FaultPlan::crashy(1, 0.5, 0).validate().unwrap_err();
+        assert_eq!(err, "abort.window = [0, 0) ns is empty or inverted");
+        let abort = |window| FaultPlan {
+            abort: Some(ThreadAbortSpec { prob: 0.5, window }),
+            ..FaultPlan::default()
+        };
+        assert!(abort((ms(3), ms(2))).validate().is_err());
+        assert!(abort((ms(2), ms(3))).validate().is_ok());
+        let stall = |start, duration| FaultPlan {
+            stall: Some(CpuStallSpec { start, duration }),
+            ..FaultPlan::default()
+        };
+        assert!(stall((ms(1), ms(2)), (ms(3), ms(4))).validate().is_ok());
+        let err = stall((ms(2), ms(2)), (ms(3), ms(4)))
+            .validate()
+            .unwrap_err();
+        assert!(err.starts_with("stall.start = "), "{err}");
+        let err = stall((ms(1), ms(2)), (ms(4), ms(3)))
+            .validate()
+            .unwrap_err();
+        assert!(err.starts_with("stall.duration = "), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "crash window overflows u64 nanoseconds")]
+    fn crashy_window_in_ns_must_fit_u64() {
+        let max_ms = u64::MAX / 1_000_000;
+        let p = FaultPlan::crashy(1, 0.5, max_ms);
+        assert_eq!(p.abort.unwrap().window.1, SimDuration(max_ms * 1_000_000));
+        FaultPlan::crashy(1, 0.5, max_ms + 1);
     }
 
     #[test]

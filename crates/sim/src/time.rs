@@ -97,6 +97,13 @@ impl SimDuration {
         SimDuration(ms * NANOS_PER_MILLI)
     }
 
+    /// `ms` milliseconds, or `None` when that many nanoseconds do not
+    /// fit u64.
+    #[inline]
+    pub fn checked_from_millis(ms: u64) -> Option<Self> {
+        ms.checked_mul(NANOS_PER_MILLI).map(SimDuration)
+    }
+
     #[inline]
     pub fn from_secs(s: u64) -> Self {
         SimDuration(s * NANOS_PER_SEC)

@@ -109,8 +109,8 @@ use noiselab::core::experiments::{
     ablation, fig1, fig2, fwq, numa, runlevel, suite, table1, table2, table6, table7, Scale,
 };
 use noiselab::core::{
-    run_baseline, run_batch, Baseline, CampaignState, ExecConfig, Injected, Mitigation, Model,
-    Platform, RetryPolicy, RunLedger, RunSpec,
+    run_baseline, run_batch, seeds_fit, Baseline, CampaignState, ExecConfig, Injected, Mitigation,
+    Model, Platform, RetryPolicy, RunLedger, RunSpec,
 };
 use noiselab::injector::{generate, GeneratorOptions, InjectionConfig, MergeStrategy};
 use noiselab::noise::TraceSet;
@@ -215,6 +215,20 @@ impl Args {
         self.parsed(key, default, "a number", |v| v.parse().ok())
     }
 
+    /// `--seed`: the first of the `runs` consecutive seeds a command
+    /// runs, refused when the last of them would pass `u64::MAX`.
+    fn seed(&mut self, runs: usize) -> Result<u64, String> {
+        let seed = self.int("seed", 1)?;
+        if seeds_fit(seed, runs as u64) {
+            Ok(seed)
+        } else {
+            Err(format!(
+                "--seed {seed}: {runs} runs from it run past the largest seed, {}",
+                u64::MAX
+            ))
+        }
+    }
+
     /// `--key true|false`, or a bare `--key`.
     fn flag(&mut self, key: &str, default: bool) -> Result<bool, String> {
         self.parsed(key, default, "true or false", |v| v.parse().ok())
@@ -269,7 +283,7 @@ impl Args {
 fn cmd_baseline(args: &mut Args) -> Result<(), String> {
     let (platform, workload, cfg) = args.cell()?;
     let runs = args.int("runs", 40)?;
-    let seed = args.int("seed", 1)?;
+    let seed = args.seed(runs)?;
     args.finish()?;
     let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, seed, false);
     println!(
@@ -341,7 +355,7 @@ fn cmd_trace(args: &mut Args) -> Result<(), String> {
     platform.noise.anomaly_prob = (platform.noise.anomaly_prob * boost).min(0.5);
     let out = args.required("out")?;
     let runs = args.int("runs", 40)?;
-    let seed = args.int("seed", 1)?;
+    let seed = args.seed(runs)?;
     args.finish()?;
     let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, seed, true);
     let json = serde_json::to_string(&base.traces).map_err(|e| e.to_string())?;
@@ -391,8 +405,9 @@ fn cmd_generate(args: &mut Args) -> Result<(), String> {
 fn cmd_inject(args: &mut Args) -> Result<(), String> {
     let (platform, workload, cfg) = args.cell()?;
     let config_path = args.required("config")?;
-    let runs = args.int("runs", 20)?;
-    let seed: u64 = args.int("seed", 1)?;
+    let runs: usize = args.int("runs", 20)?;
+    // The baseline half runs the `runs` seeds from `seed + 10_000`.
+    let seed = args.seed(runs.saturating_add(10_000))?;
     args.finish()?;
     let data = std::fs::read_to_string(&config_path).map_err(|e| e.to_string())?;
     let config = InjectionConfig::from_json(&data).map_err(|e| e.to_string())?;
@@ -401,7 +416,10 @@ fn cmd_inject(args: &mut Args) -> Result<(), String> {
         .map_err(|e| format!("--config {config_path}: {e}"))?;
     // Both halves share one run pool: neither waits for the other to
     // finish before its runs start.
-    let base_spec = RunSpec::new(&platform, workload.as_ref(), &cfg, seed + 10_000);
+    let base_seed = seed
+        .checked_add(10_000)
+        .expect("--seed range checked above");
+    let base_spec = RunSpec::new(&platform, workload.as_ref(), &cfg, base_seed);
     let inj_spec = RunSpec {
         inject: Some(&config),
         ..RunSpec::new(&platform, workload.as_ref(), &cfg, seed)
@@ -559,11 +577,17 @@ fn campaign_faults(args: &mut Args) -> Result<Option<noiselab::kernel::FaultPlan
     let prob = args.f64("crash-prob", 0.0)?;
     let seed = args.int("fault-seed", 1)?;
     let window_ms = args.int("crash-window-ms", 2)?;
+    if noiselab::sim::SimDuration::checked_from_millis(window_ms).is_none() {
+        return Err(format!(
+            "--crash-window-ms {window_ms}: its nanoseconds overflow u64"
+        ));
+    }
     if prob == 0.0 {
         return Ok(None);
     }
     let plan = noiselab::kernel::FaultPlan::crashy(seed, prob, window_ms);
-    plan.validate().map_err(|e| format!("--crash-prob: {e}"))?;
+    plan.validate()
+        .map_err(|e| format!("--crash-prob {prob} --crash-window-ms {window_ms}: {e}"))?;
     Ok(Some(plan))
 }
 
@@ -725,9 +749,9 @@ fn cmd_metrics(args: &mut Args) -> Result<(), String> {
     }
 
     let (platform, workload, cfg) = args.cell()?;
-    let seed = args.int("seed", 1)?;
 
     if args.flag("overhead", false)? {
+        let seed = args.seed(1)?;
         let reps = args.int("reps", 3)?;
         args.finish()?;
         let report = measure_overhead(&platform, workload.as_ref(), &cfg, seed, reps)
@@ -744,6 +768,7 @@ fn cmd_metrics(args: &mut Args) -> Result<(), String> {
     }
 
     let runs = args.int("runs", 5)?;
+    let seed = args.seed(runs)?;
     let tracing = args.flag("tracing", false)?;
     let profile = args.flag("profile", false)?;
     args.finish()?;

@@ -83,6 +83,34 @@ fn crash_probabilities_outside_zero_to_one_are_errors() {
 }
 
 #[test]
+fn crash_windows_that_are_empty_or_overflow_are_errors() {
+    let dir = scratch("crash-window");
+    for ms in ["0", "18446744073709551615"] {
+        let cmd = format!("campaign --workload nbody-tiny --crash-prob 0.5 --crash-window-ms {ms}");
+        assert_refused(&dir, &cmd, "--crash-window-ms");
+    }
+}
+
+#[test]
+fn seed_ranges_past_u64_max_are_errors() {
+    let dir = scratch("seed-range");
+    let max = "0xffffffffffffffff";
+    for cmd in [
+        format!("baseline --workload nbody-tiny --runs 2 --seed {max}"),
+        format!("metrics --workload nbody-tiny --runs 2 --seed {max}"),
+        format!("inject --workload nbody-tiny --runs 1 --config c.json --seed {max}"),
+        format!("campaign --workload nbody-tiny --runs 1 --seed {max}"),
+        format!("campaign --workload nbody-tiny --runs 1 --workers 2 --seed {max}"),
+    ] {
+        assert_refused(&dir, &cmd, "--seed");
+    }
+    assert!(
+        !dir.join("campaign.queue").exists(),
+        "a refused campaign must not create its queue"
+    );
+}
+
+#[test]
 fn inject_refuses_an_invalid_config() {
     let dir = scratch("inject-config");
     let event = |start: u64, duration: u64| {

@@ -175,6 +175,16 @@ fn addr_vec_mut(v: &mut Vec<u32>) -> usize {
     v.as_mut_ptr() as usize
 }
 
+#[expect(clippy::disallowed_methods, reason = "canary")]
+fn addr_rc(rc: &std::rc::Rc<u32>) -> usize {
+    std::rc::Rc::as_ptr(rc) as usize
+}
+
+#[expect(clippy::disallowed_methods, reason = "canary")]
+fn addr_arc(arc: &std::sync::Arc<u32>) -> usize {
+    std::sync::Arc::as_ptr(arc) as usize
+}
+
 #[expect(clippy::disallowed_macros, reason = "canary")]
 fn addr_of_macro(x: u32) -> usize {
     std::ptr::addr_of!(x) as usize
@@ -273,6 +283,7 @@ fn canary_sites_compile_and_run() {
     assert!(addr_slice(&xs) > 0 && addr_slice_mut(&mut xs) > 0);
     assert!(addr_str("canary") > 0);
     assert!(addr_vec_mut(&mut v) > 0 && addr_vec(v) > 0);
+    assert!(addr_rc(&std::rc::Rc::new(1)) > 0 && addr_arc(&std::sync::Arc::new(1)) > 0);
     assert!(addr_of_macro(1) > 0 && addr_of_mut_macro(1) > 0);
     let _ = addr_casts(&1, 2, &mut x);
     assert!(static_mut_bump() >= 1);
