@@ -1,7 +1,8 @@
 //! `noiselab report` refuses what it cannot honour: an unknown `--scale`
 //! or `--what` is an error naming every accepted value, never a silent
-//! run at some other size. A well-formed report prints its table and
-//! exits 0 when the paper's shape holds.
+//! run at some other size. A well-formed report prints its table, byte
+//! for byte as in the committed golden transcript, and exits 0 when the
+//! paper's shape holds.
 
 use std::process::{Command, Output};
 
@@ -56,10 +57,17 @@ fn unknown_report_is_an_error_naming_every_report() {
     assert!(!err.contains("cargo bench"), "{err}");
 }
 
+/// The committed stdout of `report --what all --scale smoke`. CI's
+/// `paper-shapes` job diffs the whole transcript against it; sections
+/// are separated by one blank line.
+const GOLDEN: &str = include_str!("fixtures/report_all_smoke.txt");
+
 #[test]
 fn table1_at_smoke_scale_prints_and_passes_its_shape() {
     let out = report(&["--what", "table1", "--scale", "smoke"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let table = String::from_utf8_lossy(&out.stdout);
     assert!(table.contains("Table 1"), "{table}");
+    let golden = GOLDEN.split("\n\n").next().unwrap_or_default().to_string() + "\n";
+    assert_eq!(table, golden, "Table 1 moved from its golden section");
 }
