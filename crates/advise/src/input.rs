@@ -302,6 +302,20 @@ mod tests {
         assert_eq!(write_and_reload("committed", &history), history);
     }
 
+    /// The committed history is already in the form the `hotpath`
+    /// bench writes, host fields included, so appending a snapshot adds
+    /// lines and rewrites none of the older ones.
+    #[test]
+    fn committed_history_is_written_as_hotpath_writes_it() {
+        let history = load_hotpath(Path::new(COMMITTED)).unwrap();
+        let written = serde_json::to_string_pretty(&history).unwrap() + "\n";
+        let committed = std::fs::read_to_string(COMMITTED).unwrap();
+        assert!(
+            written == committed,
+            "BENCH_hotpath.json differs from its own load-and-write"
+        );
+    }
+
     #[test]
     fn snapshot_host_metadata_survives_a_write_and_a_read() {
         let mut history = load_hotpath(Path::new(COMMITTED)).unwrap();

@@ -59,6 +59,14 @@ impl Mitigation {
         }
     }
 
+    /// Position in [`Mitigation::ALL`]: the column of a paper table.
+    pub fn index(self) -> usize {
+        Mitigation::ALL
+            .iter()
+            .position(|&x| x == self)
+            .expect("Mitigation::ALL lists every mitigation")
+    }
+
     pub fn pinned(self) -> bool {
         matches!(self, Mitigation::Tp | Mitigation::TpHK | Mitigation::TpHK2)
     }

@@ -5,22 +5,24 @@
 //!   merge of overlapping events (all mitigation strategies performed
 //!   identically; 25.74 % accuracy error), and fixed it by merging
 //!   interrupt- and thread-based noise separately and boosting the
-//!   priority of thread noise (5.70 %). [`merge_ablation`] reproduces
+//!   priority of thread noise (5.70 %). [`merge_plan`] reproduces
 //!   the comparison.
 //! * **Memory noise (§6/§7)** — CPU-occupation noise is absorbed by
 //!   housekeeping cores, but bandwidth-consuming noise is not: the
 //!   contended resource is the socket, not a CPU.
-//!   [`memory_noise_ablation`] demonstrates the difference, motivating
+//!   [`memory_plan`] demonstrates the difference, motivating
 //!   the paper's future-work extension.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
+use crate::experiments::plan::{Collection, Outcome, Plan, RunSet};
 use crate::experiments::{suite, Scale};
-use crate::harness::{run_baseline, run_injected};
 use crate::platform::Platform;
-use noiselab_injector::{generate, GeneratorOptions, MergeStrategy};
+use noiselab_injector::MergeStrategy;
 use noiselab_noise::{AnomalyKind, AnomalySpec};
 use noiselab_sim::SimDuration;
 use noiselab_stats::TextTable;
+use noiselab_workloads::Workload;
+use std::rc::Rc;
 
 /// Outcome of the merge-strategy ablation.
 #[derive(Debug, Clone)]
@@ -86,16 +88,18 @@ impl MergeAblation {
     }
 }
 
-/// Run the merge-strategy ablation on the Intel platform with MiniFE
-/// (its dense reductions give overlapping noise events).
+/// The merge-strategy ablation's plan on the Intel platform with MiniFE
+/// (its dense reductions give overlapping noise events): one traced
+/// collection, reduced with each merge strategy, and each config
+/// replayed under every mitigation.
 ///
 /// The paper's compromised trace contained "large contiguous segments
 /// of diverse noise" — thread storms overlapping an interrupt storm. To
 /// reproduce that condition deterministically, trace collection forces
 /// both a kworker storm and an IRQ storm in every run.
-pub fn merge_ablation(scale: Scale) -> MergeAblation {
-    let platform = Platform::intel();
-    let mut collection = platform.clone();
+pub fn merge_plan(scale: Scale) -> Plan {
+    let platform = Rc::new(Platform::intel());
+    let mut collection = Platform::intel();
     collection.noise.force_all_anomalies = true;
     collection.noise.anomalies = vec![
         AnomalySpec {
@@ -120,40 +124,58 @@ pub fn merge_ablation(scale: Scale) -> MergeAblation {
             start: (SimDuration::from_millis(10), SimDuration::from_millis(60)),
         },
     ];
-    let workload = suite::minife_for(&platform);
+    let workload: Rc<dyn Workload + Sync> = Rc::new(suite::minife_for(&platform));
     let source = ExecConfig::new(Model::Omp, Mitigation::Rm);
-
-    let traced = run_baseline(&collection, &workload, &source, scale.traced_runs, 77, true);
-
-    let eval = |merge: MergeStrategy| -> (f64, f64, f64) {
-        let opts = GeneratorOptions {
-            merge,
-            ..GeneratorOptions::default()
-        };
-        let config = generate("merge-ablation", &traced.traces, &opts).expect("non-empty traces");
-        let anomaly = config.anomaly_exec.as_secs_f64();
-        let mut means = Vec::new();
-        for (i, &mit) in Mitigation::ALL.iter().enumerate() {
+    let traced = RunSet::new(
+        &Rc::new(collection),
+        &workload,
+        source,
+        77,
+        scale.traced_runs,
+    );
+    let mut plan = Plan {
+        collections: vec![Collection {
+            name: "merge-ablation".into(),
+            set: RunSet {
+                tracing: true,
+                ..traced
+            },
+            merges: MERGES.to_vec(),
+        }],
+        sets: Vec::new(),
+    };
+    for config in 0..MERGES.len() {
+        for (i, mit) in Mitigation::ALL.into_iter().enumerate() {
             let cfg = ExecConfig::new(Model::Omp, mit);
-            let s = run_injected(
-                &platform,
-                &workload,
-                &cfg,
-                &config,
-                scale.inject_runs,
-                200_000 + i as u64 * 97,
-            );
-            means.push(s.summary.mean);
+            let seed = 200_000 + i as u64 * 97;
+            let set = RunSet::new(&platform, &workload, cfg, seed, scale.inject_runs);
+            plan.sets.push(RunSet {
+                inject: Some(config),
+                ..set
+            });
         }
+    }
+    plan
+}
+
+/// The strategies [`merge_plan`] compares, in config order.
+const MERGES: [MergeStrategy; 2] = [MergeStrategy::NaivePessimistic, MergeStrategy::Improved];
+
+/// The merge ablation from its plan's outcome.
+pub fn merge_reduce(out: &Outcome) -> MergeAblation {
+    // (accuracy, FIFO share, mitigation spread) of the `c`-th config.
+    let eval = |c: usize| -> (f64, f64, f64) {
+        let config = &out.configs[c];
+        let means: Vec<f64> = (0..6).map(|i| out.summary(6 * c + i).mean).collect();
         // Accuracy on the source configuration (Rm).
-        let accuracy = (means[0] / anomaly - 1.0).abs();
+        let accuracy = (means[0] / config.anomaly_exec.as_secs_f64() - 1.0).abs();
         let spread = means.iter().cloned().fold(f64::MIN, f64::max)
             - means.iter().cloned().fold(f64::MAX, f64::min);
         (accuracy, config.fifo_fraction(), spread)
     };
 
-    let (na, nf, ns) = eval(MergeStrategy::NaivePessimistic);
-    let (ia, iff, is) = eval(MergeStrategy::Improved);
+    let (na, nf, ns) = eval(0);
+    let (ia, iff, is) = eval(1);
     MergeAblation {
         naive_accuracy: na,
         improved_accuracy: ia,
@@ -224,10 +246,12 @@ impl MemoryNoiseAblation {
     }
 }
 
-/// Compare housekeeping effectiveness against CPU vs memory noise.
-pub fn memory_noise_ablation(scale: Scale) -> MemoryNoiseAblation {
+/// The memory-noise ablation's plan: Babelstream under Rm and RmHK2,
+/// first with a CPU-occupation storm forced in every run, then with a
+/// memory-bandwidth hog.
+pub fn memory_plan(scale: Scale) -> Plan {
     let base = Platform::intel();
-    let workload = suite::babelstream_for(&base);
+    let workload: Rc<dyn Workload + Sync> = Rc::new(suite::babelstream_for(&base));
 
     // The CPU-occupation arm uses FIFO-class stalls (an interrupt
     // flood): a CFS thread storm barely hurts a bandwidth-saturated
@@ -260,20 +284,29 @@ pub fn memory_noise_ablation(scale: Scale) -> MemoryNoiseAblation {
         start: (SimDuration::from_millis(10), SimDuration::from_millis(11)),
     };
 
-    let measure = |anomaly: &AnomalySpec, mit: Mitigation| -> f64 {
+    let mut plan = Plan::default();
+    for anomaly in [storm, memhog] {
         let mut p = base.clone();
         p.noise.anomaly_prob = 1.0;
-        p.noise.anomalies = vec![anomaly.clone()];
-        let cfg = ExecConfig::new(Model::Omp, mit);
-        let b = run_baseline(&p, &workload, &cfg, scale.inject_runs, 12_345, false);
-        b.summary.mean
-    };
+        p.noise.anomalies = vec![anomaly];
+        let p = Rc::new(p);
+        for mit in [Mitigation::Rm, Mitigation::RmHK2] {
+            let cfg = ExecConfig::new(Model::Omp, mit);
+            plan.sets
+                .push(RunSet::new(&p, &workload, cfg, 12_345, scale.inject_runs));
+        }
+    }
+    plan
+}
 
+/// The memory ablation from its plan's ledgers.
+pub fn memory_reduce(out: &Outcome) -> MemoryNoiseAblation {
+    let mean = |i| out.summary(i).mean;
     MemoryNoiseAblation {
-        cpu_rm: measure(&storm, Mitigation::Rm),
-        cpu_hk2: measure(&storm, Mitigation::RmHK2),
-        mem_rm: measure(&memhog, Mitigation::Rm),
-        mem_hk2: measure(&memhog, Mitigation::RmHK2),
+        cpu_rm: mean(0),
+        cpu_hk2: mean(1),
+        mem_rm: mean(2),
+        mem_hk2: mean(3),
     }
 }
 

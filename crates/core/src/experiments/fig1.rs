@@ -7,20 +7,65 @@
 //! system shows far larger spreads.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
+use crate::experiments::plan::{Outcome, Plan, RunSet};
 use crate::experiments::Scale;
-use crate::failure::RetryPolicy;
-use crate::harness::{run_many, RunSpec};
 use crate::platform::Platform;
-use noiselab_stats::{percentile, TextTable};
-use noiselab_workloads::SchedBench;
+use noiselab_stats::{percentile, Summary, TextTable};
+use noiselab_workloads::{SchedBench, Workload};
+use std::rc::Rc;
 
+/// Median, p10-p90 band and s.d. of one set's execution times, in ms:
+/// a point of Figure 1 or Figure 2.
 #[derive(Debug, Clone)]
-pub struct SpreadPoint {
-    pub label: String,
+pub struct Spread {
     pub median_ms: f64,
     pub p10_ms: f64,
     pub p90_ms: f64,
     pub sd_ms: f64,
+}
+
+impl Spread {
+    pub fn of(secs: &[f64]) -> Spread {
+        let summary = Summary::of(secs);
+        Spread {
+            median_ms: summary.median * 1e3,
+            p10_ms: percentile(secs, 10.0) * 1e3,
+            p90_ms: percentile(secs, 90.0) * 1e3,
+            sd_ms: summary.sd * 1e3,
+        }
+    }
+}
+
+/// A spread table: one row per `(x-axis label, spread)`, under `key`.
+pub fn render_spreads<'a>(
+    title: String,
+    key: &str,
+    points: impl IntoIterator<Item = (String, &'a Spread)>,
+) -> String {
+    let mut t =
+        TextTable::new(title).header(&[key, "median(ms)", "p10(ms)", "p90(ms)", "s.d.(ms)"]);
+    for (label, p) in points {
+        t.row(&[
+            label,
+            format!("{:.1}", p.median_ms),
+            format!("{:.1}", p.p10_ms),
+            format!("{:.1}", p.p90_ms),
+            format!("{:.2}", p.sd_ms),
+        ]);
+    }
+    t.render()
+}
+
+/// The two A64FX systems of Figures 1 and 2, anomaly-boosted: with
+/// reserved OS cores first, then without.
+pub fn a64fx_systems(scale: Scale) -> [Rc<Platform>; 2] {
+    [true, false].map(|reserved| Rc::new(scale.boost(&Platform::a64fx(reserved))))
+}
+
+#[derive(Debug, Clone)]
+pub struct SpreadPoint {
+    pub label: String,
+    pub spread: Spread,
 }
 
 #[derive(Debug, Clone)]
@@ -36,23 +81,12 @@ impl Fig1 {
             ("A64FX:reserved", &self.reserved),
             ("A64FX:w/o", &self.unreserved),
         ] {
-            let mut t = TextTable::new(format!("Figure 1: schedbench on {name}")).header(&[
+            let rows = points.iter().map(|p| (p.label.clone(), &p.spread));
+            out.push_str(&render_spreads(
+                format!("Figure 1: schedbench on {name}"),
                 "sched",
-                "median(ms)",
-                "p10(ms)",
-                "p90(ms)",
-                "s.d.(ms)",
-            ]);
-            for p in points {
-                t.row(&[
-                    p.label.clone(),
-                    format!("{:.1}", p.median_ms),
-                    format!("{:.1}", p.p10_ms),
-                    format!("{:.1}", p.p90_ms),
-                    format!("{:.2}", p.sd_ms),
-                ]);
-            }
-            out.push_str(&t.render());
+                rows,
+            ));
         }
         // Headline comparison.
         out.push_str(&format!(
@@ -64,7 +98,7 @@ impl Fig1 {
     }
 
     pub fn avg_sd(points: &[SpreadPoint]) -> f64 {
-        points.iter().map(|p| p.sd_ms).sum::<f64>() / points.len().max(1) as f64
+        points.iter().map(|p| p.spread.sd_ms).sum::<f64>() / points.len().max(1) as f64
     }
 
     /// The paper's shape: the unreserved system is markedly noisier.
@@ -82,39 +116,41 @@ impl Fig1 {
     }
 }
 
-fn measure(platform: &Platform, scale: Scale) -> Vec<SpreadPoint> {
-    let mut points = Vec::new();
-    for (label, schedule) in SchedBench::figure1_configs() {
-        let mut sb = SchedBench::with_schedule(schedule);
-        // ~0.3 s per run on the A64FX, long enough for anomaly windows
-        // to overlap the measurement.
-        sb.repeats = 200;
-        let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm).with_schedule(schedule);
-        let spec = RunSpec::new(platform, &sb, &cfg, 3_000);
-        let ledger = run_many(&spec, scale.baseline_runs, RetryPolicy::none());
-        let secs = ledger.samples();
-        for (seed, cause) in ledger.failures() {
-            eprintln!("fig1: run seed {seed} failed ({cause}); excluded from spread");
+/// The Figure 1 plan: every schedule of [`SchedBench::figure1_configs`]
+/// on each A64FX system.
+pub fn plan(scale: Scale) -> Plan {
+    let mut plan = Plan::default();
+    for platform in a64fx_systems(scale) {
+        for (_, schedule) in SchedBench::figure1_configs() {
+            let mut sb = SchedBench::with_schedule(schedule);
+            // ~0.3 s per run on the A64FX, long enough for anomaly
+            // windows to overlap the measurement.
+            sb.repeats = 200;
+            let sb: Rc<dyn Workload + Sync> = Rc::new(sb);
+            let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm).with_schedule(schedule);
+            plan.sets
+                .push(RunSet::new(&platform, &sb, cfg, 3_000, scale.baseline_runs));
         }
-        let summary = noiselab_stats::Summary::of(&secs);
-        points.push(SpreadPoint {
-            label,
-            median_ms: percentile(&secs, 50.0) * 1e3,
-            p10_ms: percentile(&secs, 10.0) * 1e3,
-            p90_ms: percentile(&secs, 90.0) * 1e3,
-            sd_ms: summary.sd * 1e3,
-        });
     }
-    points
+    plan
 }
 
-/// Run the Figure 1 experiment.
-pub fn run(scale: Scale) -> Fig1 {
-    let reserved = scale.boost(&Platform::a64fx(true));
-    let unreserved = scale.boost(&Platform::a64fx(false));
+/// Figure 1 from its plan's ledgers.
+pub fn reduce(out: &Outcome) -> Fig1 {
+    let configs = SchedBench::figure1_configs();
+    let mut reserved: Vec<SpreadPoint> = configs
+        .iter()
+        .cycle()
+        .zip(&out.ledgers)
+        .map(|((label, _), ledger)| SpreadPoint {
+            label: label.clone(),
+            spread: Spread::of(&ledger.samples()),
+        })
+        .collect();
+    let unreserved = reserved.split_off(configs.len());
     Fig1 {
-        reserved: measure(&reserved, scale),
-        unreserved: measure(&unreserved, scale),
+        reserved,
+        unreserved,
     }
 }
 
@@ -125,10 +161,12 @@ mod tests {
     fn point(sd_ms: f64) -> SpreadPoint {
         SpreadPoint {
             label: "st:1".into(),
-            median_ms: 100.0,
-            p10_ms: 99.0,
-            p90_ms: 105.0,
-            sd_ms,
+            spread: Spread {
+                median_ms: 100.0,
+                p10_ms: 99.0,
+                p90_ms: 105.0,
+                sd_ms,
+            },
         }
     }
 

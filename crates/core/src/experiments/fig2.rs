@@ -4,20 +4,19 @@
 //! (no spare core can absorb OS interference).
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
+use crate::experiments::fig1::{a64fx_systems, render_spreads, Spread};
+use crate::experiments::plan::{Outcome, Plan, RunSet};
 use crate::experiments::Scale;
-use crate::failure::RetryPolicy;
-use crate::harness::{run_many, RunSpec};
-use crate::platform::Platform;
-use noiselab_stats::{percentile, Summary, TextTable};
-use noiselab_workloads::Babelstream;
+use noiselab_workloads::{Babelstream, Workload};
+use std::rc::Rc;
+
+/// The thread counts on the figure's x axis.
+const THREADS: [usize; 5] = [6, 12, 24, 36, 48];
 
 #[derive(Debug, Clone)]
 pub struct ThreadPoint {
     pub threads: usize,
-    pub median_ms: f64,
-    pub p10_ms: f64,
-    pub p90_ms: f64,
-    pub sd_ms: f64,
+    pub spread: Spread,
 }
 
 #[derive(Debug, Clone)]
@@ -33,23 +32,12 @@ impl Fig2 {
             ("A64FX:reserved", &self.reserved),
             ("A64FX:w/o", &self.unreserved),
         ] {
-            let mut t = TextTable::new(format!("Figure 2: Babelstream dot on {name}")).header(&[
+            let rows = points.iter().map(|p| (p.threads.to_string(), &p.spread));
+            out.push_str(&render_spreads(
+                format!("Figure 2: Babelstream dot on {name}"),
                 "threads",
-                "median(ms)",
-                "p10(ms)",
-                "p90(ms)",
-                "s.d.(ms)",
-            ]);
-            for p in points {
-                t.row(&[
-                    p.threads.to_string(),
-                    format!("{:.1}", p.median_ms),
-                    format!("{:.1}", p.p10_ms),
-                    format!("{:.1}", p.p90_ms),
-                    format!("{:.2}", p.sd_ms),
-                ]);
-            }
-            out.push_str(&t.render());
+                rows,
+            ));
         }
         out
     }
@@ -59,7 +47,7 @@ impl Fig2 {
         points
             .iter()
             .max_by_key(|p| p.threads)
-            .map(|p| p.sd_ms)
+            .map(|p| p.spread.sd_ms)
             .unwrap_or(0.0)
     }
 
@@ -79,38 +67,38 @@ impl Fig2 {
     }
 }
 
-fn measure(platform: &Platform, scale: Scale) -> Vec<ThreadPoint> {
+/// The Figure 2 plan: the `dot` kernel at every thread count on each
+/// A64FX system.
+pub fn plan(scale: Scale) -> Plan {
     // ~0.2 s per run so anomaly windows overlap the measurement (the
     // dot kernel itself is very fast on HBM).
-    let bs = Babelstream::dot_only(33_554_432, 200);
-    let mut points = Vec::new();
-    for n in [6, 12, 24, 36, 48] {
-        let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm).with_threads(n);
-        let spec = RunSpec::new(platform, &bs, &cfg, 4_000);
-        let ledger = run_many(&spec, scale.baseline_runs, RetryPolicy::none());
-        let secs = ledger.samples();
-        for (seed, cause) in ledger.failures() {
-            eprintln!("fig2: run seed {seed} failed ({cause}); excluded from spread");
+    let bs: Rc<dyn Workload + Sync> = Rc::new(Babelstream::dot_only(33_554_432, 200));
+    let mut plan = Plan::default();
+    for platform in a64fx_systems(scale) {
+        for n in THREADS {
+            let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm).with_threads(n);
+            plan.sets
+                .push(RunSet::new(&platform, &bs, cfg, 4_000, scale.baseline_runs));
         }
-        let summary = Summary::of(&secs);
-        points.push(ThreadPoint {
-            threads: n,
-            median_ms: percentile(&secs, 50.0) * 1e3,
-            p10_ms: percentile(&secs, 10.0) * 1e3,
-            p90_ms: percentile(&secs, 90.0) * 1e3,
-            sd_ms: summary.sd * 1e3,
-        });
     }
-    points
+    plan
 }
 
-/// Run the Figure 2 experiment.
-pub fn run(scale: Scale) -> Fig2 {
-    let reserved = scale.boost(&Platform::a64fx(true));
-    let unreserved = scale.boost(&Platform::a64fx(false));
+/// Figure 2 from its plan's ledgers.
+pub fn reduce(out: &Outcome) -> Fig2 {
+    let mut reserved: Vec<ThreadPoint> = THREADS
+        .iter()
+        .cycle()
+        .zip(&out.ledgers)
+        .map(|(&threads, ledger)| ThreadPoint {
+            threads,
+            spread: Spread::of(&ledger.samples()),
+        })
+        .collect();
+    let unreserved = reserved.split_off(THREADS.len());
     Fig2 {
-        reserved: measure(&reserved, scale),
-        unreserved: measure(&unreserved, scale),
+        reserved,
+        unreserved,
     }
 }
 
@@ -121,10 +109,12 @@ mod tests {
     fn mk(threads: usize, sd_ms: f64) -> ThreadPoint {
         ThreadPoint {
             threads,
-            median_ms: 0.0,
-            p10_ms: 0.0,
-            p90_ms: 0.0,
-            sd_ms,
+            spread: Spread {
+                median_ms: 0.0,
+                p10_ms: 0.0,
+                p90_ms: 0.0,
+                sd_ms,
+            },
         }
     }
 
@@ -147,13 +137,7 @@ mod tests {
 
     #[test]
     fn render_contains_thread_counts() {
-        let p = ThreadPoint {
-            threads: 48,
-            median_ms: 5.0,
-            p10_ms: 4.0,
-            p90_ms: 9.0,
-            sd_ms: 2.0,
-        };
+        let p = mk(48, 2.0);
         let f = Fig2 {
             reserved: vec![p.clone()],
             unreserved: vec![p],

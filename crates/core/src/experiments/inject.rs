@@ -15,13 +15,23 @@
 //! paper's Tables 3-5.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
+use crate::experiments::plan::{Collection, Outcome, Plan, RunSet};
 use crate::experiments::{suite, Scale};
-use crate::harness::{run_baseline, run_injected};
 use crate::platform::Platform;
-use noiselab_injector::{generate, GeneratorOptions, InjectionConfig};
+use noiselab_injector::MergeStrategy;
 use noiselab_stats::{fmt_pct, fmt_secs, TextTable};
 use noiselab_workloads::Workload;
-use std::collections::BTreeMap;
+use std::rc::Rc;
+
+/// The cell config of `model` under `mitigation`, with SMT on or off.
+fn cell_cfg(model: Model, mitigation: Mitigation, smt: bool) -> ExecConfig {
+    let cfg = ExecConfig::new(model, mitigation);
+    if smt {
+        cfg.with_smt()
+    } else {
+        cfg
+    }
+}
 
 /// A configuration whose traced runs supply a worst-case trace.
 #[derive(Debug, Clone)]
@@ -33,10 +43,6 @@ pub struct TraceSource {
 
 impl TraceSource {
     pub fn new(model: Model, mitigation: Mitigation, smt: bool) -> TraceSource {
-        let mut cfg = ExecConfig::new(model, mitigation);
-        if smt {
-            cfg = cfg.with_smt();
-        }
         // Paper-style label: mitigation[-SMT]-model.
         let mut label = mitigation.label().to_string();
         if smt {
@@ -44,7 +50,10 @@ impl TraceSource {
         }
         label.push('-');
         label.push_str(model.label());
-        TraceSource { label, cfg }
+        TraceSource {
+            label,
+            cfg: cell_cfg(model, mitigation, smt),
+        }
     }
 }
 
@@ -75,6 +84,39 @@ pub struct PlatformSpec {
     pub rows: Vec<RowSpec>,
 }
 
+impl PlatformSpec {
+    /// A block whose rows inject each trace into OMP then SYCL, each
+    /// with SMT off and, if `smt_rows`, on.
+    fn new(platform: Platform, smt_rows: bool, traces: Vec<TraceSource>) -> PlatformSpec {
+        let smts: &[bool] = if smt_rows { &[false, true] } else { &[false] };
+        let mut rows = Vec::new();
+        for trace in 0..traces.len() {
+            for model in [Model::Omp, Model::Sycl] {
+                for &smt in smts {
+                    rows.push(RowSpec { model, smt, trace });
+                }
+            }
+        }
+        PlatformSpec {
+            platform,
+            traces,
+            rows,
+        }
+    }
+
+    /// The (model, SMT) pairs the rows use, in order of first use; each
+    /// has one untraced baseline set per mitigation.
+    fn baselines(&self) -> Vec<(Model, bool)> {
+        let mut keys = Vec::new();
+        for row in &self.rows {
+            if !keys.contains(&(row.model, row.smt)) {
+                keys.push((row.model, row.smt));
+            }
+        }
+        keys
+    }
+}
+
 /// Which workload the table evaluates (sized per platform by
 /// [`suite`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +127,12 @@ pub enum WorkloadKind {
 }
 
 impl WorkloadKind {
-    fn instantiate(self, platform: &Platform) -> Box<dyn Workload + Sync> {
+    fn instantiate(self, platform: &Platform) -> Rc<dyn Workload + Sync> {
+        let [nbody, babelstream, minife] = suite::paper_workloads(platform);
         match self {
-            WorkloadKind::NBody => Box::new(suite::nbody_for(platform)),
-            WorkloadKind::Babelstream => Box::new(suite::babelstream_for(platform)),
-            WorkloadKind::MiniFE => Box::new(suite::minife_for(platform)),
+            WorkloadKind::NBody => nbody,
+            WorkloadKind::Babelstream => babelstream,
+            WorkloadKind::MiniFE => minife,
         }
     }
 
@@ -198,145 +241,130 @@ impl InjectionTable {
     }
 }
 
-/// Execute a table plan.
-pub fn run_table(spec: &TableSpec, scale: Scale) -> InjectionTable {
-    let mut blocks = Vec::new();
-    let mut accuracy = Vec::new();
-    // Cell: both the baseline closure and the row loop below add to it.
-    let failed_runs = std::cell::Cell::new(0usize);
-
-    for (pi, pspec) in spec.platforms.iter().enumerate() {
-        let workload = spec.workload.instantiate(&pspec.platform);
-        let boosted = scale.boost(&pspec.platform);
-
-        // --- stage 1+2: trace collection and config generation ---------
-        let mut configs: Vec<InjectionConfig> = Vec::new();
-        for (ti, source) in pspec.traces.iter().enumerate() {
-            let seed = 10_000 * (pi as u64 + 1) + 1_000 * ti as u64;
-            let traced = run_baseline(
-                &boosted,
-                workload.as_ref(),
-                &source.cfg,
-                scale.traced_runs,
-                seed,
-                true,
-            );
-            let cfg = generate(
-                format!(
-                    "{}/{}/{}",
-                    spec.workload.name(),
-                    pspec.platform.label(),
-                    source.label
-                ),
-                &traced.traces,
-                &GeneratorOptions::default(),
-            )
-            .expect("trace collection cannot be empty");
-            failed_runs.set(failed_runs.get() + traced.failures.len());
-            configs.push(cfg);
-        }
-
-        // --- baselines (untraced), cached per configuration -------------
-        let mut baselines: BTreeMap<String, [f64; 6]> = BTreeMap::new();
-        let platform = &pspec.platform;
-        let workload_ref: &(dyn Workload + Sync) = workload.as_ref();
-        let mut baseline_for = |model: Model, smt: bool| {
-            let key = format!("{model:?}/{smt}");
-            if let Some(b) = baselines.get(&key) {
-                return *b;
-            }
-            let mut means = [0.0; 6];
-            for (i, &mit) in Mitigation::ALL.iter().enumerate() {
-                let mut cfg = ExecConfig::new(model, mit);
-                if smt {
-                    cfg = cfg.with_smt();
-                }
-                let b = run_baseline(
-                    platform,
-                    workload_ref,
-                    &cfg,
-                    scale.baseline_runs,
-                    50_000 + i as u64 * 500,
-                    false,
+impl TableSpec {
+    /// The table's plan. Its collections are every block's trace
+    /// sources, traced on the anomaly-boosted platform; each generates
+    /// one config. Its sets are, per block, the baselines of
+    /// [`PlatformSpec::baselines`], then each row's injections, one set
+    /// per mitigation each.
+    pub fn plan(&self, scale: Scale) -> Plan {
+        let mut plan = Plan::default();
+        for (pi, block) in self.platforms.iter().enumerate() {
+            let workload = self.workload.instantiate(&block.platform);
+            let platform = Rc::new(block.platform.clone());
+            let boosted = Rc::new(scale.boost(&block.platform));
+            let first_config = plan.collections.len();
+            for (ti, source) in block.traces.iter().enumerate() {
+                let seed = 10_000 * (pi as u64 + 1) + 1_000 * ti as u64;
+                let set = RunSet::new(
+                    &boosted,
+                    &workload,
+                    source.cfg.clone(),
+                    seed,
+                    scale.traced_runs,
                 );
-                failed_runs.set(failed_runs.get() + b.failures.len());
-                means[i] = b.summary.mean;
+                plan.collections.push(Collection {
+                    name: format!(
+                        "{}/{}/{}",
+                        self.workload.name(),
+                        block.platform.label(),
+                        source.label
+                    ),
+                    set: RunSet {
+                        tracing: true,
+                        ..set
+                    },
+                    merges: vec![MergeStrategy::Improved],
+                });
             }
-            baselines.insert(key, means);
-            means
-        };
-
-        // --- injections per row ------------------------------------------
-        let mut rows = Vec::new();
-        for (ri, row) in pspec.rows.iter().enumerate() {
-            let base = baseline_for(row.model, row.smt);
-            let config = &configs[row.trace];
-            let mut cells = [Cell {
-                base_mean: 0.0,
-                inj_mean: 0.0,
-            }; 6];
-            for (i, &mit) in Mitigation::ALL.iter().enumerate() {
-                let mut cfg = ExecConfig::new(row.model, mit);
-                if row.smt {
-                    cfg = cfg.with_smt();
+            for (model, smt) in block.baselines() {
+                for (i, &mit) in Mitigation::ALL.iter().enumerate() {
+                    let cfg = cell_cfg(model, mit, smt);
+                    let seed = 50_000 + i as u64 * 500;
+                    plan.sets.push(RunSet::new(
+                        &platform,
+                        &workload,
+                        cfg,
+                        seed,
+                        scale.baseline_runs,
+                    ));
                 }
-                let inj = run_injected(
-                    &pspec.platform,
-                    workload.as_ref(),
-                    &cfg,
-                    config,
-                    scale.inject_runs,
-                    100_000 + 1_000 * ri as u64 + 50 * i as u64,
-                );
-                failed_runs.set(failed_runs.get() + inj.failures.len());
-                cells[i] = Cell {
-                    base_mean: base[i],
-                    inj_mean: inj.summary.mean,
-                };
             }
-            rows.push(RowResult {
-                label: row.label(),
-                model: row.model,
-                smt: row.smt,
-                trace: row.trace,
-                cells,
-            });
-        }
-
-        // --- accuracy: each trace source evaluated on its own config ----
-        for (ti, source) in pspec.traces.iter().enumerate() {
-            // Find the row + cell matching the source configuration.
-            let matching = rows
-                .iter()
-                .find(|r| r.model == source.cfg.model && r.smt == source.cfg.smt && r.trace == ti);
-            if let Some(row) = matching {
-                let mit_idx = Mitigation::ALL
-                    .iter()
-                    .position(|&m| m == source.cfg.mitigation)
-                    .expect("Mitigation::ALL lists every mitigation");
-                let anomaly = configs[ti].anomaly_exec.as_secs_f64();
-                if anomaly > 0.0 {
-                    accuracy.push(AccuracyRecord {
-                        workload: spec.workload.name().to_string(),
-                        config_label: source.label.clone(),
-                        error: row.cells[mit_idx].inj_mean / anomaly - 1.0,
+            for (ri, row) in block.rows.iter().enumerate() {
+                for (i, &mit) in Mitigation::ALL.iter().enumerate() {
+                    let cfg = cell_cfg(row.model, mit, row.smt);
+                    let seed = 100_000 + 1_000 * ri as u64 + 50 * i as u64;
+                    let set = RunSet::new(&platform, &workload, cfg, seed, scale.inject_runs);
+                    plan.sets.push(RunSet {
+                        inject: Some(first_config + row.trace),
+                        ..set
                     });
                 }
             }
         }
-
-        blocks.push(Block {
-            platform: pspec.platform.label().to_string(),
-            rows,
-        });
+        plan
     }
 
-    InjectionTable {
-        title: spec.title.clone(),
-        workload: spec.workload,
-        blocks,
-        accuracy,
-        failed_runs: failed_runs.get(),
+    /// The table from its plan's outcome: each cell's injected mean
+    /// against its baseline mean, and each trace's replication accuracy
+    /// on its own source configuration.
+    pub fn reduce(&self, out: &Outcome) -> InjectionTable {
+        let mean = |i: usize| out.summary(i).mean;
+        let mut blocks = Vec::new();
+        let mut accuracy = Vec::new();
+        let (mut next_set, mut first_config) = (0, 0);
+        for block in &self.platforms {
+            let keys = block.baselines();
+            let baselines = next_set;
+            next_set += keys.len() * 6;
+            let mut rows = Vec::new();
+            for row in &block.rows {
+                let k = keys
+                    .iter()
+                    .position(|&key| key == (row.model, row.smt))
+                    .expect("every row's pair has baselines");
+                let cells = std::array::from_fn(|i| Cell {
+                    base_mean: mean(baselines + 6 * k + i),
+                    inj_mean: mean(next_set + i),
+                });
+                next_set += 6;
+                rows.push(RowResult {
+                    label: row.label(),
+                    model: row.model,
+                    smt: row.smt,
+                    trace: row.trace,
+                    cells,
+                });
+            }
+
+            for (ti, source) in block.traces.iter().enumerate() {
+                let cfg = &source.cfg;
+                let matching = rows
+                    .iter()
+                    .find(|r| r.model == cfg.model && r.smt == cfg.smt && r.trace == ti);
+                let anomaly = out.configs[first_config + ti].anomaly_exec.as_secs_f64();
+                if let Some(row) = matching.filter(|_| anomaly > 0.0) {
+                    accuracy.push(AccuracyRecord {
+                        workload: self.workload.name().to_string(),
+                        config_label: source.label.clone(),
+                        error: row.cells[cfg.mitigation.index()].inj_mean / anomaly - 1.0,
+                    });
+                }
+            }
+            first_config += block.traces.len();
+
+            blocks.push(Block {
+                platform: block.platform.label().to_string(),
+                rows,
+            });
+        }
+        InjectionTable {
+            title: self.title.clone(),
+            workload: self.workload,
+            blocks,
+            accuracy,
+            failed_runs: out.failed(),
+        }
     }
 }
 
@@ -350,61 +378,19 @@ pub fn table3_spec() -> TableSpec {
         title: "Table 3: N-body — avg exec (s) and change vs baseline under injection".into(),
         workload: WorkloadKind::NBody,
         platforms: vec![
-            PlatformSpec {
-                platform: Platform::intel(),
-                traces: vec![
+            PlatformSpec::new(
+                Platform::intel(),
+                false,
+                vec![
                     TraceSource::new(Model::Omp, Mitigation::Rm, false),
                     TraceSource::new(Model::Omp, Mitigation::Tp, false),
                 ],
-                rows: vec![
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: false,
-                        trace: 1,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: false,
-                        trace: 1,
-                    },
-                ],
-            },
-            PlatformSpec {
-                platform: Platform::amd(),
-                traces: vec![TraceSource::new(Model::Omp, Mitigation::Rm, true)],
-                rows: vec![
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: true,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: true,
-                        trace: 0,
-                    },
-                ],
-            },
+            ),
+            PlatformSpec::new(
+                Platform::amd(),
+                true,
+                vec![TraceSource::new(Model::Omp, Mitigation::Rm, true)],
+            ),
         ],
     }
 }
@@ -415,61 +401,19 @@ pub fn table4_spec() -> TableSpec {
         title: "Table 4: Babelstream — avg exec (s) and change vs baseline under injection".into(),
         workload: WorkloadKind::Babelstream,
         platforms: vec![
-            PlatformSpec {
-                platform: Platform::intel(),
-                traces: vec![
+            PlatformSpec::new(
+                Platform::intel(),
+                false,
+                vec![
                     TraceSource::new(Model::Omp, Mitigation::Rm, false),
                     TraceSource::new(Model::Omp, Mitigation::Tp, false),
                 ],
-                rows: vec![
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: false,
-                        trace: 1,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: false,
-                        trace: 1,
-                    },
-                ],
-            },
-            PlatformSpec {
-                platform: Platform::amd(),
-                traces: vec![TraceSource::new(Model::Sycl, Mitigation::Tp, false)],
-                rows: vec![
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: true,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: true,
-                        trace: 0,
-                    },
-                ],
-            },
+            ),
+            PlatformSpec::new(
+                Platform::amd(),
+                true,
+                vec![TraceSource::new(Model::Sycl, Mitigation::Tp, false)],
+            ),
         ],
     }
 }
@@ -480,84 +424,22 @@ pub fn table5_spec() -> TableSpec {
         title: "Table 5: MiniFE — avg exec (s) and change vs baseline under injection".into(),
         workload: WorkloadKind::MiniFE,
         platforms: vec![
-            PlatformSpec {
-                platform: Platform::intel(),
-                traces: vec![
+            PlatformSpec::new(
+                Platform::intel(),
+                false,
+                vec![
                     TraceSource::new(Model::Omp, Mitigation::Rm, false),
                     TraceSource::new(Model::Omp, Mitigation::TpHK2, false),
                 ],
-                rows: vec![
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: false,
-                        trace: 1,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: false,
-                        trace: 1,
-                    },
-                ],
-            },
-            PlatformSpec {
-                platform: Platform::amd(),
-                traces: vec![
+            ),
+            PlatformSpec::new(
+                Platform::amd(),
+                true,
+                vec![
                     TraceSource::new(Model::Omp, Mitigation::TpHK, true),
                     TraceSource::new(Model::Sycl, Mitigation::RmHK2, false),
                 ],
-                rows: vec![
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: true,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: false,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: true,
-                        trace: 0,
-                    },
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: false,
-                        trace: 1,
-                    },
-                    RowSpec {
-                        model: Model::Omp,
-                        smt: true,
-                        trace: 1,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: false,
-                        trace: 1,
-                    },
-                    RowSpec {
-                        model: Model::Sycl,
-                        smt: true,
-                        trace: 1,
-                    },
-                ],
-            },
+            ),
         ],
     }
 }

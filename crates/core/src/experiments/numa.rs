@@ -9,14 +9,14 @@
 //! that pinned threads avoid.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
-use crate::failure::RetryPolicy;
-use crate::harness::{run_many, RunSpec};
+use crate::experiments::plan::{Outcome, Plan, RunSet};
 use crate::platform::Platform;
 use noiselab_machine::Machine;
 use noiselab_noise::{AnomalyKind, AnomalySpec, NoiseProfile};
 use noiselab_sim::SimDuration;
 use noiselab_stats::TextTable;
 use noiselab_workloads::{NBody, Workload};
+use std::rc::Rc;
 
 /// The NUMA evaluation platform: a 128-core, 8-domain node with an HPC
 /// noise profile plus frequent kworker churn (the trigger for
@@ -108,44 +108,52 @@ impl NumaComparison {
     }
 }
 
-/// Run the comparison. `runs` baseline repetitions per configuration.
-pub fn run(runs: usize) -> NumaComparison {
-    let platform = numa_platform();
-    let workload = NBody {
+/// The comparison's plan: `runs` baseline repetitions of roaming and of
+/// pinned N-body on the NUMA platform.
+pub fn plan(runs: usize) -> Plan {
+    let platform = Rc::new(numa_platform());
+    let workload: Rc<dyn Workload + Sync> = Rc::new(NBody {
         bodies: 120_000,
         steps: 5,
         sycl_kernel_efficiency: 1.3,
-    };
-
-    let mut rows = Vec::new();
-    for (label, mitigation) in [("Rm-OMP", Mitigation::Rm), ("TP-OMP", Mitigation::Tp)] {
+    });
+    let mut plan = Plan::default();
+    for mitigation in [Mitigation::Rm, Mitigation::Tp] {
         let cfg = ExecConfig::new(Model::Omp, mitigation);
-        let spec = RunSpec::new(&platform, &workload, &cfg, 77_000);
-        let ledger = run_many(&spec, runs, RetryPolicy::none());
-        let secs = ledger.samples();
-        for (seed, cause) in ledger.failures() {
-            eprintln!("numa: run seed {seed} failed ({cause}); excluded from comparison");
-        }
-        let summary = noiselab_stats::Summary::of(&secs);
-        // Migration counts need kernel introspection; probe a few seeds
-        // with counters via the dedicated probe below.
-        let probes = 3.min(runs) as u64;
-        let (mut migr, mut numa) = (0.0, 0.0);
-        for s in 0..probes {
-            let (m, n) = migration_probe(&platform, &workload, &cfg, 77_000 + s);
-            migr += m;
-            numa += n;
-        }
-        migr /= probes as f64;
-        numa /= probes as f64;
-        rows.push(NumaRow {
-            label: label.to_string(),
-            mean: summary.mean,
-            sd_ms: summary.sd * 1e3,
-            migrations: migr,
-            numa_migrations: numa,
-        });
+        plan.sets
+            .push(RunSet::new(&platform, &workload, cfg, 77_000, runs));
     }
+    plan
+}
+
+/// The comparison from its plan's ledgers. Migration counts need kernel
+/// introspection, so each row also runs [`migration_probe`] on the
+/// first three of its seeds; the probes are single kernel runs outside
+/// the run pool.
+pub fn reduce(plan: &Plan, out: &Outcome) -> NumaComparison {
+    let rows = plan
+        .sets
+        .iter()
+        .enumerate()
+        .map(|(i, set)| {
+            let summary = out.summary(i);
+            let probes = 3.min(set.runs) as u64;
+            let (mut migr, mut numa) = (0.0, 0.0);
+            for s in 0..probes {
+                let (m, n) =
+                    migration_probe(&set.platform, set.workload.as_ref(), &set.cfg, set.seed + s);
+                migr += m;
+                numa += n;
+            }
+            NumaRow {
+                label: set.cfg.label(),
+                mean: summary.mean,
+                sd_ms: summary.sd * 1e3,
+                migrations: migr / probes as f64,
+                numa_migrations: numa / probes as f64,
+            }
+        })
+        .collect();
     NumaComparison { rows }
 }
 
@@ -206,7 +214,9 @@ mod tests {
 
     #[test]
     fn pinning_eliminates_cross_numa_migrations() {
-        let cmp = run(4);
+        let plans = [("numa", plan(4))];
+        let out = crate::experiments::plan::run_plans(&plans).unwrap();
+        let cmp = reduce(&plans[0].1, &out[0]);
         let rm = cmp.row("Rm-OMP").unwrap();
         let tp = cmp.row("TP-OMP").unwrap();
         assert_eq!(tp.migrations, 0.0, "pinned threads must not migrate");

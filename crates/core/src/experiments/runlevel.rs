@@ -5,10 +5,12 @@
 //! unchanged.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
+use crate::experiments::plan::{Outcome, Plan, RunSet};
 use crate::experiments::{suite, Scale};
-use crate::harness::run_baseline;
 use crate::platform::Platform;
 use noiselab_stats::TextTable;
+use noiselab_workloads::Workload;
+use std::rc::Rc;
 
 #[derive(Debug, Clone)]
 pub struct RunlevelRow {
@@ -67,23 +69,40 @@ impl RunlevelComparison {
     }
 }
 
-/// Compare baseline variability with the GUI stack active vs disabled.
-pub fn run(scale: Scale) -> RunlevelComparison {
-    let rl5 = Platform::intel();
-    let rl3 = Platform::intel().runlevel3();
-    let workload = suite::nbody_for(&rl5);
-
-    let mut rows = Vec::new();
+/// The runlevel plan: N-body OMP baselines under every mitigation, with
+/// the GUI stack active (runlevel 5) and disabled (runlevel 3), on the
+/// same seeds.
+pub fn plan(scale: Scale) -> Plan {
+    let rl5 = Rc::new(Platform::intel());
+    let rl3 = Rc::new(Platform::intel().runlevel3());
+    let workload: Rc<dyn Workload + Sync> = Rc::new(suite::nbody_for(&rl5));
+    let mut plan = Plan::default();
     for mit in Mitigation::ALL {
-        let cfg = ExecConfig::new(Model::Omp, mit);
-        let b5 = run_baseline(&rl5, &workload, &cfg, scale.baseline_runs, 4_500, false);
-        let b3 = run_baseline(&rl3, &workload, &cfg, scale.baseline_runs, 4_500, false);
-        rows.push(RunlevelRow {
-            mitigation: mit,
-            sd_rl5_ms: b5.summary.sd * 1e3,
-            sd_rl3_ms: b3.summary.sd * 1e3,
-        });
+        for platform in [&rl5, &rl3] {
+            let cfg = ExecConfig::new(Model::Omp, mit);
+            plan.sets.push(RunSet::new(
+                platform,
+                &workload,
+                cfg,
+                4_500,
+                scale.baseline_runs,
+            ));
+        }
     }
+    plan
+}
+
+/// The comparison from its plan's ledgers.
+pub fn reduce(out: &Outcome) -> RunlevelComparison {
+    let rows = Mitigation::ALL
+        .into_iter()
+        .enumerate()
+        .map(|(i, mitigation)| RunlevelRow {
+            mitigation,
+            sd_rl5_ms: out.summary(2 * i).sd * 1e3,
+            sd_rl3_ms: out.summary(2 * i + 1).sd * 1e3,
+        })
+        .collect();
     RunlevelComparison { rows }
 }
 

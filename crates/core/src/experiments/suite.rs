@@ -7,7 +7,8 @@
 //! results never depend on these constants.
 
 use crate::platform::Platform;
-use noiselab_workloads::{Babelstream, MiniFE, NBody};
+use noiselab_workloads::{Babelstream, MiniFE, NBody, Workload};
+use std::rc::Rc;
 
 fn is_amd(platform: &Platform) -> bool {
     platform.machine.name.contains("AMD")
@@ -53,6 +54,16 @@ pub fn minife_for(platform: &Platform) -> MiniFE {
             ..MiniFE::default()
         }
     }
+}
+
+/// The paper's three workloads sized for `platform`, in table order:
+/// N-body, Babelstream, MiniFE.
+pub fn paper_workloads(platform: &Platform) -> [Rc<dyn Workload + Sync>; 3] {
+    [
+        Rc::new(nbody_for(platform)),
+        Rc::new(babelstream_for(platform)),
+        Rc::new(minife_for(platform)),
+    ]
 }
 
 /// Construct a workload from its CLI/spec name, sized for `platform`.

@@ -3,12 +3,11 @@
 //! 1 %, establishing that traced baselines are representative.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
+use crate::experiments::plan::{Outcome, Plan, RunSet};
 use crate::experiments::{suite, Scale};
-use crate::failure::RetryPolicy;
-use crate::harness::{run_many, RunSpec};
 use crate::platform::Platform;
-use noiselab_stats::{fmt_pct, fmt_secs, Summary, TextTable};
-use noiselab_workloads::Workload;
+use noiselab_stats::{fmt_pct, fmt_secs, TextTable};
+use std::rc::Rc;
 
 /// One row of Table 1.
 #[derive(Debug, Clone)]
@@ -67,42 +66,45 @@ impl Table1 {
     }
 }
 
-/// Run the tracing-overhead experiment on the Intel platform.
-pub fn run(scale: Scale) -> Table1 {
-    let platform = Platform::intel();
+/// The tracing-overhead plan on the Intel platform: per workload, an
+/// untraced and a traced set on the same seeds, so the tracer is the
+/// only difference.
+pub fn plan(scale: Scale) -> Plan {
+    let platform = Rc::new(Platform::intel());
     let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
-    let workloads: Vec<Box<dyn Workload + Sync>> = vec![
-        Box::new(suite::nbody_for(&platform)),
-        Box::new(suite::babelstream_for(&platform)),
-        Box::new(suite::minife_for(&platform)),
-    ];
-
-    let mut rows = Vec::new();
-    for w in &workloads {
-        // Same seeds for off/on: the only difference is the tracer.
-        let off = RunSpec::new(&platform, w.as_ref(), &cfg, 1000);
-        let on = RunSpec {
+    let mut plan = Plan::default();
+    for w in &suite::paper_workloads(&platform) {
+        let off = RunSet::new(&platform, w, cfg.clone(), 1000, scale.baseline_runs);
+        let on = RunSet {
             tracing: true,
             ..off.clone()
         };
-        let off = run_many(&off, scale.baseline_runs, RetryPolicy::none());
-        let on = run_many(&on, scale.baseline_runs, RetryPolicy::none());
-        let failed = off.failed_count() + on.failed_count();
-        let off_mean = Summary::of(&off.samples()).mean;
-        let on_mean = Summary::of(&on.samples()).mean;
-        rows.push(Row {
-            workload: w.name().to_string(),
-            off_mean,
-            on_mean,
-            failed,
-        });
+        plan.sets.extend([off, on]);
     }
+    plan
+}
+
+/// Table 1 from its plan's ledgers.
+pub fn reduce(plan: &Plan, out: &Outcome) -> Table1 {
+    let rows = plan
+        .sets
+        .chunks(2)
+        .enumerate()
+        .map(|(i, off_on)| Row {
+            workload: off_on[0].workload.name().to_string(),
+            off_mean: out.summary(2 * i).mean,
+            on_mean: out.summary(2 * i + 1).mean,
+            failed: out.ledgers[2 * i].failed_count() + out.ledgers[2 * i + 1].failed_count(),
+        })
+        .collect();
     Table1 { rows }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::RetryPolicy;
+    use crate::harness::{run_many, RunSpec};
 
     /// Smoke-scale tracing overhead stays small and non-negative-ish
     /// (tracing adds work, so the increase should be >= ~0 and < 2 %).

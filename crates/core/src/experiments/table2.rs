@@ -3,11 +3,11 @@
 //! averaged across the evaluated workloads and platforms.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
+use crate::experiments::plan::{Outcome, Plan, RunSet};
 use crate::experiments::{suite, Scale};
-use crate::harness::run_baseline;
 use crate::platform::Platform;
 use noiselab_stats::TextTable;
-use noiselab_workloads::Workload;
+use std::rc::Rc;
 
 #[derive(Debug, Clone)]
 pub struct Table2 {
@@ -31,10 +31,7 @@ impl Table2 {
     }
 
     pub fn of(&self, model: Model, m: Mitigation) -> f64 {
-        let idx = Mitigation::ALL
-            .iter()
-            .position(|&x| x == m)
-            .expect("Mitigation::ALL lists every mitigation");
+        let idx = m.index();
         match model {
             Model::Omp => self.omp[idx],
             Model::Sycl => self.sycl[idx],
@@ -42,54 +39,44 @@ impl Table2 {
     }
 }
 
-/// Run the baseline-variability experiment.
-pub fn run(scale: Scale) -> Table2 {
-    let platforms = [Platform::intel(), Platform::amd()];
-    let mut omp_acc = [0.0f64; 6];
-    let mut sycl_acc = [0.0f64; 6];
-    let mut cells = 0usize;
-
-    for platform in &platforms {
-        // No anomaly boost here: baseline variability is measured under
-        // natural conditions (the boost exists only so small trace
-        // collections still catch a worst case).
-        let platform = platform.clone();
-        let workloads: Vec<Box<dyn Workload + Sync>> = vec![
-            Box::new(suite::nbody_for(&platform)),
-            Box::new(suite::babelstream_for(&platform)),
-            Box::new(suite::minife_for(&platform)),
-        ];
-        for (wi, w) in workloads.iter().enumerate() {
-            for (mi, &mit) in Mitigation::ALL.iter().enumerate() {
+/// The baseline-variability plan: every workload, mitigation and model
+/// on Intel and AMD.
+pub fn plan(scale: Scale) -> Plan {
+    let mut plan = Plan::default();
+    // No anomaly boost here: baseline variability is measured under
+    // natural conditions (the boost exists only so small trace
+    // collections still catch a worst case).
+    for platform in [Platform::intel(), Platform::amd()].map(Rc::new) {
+        for (wi, w) in suite::paper_workloads(&platform).iter().enumerate() {
+            for mit in Mitigation::ALL {
                 for model in [Model::Omp, Model::Sycl] {
-                    let cfg = ExecConfig::new(model, mit);
                     // Seeds vary per workload and model (independent
                     // anomaly dice) but are shared across mitigations
                     // (paired columns).
                     let seed =
                         9_000 + 10_000 * wi as u64 + 100_000 * matches!(model, Model::Sycl) as u64;
-                    let base = run_baseline(
-                        &platform,
-                        w.as_ref(),
-                        &cfg,
-                        scale.baseline_runs,
-                        seed,
-                        false,
-                    );
-                    let sd_ms = base.summary.sd * 1e3;
-                    match model {
-                        Model::Omp => omp_acc[mi] += sd_ms,
-                        Model::Sycl => sycl_acc[mi] += sd_ms,
-                    }
+                    let cfg = ExecConfig::new(model, mit);
+                    plan.sets
+                        .push(RunSet::new(&platform, w, cfg, seed, scale.baseline_runs));
                 }
             }
-            cells += 1;
         }
     }
-    let n = cells as f64;
+    plan
+}
+
+/// Table 2 from its plan's ledgers: each cell's s.d. averaged over the
+/// (platform, workload) pairs.
+pub fn reduce(plan: &Plan, out: &Outcome) -> Table2 {
+    let mut acc = [[0.0f64; 6]; 2];
+    for (i, set) in plan.sets.iter().enumerate() {
+        let m = matches!(set.cfg.model, Model::Sycl) as usize;
+        acc[m][set.cfg.mitigation.index()] += out.summary(i).sd * 1e3;
+    }
+    let pairs = (plan.sets.len() / 12) as f64;
     Table2 {
-        omp: omp_acc.map(|x| x / n),
-        sycl: sycl_acc.map(|x| x / n),
+        omp: acc[0].map(|x| x / pairs),
+        sycl: acc[1].map(|x| x / pairs),
     }
 }
 

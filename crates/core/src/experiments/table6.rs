@@ -2,7 +2,7 @@
 //! injection, per programming model and mitigation, aggregated over the
 //! rows of Tables 3-5.
 
-use crate::execconfig::{Mitigation, Model};
+use crate::execconfig::Model;
 use crate::experiments::inject::InjectionTable;
 use noiselab_stats::TextTable;
 
@@ -23,12 +23,8 @@ impl Table6 {
                     Model::Omp => 0,
                     Model::Sycl => 1,
                 };
-                let i = Mitigation::ALL
-                    .iter()
-                    .position(|&x| x == mit)
-                    .expect("Mitigation::ALL lists every mitigation");
-                sums[m][i] += pct * 100.0;
-                counts[m][i] += 1;
+                sums[m][mit.index()] += pct * 100.0;
+                counts[m][mit.index()] += 1;
             }
         }
         let avg = |m: usize| {

@@ -657,19 +657,29 @@ pub fn run_many(spec: &RunSpec, n_runs: usize, retry: RetryPolicy) -> RunLedger 
         .unwrap_or_default()
 }
 
-/// Summary and failures of one stage's ledger. Panics only if *every*
-/// run failed: the stage then has no measurement to report.
-fn summarize(stage: &str, spec: &RunSpec, ledger: &RunLedger) -> (Summary, Vec<(u64, RunFailure)>) {
-    let samples = ledger.samples();
-    let failures = ledger.failures();
-    assert!(
-        !samples.is_empty(),
-        "{stage} {}/{}: all {} runs failed: {failures:?}",
+/// `Err` naming `stage`, the workload and the config when no run in
+/// `ledger`, the runs of `spec`, produced a measurement: the stage then
+/// has nothing to report.
+pub fn measured(stage: &str, spec: &RunSpec, ledger: &RunLedger) -> Result<(), String> {
+    if ledger.ok_count() > 0 {
+        return Ok(());
+    }
+    Err(format!(
+        "{stage} {}/{}: all {} runs failed: {:?}",
         spec.workload.name(),
         spec.cfg.label(),
-        ledger.len()
-    );
-    (Summary::of(&samples), failures)
+        ledger.len(),
+        ledger.failures()
+    ))
+}
+
+/// Summary and failures of one stage's ledger. Panics only if *every*
+/// run failed.
+fn summarize(stage: &str, spec: &RunSpec, ledger: &RunLedger) -> (Summary, Vec<(u64, RunFailure)>) {
+    if let Err(e) = measured(stage, spec, ledger) {
+        panic!("{e}");
+    }
+    (Summary::of(&ledger.samples()), ledger.failures())
 }
 
 /// Baseline measurement of one configuration.
@@ -741,23 +751,6 @@ impl Injected {
         let (summary, failures) = summarize("injected", spec, &ledger);
         Injected { summary, failures }
     }
-}
-
-/// Run the injection stage: repeat the workload with the injector
-/// replaying `config`. Panics only if every run failed.
-pub fn run_injected(
-    platform: &Platform,
-    workload: &(dyn Workload + Sync),
-    cfg: &ExecConfig,
-    config: &InjectionConfig,
-    n_runs: usize,
-    seed_base: u64,
-) -> Injected {
-    let spec = RunSpec {
-        inject: Some(config),
-        ..RunSpec::new(platform, workload, cfg, seed_base)
-    };
-    Injected::from_ledger(&spec, run_many(&spec, n_runs, RetryPolicy::none()))
 }
 
 #[cfg(test)]
@@ -964,7 +957,8 @@ mod tests {
         let base = Baseline::from_ledger(&base_spec, base);
         let inj = Injected::from_ledger(&inj_spec, inj);
         let want_base = run_baseline(&p, &w, &cfg, 3, 10_007, false);
-        let want_inj = run_injected(&p, &w, &cfg, &inject, 3, 7);
+        let want_inj =
+            Injected::from_ledger(&inj_spec, run_many(&inj_spec, 3, RetryPolicy::none()));
         assert_eq!(base.summary, want_base.summary);
         assert_eq!(base.failures, want_base.failures);
         assert_eq!(base.anomaly_runs, want_base.anomaly_runs);

@@ -34,7 +34,7 @@ pub use divergence::{
 pub use execconfig::{ExecConfig, Mitigation, Model};
 pub use failure::{RetryPolicy, RunFailure};
 pub use harness::{
-    run, run_baseline, run_batch, run_injected, run_many, seeds_fit, Baseline, Injected,
+    measured, run, run_baseline, run_batch, run_many, seeds_fit, Baseline, Injected,
     InstrumentedRun, RunArena, RunLedger, RunOutput, RunRecord, RunSpec,
 };
 pub use overhead::{measure_overhead, OverheadReport, OverheadRow};

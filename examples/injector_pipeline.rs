@@ -8,7 +8,9 @@
 //! cargo run --release --example injector_pipeline
 //! ```
 
-use noiselab::core::{run_baseline, run_injected, ExecConfig, Mitigation, Model, Platform};
+use noiselab::core::{
+    run_baseline, run_many, ExecConfig, Injected, Mitigation, Model, Platform, RetryPolicy, RunSpec,
+};
 use noiselab::injector::{
     build_config, source_statistics, subtract_average, GeneratorOptions, InjectionConfig,
     MergeStrategy,
@@ -102,7 +104,11 @@ fn main() {
     let quiet = Platform::intel();
     let base = run_baseline(&quiet, &workload, &cfg, 10, 600, false);
     for (name, config) in [("improved", &reloaded), ("naive", &naive)] {
-        let inj = run_injected(&quiet, &workload, &cfg, config, 10, 800);
+        let spec = RunSpec {
+            inject: Some(config),
+            ..RunSpec::new(&quiet, &workload, &cfg, 800)
+        };
+        let inj = Injected::from_ledger(&spec, run_many(&spec, 10, RetryPolicy::none()));
         println!(
             "{name:<9} injected mean {:.3}s ({:+.1}% vs baseline, accuracy {:+.1}% vs anomaly)",
             inj.summary.mean,

@@ -7,7 +7,9 @@
 //! ```
 
 use noiselab::core::experiments::suite;
-use noiselab::core::{run_baseline, run_injected, ExecConfig, Mitigation, Model, Platform};
+use noiselab::core::{
+    run_baseline, run_many, ExecConfig, Injected, Mitigation, Model, Platform, RetryPolicy, RunSpec,
+};
 use noiselab::injector::{generate, GeneratorOptions};
 use noiselab::stats::{fmt_pct, fmt_secs, TextTable};
 use noiselab::workloads::Workload;
@@ -53,7 +55,11 @@ fn main() {
         for mit in Mitigation::ALL {
             let cfg = ExecConfig::new(model, mit);
             let base = run_baseline(&platform, workload.as_ref(), &cfg, 12, 500, false);
-            let inj = run_injected(&platform, workload.as_ref(), &cfg, &config, 10, 900);
+            let spec = RunSpec {
+                inject: Some(&config),
+                ..RunSpec::new(&platform, workload.as_ref(), &cfg, 900)
+            };
+            let inj = Injected::from_ledger(&spec, run_many(&spec, 10, RetryPolicy::none()));
             table.row(&[
                 cfg.label(),
                 fmt_secs(base.summary.mean),

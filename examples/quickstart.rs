@@ -8,7 +8,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use noiselab::core::{run_baseline, run_injected, ExecConfig, Mitigation, Model, Platform};
+use noiselab::core::{
+    run_baseline, run_many, ExecConfig, Injected, Mitigation, Model, Platform, RetryPolicy, RunSpec,
+};
 use noiselab::injector::{generate, GeneratorOptions};
 use noiselab::workloads::NBody;
 
@@ -49,7 +51,11 @@ fn main() {
     // Stage 3: noise injection during workload execution (paper §4.3).
     let quiet = Platform::intel();
     let base = run_baseline(&quiet, &workload, &cfg, 20, 1_000, false);
-    let injected = run_injected(&quiet, &workload, &cfg, &config, 20, 2_000);
+    let spec = RunSpec {
+        inject: Some(&config),
+        ..RunSpec::new(&quiet, &workload, &cfg, 2_000)
+    };
+    let injected = Injected::from_ledger(&spec, run_many(&spec, 20, RetryPolicy::none()));
     println!(
         "un-injected mean {:.3}s -> injected mean {:.3}s ({:+.1}%)",
         base.summary.mean,

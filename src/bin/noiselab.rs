@@ -54,7 +54,11 @@
 //! (`--what all` runs every one, Tables 3-5 once for their own sections
 //! and both aggregates), printed and then checked against the paper's
 //! shape claim. A violated shape goes to stderr and makes the exit
-//! status nonzero.
+//! status nonzero. The run sets of every section asked for form one
+//! plan (`noiselab_core::experiments::plan`): each traced collection
+//! runs in a pool of its own, then all other sets in one pool. A set
+//! whose every run failed is an error naming its section, workload and
+//! config.
 //!
 //! `campaign` sweeps every model x mitigation cell, checkpointing after
 //! each completed cell; a killed campaign resumes bit-identical with
@@ -104,10 +108,7 @@
 //! refused with an error naming the file.
 
 use noiselab::campaignd::{CampaignSpec, CellSpec};
-use noiselab::core::experiments::inject::{self, InjectionTable};
-use noiselab::core::experiments::{
-    ablation, fig1, fig2, fwq, numa, runlevel, suite, table1, table2, table6, table7, Scale,
-};
+use noiselab::core::experiments::{self, suite, Scale};
 use noiselab::core::{
     run_baseline, run_batch, seeds_fit, Baseline, CampaignState, ExecConfig, Injected, Mitigation,
     Model, Platform, RetryPolicy, RunLedger, RunSpec,
@@ -448,36 +449,6 @@ fn cmd_inject(args: &mut Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Every `report --what` value but `all`, in the order `all` runs them.
-const REPORTS: &str =
-    "table1|table2|table3|table4|table5|table6|table7|fig1|fig2|merge|memory|runlevel3|numa|fwq";
-
-/// Tables 3-5, each run on first use, so `report --what all` runs them
-/// once for their own sections and both aggregates.
-struct InjectionTables {
-    scale: Scale,
-    tables: [Option<InjectionTable>; 3],
-}
-
-impl InjectionTables {
-    fn table(&mut self, k: usize) -> &InjectionTable {
-        let spec = [
-            inject::table3_spec,
-            inject::table4_spec,
-            inject::table5_spec,
-        ][k];
-        let scale = self.scale;
-        self.tables[k].get_or_insert_with(|| inject::run_table(&spec(), scale))
-    }
-
-    fn all(&mut self) -> impl Iterator<Item = &InjectionTable> {
-        for k in 0..3 {
-            self.table(k);
-        }
-        self.tables.iter().flatten()
-    }
-}
-
 fn cmd_report(args: &mut Args) -> Result<(), String> {
     let scales = [
         ("smoke", Scale::smoke()),
@@ -485,24 +456,19 @@ fn cmd_report(args: &mut Args) -> Result<(), String> {
         ("paper", Scale::paper()),
     ];
     let scale = args.pick("scale", Scale::bench(), &scales)?;
-    let whats: Vec<(&str, &str)> = REPORTS.split('|').chain(["all"]).map(|r| (r, r)).collect();
+    let whats: Vec<(&str, &str)> = experiments::SECTIONS
+        .into_iter()
+        .chain(["all"])
+        .map(|r| (r, r))
+        .collect();
     let what = args.pick("what", "table1", &whats)?;
     args.finish()?;
-    let names = match what {
-        "all" => REPORTS.split('|').collect(),
-        one => vec![one],
-    };
-    let mut injection = InjectionTables {
-        scale,
-        tables: [None, None, None],
-    };
     let mut violated = 0;
-    for (n, name) in names.into_iter().enumerate() {
+    for (n, (rendered, shape)) in experiments::report(what, scale)?.into_iter().enumerate() {
         if n > 0 {
             println!();
         }
         // Printed before the check, so a violation still shows its numbers.
-        let (rendered, shape) = report_section(name, scale, &mut injection);
         print!("{rendered}");
         if let Err(e) = shape {
             eprintln!("shape violated: {e}");
@@ -512,38 +478,6 @@ fn cmd_report(args: &mut Args) -> Result<(), String> {
     match violated {
         0 => Ok(()),
         n => Err(format!("{n} of the paper's shapes violated")),
-    }
-}
-
-/// One `report` section: the rendered result and its shape check
-/// (Tables 2-5 claim no shape of their own).
-fn report_section(
-    name: &str,
-    scale: Scale,
-    injection: &mut InjectionTables,
-) -> (String, Result<(), String>) {
-    macro_rules! checked {
-        ($result:expr) => {{
-            let r = $result;
-            (r.render(), r.check_shape())
-        }};
-    }
-    match name {
-        "table1" => checked!(table1::run(scale)),
-        "table2" => (table2::run(scale).render(), Ok(())),
-        "table3" => (injection.table(0).render(), Ok(())),
-        "table4" => (injection.table(1).render(), Ok(())),
-        "table5" => (injection.table(2).render(), Ok(())),
-        "table6" => checked!(table6::Table6::aggregate(injection.all())),
-        "table7" => checked!(table7::Table7::from_tables(injection.all())),
-        "fig1" => checked!(fig1::run(scale)),
-        "fig2" => checked!(fig2::run(scale)),
-        "merge" => checked!(ablation::merge_ablation(scale)),
-        "memory" => checked!(ablation::memory_noise_ablation(scale)),
-        "runlevel3" => checked!(runlevel::run(scale)),
-        "numa" => checked!(numa::run(scale.baseline_runs)),
-        "fwq" => checked!(fwq::run()),
-        other => unreachable!("REPORTS lists '{other}' without a section"),
     }
 }
 

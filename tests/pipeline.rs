@@ -4,12 +4,30 @@
 
 use noiselab::core::experiments::suite;
 use noiselab::core::{
-    run, run_baseline, run_injected, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec,
+    run, run_baseline, run_many, ExecConfig, Injected, Mitigation, Model, Platform, RetryPolicy,
+    RunArena, RunSpec,
 };
+use noiselab::injector::InjectionConfig;
 use noiselab::injector::{generate, GeneratorOptions};
 use noiselab::noise::{AnomalyKind, AnomalySpec};
 use noiselab::sim::SimDuration;
 use noiselab::workloads::NBody;
+
+/// The injection stage: `runs` runs from `seed` replaying `config`.
+fn inject(
+    platform: &Platform,
+    w: &NBody,
+    cfg: &ExecConfig,
+    config: &InjectionConfig,
+    runs: usize,
+    seed: u64,
+) -> Injected {
+    let spec = RunSpec {
+        inject: Some(config),
+        ..RunSpec::new(platform, w, cfg, seed)
+    };
+    Injected::from_ledger(&spec, run_many(&spec, runs, RetryPolicy::none()))
+}
 
 fn fast_nbody() -> NBody {
     NBody {
@@ -62,7 +80,7 @@ fn full_pipeline_trace_generate_inject() {
     // baseline.
     let quiet = Platform::intel();
     let base = run_baseline(&quiet, &w, &cfg, 5, 300, false);
-    let injected = run_injected(&quiet, &w, &cfg, &config, 5, 400);
+    let injected = inject(&quiet, &w, &cfg, &config, 5, 400);
     assert!(
         injected.summary.mean > base.summary.mean * 1.02,
         "injection should slow the workload: {} vs {}",
@@ -130,8 +148,8 @@ fn injection_config_roundtrips_through_json_file() {
 
     // Injecting the deserialised config gives identical results.
     let quiet = Platform::intel();
-    let a = run_injected(&quiet, &w, &cfg, &config, 3, 1_000);
-    let b = run_injected(&quiet, &w, &cfg, &back, 3, 1_000);
+    let a = inject(&quiet, &w, &cfg, &config, 3, 1_000);
+    let b = inject(&quiet, &w, &cfg, &back, 3, 1_000);
     assert_eq!(a.summary.mean, b.summary.mean);
 }
 
