@@ -36,28 +36,49 @@ impl Spread {
     }
 }
 
-/// A spread table: one row per `(x-axis label, spread)`, under `key`.
-pub fn render_spreads<'a>(
-    title: String,
-    key: &str,
-    points: impl IntoIterator<Item = (String, &'a Spread)>,
-) -> String {
-    let mut t =
-        TextTable::new(title).header(&[key, "median(ms)", "p10(ms)", "p90(ms)", "s.d.(ms)"]);
-    for (label, p) in points {
-        t.row(&[
-            label,
-            format!("{:.1}", p.median_ms),
-            format!("{:.1}", p.p10_ms),
-            format!("{:.1}", p.p90_ms),
-            format!("{:.2}", p.sd_ms),
+/// One spread table per A64FX system, `key` naming the x axis: the
+/// reserved system's rows, then the unreserved one's.
+pub fn render_spreads<'a, R>(figure: &str, key: &str, systems: [R; 2]) -> String
+where
+    R: Iterator<Item = (String, &'a Spread)>,
+{
+    let mut out = String::new();
+    for (name, rows) in ["A64FX:reserved", "A64FX:w/o"].into_iter().zip(systems) {
+        let mut t = TextTable::new(format!("{figure} on {name}")).header(&[
+            key,
+            "median(ms)",
+            "p10(ms)",
+            "p90(ms)",
+            "s.d.(ms)",
         ]);
+        for (label, p) in rows {
+            t.row(&[
+                label,
+                format!("{:.1}", p.median_ms),
+                format!("{:.1}", p.p10_ms),
+                format!("{:.1}", p.p90_ms),
+                format!("{:.2}", p.sd_ms),
+            ]);
+        }
+        out.push_str(&t.render());
     }
-    t.render()
+    out
 }
 
-/// The two A64FX systems of Figures 1 and 2, anomaly-boosted: with
-/// reserved OS cores first, then without.
+/// Each set's spread, paired in turn with `keys`: the reserved system's
+/// sets, then the unreserved one's.
+pub fn spreads<K: Clone>(out: &Outcome, keys: &[K]) -> [Vec<(K, Spread)>; 2] {
+    let mut reserved: Vec<(K, Spread)> = keys
+        .iter()
+        .cycle()
+        .zip(&out.ledgers)
+        .map(|(key, ledger)| (key.clone(), Spread::of(&ledger.samples())))
+        .collect();
+    let unreserved = reserved.split_off(keys.len());
+    [reserved, unreserved]
+}
+
+/// The two A64FX systems, anomaly-boosted: reserved OS cores first.
 pub fn a64fx_systems(scale: Scale) -> [Rc<Platform>; 2] {
     [true, false].map(|reserved| Rc::new(scale.boost(&Platform::a64fx(reserved))))
 }
@@ -76,18 +97,9 @@ pub struct Fig1 {
 
 impl Fig1 {
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, points) in [
-            ("A64FX:reserved", &self.reserved),
-            ("A64FX:w/o", &self.unreserved),
-        ] {
-            let rows = points.iter().map(|p| (p.label.clone(), &p.spread));
-            out.push_str(&render_spreads(
-                format!("Figure 1: schedbench on {name}"),
-                "sched",
-                rows,
-            ));
-        }
+        let rows = [&self.reserved, &self.unreserved]
+            .map(|points| points.iter().map(|p| (p.label.clone(), &p.spread)));
+        let mut out = render_spreads("Figure 1: schedbench", "sched", rows);
         // Headline comparison.
         out.push_str(&format!(
             "average s.d.: reserved {:.2} ms vs w/o {:.2} ms\n",
@@ -137,17 +149,14 @@ pub fn plan(scale: Scale) -> Plan {
 
 /// Figure 1 from its plan's ledgers.
 pub fn reduce(out: &Outcome) -> Fig1 {
-    let configs = SchedBench::figure1_configs();
-    let mut reserved: Vec<SpreadPoint> = configs
-        .iter()
-        .cycle()
-        .zip(&out.ledgers)
-        .map(|((label, _), ledger)| SpreadPoint {
-            label: label.clone(),
-            spread: Spread::of(&ledger.samples()),
-        })
+    let labels: Vec<String> = SchedBench::figure1_configs()
+        .into_iter()
+        .map(|(label, _)| label)
         .collect();
-    let unreserved = reserved.split_off(configs.len());
+    let [reserved, unreserved] = spreads(out, &labels).map(|points| {
+        let point = |(label, spread)| SpreadPoint { label, spread };
+        points.into_iter().map(point).collect()
+    });
     Fig1 {
         reserved,
         unreserved,

@@ -4,7 +4,7 @@
 //! (no spare core can absorb OS interference).
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
-use crate::experiments::fig1::{a64fx_systems, render_spreads, Spread};
+use crate::experiments::fig1::{a64fx_systems, render_spreads, spreads, Spread};
 use crate::experiments::plan::{Outcome, Plan, RunSet};
 use crate::experiments::Scale;
 use noiselab_workloads::{Babelstream, Workload};
@@ -27,19 +27,9 @@ pub struct Fig2 {
 
 impl Fig2 {
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, points) in [
-            ("A64FX:reserved", &self.reserved),
-            ("A64FX:w/o", &self.unreserved),
-        ] {
-            let rows = points.iter().map(|p| (p.threads.to_string(), &p.spread));
-            out.push_str(&render_spreads(
-                format!("Figure 2: Babelstream dot on {name}"),
-                "threads",
-                rows,
-            ));
-        }
-        out
+        let rows = [&self.reserved, &self.unreserved]
+            .map(|points| points.iter().map(|p| (p.threads.to_string(), &p.spread)));
+        render_spreads("Figure 2: Babelstream dot", "threads", rows)
     }
 
     /// s.d. at the maximum thread count of each system.
@@ -86,16 +76,10 @@ pub fn plan(scale: Scale) -> Plan {
 
 /// Figure 2 from its plan's ledgers.
 pub fn reduce(out: &Outcome) -> Fig2 {
-    let mut reserved: Vec<ThreadPoint> = THREADS
-        .iter()
-        .cycle()
-        .zip(&out.ledgers)
-        .map(|(&threads, ledger)| ThreadPoint {
-            threads,
-            spread: Spread::of(&ledger.samples()),
-        })
-        .collect();
-    let unreserved = reserved.split_off(THREADS.len());
+    let [reserved, unreserved] = spreads(out, &THREADS).map(|points| {
+        let point = |(threads, spread)| ThreadPoint { threads, spread };
+        points.into_iter().map(point).collect()
+    });
     Fig2 {
         reserved,
         unreserved,

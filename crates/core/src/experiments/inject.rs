@@ -17,21 +17,12 @@
 use crate::execconfig::{ExecConfig, Mitigation, Model};
 use crate::experiments::plan::{Collection, Outcome, Plan, RunSet};
 use crate::experiments::{suite, Scale};
+use crate::harness::RunLedger;
 use crate::platform::Platform;
 use noiselab_injector::MergeStrategy;
 use noiselab_stats::{fmt_pct, fmt_secs, TextTable};
 use noiselab_workloads::Workload;
 use std::rc::Rc;
-
-/// The cell config of `model` under `mitigation`, with SMT on or off.
-fn cell_cfg(model: Model, mitigation: Mitigation, smt: bool) -> ExecConfig {
-    let cfg = ExecConfig::new(model, mitigation);
-    if smt {
-        cfg.with_smt()
-    } else {
-        cfg
-    }
-}
 
 /// A configuration whose traced runs supply a worst-case trace.
 #[derive(Debug, Clone)]
@@ -50,10 +41,11 @@ impl TraceSource {
         }
         label.push('-');
         label.push_str(model.label());
-        TraceSource {
-            label,
-            cfg: cell_cfg(model, mitigation, smt),
-        }
+        let cfg = ExecConfig {
+            smt,
+            ..ExecConfig::new(model, mitigation)
+        };
+        TraceSource { label, cfg }
     }
 }
 
@@ -85,25 +77,6 @@ pub struct PlatformSpec {
 }
 
 impl PlatformSpec {
-    /// A block whose rows inject each trace into OMP then SYCL, each
-    /// with SMT off and, if `smt_rows`, on.
-    fn new(platform: Platform, smt_rows: bool, traces: Vec<TraceSource>) -> PlatformSpec {
-        let smts: &[bool] = if smt_rows { &[false, true] } else { &[false] };
-        let mut rows = Vec::new();
-        for trace in 0..traces.len() {
-            for model in [Model::Omp, Model::Sycl] {
-                for &smt in smts {
-                    rows.push(RowSpec { model, smt, trace });
-                }
-            }
-        }
-        PlatformSpec {
-            platform,
-            traces,
-            rows,
-        }
-    }
-
     /// The (model, SMT) pairs the rows use, in order of first use; each
     /// has one untraced baseline set per mitigation.
     fn baselines(&self) -> Vec<(Model, bool)> {
@@ -279,7 +252,10 @@ impl TableSpec {
             }
             for (model, smt) in block.baselines() {
                 for (i, &mit) in Mitigation::ALL.iter().enumerate() {
-                    let cfg = cell_cfg(model, mit, smt);
+                    let cfg = ExecConfig {
+                        smt,
+                        ..ExecConfig::new(model, mit)
+                    };
                     let seed = 50_000 + i as u64 * 500;
                     plan.sets.push(RunSet::new(
                         &platform,
@@ -292,7 +268,10 @@ impl TableSpec {
             }
             for (ri, row) in block.rows.iter().enumerate() {
                 for (i, &mit) in Mitigation::ALL.iter().enumerate() {
-                    let cfg = cell_cfg(row.model, mit, row.smt);
+                    let cfg = ExecConfig {
+                        smt: row.smt,
+                        ..ExecConfig::new(row.model, mit)
+                    };
                     let seed = 100_000 + 1_000 * ri as u64 + 50 * i as u64;
                     let set = RunSet::new(&platform, &workload, cfg, seed, scale.inject_runs);
                     plan.sets.push(RunSet {
@@ -363,7 +342,12 @@ impl TableSpec {
             workload: self.workload,
             blocks,
             accuracy,
-            failed_runs: out.failed(),
+            failed_runs: out.traced_failed
+                + out
+                    .ledgers
+                    .iter()
+                    .map(RunLedger::failed_count)
+                    .sum::<usize>(),
         }
     }
 }
@@ -372,76 +356,84 @@ impl TableSpec {
 // Table plans (trace provenance follows paper Table 7).
 // ---------------------------------------------------------------------
 
+/// Trace sources `(model, mitigation, SMT)`.
+type Sources<'a> = &'a [(Model, Mitigation, bool)];
+
+impl TableSpec {
+    /// A table of an Intel block and an AMD block, each tracing its
+    /// sources. Each trace is injected into OMP then SYCL, on AMD each
+    /// with SMT off then on.
+    fn new(title: &str, workload: WorkloadKind, intel: Sources, amd: Sources) -> TableSpec {
+        let block = |platform: Platform, sources: Sources, smts: &[bool]| {
+            let traces: Vec<TraceSource> = sources
+                .iter()
+                .map(|&(model, mit, smt)| TraceSource::new(model, mit, smt))
+                .collect();
+            let mut rows = Vec::new();
+            for trace in 0..traces.len() {
+                for model in [Model::Omp, Model::Sycl] {
+                    for &smt in smts {
+                        rows.push(RowSpec { model, smt, trace });
+                    }
+                }
+            }
+            PlatformSpec {
+                platform,
+                traces,
+                rows,
+            }
+        };
+        TableSpec {
+            title: title.into(),
+            workload,
+            platforms: vec![
+                block(Platform::intel(), intel, &[false]),
+                block(Platform::amd(), amd, &[false, true]),
+            ],
+        }
+    }
+}
+
 /// Table 3: N-body under injection.
 pub fn table3_spec() -> TableSpec {
-    TableSpec {
-        title: "Table 3: N-body — avg exec (s) and change vs baseline under injection".into(),
-        workload: WorkloadKind::NBody,
-        platforms: vec![
-            PlatformSpec::new(
-                Platform::intel(),
-                false,
-                vec![
-                    TraceSource::new(Model::Omp, Mitigation::Rm, false),
-                    TraceSource::new(Model::Omp, Mitigation::Tp, false),
-                ],
-            ),
-            PlatformSpec::new(
-                Platform::amd(),
-                true,
-                vec![TraceSource::new(Model::Omp, Mitigation::Rm, true)],
-            ),
+    TableSpec::new(
+        "Table 3: N-body — avg exec (s) and change vs baseline under injection",
+        WorkloadKind::NBody,
+        &[
+            (Model::Omp, Mitigation::Rm, false),
+            (Model::Omp, Mitigation::Tp, false),
         ],
-    }
+        &[(Model::Omp, Mitigation::Rm, true)],
+    )
 }
 
 /// Table 4: Babelstream under injection.
 pub fn table4_spec() -> TableSpec {
-    TableSpec {
-        title: "Table 4: Babelstream — avg exec (s) and change vs baseline under injection".into(),
-        workload: WorkloadKind::Babelstream,
-        platforms: vec![
-            PlatformSpec::new(
-                Platform::intel(),
-                false,
-                vec![
-                    TraceSource::new(Model::Omp, Mitigation::Rm, false),
-                    TraceSource::new(Model::Omp, Mitigation::Tp, false),
-                ],
-            ),
-            PlatformSpec::new(
-                Platform::amd(),
-                true,
-                vec![TraceSource::new(Model::Sycl, Mitigation::Tp, false)],
-            ),
+    TableSpec::new(
+        "Table 4: Babelstream — avg exec (s) and change vs baseline under injection",
+        WorkloadKind::Babelstream,
+        &[
+            (Model::Omp, Mitigation::Rm, false),
+            (Model::Omp, Mitigation::Tp, false),
         ],
-    }
+        &[(Model::Sycl, Mitigation::Tp, false)],
+    )
 }
 
 /// Table 5: MiniFE under injection.
 pub fn table5_spec() -> TableSpec {
-    TableSpec {
-        title: "Table 5: MiniFE — avg exec (s) and change vs baseline under injection".into(),
-        workload: WorkloadKind::MiniFE,
-        platforms: vec![
-            PlatformSpec::new(
-                Platform::intel(),
-                false,
-                vec![
-                    TraceSource::new(Model::Omp, Mitigation::Rm, false),
-                    TraceSource::new(Model::Omp, Mitigation::TpHK2, false),
-                ],
-            ),
-            PlatformSpec::new(
-                Platform::amd(),
-                true,
-                vec![
-                    TraceSource::new(Model::Omp, Mitigation::TpHK, true),
-                    TraceSource::new(Model::Sycl, Mitigation::RmHK2, false),
-                ],
-            ),
+    TableSpec::new(
+        "Table 5: MiniFE — avg exec (s) and change vs baseline under injection",
+        WorkloadKind::MiniFE,
+        &[
+            (Model::Omp, Mitigation::Rm, false),
+            (Model::Omp, Mitigation::TpHK2, false),
         ],
-    }
+        &[
+            (Model::Omp, Mitigation::TpHK, true),
+            (Model::Sycl, Mitigation::RmHK2, false),
+        ],
+    )
 }
 
 #[cfg(test)]

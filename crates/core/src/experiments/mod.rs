@@ -1,10 +1,7 @@
 //! Per-table experiment definitions (the evaluation section of the
 //! paper). Each submodule regenerates one table or figure as a
-//! [`plan::Plan`] of run sets and a pure reduction of their ledgers to
-//! its result type. [`report`] runs the plans of the sections asked for
-//! (in [`plan::run_plans`]' two phases), then renders each result next
-//! to the paper's numbers with the paper's shape claim checked by the
-//! result type's `check_shape`.
+//! [`plan::Plan`] and a pure reduction of its ledgers; [`report`] runs
+//! the plans, then renders each result with its shape check.
 
 pub mod ablation;
 pub mod fig1;
@@ -21,33 +18,19 @@ pub mod table6;
 pub mod table7;
 
 use crate::platform::Platform;
-use inject::{InjectionTable, TableSpec};
+use inject::InjectionTable;
 use plan::{run_plans, Outcome, Plan};
 use std::collections::BTreeMap;
 
 /// Every `noiselab report --what` section but `all`, in the order
 /// `all` prints them.
-pub const SECTIONS: [&str; 14] = [
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "fig1",
-    "fig2",
-    "merge",
-    "memory",
-    "runlevel3",
-    "numa",
-    "fwq",
-];
+pub const SECTIONS: &str =
+    "table1|table2|table3|table4|table5|table6|table7|fig1|fig2|merge|memory|runlevel3|numa|fwq";
 
 /// The sections `what` asks for: one of [`SECTIONS`], or all of them.
 fn asked(what: &str) -> impl Iterator<Item = &'static str> + '_ {
     SECTIONS
-        .into_iter()
+        .split('|')
         .filter(move |&s| what == "all" || s == what)
 }
 
@@ -70,20 +53,19 @@ pub fn planned(what: &str) -> Vec<&'static str> {
     out
 }
 
-fn table_spec(section: &str) -> Option<TableSpec> {
-    match section {
-        "table3" => Some(inject::table3_spec()),
-        "table4" => Some(inject::table4_spec()),
-        "table5" => Some(inject::table5_spec()),
-        _ => None,
-    }
+/// The spec of Table 3, 4 or 5.
+fn table_spec(section: &str) -> Option<inject::TableSpec> {
+    let spec = match section {
+        "table3" => inject::table3_spec,
+        "table4" => inject::table4_spec,
+        "table5" => inject::table5_spec,
+        _ => return None,
+    };
+    Some(spec())
 }
 
 /// The plan of a section [`planned`] names.
 pub fn plan(section: &str, scale: Scale) -> Plan {
-    if let Some(spec) = table_spec(section) {
-        return spec.plan(scale);
-    }
     match section {
         "table1" => table1::plan(scale),
         "table2" => table2::plan(scale),
@@ -93,7 +75,9 @@ pub fn plan(section: &str, scale: Scale) -> Plan {
         "memory" => ablation::memory_plan(scale),
         "runlevel3" => runlevel::plan(scale),
         "numa" => numa::plan(scale.baseline_runs),
-        other => unreachable!("'{other}' has no plan"),
+        table => table_spec(table)
+            .unwrap_or_else(|| unreachable!("'{table}' has no plan"))
+            .plan(scale),
     }
 }
 
@@ -133,21 +117,19 @@ pub fn report(what: &str, scale: Scale) -> Result<Vec<Section>, String> {
             return match name {
                 "table6" => checked!(table6::Table6::aggregate(tables.values())),
                 "table7" => checked!(table7::Table7::from_tables(tables.values())),
-                "fwq" => checked!(fwq::run()),
-                other => unreachable!("'{other}' was not planned"),
+                _ => checked!(fwq::run()),
             };
         };
         match name {
             "table1" => checked!(table1::reduce(plan, out)),
             "table2" => (table2::reduce(plan, out).render(), Ok(())),
-            "table3" | "table4" | "table5" => (tables[name].render(), Ok(())),
             "fig1" => checked!(fig1::reduce(out)),
             "fig2" => checked!(fig2::reduce(out)),
             "merge" => checked!(ablation::merge_reduce(out)),
             "memory" => checked!(ablation::memory_reduce(out)),
             "runlevel3" => checked!(runlevel::reduce(out)),
             "numa" => checked!(numa::reduce(plan, out)),
-            other => unreachable!("'{other}' has no reduction"),
+            _ => (tables[name].render(), Ok(())),
         }
     };
     Ok(asked(what).map(section).collect())

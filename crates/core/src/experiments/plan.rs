@@ -1,14 +1,10 @@
-//! Evaluation plans: every `noiselab report` section as data.
-//!
-//! A section's [`Plan`] lists its traced [`Collection`]s and its
-//! [`RunSet`]s, each an owned [`RunSpec`] plus a run count, with the
-//! seed bases its table has always used. [`run_plans`] runs the plans of
-//! every requested section in two phases. First each collection runs in
-//! a pool of its own and is reduced to its injection configs before the
-//! next starts, so at most one collection's traces are alive. Then one
-//! [`run_batch`] pool runs every other set of every plan. Each section's
-//! `reduce` is a pure function from its plan and [`Outcome`] to its
-//! result type.
+//! Evaluation plans: every `noiselab report` section as data. A
+//! section's [`Plan`] holds its traced [`Collection`]s and its
+//! [`RunSet`]s, each an owned [`RunSpec`] plus a run count.
+//! [`run_plans`] runs each collection in a pool of its own and reduces
+//! it to injection configs before the next starts, so one collection's
+//! traces are alive at a time; then one [`run_batch`] pool runs every
+//! other set of every plan.
 
 use crate::execconfig::ExecConfig;
 use crate::failure::RetryPolicy;
@@ -101,13 +97,6 @@ impl Outcome {
     pub fn summary(&self, i: usize) -> Summary {
         Summary::of(&self.ledgers[i].samples())
     }
-
-    /// Runs across every set, collections included, that produced no
-    /// measurement.
-    pub fn failed(&self) -> usize {
-        let untraced: usize = self.ledgers.iter().map(RunLedger::failed_count).sum();
-        self.traced_failed + untraced
-    }
 }
 
 /// The one check every ledger passes before a reduction reads it. Each
@@ -163,7 +152,6 @@ pub fn run_plans(plans: &[(&str, Plan)]) -> Result<Vec<Outcome>, String> {
     for ((section, spec, _), ledger) in specs.iter().zip(ledgers.as_slice()) {
         check(section, spec, ledger)?;
     }
-    drop(specs);
 
     let outcomes = plans
         .iter()

@@ -18,25 +18,21 @@ pub struct Table2 {
 
 impl Table2 {
     pub fn render(&self) -> String {
-        let mut t = TextTable::new("Table 2: average s.d. (ms) in baseline executions")
-            .header(&["", "Rm", "RmHK", "RmHK2", "TP", "TPHK", "TPHK2"]);
-        let fmt = |xs: &[f64; 6]| xs.iter().map(|x| format!("{x:.2}")).collect::<Vec<_>>();
-        let mut row = vec!["OMP".to_string()];
-        row.extend(fmt(&self.omp));
-        t.row(&row);
-        let mut row = vec!["SYCL".to_string()];
-        row.extend(fmt(&self.sycl));
-        t.row(&row);
-        t.render()
+        let title = "Table 2: average s.d. (ms) in baseline executions";
+        render_by_model(title, &self.omp, &self.sycl)
     }
+}
 
-    pub fn of(&self, model: Model, m: Mitigation) -> f64 {
-        let idx = m.index();
-        match model {
-            Model::Omp => self.omp[idx],
-            Model::Sycl => self.sycl[idx],
-        }
+/// A model x mitigation table (Tables 2 and 6): a row per model, two
+/// decimals per cell.
+pub fn render_by_model(title: &str, omp: &[f64; 6], sycl: &[f64; 6]) -> String {
+    let mut t = TextTable::new(title).header(&["", "Rm", "RmHK", "RmHK2", "TP", "TPHK", "TPHK2"]);
+    for (model, xs) in [("OMP", omp), ("SYCL", sycl)] {
+        let mut row = vec![model.to_string()];
+        row.extend(xs.iter().map(|x| format!("{x:.2}")));
+        t.row(&row);
     }
+    t.render()
 }
 
 /// The baseline-variability plan: every workload, mitigation and model
@@ -93,6 +89,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("RmHK2"));
         assert!(s.contains("7.80"));
-        assert_eq!(t.of(Model::Sycl, Mitigation::TpHK2), 5.4);
+        assert_eq!(t.sycl[Mitigation::TpHK2.index()], 5.4);
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::execconfig::Model;
 use crate::experiments::inject::InjectionTable;
-use noiselab_stats::TextTable;
+use crate::experiments::table2::render_by_model;
 
 #[derive(Debug, Clone)]
 pub struct Table6 {
@@ -64,17 +64,8 @@ impl Table6 {
     }
 
     pub fn render(&self) -> String {
-        let mut t =
-            TextTable::new("Table 6: average relative performance change (%) under injection")
-                .header(&["", "Rm", "RmHK", "RmHK2", "TP", "TPHK", "TPHK2"]);
-        let fmt = |xs: &[f64; 6]| xs.iter().map(|x| format!("{x:.2}")).collect::<Vec<_>>();
-        let mut row = vec!["OMP".to_string()];
-        row.extend(fmt(&self.omp));
-        t.row(&row);
-        let mut row = vec!["SYCL".to_string()];
-        row.extend(fmt(&self.sycl));
-        t.row(&row);
-        let mut out = t.render();
+        let title = "Table 6: average relative performance change (%) under injection";
+        let mut out = render_by_model(title, &self.omp, &self.sycl);
         out.push_str(&format!(
             "SYCL average improvement: {:.2} percentage points (paper: 16.82)\n",
             self.sycl_advantage_points()

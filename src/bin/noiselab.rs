@@ -457,7 +457,7 @@ fn cmd_report(args: &mut Args) -> Result<(), String> {
     ];
     let scale = args.pick("scale", Scale::bench(), &scales)?;
     let whats: Vec<(&str, &str)> = experiments::SECTIONS
-        .into_iter()
+        .split('|')
         .chain(["all"])
         .map(|r| (r, r))
         .collect();
