@@ -103,26 +103,31 @@ pub fn reduce(plan: &Plan, out: &Outcome) -> Table1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failure::RetryPolicy;
-    use crate::harness::{run_many, RunSpec};
+    use crate::experiments::plan::run_plans;
+    use noiselab_workloads::Workload;
 
     /// Smoke-scale tracing overhead stays small and non-negative-ish
     /// (tracing adds work, so the increase should be >= ~0 and < 2 %).
     #[test]
     fn tracing_overhead_below_two_percent() {
-        let platform = Platform::intel();
+        let platform = Rc::new(Platform::intel());
         let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
-        let w = suite::small::minife_for(&platform);
-        let off = RunSpec::new(&platform, &w, &cfg, 500);
-        let on = RunSpec {
+        let w: Rc<dyn Workload + Sync> = Rc::new(suite::small::minife_for(&platform));
+        let off = RunSet::new(&platform, &w, cfg, 500, 6);
+        let on = RunSet {
             tracing: true,
             ..off.clone()
         };
-        let off = run_many(&off, 6, RetryPolicy::none()).samples();
-        let on = run_many(&on, 6, RetryPolicy::none()).samples();
-        let off_mean: f64 = off.iter().sum::<f64>() / off.len() as f64;
-        let on_mean: f64 = on.iter().sum::<f64>() / on.len() as f64;
-        let inc = on_mean / off_mean - 1.0;
+        let sets = vec![off, on];
+        let plans = [(
+            "table1",
+            Plan {
+                sets,
+                ..Plan::default()
+            },
+        )];
+        let out = run_plans(&plans).unwrap();
+        let inc = reduce(&plans[0].1, &out[0]).rows[0].increase();
         assert!(inc < 0.02, "tracing overhead {inc}");
         assert!(inc > -0.01, "tracing made runs faster? {inc}");
     }
