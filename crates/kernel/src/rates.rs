@@ -362,6 +362,11 @@ impl Kernel {
         if had {
             if let Some(c) = self.threads[i].cpu {
                 if self.cpus[c.index()].current == Some(ThreadId(i as u32)) {
+                    debug_assert!(
+                        !self.queue.is_armed(self.thread_key(i, ThreadTimer::Compute)),
+                        "thread {i}'s compute left cpu {} with its completion timer armed",
+                        c.index()
+                    );
                     self.running.remove(c.index());
                     if was_bw {
                         self.bw_running -= 1;
@@ -441,12 +446,27 @@ impl Kernel {
         match eta {
             Some(ns) => {
                 self.scratch.counts.arms += 1;
+                self.debug_check_compute_owner(ci, ti);
                 self.queue.arm(key, now + SimDuration(ns.max(1)));
             }
             None => {
                 self.queue.cancel(key);
             }
         }
+    }
+
+    /// Debug check that a completion timer is armed only for the
+    /// current occupant of CPU `ci`, holding a compute, in `ci`'s lane.
+    #[inline]
+    fn debug_check_compute_owner(&self, ci: usize, ti: usize) {
+        debug_assert!(
+            self.cpus[ci].current == Some(ThreadId(ti as u32))
+                && self.threads[ti].state == crate::thread::ThreadState::Running
+                && self.threads[ti].cpu == Some(CpuId(ci as u32))
+                && self.computes[ti].is_some()
+                && self.running.tid[ci] == ti as u32,
+            "completion timer armed for thread {ti}, which is not cpu {ci}'s running compute"
+        );
     }
 
     /// Waterfill demand of the compute currently on `cpu`, exactly as
