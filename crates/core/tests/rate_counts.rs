@@ -2,8 +2,8 @@
 //! omp-saturated benchmark, babelstream and miniFE under Rm-OMP on the
 //! Intel platform, and a fine-chunk Figure 1 cell on the 48-CPU A64FX
 //! are run at seed 1 and every `RateCounts` figure is pinned, so a
-//! change that adds a pass, a walk or a timer arm fails here even when
-//! every stream hash still matches.
+//! change that adds a pass, a walk, a timer arm or a lane rescan fails
+//! here even when every stream hash still matches.
 
 use noiselab_core::experiments::suite;
 use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec};
@@ -45,8 +45,9 @@ fn babelstream_rm_omp_rate_work_is_pinned() {
         walks_skipped: 11_445,
         arms: 91_876,
         rearms_skipped: 134,
-        repairs_sift: 1_985,
-        repairs_heapify: 11_520,
+        repairs_sift: 8_314,
+        repairs_heapify: 601,
+        lane_compares: 88_569,
     };
     check(&suite::babelstream_for(&platform), want, 13_645);
 }
@@ -65,8 +66,9 @@ fn minife_rm_omp_rate_work_is_pinned() {
         walks_skipped: 25_743,
         arms: 109_211,
         rearms_skipped: 80,
-        repairs_sift: 2_528,
-        repairs_heapify: 12_874,
+        repairs_sift: 10_736,
+        repairs_heapify: 1_203,
+        lane_compares: 119_799,
     };
     check(&suite::minife_for(&platform), want, 15_487);
 }
@@ -89,8 +91,9 @@ fn a64fx_schedbench_dynamic_1_rate_work_is_pinned() {
         walks_skipped: 48_960,
         arms: 41_108,
         rearms_skipped: 47,
-        repairs_sift: 41_245,
+        repairs_sift: 330,
         repairs_heapify: 5,
+        lane_compares: 574_320,
     };
     check_on(&platform, &sb, &cfg, want, 41_252);
 }

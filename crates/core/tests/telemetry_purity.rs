@@ -202,3 +202,36 @@ fn kernel_events_is_the_sanitizer_event_count() {
         assert_ne!(hashes[0], hashes[2], "perturbation did not fire");
     }
 }
+
+/// The run loop takes every event off the queue inside the profiler's
+/// `queue` phase, so a profiled run reports queue calls and time next to
+/// dispatch: one call per dispatched event.
+#[test]
+fn a_profiled_run_reports_queue_calls() {
+    let p = Platform::intel();
+    let w = noiselab_core::experiments::suite::workload_by_name(&p, "nbody-tiny")
+        .expect("nbody-tiny is a suite workload");
+    let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
+    let profiler = PhaseProfiler::new();
+    let inst = run(
+        &RunSpec::new(&p, w.as_ref(), &cfg, 1),
+        &mut RunArena::profiled(profiler.clone()),
+    )
+    .expect("profiled run failed");
+    let report = profiler.report();
+    let row = |name: &str| {
+        report
+            .phases
+            .iter()
+            .find(|r| r.phase == name)
+            .unwrap_or_else(|| panic!("no {name} row"))
+            .clone()
+    };
+    let (queue, dispatch) = (row("queue"), row("dispatch"));
+    assert!(inst.sanitizer.events > 0);
+    assert_eq!(queue.calls, inst.sanitizer.events);
+    assert_eq!(dispatch.calls, inst.sanitizer.events);
+    assert!(queue.self_ns > 0, "queue time must be measured");
+    assert_eq!(report.unbalanced, 0);
+    assert!(report.render().contains("queue"));
+}

@@ -26,33 +26,30 @@ use noiselab_machine::{CpuId, CpuSet, Machine, SoloProfile};
 use noiselab_sim::{EventQueue, Fired, Rng, SimDuration, SimTime};
 
 /// Per-thread keyed timers (see [`Kernel::thread_key`]). Every event
-/// the kernel may cancel or re-predict is a keyed timer: these four per
-/// thread plus `IrqDone` per CPU. The rest (`Tick`, `DeviceIrq`,
-/// `Abort`, the sanitizer's perturbation IRQ) are plain
-/// fire-and-forget events. Arming a pending key replaces its entry:
-/// re-predictions (compute completions, IRQ windows) rely on that, and
-/// the one-shot timers go through [`Kernel::arm_once`], which asserts
-/// nothing is pending.
+/// the kernel may cancel or re-predict is a timer: these three per
+/// thread and `IrqDone` per CPU are keyed timers, and each running
+/// compute's completion (`ComputeDone`) is the lane timer of its CPU
+/// (see [`crate::rates`]). The rest (`Tick`, `DeviceIrq`, `Abort`, the
+/// sanitizer's perturbation IRQ) are plain fire-and-forget events.
+/// Arming a pending key or lane replaces its entry: re-predictions
+/// (compute completions, IRQ windows) rely on that, and the one-shot
+/// timers go through [`Kernel::arm_once`], which asserts nothing is
+/// pending.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ThreadTimer {
     Start,
     Wake,
-    Compute,
     Spin,
 }
 
 /// Keys per thread in the timer key space, which holds the per-CPU
 /// `IrqDone` keys first and then one block of these per thread.
-const THREAD_TIMERS: usize = 4;
+const THREAD_TIMERS: usize = 3;
 
 impl ThreadTimer {
     /// In key order within a thread's block.
-    const ALL: [ThreadTimer; THREAD_TIMERS] = [
-        ThreadTimer::Start,
-        ThreadTimer::Wake,
-        ThreadTimer::Compute,
-        ThreadTimer::Spin,
-    ];
+    const ALL: [ThreadTimer; THREAD_TIMERS] =
+        [ThreadTimer::Start, ThreadTimer::Wake, ThreadTimer::Spin];
 }
 
 /// Maximum consecutive instantaneous actions per behavior step, to
@@ -508,13 +505,13 @@ impl Kernel {
             if let Some(t) = self.threads[tid.index()].exit_time {
                 return Ok(t);
             }
-            let Some(next) = self.queue.peek_time() else {
-                return Err(RunError::Drained);
+            let Some(fired) = self.next_event(horizon) else {
+                return Err(if self.queue.is_empty() {
+                    RunError::Drained
+                } else {
+                    RunError::Horizon(horizon)
+                });
             };
-            if next > horizon {
-                return Err(RunError::Horizon(horizon));
-            }
-            let (_, fired) = self.queue.pop().expect("a peeked event is still queued");
             self.handle(fired);
         }
     }
@@ -523,16 +520,20 @@ impl Kernel {
     /// `Ok`: with every tick parked and no event pending, no state can
     /// change before `until` (or ever).
     pub fn run_until(&mut self, until: SimTime) -> Result<(), RunError> {
-        loop {
-            let Some(next) = self.queue.peek_time() else {
-                return Ok(());
-            };
-            if next > until {
-                return Ok(());
-            }
-            let (_, fired) = self.queue.pop().expect("a peeked event is still queued");
+        while let Some(fired) = self.next_event(until) {
             self.handle(fired);
         }
+        Ok(())
+    }
+
+    /// Pop the next event due at or before `until`, inside the queue's
+    /// profiler phase.
+    #[inline]
+    fn next_event(&mut self, until: SimTime) -> Option<Fired<KEvent>> {
+        self.prof_enter(Phase::Queue);
+        let next = self.queue.pop_through(until);
+        self.prof_exit(Phase::Queue);
+        next.map(|(_, fired)| fired)
     }
 
     // ------------------------------------------------------------------
@@ -566,7 +567,6 @@ impl Kernel {
         match ThreadTimer::ALL[(key - n) % THREAD_TIMERS] {
             ThreadTimer::Start => KEvent::Start(tid),
             ThreadTimer::Wake => KEvent::WakeTimer(tid),
-            ThreadTimer::Compute => KEvent::ComputeDone(tid),
             ThreadTimer::Spin => KEvent::SpinExpire(tid),
         }
     }
@@ -582,6 +582,7 @@ impl Kernel {
         let ev = match fired {
             Fired::Event(ev) => ev,
             Fired::Timer(key) => self.timer_event(key),
+            Fired::Lane(ci) => KEvent::ComputeDone(self.running.thread(ci)),
         };
         if self.sanitizer.is_some() {
             self.observe_event(&ev);
@@ -1117,7 +1118,6 @@ impl Kernel {
     fn seal_aborted(&mut self, tid: ThreadId, now: SimTime) {
         let i = tid.index();
         self.cancel_timer(i);
-        self.queue.cancel(self.thread_key(i, ThreadTimer::Compute));
         self.queue.cancel(self.thread_key(i, ThreadTimer::Spin));
         self.threads[i].spinning = false;
         self.threads[i].barrier = None;
@@ -1360,8 +1360,6 @@ impl Kernel {
         } else {
             None
         };
-        // Cancel any pending completion; it will be rescheduled on resume.
-        self.queue.cancel(self.thread_key(i, ThreadTimer::Compute));
     }
 
     /// Preempt the current thread (stays runnable, requeued here).

@@ -260,15 +260,20 @@ pub enum Phase {
     /// (`Kernel::recompute_rates_for`: the full, local and demandless
     /// passes).
     Rates,
+    /// Taking the next event off the event queue in the run loop:
+    /// repairing the timer heap, finding the least lane timer and
+    /// popping the head of the three sources.
+    Queue,
 }
 
 impl Phase {
-    pub const ALL: [Phase; 5] = [
+    pub const ALL: [Phase; 6] = [
         Phase::Dispatch,
         Phase::Scheduler,
         Phase::Tracer,
         Phase::Stats,
         Phase::Rates,
+        Phase::Queue,
     ];
 
     pub fn name(self) -> &'static str {
@@ -278,6 +283,7 @@ impl Phase {
             Phase::Tracer => "tracer",
             Phase::Stats => "stats",
             Phase::Rates => "rates",
+            Phase::Queue => "queue",
         }
     }
 
@@ -289,6 +295,7 @@ impl Phase {
             Phase::Tracer => 2,
             Phase::Stats => 3,
             Phase::Rates => 4,
+            Phase::Queue => 5,
         }
     }
 }

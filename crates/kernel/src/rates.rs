@@ -29,6 +29,14 @@
 //! CPU-indexed lanes, so the walk is one branch-free loop over dense
 //! arrays (see [`RunningSet`]).
 //!
+//! Each pass ends by setting rates through [`Kernel::apply_rate`], which
+//! re-predicts the compute's completion. That timer is the event queue's
+//! lane timer of the same CPU index, not a keyed timer: re-arming it is
+//! a store into the lane, with no heap to repair, and it fires as
+//! `ComputeDone` of the thread the lane holds. A compute that leaves its
+//! CPU disarms it (`Kernel::vacate`), so a lane timer is armed only for
+//! its CPU's running compute.
+//!
 //! The local pass must know whether the fill is still unsaturated, which
 //! the full pass decides by summing the running demands in CPU order.
 //! The layer keeps an upper bound on every cached demand, and
@@ -46,7 +54,7 @@
 //! [`RateCounts`] counts the layer's work per run. The simulation never
 //! reads it.
 
-use crate::kernel::{Kernel, ThreadTimer};
+use crate::kernel::Kernel;
 use crate::observe::Phase;
 use crate::thread::{advance_progress, eta_ns, ActiveCompute};
 use crate::ThreadId;
@@ -54,7 +62,8 @@ use noiselab_machine::{certify_unsaturated, waterfill_into, CpuId, SoloProfile};
 use noiselab_sim::{SimDuration, SimTime};
 
 /// Work done by the rate layer in one run: passes by kind, advance
-/// walks, compute-timer arms and the event queue's timer-heap repairs.
+/// walks, compute-timer arms, and the event queue's timer-heap repairs
+/// and lane-minimum rescans.
 /// Plain counters for tests and reports; no simulated value reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RateCounts {
@@ -89,6 +98,9 @@ pub struct RateCounts {
     pub repairs_sift: u64,
     /// Timer-heap repairs that re-heapified the whole heap.
     pub repairs_heapify: u64,
+    /// Lane keys compared while finding the earliest completion timer
+    /// (the event queue's lane minimum rescans).
+    pub lane_compares: u64,
 }
 
 /// Water-fill demand of a runnable compute that wants bandwidth: its
@@ -183,6 +195,11 @@ impl RateScratch {
 /// progress back into the `ActiveCompute`.
 /// Idle lanes hold rate 0 and overhead 0, which makes advancing them an
 /// exact no-op, so the advance walk is one loop over every lane.
+///
+/// A lane's completion timer (its `due` and `seq`, and whether it is
+/// armed) is the event queue's lane timer of the same index, kept in
+/// the queue so that one structure orders every pending event; see
+/// [`Kernel::apply_rate`].
 #[derive(Default)]
 pub(crate) struct RunningSet {
     mask: Vec<u64>,
@@ -278,6 +295,13 @@ impl RunningSet {
         eta_ns(self.remaining[ci], self.overhead[ci], self.rate[ci])
     }
 
+    /// The thread whose compute runs in CPU `ci`'s lane.
+    #[inline]
+    pub(crate) fn thread(&self, ci: usize) -> ThreadId {
+        debug_assert!(self.tid[ci] != u32::MAX, "cpu {ci}'s lane is idle");
+        ThreadId(self.tid[ci])
+    }
+
     /// Visit running `(cpu index, thread index)` pairs in CPU order.
     #[inline]
     fn for_each(&self, mut f: impl FnMut(usize, usize)) {
@@ -299,6 +323,7 @@ impl Kernel {
         RateCounts {
             repairs_sift,
             repairs_heapify,
+            lane_compares: self.queue.lane_compares(),
             ..self.scratch.counts
         }
     }
@@ -324,7 +349,7 @@ impl Kernel {
     /// back into the compute.
     pub(crate) fn leave_running(&mut self, ci: usize, i: usize) {
         let (remaining, overhead) = self.running.advance(ci, self.now());
-        self.running.remove(ci);
+        self.vacate(ci);
         let c = self.computes[i]
             .as_mut()
             .expect("a leaving thread has a compute");
@@ -333,6 +358,14 @@ impl Kernel {
         if self.thread_demands_bw(i) {
             self.bw_running -= 1;
         }
+    }
+
+    /// CPU `ci`'s compute stops running: drop it from the running set
+    /// and disarm its completion timer, so a lane timer always belongs
+    /// to its CPU's running compute.
+    fn vacate(&mut self, ci: usize) {
+        self.running.remove(ci);
+        self.queue.cancel_lane(ci);
     }
 
     /// Give running thread `i` a fresh compute, which starts at `now`.
@@ -362,12 +395,7 @@ impl Kernel {
         if had {
             if let Some(c) = self.threads[i].cpu {
                 if self.cpus[c.index()].current == Some(ThreadId(i as u32)) {
-                    debug_assert!(
-                        !self.queue.is_armed(self.thread_key(i, ThreadTimer::Compute)),
-                        "thread {i}'s compute left cpu {} with its completion timer armed",
-                        c.index()
-                    );
-                    self.running.remove(c.index());
+                    self.vacate(c.index());
                     if was_bw {
                         self.bw_running -= 1;
                     }
@@ -425,16 +453,16 @@ impl Kernel {
         factor
     }
 
-    /// Set `tid`'s rate and (re)schedule its completion. When the rate is
-    /// unchanged and the completion event is still armed, the previously
-    /// scheduled event time remains exact, so skip the heap churn — the
-    /// dominant cost in steady state.
+    /// Set the rate of thread `ti`'s compute on CPU `ci` and
+    /// (re)schedule its completion: the lane timer of `ci`, which fires
+    /// as `ComputeDone` of the lane's thread. When the rate is unchanged
+    /// and the timer is still armed, the previously scheduled time
+    /// remains exact, so the re-arm is skipped.
     fn apply_rate(&mut self, ci: usize, ti: usize, factor: f64, rate: f64, now: SimTime) {
         let lane_rate = &mut self.running.rate[ci];
         let unchanged = (*lane_rate - rate).abs() <= 1e-12 * rate.max(1.0);
         *lane_rate = rate;
-        let key = self.thread_key(ti, ThreadTimer::Compute);
-        if unchanged && self.queue.is_armed(key) {
+        if unchanged && self.queue.lane_armed(ci) {
             self.scratch.counts.rearms_skipped += 1;
             return;
         }
@@ -447,10 +475,10 @@ impl Kernel {
             Some(ns) => {
                 self.scratch.counts.arms += 1;
                 self.debug_check_compute_owner(ci, ti);
-                self.queue.arm(key, now + SimDuration(ns.max(1)));
+                self.queue.arm_lane(ci, now + SimDuration(ns.max(1)));
             }
             None => {
-                self.queue.cancel(key);
+                self.queue.cancel_lane(ci);
             }
         }
     }
@@ -715,14 +743,13 @@ impl Kernel {
                 rate.to_bits(),
                 "neutral pass left cpu {ci} at rate {held} where the full pass gives {rate}"
             );
-            let key = self.thread_key(ti, ThreadTimer::Compute);
             let eta = if factors[k] == 0.0 {
                 None
             } else {
                 self.running.eta_ns(ci)
             };
             debug_assert_eq!(
-                self.queue.is_armed(key),
+                self.queue.lane_armed(ci),
                 factors[k] > 0.0 && eta.is_some(),
                 "neutral pass left cpu {ci}'s completion timer out of step"
             );

@@ -1,4 +1,5 @@
-//! Discrete-event queue with stable ordering and keyed timers.
+//! Discrete-event queue with stable ordering, keyed timers and lane
+//! timers.
 //!
 //! Events are ordered by `(time, sequence)` where `sequence` is a
 //! monotonically increasing insertion counter shared by every event.
@@ -6,33 +7,43 @@
 //! the same instant fire in insertion order, independent of heap
 //! internals.
 //!
-//! Two kinds of event share that order. Plain events
-//! ([`EventQueue::schedule`]) are fire-and-forget and live in a binary
-//! heap. Keyed timers ([`EventQueue::arm`]) carry a small dense key
-//! chosen by the caller, with at most one pending entry per key, in an
-//! indexed min-heap: arming a pending key or cancelling it updates its
-//! entry in place, so the churn of re-predicted events (compute
-//! completions move on every rate change) never leaves a dead entry
-//! behind.
+//! Three sources share that order, and [`EventQueue::pop`] and
+//! [`EventQueue::peek_time`] take the least head of the three:
+//!
+//! * Plain events ([`EventQueue::schedule`]) are fire-and-forget and
+//!   live in a binary heap.
+//! * Keyed timers ([`EventQueue::arm`]) carry a small dense key chosen by
+//!   the caller, with at most one pending entry per key, in an indexed
+//!   min-heap: arming a pending key or cancelling it updates its entry
+//!   in place, so a re-predicted event never leaves a dead entry behind.
+//! * Lane timers ([`EventQueue::arm_lane`]) are one pending
+//!   `(time, seq)` slot per lane, with no heap at all. The kernel's lanes
+//!   are its CPUs, and each holds the completion timer of the compute
+//!   running there: the timer that every rate change re-predicts, so the
+//!   one re-armed most often. Arming a lane is a store; the least lane is
+//!   found by a scan that is redone only where it went stale (see
+//!   [`Lanes`]).
 //!
 //! Timer placement is deferred. `arm` and `cancel` stamp the seq and
 //! update the entry and its key's slot at once, but only note which heap
 //! indices changed; the next [`EventQueue::pop`] or
 //! [`EventQueue::peek_time`] repairs the heap in one go. A key re-armed
-//! several times between two pops thus sifts once. This cannot change
-//! what fires when: `(time, seq)` pairs are unique, so the pop order is a
-//! function of the live pairs alone, not of the heap's shape.
+//! several times between two pops thus sifts once. Neither this nor the
+//! lane source's lazy minimum can change what fires when: `(time, seq)`
+//! pairs are unique across all three sources, so the pop order is a
+//! function of the live pairs alone, not of where they are kept.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// What [`EventQueue::pop`] returns: a plain event's payload, or the
-/// key of a timer that fired.
+/// What [`EventQueue::pop`] returns: a plain event's payload, the key
+/// of a keyed timer that fired, or the lane whose timer fired.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fired<E> {
     Event(E),
     Timer(usize),
+    Lane(usize),
 }
 
 /// Marks a key with no pending entry in [`EventQueue::pos`].
@@ -62,6 +73,14 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// Which source holds the queue's head (see [`EventQueue::pop`]).
+#[derive(Clone, Copy)]
+enum Source {
+    Plain,
+    Timer,
+    Lane(usize),
+}
+
 /// A pending keyed timer.
 #[derive(Clone, Copy)]
 struct Timer {
@@ -77,8 +96,171 @@ impl Timer {
     }
 }
 
+/// Lanes per block of [`Lanes`]: the unit a stale minimum is rescanned in.
+const BLOCK: usize = 8;
+
+/// Low bits of a lane key that hold the lane (see [`Lanes`]).
+const LANE_BITS: u32 = 12;
+
+/// Lane seqs must stay below this so a key's low half stays below
+/// `2^63` and every real key below [`STALE`]: 2^51 events per run.
+const LANE_SEQ_LIMIT: u64 = 1 << 51;
+
+/// A disarmed lane's key: after every real key.
+const IDLE: u128 = u128::MAX;
+
+/// A cached minimum in [`Lanes`] that must be rescanned: after every
+/// real key, before `IDLE`.
+const STALE: u128 = u128::MAX - 1;
+
+/// The lane timer source: one pending `(time, seq)` slot per lane.
+///
+/// Each slot is one `u128` key, `time << 64 | seq << 12 | lane`. Seqs are
+/// unique, so keys order exactly as their `(time, seq)` pairs do, one
+/// comparison orders two timers, and the least key names its own lane.
+///
+/// The least key is cached per block of [`BLOCK`] lanes and over the
+/// whole source. Arming a lane earlier than a cached minimum replaces
+/// it; popping, cancelling or arming later the key a minimum holds marks
+/// that minimum stale. The next look rescans only the stale blocks and
+/// then the block minima, so popping one lane of 48 and re-arming it (a
+/// fine-chunk loop on a wide machine) costs 8 + 6 key comparisons, not
+/// 48.
+struct Lanes {
+    /// Each lane's key, `IDLE` when disarmed; padded with idle lanes to
+    /// whole blocks.
+    key: Vec<u128>,
+    /// Per block, its least key, or `STALE`.
+    block_min: Vec<u128>,
+    /// The least key, or `STALE`.
+    min: u128,
+    /// Lanes with a pending timer.
+    armed: usize,
+    /// Keys compared while rescanning stale minima: a work count.
+    compared: u64,
+}
+
+impl Default for Lanes {
+    fn default() -> Self {
+        Lanes {
+            key: Vec::new(),
+            block_min: Vec::new(),
+            min: IDLE,
+            armed: 0,
+            compared: 0,
+        }
+    }
+}
+
+impl Lanes {
+    /// Disarm every lane and zero the work count, keeping allocations.
+    fn reset(&mut self) {
+        self.key.clear();
+        self.block_min.clear();
+        self.min = IDLE;
+        self.armed = 0;
+        self.compared = 0;
+    }
+
+    #[inline]
+    fn is_armed(&self, lane: usize) -> bool {
+        self.key.get(lane).is_some_and(|&k| k != IDLE)
+    }
+
+    /// Arm `lane` at `(time, seq)`.
+    #[inline]
+    fn arm(&mut self, lane: usize, time: SimTime, seq: u64) {
+        assert!(seq < LANE_SEQ_LIMIT, "lane timer seq {seq} out of range");
+        let k = (u128::from(time.0) << 64) | u128::from(seq << LANE_BITS) | lane as u128;
+        self.set(lane, k);
+    }
+
+    /// Set `lane`'s key to `k` (`IDLE` disarms it), keeping both cached
+    /// minima exact or marking them stale. Returns the old key.
+    #[inline]
+    fn set(&mut self, lane: usize, k: u128) -> u128 {
+        if lane >= self.key.len() {
+            assert!(lane < 1 << LANE_BITS, "lane {lane} out of range");
+            let blocks = lane / BLOCK + 1;
+            self.key.resize(blocks * BLOCK, IDLE);
+            self.block_min.resize(blocks, IDLE);
+        }
+        let old = std::mem::replace(&mut self.key[lane], k);
+        self.armed = self.armed + usize::from(k != IDLE) - usize::from(old != IDLE);
+        let b = lane / BLOCK;
+        self.block_min[b] = after_set(self.block_min[b], old, k);
+        self.min = after_set(self.min, old, k);
+        old
+    }
+
+    /// The least armed key, rescanning stale minima.
+    #[inline]
+    fn first(&mut self) -> Option<u128> {
+        if self.armed == 0 {
+            return None;
+        }
+        if self.min == STALE {
+            self.rescan();
+        }
+        Some(self.min)
+    }
+
+    fn rescan(&mut self) {
+        let mut min = IDLE;
+        for (b, block_min) in self.block_min.iter_mut().enumerate() {
+            if *block_min == STALE {
+                let block = &self.key[b * BLOCK..(b + 1) * BLOCK];
+                // Which lane wins is data, not a pattern a branch
+                // predictor could learn: select, do not branch.
+                *block_min = block_min_of(block);
+                self.compared += BLOCK as u64;
+            }
+            min = std::hint::select_unpredictable(*block_min < min, *block_min, min);
+        }
+        self.compared += self.block_min.len() as u64;
+        self.min = min;
+    }
+}
+
+/// The least of one block's keys, by a tree of pairwise minima: three
+/// levels of independent selects instead of a chain of seven.
+#[inline]
+fn block_min_of(block: &[u128]) -> u128 {
+    let mut m = [IDLE; BLOCK];
+    m.copy_from_slice(block);
+    let mut width = BLOCK;
+    while width > 1 {
+        width /= 2;
+        for i in 0..width {
+            m[i] = m[i].min(m[i + width]);
+        }
+    }
+    m[0]
+}
+
+/// A cached minimum `m` after one lane's key moved from `old` to `k`:
+/// still exact, now `k`, or stale. Keys are unique, so `m == old` says
+/// the lane that moved held the minimum (or, if both are `IDLE`, that
+/// every lane it covers was idle).
+#[inline]
+fn after_set(m: u128, old: u128, k: u128) -> u128 {
+    if m == STALE || (m == old && k > old) {
+        STALE
+    } else {
+        m.min(k)
+    }
+}
+
+/// The lane and `(time, seq)` a lane key packs.
+#[inline]
+fn unpack(k: u128) -> (usize, SimTime, u64) {
+    let low = k as u64;
+    let lane = (low & ((1 << LANE_BITS) - 1)) as usize;
+    (lane, SimTime((k >> 64) as u64), low >> LANE_BITS)
+}
+
 /// The event queue. `E` is the payload type of plain events; timers
-/// carry only their key.
+/// carry only their key or lane.
 pub struct EventQueue<E> {
     plain: BinaryHeap<Reverse<Entry<E>>>,
     /// Indexed min-heap of pending timers, ordered like `plain`.
@@ -91,6 +273,7 @@ pub struct EventQueue<E> {
     dirty: Vec<u32>,
     /// Repairs so far by branch: sifted, heapified.
     repairs: (u64, u64),
+    lanes: Lanes,
     next_seq: u64,
     now: SimTime,
 }
@@ -109,6 +292,7 @@ impl<E> EventQueue<E> {
             pos: Vec::new(),
             dirty: Vec::new(),
             repairs: (0, 0),
+            lanes: Lanes::default(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -121,7 +305,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Return the queue to its boot state (time zero, no events, no
-    /// armed key, sequence counter restarted) while keeping the heaps'
+    /// armed key or lane, sequence counter restarted) while keeping the
     /// allocations — the arena-reuse hook for repetition loops.
     pub fn reset(&mut self) {
         self.plain.clear();
@@ -129,14 +313,15 @@ impl<E> EventQueue<E> {
         self.pos.clear();
         self.dirty.clear();
         self.repairs = (0, 0);
+        self.lanes.reset();
         self.next_seq = 0;
         self.now = SimTime::ZERO;
     }
 
-    /// Number of pending events, plain and keyed.
+    /// Number of pending events: plain, keyed and lane timers.
     #[inline]
     pub fn len(&self) -> usize {
-        self.plain.len() + self.timers.len()
+        self.plain.len() + self.timers.len() + self.lanes.armed
     }
 
     #[inline]
@@ -207,31 +392,98 @@ impl<E> EventQueue<E> {
         i != NIL
     }
 
+    /// Whether `lane` has a pending timer.
+    #[inline]
+    pub fn lane_armed(&self, lane: usize) -> bool {
+        self.lanes.is_armed(lane)
+    }
+
+    /// Arm `lane`'s timer to fire at `at`, replacing a pending one. Lanes
+    /// are dense small indices; the lane source grows to the largest
+    /// armed.
+    #[inline]
+    pub fn arm_lane(&mut self, lane: usize, at: SimTime) {
+        let (time, seq) = self.stamp(at);
+        self.lanes.arm(lane, time, seq);
+    }
+
+    /// Cancel `lane`'s pending timer. Returns whether there was one.
+    #[inline]
+    pub fn cancel_lane(&mut self, lane: usize) -> bool {
+        self.lanes.is_armed(lane) && self.lanes.set(lane, IDLE) != IDLE
+    }
+
     /// Repairs of the timer heap so far, by branch: `(sifted,
     /// heapified)`. A work count for reports; reset by [`Self::reset`].
     pub fn repair_counts(&self) -> (u64, u64) {
         self.repairs
     }
 
-    /// Pop the next event, advancing `now` to its timestamp. Firing a
-    /// timer disarms its key.
-    pub fn pop(&mut self) -> Option<(SimTime, Fired<E>)> {
+    /// Lane keys compared so far while finding the least lane timer. A
+    /// work count for reports; reset by [`Self::reset`].
+    pub fn lane_compares(&self) -> u64 {
+        self.lanes.compared
+    }
+
+    /// The source holding the least pending `(time, seq)`, with its time.
+    fn head(&mut self) -> Option<(SimTime, Source)> {
         self.repair();
-        let plain_first = match (self.plain.peek(), self.timers.first()) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(Reverse(p)), Some(t)) => (p.time, p.seq) < (t.time, t.seq),
-        };
-        let (time, fired) = if plain_first {
-            let Reverse(entry) = self.plain.pop().expect("plain head was peeked");
-            (entry.time, Fired::Event(entry.payload))
+        // Each head as `time << 64 | seq`, `u128::MAX` when its source is
+        // empty: seqs are unique, so the least is the next event.
+        let pair = |time: SimTime, seq: u64| (u128::from(time.0) << 64) | u128::from(seq);
+        let plain = self
+            .plain
+            .peek()
+            .map_or(u128::MAX, |Reverse(e)| pair(e.time, e.seq));
+        let timer = self
+            .timers
+            .first()
+            .map_or(u128::MAX, |t| pair(t.time, t.seq));
+        let (lane, lane_pair) = self.lanes.first().map_or((0, u128::MAX), |k| {
+            let (lane, time, seq) = unpack(k);
+            (lane, pair(time, seq))
+        });
+        let first = plain.min(timer).min(lane_pair);
+        let source = if first == u128::MAX {
+            return None;
+        } else if first == plain {
+            Source::Plain
+        } else if first == timer {
+            Source::Timer
         } else {
-            let t = self.take(0);
-            if !self.timers.is_empty() {
-                self.sift_down(0);
+            Source::Lane(lane)
+        };
+        Some((SimTime((first >> 64) as u64), source))
+    }
+
+    /// Pop the next event, advancing `now` to its timestamp. Firing a
+    /// timer disarms its key or lane.
+    pub fn pop(&mut self) -> Option<(SimTime, Fired<E>)> {
+        self.pop_through(SimTime(u64::MAX))
+    }
+
+    /// Pop the next event if it is due at or before `until`: one look
+    /// at the three heads where [`Self::peek_time`] and [`Self::pop`]
+    /// take two. `None` when the queue is empty or its next event is
+    /// later.
+    pub fn pop_through(&mut self, until: SimTime) -> Option<(SimTime, Fired<E>)> {
+        let (time, source) = self.head().filter(|&(time, _)| time <= until)?;
+        let fired = match source {
+            Source::Plain => {
+                let Reverse(entry) = self.plain.pop().expect("plain head was peeked");
+                Fired::Event(entry.payload)
             }
-            (t.time, Fired::Timer(t.key as usize))
+            Source::Timer => {
+                let t = self.take(0);
+                if !self.timers.is_empty() {
+                    self.sift_down(0);
+                }
+                Fired::Timer(t.key as usize)
+            }
+            Source::Lane(lane) => {
+                self.lanes.set(lane, IDLE);
+                Fired::Lane(lane)
+            }
         };
         debug_assert!(time >= self.now);
         self.now = time;
@@ -240,13 +492,7 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without firing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.repair();
-        let plain = self.plain.peek().map(|Reverse(e)| e.time);
-        let timer = self.timers.first().map(|t| t.time);
-        match (plain, timer) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.head().map(|(time, _)| time)
     }
 
     /// A timer for `key` at `at`, stamped like any other event.
@@ -368,6 +614,102 @@ mod tests {
 
     fn timer<E>(t: u64, key: usize) -> Option<(SimTime, Fired<E>)> {
         Some((SimTime(t), Fired::Timer(key)))
+    }
+
+    fn lane<E>(t: u64, lane: usize) -> Option<(SimTime, Fired<E>)> {
+        Some((SimTime(t), Fired::Lane(lane)))
+    }
+
+    #[test]
+    fn ties_across_three_sources_pop_in_seq_order() {
+        let mut q = EventQueue::new();
+        // 120 events at one instant, cycling plain, keyed and lane, with
+        // lanes spread over several blocks and armed out of lane order.
+        let mut want = Vec::new();
+        for i in 0..120usize {
+            match i % 3 {
+                0 => {
+                    q.schedule(SimTime(5), i);
+                    want.push(ev(5, i));
+                }
+                1 => {
+                    q.arm(i, SimTime(5));
+                    want.push(timer(5, i));
+                }
+                _ => {
+                    let l = (i * 7) % 40;
+                    q.arm_lane(l, SimTime(5));
+                    want.push(lane(5, l));
+                }
+            }
+        }
+        // A later lane re-armed earlier still fires after every tie that
+        // was stamped before it.
+        q.arm_lane(45, SimTime(9));
+        q.arm_lane(45, SimTime(5));
+        want.push(lane(5, 45));
+        assert_eq!(q.len(), want.len());
+        for w in want {
+            assert_eq!(q.pop(), w);
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn lane_timers_rearm_cancel_and_pop() {
+        let mut q = EventQueue::<u32>::new();
+        for l in 0..20 {
+            q.arm_lane(l, SimTime(100 + l as u64));
+        }
+        assert!(q.lane_armed(19) && !q.lane_armed(20) && !q.lane_armed(5_000));
+        // Cancel the minimum, move the next one later, another earlier.
+        assert!(q.cancel_lane(0));
+        assert!(!q.cancel_lane(0));
+        q.arm_lane(1, SimTime(500));
+        q.arm_lane(17, SimTime(50));
+        assert_eq!(q.len(), 19);
+        assert_eq!(q.peek_time(), Some(SimTime(50)));
+        assert_eq!(q.pop(), lane(50, 17));
+        assert!(!q.lane_armed(17));
+        for l in (2..20).filter(|&l| l != 17) {
+            assert_eq!(q.pop(), lane(100 + l as u64, l));
+        }
+        assert_eq!(q.pop(), lane(500, 1));
+        assert_eq!(q.pop(), None);
+        assert!(q.lane_compares() > 0);
+    }
+
+    #[test]
+    fn pop_through_stops_at_its_limit() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(10), 1);
+        q.arm_lane(3, SimTime(20));
+        assert_eq!(q.pop_through(SimTime(9)), None);
+        assert_eq!(q.pop_through(SimTime(10)), ev(10, 1));
+        assert_eq!(q.pop_through(SimTime(19)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_through(SimTime(20)), lane(20, 3));
+        assert_eq!(q.now(), SimTime(20));
+    }
+
+    #[test]
+    fn reset_disarms_every_lane() {
+        let mut q = EventQueue::<u32>::new();
+        for l in 0..30 {
+            q.arm_lane(l, SimTime(10 + l as u64));
+        }
+        assert_eq!(q.pop(), lane(10, 0));
+        q.reset();
+        assert!(q.is_empty());
+        assert!((0..30).all(|l| !q.lane_armed(l)));
+        assert_eq!(q.lane_compares(), 0);
+        assert_eq!(q.pop(), None);
+        // The lanes start over like a fresh queue's.
+        q.arm_lane(29, SimTime(4));
+        q.schedule(SimTime(4), 7);
+        assert_eq!(q.pop(), lane(4, 29));
+        assert_eq!(q.pop(), ev(4, 7));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

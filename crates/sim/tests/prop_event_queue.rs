@@ -1,7 +1,9 @@
 //! Property tests for the event queue: total ordering, stable ties,
 //! exact cancellation, monotone time, reset, and model checks of keyed
 //! timers (step by step, and in bursts between pops that exercise the
-//! deferred heap repair) against a naive reference list.
+//! deferred heap repair) and of all three sources together (plain
+//! events, keyed timers and lane timers) against a naive reference
+//! list.
 
 use noiselab_sim::{EventQueue, Fired, SimTime};
 use proptest::prelude::*;
@@ -16,6 +18,11 @@ const MAX_HEAP: usize = 200;
 /// Keys the burst model check draws from: every key of the largest heap
 /// plus a quarter more, so bursts also arm fresh keys.
 const BURST_KEYS: usize = MAX_HEAP + MAX_HEAP / 4;
+
+/// Lanes the three-source model check draws from: more than two blocks
+/// of the lane source, so popping and moving a minimum rescans some
+/// blocks and keeps others.
+const LANES: usize = 20;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -37,7 +44,7 @@ proptest! {
         let mut count = 0;
         while let Some((t, fired)) = q.pop() {
             let idx = match fired {
-                Fired::Event(i) | Fired::Timer(i) => i,
+                    Fired::Event(i) | Fired::Timer(i) | Fired::Lane(i) => i,
             };
             prop_assert_eq!(t, SimTime(times[idx]));
             if let Some((lt, lidx)) = last {
@@ -81,6 +88,7 @@ proptest! {
         let order = |f: &Fired<usize>| match *f {
             Fired::Event(i) => (i, 0),
             Fired::Timer(i) => (i, 1),
+            Fired::Lane(i) => (i, 2),
         };
         seen.sort_by_key(order);
         expected.sort_by_key(order);
@@ -203,12 +211,64 @@ proptest! {
         }
     }
 
+    /// Random interleavings across all three sources — schedule; arm,
+    /// re-arm and cancel of keys; arm, re-arm and cancel of lanes; pop
+    /// and peek — agree step for step with the reference list. Time
+    /// steps are 0–3 ns, so most events tie with others at their instant
+    /// and the order among sources rests on the shared seq alone.
+    #[test]
+    fn three_sources_match_the_reference_model(
+        ops in proptest::collection::vec((0u8..8, 0usize..LANES, 0u64..4), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model = Model::new(KEYS + LANES);
+        for (step, &(kind, slot, dt)) in ops.iter().enumerate() {
+            let at = SimTime(model.now + dt);
+            let key = slot % KEYS;
+            match kind {
+                0 => {
+                    q.schedule(at, step);
+                    model.push(at.0, Fired::Event(step), None);
+                }
+                1 => {
+                    q.arm(key, at);
+                    model.cancel(key);
+                    model.push(at.0, Fired::Timer(key), Some(key));
+                }
+                2 | 3 => {
+                    q.arm_lane(slot, at);
+                    model.cancel(KEYS + slot);
+                    model.push(at.0, Fired::Lane(slot), Some(KEYS + slot));
+                }
+                4 => prop_assert_eq!(q.cancel(key), model.cancel(key)),
+                5 => prop_assert_eq!(q.cancel_lane(slot), model.cancel(KEYS + slot)),
+                _ => prop_assert_eq!(q.pop(), model.pop()),
+            }
+            prop_assert_eq!(q.len(), model.live.len());
+            prop_assert_eq!(q.peek_time(), model.peek_time());
+            prop_assert_eq!(q.now(), SimTime(model.now));
+            for k in 0..KEYS {
+                prop_assert_eq!(q.is_armed(k), model.armed(k));
+            }
+            for l in 0..LANES {
+                prop_assert_eq!(q.lane_armed(l), model.armed(KEYS + l));
+            }
+        }
+        loop {
+            let got = q.pop();
+            prop_assert_eq!(got.clone(), model.pop());
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+
     /// A reset queue, dirtied by any history, replays an operation
     /// sequence exactly like a fresh one.
     #[test]
     fn reset_restores_the_boot_state(
-        dirt in proptest::collection::vec((0u8..4, 0usize..KEYS, 0u64..50), 0..100),
-        ops in proptest::collection::vec((0u8..4, 0usize..KEYS, 0u64..50), 1..100),
+        dirt in proptest::collection::vec((0u8..6, 0usize..KEYS, 0u64..50), 0..100),
+        ops in proptest::collection::vec((0u8..6, 0usize..KEYS, 0u64..50), 1..100),
     ) {
         let mut used = EventQueue::new();
         drive(&mut used, &dirt);
@@ -229,13 +289,16 @@ fn drive(q: &mut EventQueue<usize>, ops: &[(u8, usize, u64)]) -> Vec<String> {
             0 => q.schedule(at, step),
             1 => q.arm(key, at),
             2 => log.push(format!("cancel {}", q.cancel(key))),
+            3 => q.arm_lane(key, at),
+            4 => log.push(format!("cancel lane {}", q.cancel_lane(key))),
             _ => log.push(format!("pop {:?}", q.pop())),
         }
         log.push(format!(
-            "{} {:?} {}",
+            "{} {:?} {} {}",
             q.len(),
             q.peek_time(),
-            q.is_armed(key)
+            q.is_armed(key),
+            q.lane_armed(key)
         ));
     }
     log
@@ -245,7 +308,8 @@ fn drive(q: &mut EventQueue<usize>, ops: &[(u8, usize, u64)]) -> Vec<String> {
 /// sequence number of the last timer armed through it, the way the
 /// kernel held one cancellation handle per timer field; the handle is
 /// dropped when it is used to cancel or when any timer of that key
-/// fires, as the kernel cleared its field in the event handler.
+/// fires, as the kernel cleared its field in the event handler. Lane
+/// `l` of the three-source check is handle `KEYS + l`.
 struct Model {
     /// `(time, seq, payload)` of every live event.
     live: Vec<(u64, u64, Fired<usize>)>,
@@ -296,9 +360,10 @@ impl Model {
             .iter()
             .enumerate()
             .min_by_key(|(_, e)| (e.0, e.1))?;
-        let (time, _, payload) = self.live.remove(i);
-        if let Fired::Timer(k) = payload {
-            self.handle[k] = None;
+        let (time, seq, payload) = self.live.remove(i);
+        // The handle that armed this timer, whichever it is, is spent.
+        for h in self.handle.iter_mut().filter(|h| **h == Some(seq)) {
+            *h = None;
         }
         self.now = time;
         Some((SimTime(time), payload))

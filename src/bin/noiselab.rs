@@ -208,6 +208,14 @@ impl Args {
         self.parsed(key, default, INTEGER, integer)
     }
 
+    /// `--runs`: how many runs a command makes, at least one (a
+    /// command with no runs has nothing to summarize).
+    fn runs(&mut self, default: usize) -> Result<usize, String> {
+        self.parsed("runs", default, "a positive integer", |v| {
+            integer(v).filter(|&n: &usize| n > 0)
+        })
+    }
+
     fn opt_int<T: TryFrom<u64>>(&mut self, key: &str) -> Result<Option<T>, String> {
         self.parsed(key, None, INTEGER, |v| integer(v).map(Some))
     }
@@ -283,7 +291,7 @@ impl Args {
 
 fn cmd_baseline(args: &mut Args) -> Result<(), String> {
     let (platform, workload, cfg) = args.cell()?;
-    let runs = args.int("runs", 40)?;
+    let runs = args.runs(40)?;
     let seed = args.seed(runs)?;
     args.finish()?;
     let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, seed, false);
@@ -355,7 +363,7 @@ fn cmd_trace(args: &mut Args) -> Result<(), String> {
     // building it changes nothing but the noise.
     platform.noise.anomaly_prob = (platform.noise.anomaly_prob * boost).min(0.5);
     let out = args.required("out")?;
-    let runs = args.int("runs", 40)?;
+    let runs = args.runs(40)?;
     let seed = args.seed(runs)?;
     args.finish()?;
     let base = run_baseline(&platform, workload.as_ref(), &cfg, runs, seed, true);
@@ -406,7 +414,7 @@ fn cmd_generate(args: &mut Args) -> Result<(), String> {
 fn cmd_inject(args: &mut Args) -> Result<(), String> {
     let (platform, workload, cfg) = args.cell()?;
     let config_path = args.required("config")?;
-    let runs: usize = args.int("runs", 20)?;
+    let runs = args.runs(20)?;
     // The baseline half runs the `runs` seeds from `seed + 10_000`.
     let seed = args.seed(runs.saturating_add(10_000))?;
     args.finish()?;
@@ -535,7 +543,7 @@ fn cmd_campaign(args: &mut Args) -> Result<(), String> {
         platform: platform.into(),
         workload: workload.into(),
         cells: campaign_cells(args.flag("dvfs", false)?),
-        runs_per_cell: args.int("runs", 20)?,
+        runs_per_cell: args.runs(20)?,
         seed_base: args.int("seed", 1)?,
         faults: campaign_faults(args)?,
         retry: RetryPolicy::retries(args.int("retries", 0)?),
@@ -701,7 +709,7 @@ fn cmd_metrics(args: &mut Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let runs = args.int("runs", 5)?;
+    let runs = args.runs(5)?;
     let seed = args.seed(runs)?;
     let tracing = args.flag("tracing", false)?;
     let profile = args.flag("profile", false)?;

@@ -132,3 +132,24 @@ fn inject_refuses_an_invalid_config() {
         assert_refused(&dir, &cmd, "--config");
     }
 }
+
+#[test]
+fn zero_runs_are_refused_naming_runs() {
+    let dir = scratch("zero-runs");
+    for cmd in [
+        "baseline --workload nbody-tiny --runs 0",
+        "trace --workload nbody-tiny --runs 0 --out t.json",
+        "inject --workload nbody-tiny --runs 0 --config c.json",
+        "metrics --workload nbody-tiny --runs 0",
+        "campaign --workload nbody-tiny --runs 0 --checkpoint state.json",
+        "campaign --workload nbody-tiny --runs 0 --workers 2 --checkpoint state.json",
+    ] {
+        assert_refused(&dir, cmd, "--runs");
+    }
+    for artifact in ["t.json", "state.json", "campaign.queue"] {
+        assert!(
+            !dir.join(artifact).exists(),
+            "a refused command must not create {artifact}"
+        );
+    }
+}
