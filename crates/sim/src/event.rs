@@ -180,10 +180,7 @@ impl Lanes {
     #[inline]
     fn set(&mut self, lane: usize, k: u128) -> u128 {
         if lane >= self.key.len() {
-            assert!(lane < 1 << LANE_BITS, "lane {lane} out of range");
-            let blocks = lane / BLOCK + 1;
-            self.key.resize(blocks * BLOCK, IDLE);
-            self.block_min.resize(blocks, IDLE);
+            self.grow(lane);
         }
         let old = std::mem::replace(&mut self.key[lane], k);
         self.armed = self.armed + usize::from(k != IDLE) - usize::from(old != IDLE);
@@ -191,6 +188,17 @@ impl Lanes {
         self.block_min[b] = after_set(self.block_min[b], old, k);
         self.min = after_set(self.min, old, k);
         old
+    }
+
+    /// Add idle blocks up to the one holding `lane`. Out of line: it
+    /// runs once per lane per run.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, lane: usize) {
+        assert!(lane < 1 << LANE_BITS, "lane {lane} out of range");
+        let blocks = lane / BLOCK + 1;
+        self.key.resize(blocks * BLOCK, IDLE);
+        self.block_min.resize(blocks, IDLE);
     }
 
     /// The least armed key, rescanning stale minima.
