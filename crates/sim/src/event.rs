@@ -21,8 +21,8 @@
 //!   are its CPUs, and each holds the completion timer of the compute
 //!   running there: the timer that every rate change re-predicts, so the
 //!   one re-armed most often. Arming a lane is a store; the least lane is
-//!   found by a scan that is redone only where it went stale (see
-//!   [`Lanes`]).
+//!   found by a scan of 8-lane blocks that is redone only for the blocks
+//!   that changed (see [`Lanes`]).
 //!
 //! Timer placement is deferred. `arm` and `cancel` stamp the seq and
 //! update the entry and its key's slot at once, but only note which heap
@@ -110,7 +110,7 @@ const LANE_SEQ_LIMIT: u64 = 1 << 51;
 const IDLE: u128 = u128::MAX;
 
 /// A cached minimum in [`Lanes`] that must be rescanned: after every
-/// real key, before `IDLE`.
+/// real key, so it never passes for one.
 const STALE: u128 = u128::MAX - 1;
 
 /// The lane timer source: one pending `(time, seq)` slot per lane.
@@ -120,12 +120,12 @@ const STALE: u128 = u128::MAX - 1;
 /// comparison orders two timers, and the least key names its own lane.
 ///
 /// The least key is cached per block of [`BLOCK`] lanes and over the
-/// whole source. Arming a lane earlier than a cached minimum replaces
-/// it; popping, cancelling or arming later the key a minimum holds marks
-/// that minimum stale. The next look rescans only the stale blocks and
-/// then the block minima, so popping one lane of 48 and re-arming it (a
-/// fine-chunk loop on a wide machine) costs 8 + 6 key comparisons, not
-/// 48.
+/// whole source. Any change to a lane, arm, cancel or pop, only marks
+/// its block and the whole source stale: a store, no comparison. The
+/// next look rescans the stale blocks and then the block minima, so
+/// popping one lane of 48 and re-arming it (a fine-chunk loop on a wide
+/// machine) costs 8 + 6 key comparisons, not 48, and a full rate pass
+/// that re-arms all 8 lanes of a small machine costs one rescan of 8.
 struct Lanes {
     /// Each lane's key, `IDLE` when disarmed; padded with idle lanes to
     /// whole blocks.
@@ -175,8 +175,8 @@ impl Lanes {
         self.set(lane, k);
     }
 
-    /// Set `lane`'s key to `k` (`IDLE` disarms it), keeping both cached
-    /// minima exact or marking them stale. Returns the old key.
+    /// Set `lane`'s key to `k` (`IDLE` disarms it) and mark its block's
+    /// minimum and the overall one stale. Returns the old key.
     #[inline]
     fn set(&mut self, lane: usize, k: u128) -> u128 {
         if lane >= self.key.len() {
@@ -184,9 +184,8 @@ impl Lanes {
         }
         let old = std::mem::replace(&mut self.key[lane], k);
         self.armed = self.armed + usize::from(k != IDLE) - usize::from(old != IDLE);
-        let b = lane / BLOCK;
-        self.block_min[b] = after_set(self.block_min[b], old, k);
-        self.min = after_set(self.min, old, k);
+        self.block_min[lane / BLOCK] = STALE;
+        self.min = STALE;
         old
     }
 
@@ -244,19 +243,6 @@ fn block_min_of(block: &[u128]) -> u128 {
         }
     }
     m[0]
-}
-
-/// A cached minimum `m` after one lane's key moved from `old` to `k`:
-/// still exact, now `k`, or stale. Keys are unique, so `m == old` says
-/// the lane that moved held the minimum (or, if both are `IDLE`, that
-/// every lane it covers was idle).
-#[inline]
-fn after_set(m: u128, old: u128, k: u128) -> u128 {
-    if m == STALE || (m == old && k > old) {
-        STALE
-    } else {
-        m.min(k)
-    }
 }
 
 /// The lane and `(time, seq)` a lane key packs.
