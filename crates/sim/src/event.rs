@@ -176,9 +176,9 @@ impl Lanes {
     }
 
     /// Set `lane`'s key to `k` (`IDLE` disarms it) and mark its block's
-    /// minimum and the overall one stale. Returns the old key.
+    /// minimum and the overall one stale.
     #[inline]
-    fn set(&mut self, lane: usize, k: u128) -> u128 {
+    fn set(&mut self, lane: usize, k: u128) {
         if lane >= self.key.len() {
             self.grow(lane);
         }
@@ -186,7 +186,6 @@ impl Lanes {
         self.armed = self.armed + usize::from(k != IDLE) - usize::from(old != IDLE);
         self.block_min[lane / BLOCK] = STALE;
         self.min = STALE;
-        old
     }
 
     /// Add idle blocks up to the one holding `lane`. Out of line: it
@@ -404,7 +403,11 @@ impl<E> EventQueue<E> {
     /// Cancel `lane`'s pending timer. Returns whether there was one.
     #[inline]
     pub fn cancel_lane(&mut self, lane: usize) -> bool {
-        self.lanes.is_armed(lane) && self.lanes.set(lane, IDLE) != IDLE
+        let armed = self.lanes.is_armed(lane);
+        if armed {
+            self.lanes.set(lane, IDLE);
+        }
+        armed
     }
 
     /// Repairs of the timer heap so far, by branch: `(sifted,
