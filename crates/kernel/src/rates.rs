@@ -103,6 +103,15 @@ pub struct RateCounts {
     pub lane_compares: u64,
 }
 
+/// What a rate pass does to a compute's completion timer (see
+/// `Kernel::timer_after`).
+enum LaneTimer {
+    Keep,
+    /// Arm it this many nanoseconds from now.
+    Arm(u64),
+    Cancel,
+}
+
 /// Water-fill demand of a runnable compute that wants bandwidth: its
 /// bandwidth at the upper-bound rate it would reach if bandwidth were
 /// free. Every pass uses it, so their demands stay bit-identical.
@@ -462,24 +471,35 @@ impl Kernel {
         let lane_rate = &mut self.running.rate[ci];
         let unchanged = (*lane_rate - rate).abs() <= 1e-12 * rate.max(1.0);
         *lane_rate = rate;
-        if unchanged && self.queue.lane_armed(ci) {
-            self.scratch.counts.rearms_skipped += 1;
-            return;
-        }
-        let eta = if factor == 0.0 {
-            None
-        } else {
-            self.running.eta_ns(ci)
-        };
-        match eta {
-            Some(ns) => {
+        match self.timer_after(ci, factor, unchanged) {
+            LaneTimer::Keep => self.scratch.counts.rearms_skipped += 1,
+            LaneTimer::Arm(ns) => {
                 self.scratch.counts.arms += 1;
                 self.debug_check_compute_owner(ci, ti);
                 self.queue.arm_lane(ci, now + SimDuration(ns.max(1)));
             }
-            None => {
+            LaneTimer::Cancel => {
                 self.queue.cancel_lane(ci);
             }
+        }
+    }
+
+    /// What a rate pass does to CPU `ci`'s completion timer once the
+    /// compute holds its new rate at `factor`: an armed timer whose rate
+    /// is `unchanged` stays exact and is kept; otherwise the timer is
+    /// armed at the compute's eta, or cancelled when the compute cannot
+    /// progress (`factor` 0, or no eta).
+    #[inline]
+    fn timer_after(&self, ci: usize, factor: f64, unchanged: bool) -> LaneTimer {
+        if unchanged && self.queue.lane_armed(ci) {
+            return LaneTimer::Keep;
+        }
+        if factor == 0.0 {
+            return LaneTimer::Cancel;
+        }
+        match self.running.eta_ns(ci) {
+            Some(ns) => LaneTimer::Arm(ns),
+            None => LaneTimer::Cancel,
         }
     }
 
@@ -712,7 +732,7 @@ impl Kernel {
     /// what the full pass would produce (no advance, no queue write) and
     /// assert every running compute already holds that rate, and that
     /// its timer is armed exactly when the full pass would leave it
-    /// armed.
+    /// armed, by the rule [`Self::apply_rate`] applies.
     #[cfg(debug_assertions)]
     fn debug_check_full_pass(&self, now: SimTime) {
         let mut running = Vec::new();
@@ -743,14 +763,13 @@ impl Kernel {
                 rate.to_bits(),
                 "neutral pass left cpu {ci} at rate {held} where the full pass gives {rate}"
             );
-            let eta = if factors[k] == 0.0 {
-                None
-            } else {
-                self.running.eta_ns(ci)
-            };
+            // The full pass would find the held rate unchanged (asserted
+            // above), so it keeps an armed timer, even one of a compute
+            // in an IRQ window, and arms or cancels any other.
+            let cancelled = matches!(self.timer_after(ci, factors[k], true), LaneTimer::Cancel);
             debug_assert_eq!(
                 self.queue.lane_armed(ci),
-                factors[k] > 0.0 && eta.is_some(),
+                !cancelled,
                 "neutral pass left cpu {ci}'s completion timer out of step"
             );
         }
