@@ -1,8 +1,9 @@
 //! `noiselab report` refuses what it cannot honour: an unknown `--scale`
 //! or `--what` is an error naming every accepted value, never a silent
-//! run at some other size. A well-formed report prints its table, byte
+//! run at some other size. A well-formed report prints its section, byte
 //! for byte as in the committed golden transcript, and exits 0 when the
-//! paper's shape holds.
+//! paper's shape holds. The sections checked here are the quick ones;
+//! CI's `paper-shapes` job diffs the whole transcript.
 
 use std::process::{Command, Output};
 
@@ -62,12 +63,43 @@ fn unknown_report_is_an_error_naming_every_report() {
 /// are separated by one blank line.
 const GOLDEN: &str = include_str!("fixtures/report_all_smoke.txt");
 
+/// `report --what <what> --scale smoke` passes its shape and prints the
+/// golden transcript's `n`-th section byte for byte.
+fn prints_its_golden_section(what: &str, n: usize) {
+    let out = report(&["--what", what, "--scale", "smoke"]);
+    assert!(out.status.success(), "{what}: {}", stderr(&out));
+    let section = GOLDEN.split("\n\n").nth(n).unwrap_or_default();
+    let golden = format!("{}\n", section.trim_end_matches('\n'));
+    let printed = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(printed, golden, "{what} moved from its golden section");
+}
+
 #[test]
 fn table1_at_smoke_scale_prints_and_passes_its_shape() {
-    let out = report(&["--what", "table1", "--scale", "smoke"]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let table = String::from_utf8_lossy(&out.stdout);
-    assert!(table.contains("Table 1"), "{table}");
-    let golden = GOLDEN.split("\n\n").next().unwrap_or_default().to_string() + "\n";
-    assert_eq!(table, golden, "Table 1 moved from its golden section");
+    prints_its_golden_section("table1", 0);
+}
+
+#[test]
+fn merge_at_smoke_scale_matches_its_golden_section() {
+    prints_its_golden_section("merge", 9);
+}
+
+#[test]
+fn memory_at_smoke_scale_matches_its_golden_section() {
+    prints_its_golden_section("memory", 10);
+}
+
+#[test]
+fn runlevel3_at_smoke_scale_matches_its_golden_section() {
+    prints_its_golden_section("runlevel3", 11);
+}
+
+#[test]
+fn numa_at_smoke_scale_matches_its_golden_section() {
+    prints_its_golden_section("numa", 12);
+}
+
+#[test]
+fn fwq_at_smoke_scale_matches_its_golden_section() {
+    prints_its_golden_section("fwq", 13);
 }
