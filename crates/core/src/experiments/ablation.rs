@@ -5,17 +5,17 @@
 //!   merge of overlapping events (all mitigation strategies performed
 //!   identically; 25.74 % accuracy error), and fixed it by merging
 //!   interrupt- and thread-based noise separately and boosting the
-//!   priority of thread noise (5.70 %). [`merge_plan`] reproduces
-//!   the comparison.
+//!   priority of thread noise (5.70 %). [`merge`] reproduces the
+//!   comparison.
 //! * **Memory noise (§6/§7)** — CPU-occupation noise is absorbed by
 //!   housekeeping cores, but bandwidth-consuming noise is not: the
 //!   contended resource is the socket, not a CPU.
-//!   [`memory_plan`] demonstrates the difference, motivating
-//!   the paper's future-work extension.
+//!   [`memory`] demonstrates the difference, motivating the paper's
+//!   future-work extension.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
-use crate::experiments::plan::{Collection, Outcome, Plan, RunSet};
-use crate::experiments::{suite, Scale};
+use crate::experiments::plan::{Outcome, Plan, Reduce, RunSet};
+use crate::experiments::{suite, Scale, Section};
 use crate::platform::Platform;
 use noiselab_injector::MergeStrategy;
 use noiselab_noise::{AnomalyKind, AnomalySpec};
@@ -88,8 +88,8 @@ impl MergeAblation {
     }
 }
 
-/// The merge-strategy ablation's plan on the Intel platform with MiniFE
-/// (its dense reductions give overlapping noise events): one traced
+/// The merge-strategy ablation on the Intel platform with MiniFE (its
+/// dense reductions give overlapping noise events): one traced
 /// collection, reduced with each merge strategy, and each config
 /// replayed under every mitigation.
 ///
@@ -97,7 +97,7 @@ impl MergeAblation {
 /// of diverse noise" — thread storms overlapping an interrupt storm. To
 /// reproduce that condition deterministically, trace collection forces
 /// both a kworker storm and an IRQ storm in every run.
-pub fn merge_plan(scale: Scale) -> Plan {
+pub fn merge(scale: Scale) -> (Plan, Reduce<Section>) {
     let platform = Rc::new(Platform::intel());
     let mut collection = Platform::intel();
     collection.noise.force_all_anomalies = true;
@@ -125,66 +125,47 @@ pub fn merge_plan(scale: Scale) -> Plan {
         },
     ];
     let workload: Rc<dyn Workload + Sync> = Rc::new(suite::minife_for(&platform));
+    let collection = Rc::new(collection);
     let source = ExecConfig::new(Model::Omp, Mitigation::Rm);
-    let traced = RunSet::new(
-        &Rc::new(collection),
-        &workload,
-        source,
-        77,
-        scale.traced_runs,
-    );
-    let mut plan = Plan {
-        collections: vec![Collection {
-            name: "merge-ablation".into(),
-            set: RunSet {
-                tracing: true,
-                ..traced
-            },
-            merges: MERGES.to_vec(),
-        }],
-        sets: Vec::new(),
-    };
-    for config in 0..MERGES.len() {
-        for (i, mit) in Mitigation::ALL.into_iter().enumerate() {
+    let traced = RunSet::new(&collection, &workload, source, 77, scale.traced_runs);
+    let mut plan = Plan::default();
+    // Per config, a set replaying it under each mitigation.
+    let configs = plan.collection("merge-ablation".into(), traced, MERGES);
+    let cells = configs.map(|config| {
+        let inject = Some(config);
+        let sets = Mitigation::ALL.map(|mit| {
             let cfg = ExecConfig::new(Model::Omp, mit);
-            let seed = 200_000 + i as u64 * 97;
+            let seed = 200_000 + mit.index() as u64 * 97;
             let set = RunSet::new(&platform, &workload, cfg, seed, scale.inject_runs);
-            plan.sets.push(RunSet {
-                inject: Some(config),
-                ..set
-            });
-        }
-    }
-    plan
-}
-
-/// The strategies [`merge_plan`] compares, in config order.
-const MERGES: [MergeStrategy; 2] = [MergeStrategy::NaivePessimistic, MergeStrategy::Improved];
-
-/// The merge ablation from its plan's outcome.
-pub fn merge_reduce(out: &Outcome) -> MergeAblation {
-    // (accuracy, FIFO share, mitigation spread) of the `c`-th config.
-    let eval = |c: usize| -> (f64, f64, f64) {
-        let config = &out.configs[c];
-        let means: Vec<f64> = (0..6).map(|i| out.summary(6 * c + i).mean).collect();
-        // Accuracy on the source configuration (Rm).
-        let accuracy = (means[0] / config.anomaly_exec.as_secs_f64() - 1.0).abs();
-        let spread = means.iter().cloned().fold(f64::MIN, f64::max)
-            - means.iter().cloned().fold(f64::MAX, f64::min);
-        (accuracy, config.fifo_fraction(), spread)
+            plan.set(RunSet { inject, ..set })
+        });
+        (config, sets)
+    });
+    let reduce = move |out: &Outcome| {
+        // (accuracy, FIFO share, mitigation spread) of one config.
+        let [naive, improved] = cells.map(|(config, sets)| {
+            let config = out.config(config);
+            let means = sets.map(|s| out.summary(s).mean);
+            // Accuracy on the source configuration (Rm).
+            let accuracy = (means[0] / config.anomaly_exec.as_secs_f64() - 1.0).abs();
+            let spread = means.iter().cloned().fold(f64::MIN, f64::max)
+                - means.iter().cloned().fold(f64::MAX, f64::min);
+            (accuracy, config.fifo_fraction(), spread)
+        });
+        checked!(MergeAblation {
+            naive_accuracy: naive.0,
+            improved_accuracy: improved.0,
+            naive_fifo_frac: naive.1,
+            improved_fifo_frac: improved.1,
+            naive_mitigation_spread: naive.2,
+            improved_mitigation_spread: improved.2,
+        })
     };
-
-    let (na, nf, ns) = eval(0);
-    let (ia, iff, is) = eval(1);
-    MergeAblation {
-        naive_accuracy: na,
-        improved_accuracy: ia,
-        naive_fifo_frac: nf,
-        improved_fifo_frac: iff,
-        naive_mitigation_spread: ns,
-        improved_mitigation_spread: is,
-    }
+    (plan, Box::new(reduce))
 }
+
+/// The strategies [`merge`] compares: naive, then improved.
+const MERGES: [MergeStrategy; 2] = [MergeStrategy::NaivePessimistic, MergeStrategy::Improved];
 
 /// Outcome of the memory-noise ablation.
 #[derive(Debug, Clone)]
@@ -246,10 +227,10 @@ impl MemoryNoiseAblation {
     }
 }
 
-/// The memory-noise ablation's plan: Babelstream under Rm and RmHK2,
+/// The memory-noise ablation: Babelstream under Rm and RmHK2,
 /// first with a CPU-occupation storm forced in every run, then with a
 /// memory-bandwidth hog.
-pub fn memory_plan(scale: Scale) -> Plan {
+pub fn memory(scale: Scale) -> (Plan, Reduce<Section>) {
     let base = Platform::intel();
     let workload: Rc<dyn Workload + Sync> = Rc::new(suite::babelstream_for(&base));
 
@@ -285,29 +266,26 @@ pub fn memory_plan(scale: Scale) -> Plan {
     };
 
     let mut plan = Plan::default();
-    for anomaly in [storm, memhog] {
+    let [cpu, mem] = [storm, memhog].map(|anomaly| {
         let mut p = base.clone();
         p.noise.anomaly_prob = 1.0;
         p.noise.anomalies = vec![anomaly];
         let p = Rc::new(p);
-        for mit in [Mitigation::Rm, Mitigation::RmHK2] {
+        [Mitigation::Rm, Mitigation::RmHK2].map(|mit| {
             let cfg = ExecConfig::new(Model::Omp, mit);
-            plan.sets
-                .push(RunSet::new(&p, &workload, cfg, 12_345, scale.inject_runs));
-        }
-    }
-    plan
-}
-
-/// The memory ablation from its plan's ledgers.
-pub fn memory_reduce(out: &Outcome) -> MemoryNoiseAblation {
-    let mean = |i| out.summary(i).mean;
-    MemoryNoiseAblation {
-        cpu_rm: mean(0),
-        cpu_hk2: mean(1),
-        mem_rm: mean(2),
-        mem_hk2: mean(3),
-    }
+            plan.set(RunSet::new(&p, &workload, cfg, 12_345, scale.inject_runs))
+        })
+    });
+    let reduce = move |out: &Outcome| {
+        let mean = |set| out.summary(set).mean;
+        checked!(MemoryNoiseAblation {
+            cpu_rm: mean(cpu[0]),
+            cpu_hk2: mean(cpu[1]),
+            mem_rm: mean(mem[0]),
+            mem_hk2: mean(mem[1]),
+        })
+    };
+    (plan, Box::new(reduce))
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! system shows far larger spreads.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
-use crate::experiments::plan::{Outcome, Plan, RunSet};
-use crate::experiments::Scale;
+use crate::experiments::plan::{Outcome, Plan, Reduce, RunSet, SetId};
+use crate::experiments::{Scale, Section};
 use crate::platform::Platform;
 use noiselab_stats::{percentile, Summary, TextTable};
 use noiselab_workloads::{SchedBench, Workload};
@@ -65,17 +65,15 @@ where
     out
 }
 
-/// Each set's spread, paired in turn with `keys`: the reserved system's
-/// sets, then the unreserved one's.
-pub fn spreads<K: Clone>(out: &Outcome, keys: &[K]) -> [Vec<(K, Spread)>; 2] {
-    let mut reserved: Vec<(K, Spread)> = keys
-        .iter()
-        .cycle()
-        .zip(&out.ledgers)
-        .map(|(key, ledger)| (key.clone(), Spread::of(&ledger.samples())))
-        .collect();
-    let unreserved = reserved.split_off(keys.len());
-    [reserved, unreserved]
+/// One point per keyed set of each A64FX system, as [`a64fx_systems`]
+/// orders them.
+pub fn spreads<K>(out: &Outcome, systems: [Vec<(K, SetId)>; 2]) -> [Vec<(K, Spread)>; 2] {
+    systems.map(|sets| {
+        let spread = |set| Spread::of(&out.ledger(set).samples());
+        sets.into_iter()
+            .map(|(key, set)| (key, spread(set)))
+            .collect()
+    })
 }
 
 /// The two A64FX systems, anomaly-boosted: reserved OS cores first.
@@ -128,39 +126,35 @@ impl Fig1 {
     }
 }
 
-/// The Figure 1 plan: every schedule of [`SchedBench::figure1_configs`]
-/// on each A64FX system.
-pub fn plan(scale: Scale) -> Plan {
+/// Figure 1: every schedule of [`SchedBench::figure1_configs`] on each
+/// A64FX system.
+pub fn build(scale: Scale) -> (Plan, Reduce<Section>) {
     let mut plan = Plan::default();
-    for platform in a64fx_systems(scale) {
-        for (_, schedule) in SchedBench::figure1_configs() {
+    let systems = a64fx_systems(scale).map(|platform| {
+        let configs = SchedBench::figure1_configs().into_iter();
+        let set = |(label, schedule)| {
             let mut sb = SchedBench::with_schedule(schedule);
             // ~0.3 s per run on the A64FX, long enough for anomaly
             // windows to overlap the measurement.
             sb.repeats = 200;
             let sb: Rc<dyn Workload + Sync> = Rc::new(sb);
             let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm).with_schedule(schedule);
-            plan.sets
-                .push(RunSet::new(&platform, &sb, cfg, 3_000, scale.baseline_runs));
-        }
-    }
-    plan
-}
-
-/// Figure 1 from its plan's ledgers.
-pub fn reduce(out: &Outcome) -> Fig1 {
-    let labels: Vec<String> = SchedBench::figure1_configs()
-        .into_iter()
-        .map(|(label, _)| label)
-        .collect();
-    let [reserved, unreserved] = spreads(out, &labels).map(|points| {
-        let point = |(label, spread)| SpreadPoint { label, spread };
-        points.into_iter().map(point).collect()
+            let set = RunSet::new(&platform, &sb, cfg, 3_000, scale.baseline_runs);
+            (label, plan.set(set))
+        };
+        configs.map(set).collect()
     });
-    Fig1 {
-        reserved,
-        unreserved,
-    }
+    let reduce = move |out: &Outcome| {
+        let [reserved, unreserved] = spreads(out, systems).map(|points| {
+            let point = |(label, spread)| SpreadPoint { label, spread };
+            points.into_iter().map(point).collect()
+        });
+        checked!(Fig1 {
+            reserved,
+            unreserved
+        })
+    };
+    (plan, Box::new(reduce))
 }
 
 #[cfg(test)]

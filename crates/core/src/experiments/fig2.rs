@@ -5,8 +5,8 @@
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
 use crate::experiments::fig1::{a64fx_systems, render_spreads, spreads, Spread};
-use crate::experiments::plan::{Outcome, Plan, RunSet};
-use crate::experiments::Scale;
+use crate::experiments::plan::{Outcome, Plan, Reduce, RunSet};
+use crate::experiments::{Scale, Section};
 use noiselab_workloads::{Babelstream, Workload};
 use std::rc::Rc;
 
@@ -57,33 +57,32 @@ impl Fig2 {
     }
 }
 
-/// The Figure 2 plan: the `dot` kernel at every thread count on each
-/// A64FX system.
-pub fn plan(scale: Scale) -> Plan {
+/// Figure 2: the `dot` kernel at every thread count on each A64FX
+/// system.
+pub fn build(scale: Scale) -> (Plan, Reduce<Section>) {
     // ~0.2 s per run so anomaly windows overlap the measurement (the
     // dot kernel itself is very fast on HBM).
     let bs: Rc<dyn Workload + Sync> = Rc::new(Babelstream::dot_only(33_554_432, 200));
     let mut plan = Plan::default();
-    for platform in a64fx_systems(scale) {
-        for n in THREADS {
+    let systems = a64fx_systems(scale).map(|platform| {
+        let set = |n| {
             let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm).with_threads(n);
-            plan.sets
-                .push(RunSet::new(&platform, &bs, cfg, 4_000, scale.baseline_runs));
-        }
-    }
-    plan
-}
-
-/// Figure 2 from its plan's ledgers.
-pub fn reduce(out: &Outcome) -> Fig2 {
-    let [reserved, unreserved] = spreads(out, &THREADS).map(|points| {
-        let point = |(threads, spread)| ThreadPoint { threads, spread };
-        points.into_iter().map(point).collect()
+            let set = RunSet::new(&platform, &bs, cfg, 4_000, scale.baseline_runs);
+            (n, plan.set(set))
+        };
+        THREADS.into_iter().map(set).collect()
     });
-    Fig2 {
-        reserved,
-        unreserved,
-    }
+    let reduce = move |out: &Outcome| {
+        let [reserved, unreserved] = spreads(out, systems).map(|points| {
+            let point = |(threads, spread)| ThreadPoint { threads, spread };
+            points.into_iter().map(point).collect()
+        });
+        checked!(Fig2 {
+            reserved,
+            unreserved
+        })
+    };
+    (plan, Box::new(reduce))
 }
 
 #[cfg(test)]

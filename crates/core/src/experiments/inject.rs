@@ -15,9 +15,8 @@
 //! paper's Tables 3-5.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
-use crate::experiments::plan::{Collection, Outcome, Plan, RunSet};
+use crate::experiments::plan::{Outcome, Plan, Reduce, RunSet};
 use crate::experiments::{suite, Scale};
-use crate::harness::RunLedger;
 use crate::platform::Platform;
 use noiselab_injector::MergeStrategy;
 use noiselab_stats::{fmt_pct, fmt_secs, TextTable};
@@ -215,140 +214,98 @@ impl InjectionTable {
 }
 
 impl TableSpec {
-    /// The table's plan. Its collections are every block's trace
-    /// sources, traced on the anomaly-boosted platform; each generates
-    /// one config. Its sets are, per block, the baselines of
-    /// [`PlatformSpec::baselines`], then each row's injections, one set
-    /// per mitigation each.
-    pub fn plan(&self, scale: Scale) -> Plan {
+    /// The table's plan and reduction. Its collections are every
+    /// block's trace sources, traced on the anomaly-boosted platform;
+    /// each generates one config. Its sets are, per block, the
+    /// baselines of [`PlatformSpec::baselines`], then each row's
+    /// injections, one set per mitigation each. The reduction sets each
+    /// cell's injected mean against its baseline mean, and measures each
+    /// trace's replication accuracy on its own source configuration.
+    pub fn build(self, scale: Scale) -> (Plan, Reduce<InjectionTable>) {
         let mut plan = Plan::default();
-        for (pi, block) in self.platforms.iter().enumerate() {
+        let mut blocks = Vec::new();
+        for (pi, block) in self.platforms.into_iter().enumerate() {
             let workload = self.workload.instantiate(&block.platform);
             let platform = Rc::new(block.platform.clone());
             let boosted = Rc::new(scale.boost(&block.platform));
-            let first_config = plan.collections.len();
-            for (ti, source) in block.traces.iter().enumerate() {
-                let seed = 10_000 * (pi as u64 + 1) + 1_000 * ti as u64;
-                let set = RunSet::new(
-                    &boosted,
-                    &workload,
-                    source.cfg.clone(),
-                    seed,
-                    scale.traced_runs,
-                );
-                plan.collections.push(Collection {
-                    name: format!(
-                        "{}/{}/{}",
-                        self.workload.name(),
-                        block.platform.label(),
-                        source.label
-                    ),
-                    set: RunSet {
-                        tracing: true,
-                        ..set
-                    },
-                    merges: vec![MergeStrategy::Improved],
-                });
-            }
-            for (model, smt) in block.baselines() {
-                for (i, &mit) in Mitigation::ALL.iter().enumerate() {
-                    let cfg = ExecConfig {
-                        smt,
-                        ..ExecConfig::new(model, mit)
-                    };
-                    let seed = 50_000 + i as u64 * 500;
-                    plan.sets.push(RunSet::new(
-                        &platform,
-                        &workload,
-                        cfg,
-                        seed,
-                        scale.baseline_runs,
-                    ));
-                }
-            }
-            for (ri, row) in block.rows.iter().enumerate() {
-                for (i, &mit) in Mitigation::ALL.iter().enumerate() {
-                    let cfg = ExecConfig {
-                        smt: row.smt,
-                        ..ExecConfig::new(row.model, mit)
-                    };
-                    let seed = 100_000 + 1_000 * ri as u64 + 50 * i as u64;
-                    let set = RunSet::new(&platform, &workload, cfg, seed, scale.inject_runs);
-                    plan.sets.push(RunSet {
-                        inject: Some(first_config + row.trace),
-                        ..set
-                    });
-                }
-            }
-        }
-        plan
-    }
-
-    /// The table from its plan's outcome: each cell's injected mean
-    /// against its baseline mean, and each trace's replication accuracy
-    /// on its own source configuration.
-    pub fn reduce(&self, out: &Outcome) -> InjectionTable {
-        let mean = |i: usize| out.summary(i).mean;
-        let mut blocks = Vec::new();
-        let mut accuracy = Vec::new();
-        let (mut next_set, mut first_config) = (0, 0);
-        for block in &self.platforms {
             let keys = block.baselines();
-            let baselines = next_set;
-            next_set += keys.len() * 6;
+            let mut traces = Vec::new();
+            for (ti, source) in block.traces.into_iter().enumerate() {
+                let seed = 10_000 * (pi as u64 + 1) + 1_000 * ti as u64;
+                let cfg = source.cfg.clone();
+                let set = RunSet::new(&boosted, &workload, cfg, seed, scale.traced_runs);
+                let (table, label) = (self.workload.name(), block.platform.label());
+                let name = format!("{table}/{label}/{}", source.label);
+                let [config] = plan.collection(name, set, [MergeStrategy::Improved]);
+                traces.push((source, config));
+            }
+            // A set per mitigation, seeded `seed`, `seed + step`, ...
+            let mut sets = |(model, smt), seed: u64, step: u64, runs, inject| {
+                Mitigation::ALL.map(|mit| {
+                    let mut cfg = ExecConfig::new(model, mit);
+                    cfg.smt = smt;
+                    let seed = seed + step * mit.index() as u64;
+                    let set = RunSet::new(&platform, &workload, cfg, seed, runs);
+                    plan.set(RunSet { inject, ..set })
+                })
+            };
+            let baselines: Vec<_> = keys
+                .into_iter()
+                .map(|key| (key, sets(key, 50_000, 500, scale.baseline_runs, None)))
+                .collect();
             let mut rows = Vec::new();
-            for row in &block.rows {
-                let k = keys
-                    .iter()
-                    .position(|&key| key == (row.model, row.smt))
-                    .expect("every row's pair has baselines");
-                let cells = std::array::from_fn(|i| Cell {
-                    base_mean: mean(baselines + 6 * k + i),
-                    inj_mean: mean(next_set + i),
-                });
-                next_set += 6;
-                rows.push(RowResult {
-                    label: row.label(),
-                    model: row.model,
-                    smt: row.smt,
-                    trace: row.trace,
-                    cells,
-                });
+            for (ri, row) in block.rows.into_iter().enumerate() {
+                let key = (row.model, row.smt);
+                let base = baselines.iter().find(|(k, _)| *k == key);
+                let base = base.expect("every row's pair has baselines").1;
+                let seed = 100_000 + 1_000 * ri as u64;
+                let inject = Some(traces[row.trace].1);
+                rows.push((row, base, sets(key, seed, 50, scale.inject_runs, inject)));
             }
-
-            for (ti, source) in block.traces.iter().enumerate() {
-                let cfg = &source.cfg;
-                let matching = rows
-                    .iter()
-                    .find(|r| r.model == cfg.model && r.smt == cfg.smt && r.trace == ti);
-                let anomaly = out.configs[first_config + ti].anomaly_exec.as_secs_f64();
-                if let Some(row) = matching.filter(|_| anomaly > 0.0) {
-                    accuracy.push(AccuracyRecord {
-                        workload: self.workload.name().to_string(),
-                        config_label: source.label.clone(),
-                        error: row.cells[cfg.mitigation.index()].inj_mean / anomaly - 1.0,
-                    });
+            blocks.push((block.platform.label().to_string(), traces, rows));
+        }
+        let (title, workload) = (self.title, self.workload);
+        let reduce = move |out: &Outcome| {
+            let mean = |set| out.summary(set).mean;
+            let mut accuracy = Vec::new();
+            let blocks = blocks.into_iter().map(|(platform, traces, rows)| {
+                let rows: Vec<RowResult> = (rows.into_iter())
+                    .map(|(row, base, inj)| RowResult {
+                        label: row.label(),
+                        model: row.model,
+                        smt: row.smt,
+                        trace: row.trace,
+                        cells: std::array::from_fn(|i| Cell {
+                            base_mean: mean(base[i]),
+                            inj_mean: mean(inj[i]),
+                        }),
+                    })
+                    .collect();
+                for (ti, (source, config)) in traces.into_iter().enumerate() {
+                    let cfg = &source.cfg;
+                    let matching = rows
+                        .iter()
+                        .find(|r| r.model == cfg.model && r.smt == cfg.smt && r.trace == ti);
+                    let anomaly = out.config(config).anomaly_exec.as_secs_f64();
+                    if let Some(row) = matching.filter(|_| anomaly > 0.0) {
+                        accuracy.push(AccuracyRecord {
+                            workload: workload.name().to_string(),
+                            config_label: source.label,
+                            error: row.cells[cfg.mitigation.index()].inj_mean / anomaly - 1.0,
+                        });
+                    }
                 }
-            }
-            first_config += block.traces.len();
-
-            blocks.push(Block {
-                platform: block.platform.label().to_string(),
-                rows,
+                Block { platform, rows }
             });
-        }
-        InjectionTable {
-            title: self.title.clone(),
-            workload: self.workload,
-            blocks,
-            accuracy,
-            failed_runs: out.traced_failed
-                + out
-                    .ledgers
-                    .iter()
-                    .map(RunLedger::failed_count)
-                    .sum::<usize>(),
-        }
+            InjectionTable {
+                title,
+                workload,
+                blocks: blocks.collect(),
+                accuracy,
+                failed_runs: out.failed(),
+            }
+        };
+        (plan, Box::new(reduce))
     }
 }
 

@@ -1,7 +1,17 @@
 //! Per-table experiment definitions (the evaluation section of the
-//! paper). Each submodule regenerates one table or figure as a
-//! [`plan::Plan`] and a pure reduction of its ledgers; [`report`] runs
-//! the plans, then renders each result with its shape check.
+//! paper). Each submodule's builder returns a section's
+//! [`plan::Plan`] with its reduction, a closure over the handles the
+//! builder kept. [`report`] looks every section up in one table,
+//! [`SECTIONS`], runs the plans, then renders each result with its
+//! shape check.
+
+/// A reduced result's [`Section`]: what it prints and its shape check.
+macro_rules! checked {
+    ($result:expr) => {{
+        let r = $result;
+        (r.render(), r.check_shape())
+    }};
+}
 
 pub mod ablation;
 pub mod fig1;
@@ -18,121 +28,112 @@ pub mod table6;
 pub mod table7;
 
 use crate::platform::Platform;
-use inject::InjectionTable;
-use plan::{run_plans, Outcome, Plan};
-use std::collections::BTreeMap;
-
-/// Every `noiselab report --what` section but `all`, in the order
-/// `all` prints them.
-pub const SECTIONS: &str =
-    "table1|table2|table3|table4|table5|table6|table7|fig1|fig2|merge|memory|runlevel3|numa|fwq";
-
-/// The sections `what` asks for: one of [`SECTIONS`], or all of them.
-fn asked(what: &str) -> impl Iterator<Item = &'static str> + '_ {
-    SECTIONS
-        .split('|')
-        .filter(move |&s| what == "all" || s == what)
-}
-
-/// The sections whose plans `what` runs, each once, in plan order:
-/// `table6` and `table7` aggregate Tables 3-5, and `fwq` runs no set.
-pub fn planned(what: &str) -> Vec<&'static str> {
-    let mut out = Vec::new();
-    for section in asked(what) {
-        let needs = match section {
-            "table6" | "table7" => vec!["table3", "table4", "table5"],
-            "fwq" => vec![],
-            one => vec![one],
-        };
-        for n in needs {
-            if !out.contains(&n) {
-                out.push(n);
-            }
-        }
-    }
-    out
-}
-
-/// The spec of Table 3, 4 or 5.
-fn table_spec(section: &str) -> Option<inject::TableSpec> {
-    let spec = match section {
-        "table3" => inject::table3_spec,
-        "table4" => inject::table4_spec,
-        "table5" => inject::table5_spec,
-        _ => return None,
-    };
-    Some(spec())
-}
-
-/// The plan of a section [`planned`] names.
-pub fn plan(section: &str, scale: Scale) -> Plan {
-    match section {
-        "table1" => table1::plan(scale),
-        "table2" => table2::plan(scale),
-        "fig1" => fig1::plan(scale),
-        "fig2" => fig2::plan(scale),
-        "merge" => ablation::merge_plan(scale),
-        "memory" => ablation::memory_plan(scale),
-        "runlevel3" => runlevel::plan(scale),
-        "numa" => numa::plan(scale.baseline_runs),
-        table => table_spec(table)
-            .unwrap_or_else(|| unreachable!("'{table}' has no plan"))
-            .plan(scale),
-    }
-}
+use inject::{InjectionTable, TableSpec};
+use plan::{run_plans, Outcome, Plan, Reduce};
+use table6::Table6;
+use table7::Table7;
 
 /// One printed section: the rendered result and its shape check
 /// (Tables 2-5 claim no shape of their own).
 pub type Section = (String, Result<(), String>);
+
+/// How [`report`] makes a section.
+enum Make {
+    /// From a plan of its own, which the builder returns with its
+    /// reduction.
+    Plan(fn(Scale) -> (Plan, Reduce<Section>)),
+    /// Table 3, 4 or 5, which Tables 6 and 7 also read.
+    Table(fn() -> TableSpec),
+    /// Table 6 or 7: Tables 3-5 are planned for it, and only it prints.
+    Aggregate(fn(&[InjectionTable]) -> Section),
+}
+
+/// Every `noiselab report --what` section but `all`, in the order
+/// `all` prints them.
+const SECTIONS: [(&str, Make); 14] = [
+    ("table1", Make::Plan(table1::build)),
+    ("table2", Make::Plan(table2::build)),
+    ("table3", Make::Table(inject::table3_spec)),
+    ("table4", Make::Table(inject::table4_spec)),
+    ("table5", Make::Table(inject::table5_spec)),
+    (
+        "table6",
+        Make::Aggregate(|t| checked!(Table6::aggregate(t))),
+    ),
+    (
+        "table7",
+        Make::Aggregate(|t| checked!(Table7::from_tables(t))),
+    ),
+    ("fig1", Make::Plan(fig1::build)),
+    ("fig2", Make::Plan(fig2::build)),
+    ("merge", Make::Plan(ablation::merge)),
+    ("memory", Make::Plan(ablation::memory)),
+    ("runlevel3", Make::Plan(runlevel::build)),
+    ("numa", Make::Plan(numa::build)),
+    (
+        "fwq",
+        Make::Plan(|_| (Plan::default(), Box::new(|_| checked!(fwq::run())))),
+    ),
+];
+
+/// Every `--what` value: each section, then `all`.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    SECTIONS.iter().map(|(name, _)| *name).chain(["all"])
+}
+
+/// What one planned outcome becomes: a printed section, if any, after
+/// adding any Table 3-5 to the tables the aggregates read.
+type Step = Box<dyn FnOnce(&Outcome, &mut Vec<InjectionTable>) -> Option<Section>>;
+
+/// The plans the sections `what` asks for need, each once, in
+/// [`SECTIONS`] order, and what each outcome becomes. An aggregate's
+/// plan is empty.
+fn plans(what: &str, scale: Scale) -> (Vec<(&'static str, Plan)>, Vec<Step>) {
+    let asked = |name: &str| what == "all" || name == what;
+    let aggregated = SECTIONS
+        .iter()
+        .any(|(name, make)| asked(name) && matches!(make, Make::Aggregate(_)));
+    let (mut plans, mut steps) = (Vec::new(), Vec::new());
+    for (name, make) in &SECTIONS {
+        let print = asked(name);
+        let (plan, step): (Plan, Step) = match *make {
+            Make::Plan(build) if print => {
+                let (plan, reduce) = build(scale);
+                (plan, Box::new(|out, _| Some(reduce(out))))
+            }
+            Make::Table(spec) if print || aggregated => {
+                let (plan, reduce) = spec().build(scale);
+                let step = move |out: &Outcome, tables: &mut Vec<InjectionTable>| {
+                    let table = reduce(out);
+                    let section = print.then(|| (table.render(), Ok(())));
+                    tables.push(table);
+                    section
+                };
+                (plan, Box::new(step))
+            }
+            Make::Aggregate(aggregate) if print => {
+                (Plan::default(), Box::new(move |_, t| Some(aggregate(t))))
+            }
+            _ => continue,
+        };
+        plans.push((*name, plan));
+        steps.push(step);
+    }
+    (plans, steps)
+}
 
 /// Regenerate the sections `what` asks for at `scale`, in [`SECTIONS`]
 /// order: run every plan they need, then reduce and render each. An
 /// error names the section, workload and config of a set whose every
 /// run failed.
 pub fn report(what: &str, scale: Scale) -> Result<Vec<Section>, String> {
-    let plans: Vec<(&str, Plan)> = planned(what)
-        .into_iter()
-        .map(|s| (s, plan(s, scale)))
-        .collect();
+    let (plans, steps) = plans(what, scale);
     let outcomes = run_plans(&plans)?;
-    let ran: BTreeMap<&str, (Plan, Outcome)> = plans
-        .into_iter()
-        .zip(outcomes)
-        .map(|((s, plan), out)| (s, (plan, out)))
-        .collect();
-    // Tables 3-5 reduce once, for their own sections and both aggregates.
-    let tables: BTreeMap<&str, InjectionTable> = ran
-        .iter()
-        .filter_map(|(&s, (_, out))| table_spec(s).map(|spec| (s, spec.reduce(out))))
-        .collect();
-
-    macro_rules! checked {
-        ($result:expr) => {{
-            let r = $result;
-            (r.render(), r.check_shape())
-        }};
-    }
-    let section = |name: &str| -> Section {
-        let Some((plan, out)) = ran.get(name) else {
-            return match name {
-                "table6" => checked!(table6::Table6::aggregate(tables.values())),
-                "table7" => checked!(table7::Table7::from_tables(tables.values())),
-                _ => checked!(fwq::run()),
-            };
-        };
-        match name {
-            "table1" => checked!(table1::reduce(plan, out)),
-            "table2" => (table2::reduce(plan, out).render(), Ok(())),
-            "fig1" => checked!(fig1::reduce(out)),
-            "fig2" => checked!(fig2::reduce(out)),
-            "merge" => checked!(ablation::merge_reduce(out)),
-            "memory" => checked!(ablation::memory_reduce(out)),
-            "runlevel3" => checked!(runlevel::reduce(out)),
-            "numa" => checked!(numa::reduce(plan, out)),
-            _ => (tables[name].render(), Ok(())),
-        }
-    };
-    Ok(asked(what).map(section).collect())
+    let mut tables = Vec::new();
+    let sections = steps.into_iter().zip(&outcomes);
+    Ok(sections
+        .filter_map(|(step, out)| step(out, &mut tables))
+        .collect())
 }
 
 /// Replication counts. The paper uses 1000 baseline and 200 injection
@@ -196,12 +197,24 @@ impl Scale {
 mod tests {
     use super::*;
 
+    /// Runs over every set of `plan`, collections included.
+    fn runs(plan: &Plan) -> usize {
+        let traced = plan.collections.iter().map(|c| c.set.runs);
+        traced.chain(plan.sets.iter().map(|s| s.runs)).sum()
+    }
+
+    /// The sections whose plans `what` runs, in plan order.
+    fn planned(what: &str) -> Vec<&'static str> {
+        let (plans, _) = plans(what, Scale::smoke());
+        let running = plans.into_iter().filter(|(_, p)| runs(p) > 0);
+        running.map(|(section, _)| section).collect()
+    }
+
     /// Each plan holds the sets and runs its section's loops have always
     /// run, at smoke scale (10 traced, 8 baseline and 5 injection runs
     /// per set). Nothing runs.
     #[test]
     fn plans_hold_every_sections_sets_and_runs() {
-        let smoke = Scale::smoke();
         // (section, collections, plain sets, injection sets, runs).
         // Tables 3-5: a baseline set per mitigation for each (model, SMT)
         // pair of a block's rows (Intel: OMP, SYCL; AMD: both with SMT
@@ -237,27 +250,34 @@ mod tests {
             ("runlevel3", 0, 6 * 2, 0, 12 * 8),
             ("numa", 0, 2, 0, 2 * 8),
         ];
-        let (mut traced, mut sets) = (0, 0);
-        for (section, collections, plain, injected, runs) in want {
-            let p = plan(section, smoke);
+        let counts = |p: &Plan| {
             let inj = p.sets.iter().filter(|s| s.inject.is_some()).count();
-            let got = (p.collections.len(), p.sets.len() - inj, inj, p.runs());
+            (p.collections.len(), p.sets.len() - inj, inj, runs(p))
+        };
+        for (section, collections, plain, injected, runs) in want {
+            let (plans, _) = plans(section, Scale::smoke());
+            assert_eq!(plans.len(), 1, "{section}");
+            let got = counts(&plans[0].1);
             assert_eq!(got, (collections, plain, injected, runs), "{section}");
-            traced += collections;
-            sets += collections + p.sets.len();
         }
-        // Tables 3-5: 10 traced, 108 baseline and 168 injection sets.
-        let tables = ["table3", "table4", "table5"].map(|s| plan(s, smoke));
-        let count = |f: fn(&Plan) -> usize| tables.iter().map(f).sum::<usize>();
-        let injection = count(|p| p.sets.iter().filter(|s| s.inject.is_some()).count());
-        let baseline = count(|p| p.sets.len()) - injection;
-        assert_eq!(
-            (count(|p| p.collections.len()), baseline, injection),
-            (10, 108, 168)
-        );
+        // Tables 3-5, which Tables 6 and 7 plan: 10 traced, 108 baseline
+        // and 168 injection sets.
+        for aggregate in ["table6", "table7"] {
+            let (plans, _) = plans(aggregate, Scale::smoke());
+            let (mut traced, mut baseline, mut injection) = (0, 0, 0);
+            for (_, plan) in &plans {
+                let (c, b, i, _) = counts(plan);
+                (traced, baseline, injection) = (traced + c, baseline + b, injection + i);
+            }
+            assert_eq!((traced, baseline, injection), (10, 108, 168));
+        }
         // `all`: 11 collections, one pool each, then one pool for the
         // other 412 sets.
-        assert_eq!((traced, sets), (11, 423));
+        let (plans, steps) = plans("all", Scale::smoke());
+        assert_eq!(steps.len(), SECTIONS.len());
+        let traced: usize = plans.iter().map(|(_, p)| p.collections.len()).sum();
+        let sets: usize = plans.iter().map(|(_, p)| p.sets.len()).sum();
+        assert_eq!((traced, sets), (11, 412));
 
         let all: Vec<&str> = want.iter().map(|w| w.0).collect();
         assert_eq!(planned("all"), all);

@@ -9,7 +9,8 @@
 //! that pinned threads avoid.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
-use crate::experiments::plan::{Outcome, Plan, RunSet};
+use crate::experiments::plan::{Outcome, Plan, Reduce, RunSet};
+use crate::experiments::{Scale, Section};
 use crate::platform::Platform;
 use noiselab_machine::Machine;
 use noiselab_noise::{AnomalyKind, AnomalySpec, NoiseProfile};
@@ -108,9 +109,12 @@ impl NumaComparison {
     }
 }
 
-/// The comparison's plan: `runs` baseline repetitions of roaming and of
-/// pinned N-body on the NUMA platform.
-pub fn plan(runs: usize) -> Plan {
+/// The comparison: baseline repetitions of roaming and of pinned
+/// N-body on the NUMA platform. Migration counts need kernel
+/// introspection, so each row also runs [`migration_probe`] on the
+/// first three of its seeds; the probes are single kernel runs outside
+/// the run pool.
+pub fn build(scale: Scale) -> (Plan, Reduce<Section>) {
     let platform = Rc::new(numa_platform());
     let workload: Rc<dyn Workload + Sync> = Rc::new(NBody {
         bodies: 120_000,
@@ -118,25 +122,14 @@ pub fn plan(runs: usize) -> Plan {
         sycl_kernel_efficiency: 1.3,
     });
     let mut plan = Plan::default();
-    for mitigation in [Mitigation::Rm, Mitigation::Tp] {
+    let sets = [Mitigation::Rm, Mitigation::Tp].map(|mitigation| {
         let cfg = ExecConfig::new(Model::Omp, mitigation);
-        plan.sets
-            .push(RunSet::new(&platform, &workload, cfg, 77_000, runs));
-    }
-    plan
-}
-
-/// The comparison from its plan's ledgers. Migration counts need kernel
-/// introspection, so each row also runs [`migration_probe`] on the
-/// first three of its seeds; the probes are single kernel runs outside
-/// the run pool.
-pub fn reduce(plan: &Plan, out: &Outcome) -> NumaComparison {
-    let rows = plan
-        .sets
-        .iter()
-        .enumerate()
-        .map(|(i, set)| {
-            let summary = out.summary(i);
+        let set = RunSet::new(&platform, &workload, cfg, 77_000, scale.baseline_runs);
+        (plan.set(set.clone()), set)
+    });
+    let reduce = move |out: &Outcome| {
+        let rows = sets.map(|(id, set)| {
+            let summary = out.summary(id);
             let probes = 3.min(set.runs) as u64;
             let (mut migr, mut numa) = (0.0, 0.0);
             for s in 0..probes {
@@ -152,9 +145,10 @@ pub fn reduce(plan: &Plan, out: &Outcome) -> NumaComparison {
                 migrations: migr / probes as f64,
                 numa_migrations: numa / probes as f64,
             }
-        })
-        .collect();
-    NumaComparison { rows }
+        });
+        checked!(NumaComparison { rows: rows.into() })
+    };
+    (plan, Box::new(reduce))
 }
 
 /// Run one seed and count workload-thread migrations.
@@ -214,19 +208,19 @@ mod tests {
 
     #[test]
     fn pinning_eliminates_cross_numa_migrations() {
-        let plans = [("numa", plan(4))];
-        let out = crate::experiments::plan::run_plans(&plans).unwrap();
-        let cmp = reduce(&plans[0].1, &out[0]);
-        let rm = cmp.row("Rm-OMP").unwrap();
-        let tp = cmp.row("TP-OMP").unwrap();
-        assert_eq!(tp.migrations, 0.0, "pinned threads must not migrate");
-        assert_eq!(tp.numa_migrations, 0.0);
-        assert!(
-            rm.migrations > 0.0,
-            "roaming threads should migrate under node noise"
-        );
-        assert!(cmp.render().contains("cross-NUMA"));
-        assert_eq!(cmp.check_shape(), Ok(()));
+        let scale = Scale {
+            baseline_runs: 4,
+            ..Scale::smoke()
+        };
+        let (plan, reduce) = build(scale);
+        let out = crate::experiments::plan::run_plans(&[("numa", plan)]).unwrap();
+        let (rendered, shape) = reduce(&out[0]);
+        // The shape holds exactly when pinned threads never migrate and
+        // roaming ones do.
+        assert_eq!(shape, Ok(()));
+        assert!(rendered.contains("cross-NUMA"));
+        let tp = rendered.lines().find(|l| l.contains("TP-OMP")).unwrap();
+        assert!(tp.ends_with(" 0"), "pinned threads crossed NUMA: {tp}");
     }
 
     fn row(label: &str, migrations: f64) -> NumaRow {

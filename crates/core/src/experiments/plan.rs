@@ -1,10 +1,11 @@
 //! Evaluation plans: every `noiselab report` section as data. A
-//! section's [`Plan`] holds its traced [`Collection`]s and its
-//! [`RunSet`]s, each an owned [`RunSpec`] plus a run count.
-//! [`run_plans`] runs each collection in a pool of its own and reduces
-//! it to injection configs before the next starts, so one collection's
-//! traces are alive at a time; then one [`run_batch`] pool runs every
-//! other set of every plan.
+//! section's builder adds its traced [`Collection`]s and [`RunSet`]s
+//! (each an owned [`RunSpec`] plus a run count) to a [`Plan`] and keeps
+//! the handles they return; its [`Reduce`] closure reads the
+//! [`Outcome`] through them. [`run_plans`] runs each collection in a
+//! pool of its own and reduces it to injection configs before the next
+//! starts, so one collection's traces are alive at a time; then one
+//! [`run_batch`] pool runs every other set of every plan.
 
 use crate::execconfig::ExecConfig;
 use crate::failure::RetryPolicy;
@@ -14,6 +15,14 @@ use noiselab_injector::{generate, GeneratorOptions, InjectionConfig, MergeStrate
 use noiselab_stats::Summary;
 use noiselab_workloads::Workload;
 use std::rc::Rc;
+
+/// A run set's handle: where its ledger sits in its plan's outcome.
+#[derive(Debug, Clone, Copy)]
+pub struct SetId(usize);
+
+/// An injection config's handle: where it sits in its plan's outcome.
+#[derive(Debug, Clone, Copy)]
+pub struct ConfigId(usize);
 
 /// One run set: what a [`RunSpec`] borrows, owned, plus its run count.
 /// It runs seeds `seed..seed + runs`.
@@ -25,9 +34,9 @@ pub struct RunSet {
     pub seed: u64,
     pub runs: usize,
     pub tracing: bool,
-    /// Replay the `i`-th injection config its plan's collections
-    /// generate.
-    pub inject: Option<usize>,
+    /// Replay this config, which a collection of the same plan
+    /// generates.
+    pub inject: Option<ConfigId>,
 }
 
 impl RunSet {
@@ -53,7 +62,7 @@ impl RunSet {
     fn spec<'a>(&'a self, configs: &'a [InjectionConfig]) -> RunSpec<'a> {
         RunSpec {
             tracing: self.tracing,
-            inject: self.inject.map(|i| &configs[i]),
+            inject: self.inject.map(|c| &configs[c.0]),
             ..RunSpec::new(&self.platform, self.workload.as_ref(), &self.cfg, self.seed)
         }
     }
@@ -62,40 +71,75 @@ impl RunSet {
 /// A traced collection: a traced set whose traces, named `name`,
 /// generate one injection config per merge strategy.
 pub struct Collection {
-    pub name: String,
-    pub set: RunSet,
-    pub merges: Vec<MergeStrategy>,
+    name: String,
+    pub(super) set: RunSet,
+    merges: Vec<MergeStrategy>,
 }
 
 /// A section's run sets: its collections, then its other sets.
 #[derive(Default)]
 pub struct Plan {
-    pub collections: Vec<Collection>,
-    pub sets: Vec<RunSet>,
+    pub(super) collections: Vec<Collection>,
+    pub(super) sets: Vec<RunSet>,
 }
 
 impl Plan {
-    /// Runs over every set, collections included.
-    pub fn runs(&self) -> usize {
-        let traced: usize = self.collections.iter().map(|c| c.set.runs).sum();
-        traced + self.sets.iter().map(|s| s.runs).sum::<usize>()
+    /// Add `set`; its handle reads its ledger.
+    pub fn set(&mut self, set: RunSet) -> SetId {
+        self.sets.push(set);
+        SetId(self.sets.len() - 1)
+    }
+
+    /// Add a traced collection of `set`, its traces named `name`: one
+    /// config per merge strategy, whose handles come back in order.
+    pub fn collection<const N: usize>(
+        &mut self,
+        name: String,
+        mut set: RunSet,
+        merges: [MergeStrategy; N],
+    ) -> [ConfigId; N] {
+        let first: usize = self.collections.iter().map(|c| c.merges.len()).sum();
+        set.tracing = true;
+        let merges = merges.to_vec();
+        self.collections.push(Collection { name, set, merges });
+        std::array::from_fn(|k| ConfigId(first + k))
     }
 }
+
+/// A section's reduction of its plan's outcome, reading it through the
+/// handles its builder kept.
+pub type Reduce<T> = Box<dyn FnOnce(&Outcome) -> T>;
 
 /// What a plan's runs hand its reduction.
 pub struct Outcome {
     /// One config per collection and merge strategy, in plan order.
-    pub configs: Vec<InjectionConfig>,
+    configs: Vec<InjectionConfig>,
     /// Traced runs that produced no measurement.
-    pub traced_failed: usize,
+    traced_failed: usize,
     /// One ledger per set, in plan order; each holds a measurement.
-    pub ledgers: Vec<RunLedger>,
+    ledgers: Vec<RunLedger>,
 }
 
 impl Outcome {
-    /// Summary of the `i`-th set's successful runs.
-    pub fn summary(&self, i: usize) -> Summary {
-        Summary::of(&self.ledgers[i].samples())
+    /// A set's ledger.
+    pub fn ledger(&self, set: SetId) -> &RunLedger {
+        &self.ledgers[set.0]
+    }
+
+    /// Summary of a set's successful runs.
+    pub fn summary(&self, set: SetId) -> Summary {
+        Summary::of(&self.ledger(set).samples())
+    }
+
+    /// A config a collection generated.
+    pub fn config(&self, config: ConfigId) -> &InjectionConfig {
+        &self.configs[config.0]
+    }
+
+    /// Runs of the whole plan that produced no measurement.
+    pub fn failed(&self) -> usize {
+        let failed = self.ledgers.iter().map(RunLedger::failed_count);
+        self.traced_failed + failed.sum::<usize>()
     }
 }
 

@@ -5,8 +5,8 @@
 //! unchanged.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
-use crate::experiments::plan::{Outcome, Plan, RunSet};
-use crate::experiments::{suite, Scale};
+use crate::experiments::plan::{Outcome, Plan, Reduce, RunSet};
+use crate::experiments::{suite, Scale, Section};
 use crate::platform::Platform;
 use noiselab_stats::TextTable;
 use noiselab_workloads::Workload;
@@ -69,41 +69,29 @@ impl RunlevelComparison {
     }
 }
 
-/// The runlevel plan: N-body OMP baselines under every mitigation, with
+/// The comparison: N-body OMP baselines under every mitigation, with
 /// the GUI stack active (runlevel 5) and disabled (runlevel 3), on the
 /// same seeds.
-pub fn plan(scale: Scale) -> Plan {
+pub fn build(scale: Scale) -> (Plan, Reduce<Section>) {
     let rl5 = Rc::new(Platform::intel());
     let rl3 = Rc::new(Platform::intel().runlevel3());
     let workload: Rc<dyn Workload + Sync> = Rc::new(suite::nbody_for(&rl5));
     let mut plan = Plan::default();
-    for mit in Mitigation::ALL {
-        for platform in [&rl5, &rl3] {
-            let cfg = ExecConfig::new(Model::Omp, mit);
-            plan.sets.push(RunSet::new(
-                platform,
-                &workload,
-                cfg,
-                4_500,
-                scale.baseline_runs,
-            ));
-        }
-    }
-    plan
-}
-
-/// The comparison from its plan's ledgers.
-pub fn reduce(out: &Outcome) -> RunlevelComparison {
-    let rows = Mitigation::ALL
-        .into_iter()
-        .enumerate()
-        .map(|(i, mitigation)| RunlevelRow {
+    let sets = Mitigation::ALL.map(|mit| {
+        let cfg = ExecConfig::new(Model::Omp, mit);
+        let set = |p| RunSet::new(p, &workload, cfg.clone(), 4_500, scale.baseline_runs);
+        (mit, [&rl5, &rl3].map(|p| plan.set(set(p))))
+    });
+    let reduce = move |out: &Outcome| {
+        let sd_ms = |set| out.summary(set).sd * 1e3;
+        let rows = sets.map(|(mitigation, [rl5, rl3])| RunlevelRow {
             mitigation,
-            sd_rl5_ms: out.summary(2 * i).sd * 1e3,
-            sd_rl3_ms: out.summary(2 * i + 1).sd * 1e3,
-        })
-        .collect();
-    RunlevelComparison { rows }
+            sd_rl5_ms: sd_ms(rl5),
+            sd_rl3_ms: sd_ms(rl3),
+        });
+        checked!(RunlevelComparison { rows: rows.into() })
+    };
+    (plan, Box::new(reduce))
 }
 
 #[cfg(test)]

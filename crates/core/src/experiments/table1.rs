@@ -3,8 +3,8 @@
 //! 1 %, establishing that traced baselines are representative.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
-use crate::experiments::plan::{Outcome, Plan, RunSet};
-use crate::experiments::{suite, Scale};
+use crate::experiments::plan::{Outcome, Plan, Reduce, RunSet};
+use crate::experiments::{suite, Scale, Section};
 use crate::platform::Platform;
 use noiselab_stats::{fmt_pct, fmt_secs, TextTable};
 use std::rc::Rc;
@@ -66,38 +66,30 @@ impl Table1 {
     }
 }
 
-/// The tracing-overhead plan on the Intel platform: per workload, an
-/// untraced and a traced set on the same seeds, so the tracer is the
-/// only difference.
-pub fn plan(scale: Scale) -> Plan {
+/// Table 1 on the Intel platform: per workload, an untraced and a
+/// traced set on the same seeds, so the tracer is the only difference.
+pub fn build(scale: Scale) -> (Plan, Reduce<Section>) {
     let platform = Rc::new(Platform::intel());
     let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
     let mut plan = Plan::default();
+    let mut sets = Vec::new();
     for w in &suite::paper_workloads(&platform) {
         let off = RunSet::new(&platform, w, cfg.clone(), 1000, scale.baseline_runs);
-        let on = RunSet {
-            tracing: true,
-            ..off.clone()
-        };
-        plan.sets.extend([off, on]);
+        let mut on = off.clone();
+        on.tracing = true;
+        sets.push((w.name().to_string(), plan.set(off), plan.set(on)));
     }
-    plan
-}
-
-/// Table 1 from its plan's ledgers.
-pub fn reduce(plan: &Plan, out: &Outcome) -> Table1 {
-    let rows = plan
-        .sets
-        .chunks(2)
-        .enumerate()
-        .map(|(i, off_on)| Row {
-            workload: off_on[0].workload.name().to_string(),
-            off_mean: out.summary(2 * i).mean,
-            on_mean: out.summary(2 * i + 1).mean,
-            failed: out.ledgers[2 * i].failed_count() + out.ledgers[2 * i + 1].failed_count(),
-        })
-        .collect();
-    Table1 { rows }
+    let reduce = move |out: &Outcome| {
+        let row = |(workload, off, on)| Row {
+            workload,
+            off_mean: out.summary(off).mean,
+            on_mean: out.summary(on).mean,
+            failed: out.ledger(off).failed_count() + out.ledger(on).failed_count(),
+        };
+        let rows = sets.into_iter().map(row).collect();
+        checked!(Table1 { rows })
+    };
+    (plan, Box::new(reduce))
 }
 
 #[cfg(test)]
@@ -118,16 +110,10 @@ mod tests {
             tracing: true,
             ..off.clone()
         };
-        let sets = vec![off, on];
-        let plans = [(
-            "table1",
-            Plan {
-                sets,
-                ..Plan::default()
-            },
-        )];
-        let out = run_plans(&plans).unwrap();
-        let inc = reduce(&plans[0].1, &out[0]).rows[0].increase();
+        let mut plan = Plan::default();
+        let (off, on) = (plan.set(off), plan.set(on));
+        let out = &run_plans(&[("table1", plan)]).unwrap()[0];
+        let inc = out.summary(on).mean / out.summary(off).mean - 1.0;
         assert!(inc < 0.02, "tracing overhead {inc}");
         assert!(inc > -0.01, "tracing made runs faster? {inc}");
     }

@@ -3,8 +3,8 @@
 //! averaged across the evaluated workloads and platforms.
 
 use crate::execconfig::{ExecConfig, Mitigation, Model};
-use crate::experiments::plan::{Outcome, Plan, RunSet};
-use crate::experiments::{suite, Scale};
+use crate::experiments::plan::{Outcome, Plan, Reduce, RunSet};
+use crate::experiments::{suite, Scale, Section};
 use crate::platform::Platform;
 use noiselab_stats::TextTable;
 use std::rc::Rc;
@@ -35,45 +35,42 @@ pub fn render_by_model(title: &str, omp: &[f64; 6], sycl: &[f64; 6]) -> String {
     t.render()
 }
 
-/// The baseline-variability plan: every workload, mitigation and model
-/// on Intel and AMD.
-pub fn plan(scale: Scale) -> Plan {
+/// Table 2: every workload, mitigation and model on Intel and AMD, each
+/// cell's s.d. averaged over the (platform, workload) pairs.
+pub fn build(scale: Scale) -> (Plan, Reduce<Section>) {
     let mut plan = Plan::default();
-    // No anomaly boost here: baseline variability is measured under
+    // Per (platform, workload) pair, a set per mitigation and model. No
+    // anomaly boost here: baseline variability is measured under
     // natural conditions (the boost exists only so small trace
     // collections still catch a worst case).
+    let mut pairs = Vec::new();
     for platform in [Platform::intel(), Platform::amd()].map(Rc::new) {
         for (wi, w) in suite::paper_workloads(&platform).iter().enumerate() {
-            for mit in Mitigation::ALL {
-                for model in [Model::Omp, Model::Sycl] {
+            pairs.push(Mitigation::ALL.map(|mit| {
+                [Model::Omp, Model::Sycl].map(|model| {
                     // Seeds vary per workload and model (independent
                     // anomaly dice) but are shared across mitigations
                     // (paired columns).
                     let seed =
                         9_000 + 10_000 * wi as u64 + 100_000 * matches!(model, Model::Sycl) as u64;
                     let cfg = ExecConfig::new(model, mit);
-                    plan.sets
-                        .push(RunSet::new(&platform, w, cfg, seed, scale.baseline_runs));
-                }
-            }
+                    plan.set(RunSet::new(&platform, w, cfg, seed, scale.baseline_runs))
+                })
+            }));
         }
     }
-    plan
-}
-
-/// Table 2 from its plan's ledgers: each cell's s.d. averaged over the
-/// (platform, workload) pairs.
-pub fn reduce(plan: &Plan, out: &Outcome) -> Table2 {
-    let mut acc = [[0.0f64; 6]; 2];
-    for (i, set) in plan.sets.iter().enumerate() {
-        let m = matches!(set.cfg.model, Model::Sycl) as usize;
-        acc[m][set.cfg.mitigation.index()] += out.summary(i).sd * 1e3;
-    }
-    let pairs = (plan.sets.len() / 12) as f64;
-    Table2 {
-        omp: acc[0].map(|x| x / pairs),
-        sycl: acc[1].map(|x| x / pairs),
-    }
+    let reduce = move |out: &Outcome| {
+        let sd = |m: usize, i: usize| -> f64 {
+            let sds = pairs.iter().map(|pair| out.summary(pair[i][m]).sd * 1e3);
+            sds.sum::<f64>() / pairs.len() as f64
+        };
+        let t = Table2 {
+            omp: std::array::from_fn(|i| sd(0, i)),
+            sycl: std::array::from_fn(|i| sd(1, i)),
+        };
+        (t.render(), Ok(()))
+    };
+    (plan, Box::new(reduce))
 }
 
 #[cfg(test)]

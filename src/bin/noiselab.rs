@@ -54,11 +54,11 @@
 //! (`--what all` runs every one, Tables 3-5 once for their own sections
 //! and both aggregates), printed and then checked against the paper's
 //! shape claim. A violated shape goes to stderr and makes the exit
-//! status nonzero. The run sets of every section asked for form one
-//! plan (`noiselab_core::experiments::plan`): each traced collection
-//! runs in a pool of its own, then all other sets in one pool. A set
-//! whose every run failed is an error naming its section, workload and
-//! config.
+//! status nonzero. Every section asked for builds a plan of run sets
+//! and its reduction (`noiselab_core::experiments::plan`): each traced
+//! collection runs in a pool of its own, then all other sets in one
+//! pool. A set whose every run failed is an error naming its section,
+//! workload and config.
 //!
 //! `campaign` sweeps every model x mitigation cell, checkpointing after
 //! each completed cell; a killed campaign resumes bit-identical with
@@ -464,11 +464,7 @@ fn cmd_report(args: &mut Args) -> Result<(), String> {
         ("paper", Scale::paper()),
     ];
     let scale = args.pick("scale", Scale::bench(), &scales)?;
-    let whats: Vec<(&str, &str)> = experiments::SECTIONS
-        .split('|')
-        .chain(["all"])
-        .map(|r| (r, r))
-        .collect();
+    let whats: Vec<(&str, &str)> = experiments::names().map(|r| (r, r)).collect();
     let what = args.pick("what", "table1", &whats)?;
     args.finish()?;
     let mut violated = 0;
