@@ -217,7 +217,7 @@ impl TableSpec {
     /// The table's plan and reduction. Its collections are every
     /// block's trace sources, traced on the anomaly-boosted platform;
     /// each generates one config. Its sets are, per block, the
-    /// baselines of [`PlatformSpec::baselines`], then each row's
+    /// baselines of `PlatformSpec::baselines`, then each row's
     /// injections, one set per mitigation each. The reduction sets each
     /// cell's injected mean against its baseline mean, and measures each
     /// trace's replication accuracy on its own source configuration.

@@ -2,7 +2,7 @@
 //! paper). Each submodule's builder returns a section's
 //! [`plan::Plan`] with its reduction, a closure over the handles the
 //! builder kept. [`report`] looks every section up in one table,
-//! [`SECTIONS`], runs the plans, then renders each result with its
+//! `SECTIONS`, runs the plans, then renders each result with its
 //! shape check.
 
 /// A reduced result's [`Section`]: what it prints and its shape check.
@@ -122,7 +122,7 @@ fn plans(what: &str, scale: Scale) -> (Vec<(&'static str, Plan)>, Vec<Step>) {
     (plans, steps)
 }
 
-/// Regenerate the sections `what` asks for at `scale`, in [`SECTIONS`]
+/// Regenerate the sections `what` asks for at `scale`, in `SECTIONS`
 /// order: run every plan they need, then reduce and render each. An
 /// error names the section, workload and config of a set whose every
 /// run failed.

@@ -111,7 +111,7 @@ impl NumaComparison {
 
 /// The comparison: baseline repetitions of roaming and of pinned
 /// N-body on the NUMA platform. Migration counts need kernel
-/// introspection, so each row also runs [`migration_probe`] on the
+/// introspection, so each row also runs `migration_probe` on the
 /// first three of its seeds; the probes are single kernel runs outside
 /// the run pool.
 pub fn build(scale: Scale) -> (Plan, Reduce<Section>) {
