@@ -10,7 +10,6 @@ use noiselab_campaignd::{worker_main, WorkerConfig};
 use noiselab_core::{ExecConfig, Mitigation, Model, RetryPolicy};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 fn spec() -> CampaignSpec {
     let cells = [Model::Omp, Model::Sycl]
@@ -46,8 +45,12 @@ struct Reference {
     metrics: String,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "a memo of a pure function of the spec, shared by the proptest cases; no run reads it"
+)]
 fn reference() -> &'static Reference {
-    static REF: OnceLock<Reference> = OnceLock::new();
+    static REF: std::sync::OnceLock<Reference> = std::sync::OnceLock::new();
     REF.get_or_init(|| {
         let root = std::env::temp_dir().join("noiselab-merge-prop-ref");
         let _ = std::fs::remove_dir_all(&root);

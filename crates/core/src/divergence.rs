@@ -17,7 +17,7 @@
 //! pipeline localises correctly).
 
 use crate::execconfig::ExecConfig;
-use crate::harness::{run, RunArena, RunSpec};
+use crate::harness::{run, RunSpec};
 use crate::platform::Platform;
 use noiselab_kernel::{LoggedEvent, SanitizerConfig, SanitizerReport};
 use noiselab_workloads::Workload;
@@ -230,7 +230,7 @@ pub fn dual_run_harness(
             },
             ..RunSpec::new(platform, workload, cfg, seed)
         };
-        run(&spec, &mut RunArena::default())
+        run(&spec, None)
             .map(|r| r.sanitizer)
             .map_err(|f| format!("run failed: {f:?}"))
     };

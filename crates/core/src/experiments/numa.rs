@@ -159,21 +159,12 @@ fn migration_probe(
     seed: u64,
 ) -> (f64, f64) {
     use noiselab_kernel::{Kernel, KernelConfig};
-    use noiselab_runtime::omp;
     use noiselab_sim::{Rng, SimTime};
 
-    let machine = platform.machine.clone();
-    let mut kernel = Kernel::new(machine.clone(), KernelConfig::default(), seed);
+    let mut kernel = Kernel::new(platform.machine.clone(), KernelConfig::default(), seed);
     let mut noise_rng = Rng::new(seed ^ 0xA5A5_5A5A_0F0F_F0F0);
     noiselab_noise::install(&mut kernel, &platform.noise, &mut noise_rng);
-    let nthreads = cfg.nthreads(&machine);
-    let affinities = cfg.affinities(&machine);
-    let program = workload.omp_program(nthreads, cfg.schedule);
-    let mut opts = omp::OmpLaunch::new(nthreads, affinities[0]);
-    if affinities.len() > 1 {
-        opts = omp::OmpLaunch::pinned(nthreads, affinities);
-    }
-    let team = omp::launch(&mut kernel, program, opts);
+    let team = crate::harness::spawn_workload(&mut kernel, workload, cfg, None);
     for w in &team.workers {
         if let Err(e) = kernel.run_until_exit(*w, SimTime::from_secs_f64(600.0)) {
             // A failed probe contributes zero counts rather than killing

@@ -5,7 +5,9 @@
 //! kernel instance).
 //!
 //! A [`RunSpec`] names everything one run depends on; [`run`] executes
-//! it once. [`run_batch`] executes several run sets — each a spec
+//! it once, building the run's kernel, tracer and telemetry itself and
+//! dropping them when it returns, so no state passes from one run to
+//! the next. [`run_batch`] executes several run sets — each a spec
 //! repeated over consecutive seeds — in one pool of host threads, so a
 //! small set never leaves a thread idle while another set has runs
 //! left; [`run_many`] is its one-set case.
@@ -21,13 +23,11 @@ use crate::failure::{RetryPolicy, RunFailure};
 use crate::platform::Platform;
 use noiselab_injector::{spawn_injectors, InjectionConfig};
 use noiselab_kernel::{
-    FaultPlan, Kernel, KernelConfig, KernelStorage, RateCounts, RunError, SanitizerConfig,
+    BarrierId, FaultPlan, Kernel, KernelConfig, RateCounts, RunError, SanitizerConfig,
     SanitizerReport,
 };
-use noiselab_noise::{
-    install, OsNoiseTracer, RunTrace, TraceBuffer, TraceSet, DEFAULT_TRACE_CAPACITY,
-};
-use noiselab_runtime::{omp, sycl};
+use noiselab_noise::{install, OsNoiseTracer, RunTrace, TraceSet};
+use noiselab_runtime::{omp, spawn_team, sycl, TeamHandle, TeamOptions};
 use noiselab_sim::{Rng, SimDuration, SimTime};
 use noiselab_stats::Summary;
 use noiselab_telemetry::{
@@ -135,39 +135,17 @@ pub struct InstrumentedRun {
     pub rates: RateCounts,
 }
 
-/// Reusable per-run state for repetition loops: the kernel's growable
-/// buffers, the tracer ring, and the telemetry pipeline, all kept warm
-/// between runs so back-to-back reps (overhead measurement, campaign
-/// cells, the hot-path bench) stop paying allocation churn per run.
-/// One arena serves one host thread; [`run_batch`] keeps one per worker.
-/// Reuse is observationally pure: the arena conformance suite asserts
-/// a run through a dirty arena is bit-identical (stream hash, metrics,
-/// trace) to a run through a fresh one.
-#[derive(Default)]
-pub struct RunArena {
-    kernel: KernelStorage,
-    tracer: TraceBuffer,
-    telemetry: Telemetry,
-    /// Host-time phase profiler attached to every run through this
-    /// arena. It lives here rather than on [`RunSpec`] because it is
-    /// single-threaded (`Rc`) while a spec is shared across threads.
-    profiler: Option<PhaseProfiler>,
-}
-
-impl RunArena {
-    /// An arena whose runs attach `profiler` to the kernel and bracket
-    /// the harness stats phase with it.
-    pub fn profiled(profiler: PhaseProfiler) -> Self {
-        RunArena {
-            profiler: Some(profiler),
-            ..RunArena::default()
-        }
-    }
-}
-
-/// Execute one run, drawing all per-run state from `arena`: sanitizer
-/// always, tracer, injector, fault plan and telemetry as `spec` asks.
-pub fn run(spec: &RunSpec, arena: &mut RunArena) -> Result<InstrumentedRun, RunFailure> {
+/// Execute one run: build its kernel, attach the sanitizer and
+/// whatever `spec` asks for (tracer, injector, fault plan, telemetry),
+/// run the workload and drop every piece of run state on return.
+/// `profiler`, when given, is attached to the kernel and brackets the
+/// harness stats phase; it is an argument rather than a [`RunSpec`]
+/// field because it is single-threaded (`Rc`) while a spec is shared
+/// across threads.
+pub fn run(
+    spec: &RunSpec,
+    profiler: Option<&PhaseProfiler>,
+) -> Result<InstrumentedRun, RunFailure> {
     let RunSpec {
         platform,
         workload,
@@ -205,24 +183,16 @@ pub fn run(spec: &RunSpec, arena: &mut RunArena) -> Result<InstrumentedRun, RunF
         machine.perf.per_core_bw *= f;
         machine.perf.socket_bw *= f;
     }
-    let mut kernel = Kernel::new_in(
-        machine.clone(),
-        spec.kconfig.clone(),
-        seed,
-        &mut arena.kernel,
-    );
+    let mut kernel = Kernel::new(machine, spec.kconfig.clone(), seed);
     kernel.attach_sanitizer(spec.sanitizer);
 
     // Telemetry and profiling are write-only observers: attaching them
     // cannot perturb the simulation (the purity suite proves it).
-    let telemetry = spec.telemetry.map(|tcfg| {
-        arena.telemetry.reset(tcfg);
-        arena.telemetry.clone()
-    });
+    let telemetry = spec.telemetry.map(Telemetry::new);
     if let Some(tele) = &telemetry {
         kernel.attach_observer(tele.observer());
     }
-    if let Some(prof) = &arena.profiler {
+    if let Some(prof) = profiler {
         kernel.attach_host_profiler(prof.hook());
     }
 
@@ -231,15 +201,11 @@ pub fn run(spec: &RunSpec, arena: &mut RunArena) -> Result<InstrumentedRun, RunF
     let mut noise_rng = Rng::new(seed ^ 0xA5A5_5A5A_0F0F_F0F0);
     let installed = install(&mut kernel, &platform.noise, &mut noise_rng);
 
-    let buffer = if tracing {
-        // The retained ring may hold leftovers if the previous run
-        // failed before its drain.
-        arena.tracer.reset(DEFAULT_TRACE_CAPACITY);
-        kernel.attach_tracer(Box::new(OsNoiseTracer::from_buffer(arena.tracer.clone())));
-        Some(arena.tracer.clone())
-    } else {
-        None
-    };
+    let buffer = tracing.then(|| {
+        let (tracer, buffer) = OsNoiseTracer::new();
+        kernel.attach_tracer(Box::new(tracer));
+        buffer
+    });
 
     // Fault injection shares no RNG state with the streams above: an
     // absent or no-op plan leaves the event sequence untouched.
@@ -249,35 +215,13 @@ pub fn run(spec: &RunSpec, arena: &mut RunArena) -> Result<InstrumentedRun, RunF
         frng
     });
 
-    let nthreads = cfg.nthreads(&machine);
-    let affinities = cfg.affinities(&machine);
-
     let start_barrier = inject.map(|config| {
+        let nthreads = cfg.nthreads(&kernel.machine);
         let bar = kernel.new_barrier(config.lists.len() + nthreads);
         let _ = spawn_injectors(&mut kernel, config, bar);
         bar
     });
-
-    let team = match cfg.model {
-        Model::Omp => {
-            let program = workload.omp_program(nthreads, cfg.schedule);
-            let mut opts = omp::OmpLaunch::new(nthreads, affinities[0]);
-            if affinities.len() > 1 {
-                opts = omp::OmpLaunch::pinned(nthreads, affinities);
-            }
-            opts.start_barrier = start_barrier;
-            omp::launch(&mut kernel, program, opts)
-        }
-        Model::Sycl => {
-            let program = workload.sycl_program(nthreads);
-            let mut opts = sycl::SyclLaunch::new(nthreads, affinities[0]);
-            if affinities.len() > 1 {
-                opts = sycl::SyclLaunch::pinned(nthreads, affinities);
-            }
-            opts.start_barrier = start_barrier;
-            sycl::launch(&mut kernel, program, opts)
-        }
-    };
+    let team = spawn_workload(&mut kernel, workload, cfg, start_barrier);
 
     // Thread-abort faults need the spawned team: draw the victim and
     // abort time now, from the same fault stream (fork keeps the draw
@@ -317,18 +261,16 @@ pub fn run(spec: &RunSpec, arena: &mut RunArena) -> Result<InstrumentedRun, RunF
     // behind any Drained/Horizon error its blocked peers produced.
     if let Some(&tid) = kernel.aborted_threads().first() {
         let thread = kernel.thread(tid).name.clone();
-        kernel.retire(&mut arena.kernel);
         return Err(RunFailure::WorkloadAborted { thread });
     }
     if let Some(f) = failure {
-        kernel.retire(&mut arena.kernel);
         return Err(f);
     }
     let exec = end.since(SimTime::ZERO);
 
     // Post-run bookkeeping is the harness's "stats" phase in the
     // host-time profile.
-    if let Some(prof) = &arena.profiler {
+    if let Some(prof) = profiler {
         prof.enter(noiselab_kernel::Phase::Stats);
     }
     let trace = buffer.map(|b| {
@@ -358,8 +300,7 @@ pub fn run(spec: &RunSpec, arena: &mut RunArena) -> Result<InstrumentedRun, RunF
         tele.counter_add("kernel.events", report.events);
         tele.take_report(end)
     });
-    kernel.retire(&mut arena.kernel);
-    if let Some(prof) = &arena.profiler {
+    if let Some(prof) = profiler {
         prof.exit(noiselab_kernel::Phase::Stats);
     }
     Ok(InstrumentedRun {
@@ -374,6 +315,38 @@ pub fn run(spec: &RunSpec, arena: &mut RunArena) -> Result<InstrumentedRun, RunF
         telemetry: tele_report,
         rates,
     })
+}
+
+/// Spawn `workload`'s team on `kernel` under `cfg`: the model's program
+/// and runtime parameters, with threads named `omp/<i>` or `sycl/<i>`.
+pub(crate) fn spawn_workload(
+    kernel: &mut Kernel,
+    workload: &dyn Workload,
+    cfg: &ExecConfig,
+    start_barrier: Option<BarrierId>,
+) -> TeamHandle {
+    let nthreads = cfg.nthreads(&kernel.machine);
+    let (program, params, prefix) = match cfg.model {
+        Model::Omp => (
+            workload.omp_program(nthreads, cfg.schedule),
+            omp::default_params(),
+            "omp",
+        ),
+        Model::Sycl => (
+            workload.sycl_program(nthreads),
+            sycl::default_params(),
+            "sycl",
+        ),
+    };
+    let opts = TeamOptions {
+        nthreads,
+        affinities: cfg.affinities(&kernel.machine),
+        params,
+        start_barrier,
+        name_prefix: prefix.into(),
+        start: SimTime::ZERO,
+    };
+    spawn_team(kernel, program, opts)
 }
 
 /// One row of a [`RunLedger`]: the original seed, how many attempts were
@@ -495,18 +468,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Run `spec` at `seed`, retrying a failed attempt up to
 /// `retry.max_retries` times with [`RetryPolicy::reseed`]. Host panics
 /// inside an attempt are caught and recorded as [`RunFailure::Panic`].
-fn run_with_retry(
-    spec: &RunSpec,
-    seed: u64,
-    retry: RetryPolicy,
-    arena: &mut RunArena,
-) -> RunRecord {
+fn run_with_retry(spec: &RunSpec, seed: u64, retry: RetryPolicy) -> RunRecord {
     let mut attempt = RunSpec {
         seed,
         ..spec.clone()
     };
-    let mut attempt_run = |attempt: &RunSpec| -> Result<RunOutput, RunFailure> {
-        catch_unwind(AssertUnwindSafe(|| run(attempt, arena).map(|r| r.output))).unwrap_or_else(
+    let attempt_run = |attempt: &RunSpec| -> Result<RunOutput, RunFailure> {
+        catch_unwind(AssertUnwindSafe(|| run(attempt, None).map(|r| r.output))).unwrap_or_else(
             |payload| {
                 Err(RunFailure::Panic {
                     message: panic_message(payload),
@@ -572,9 +540,8 @@ pub fn run_batch(jobs: &[(&RunSpec, usize)], retry: RetryPolicy) -> Vec<RunLedge
     // counter over every job, so a slow run (an anomaly, a retry)
     // delays only the thread running it, and no thread idles while any
     // job has runs left. Each run is a pure function of its spec and
-    // seed, so which thread runs it, and which arena it reuses, does
-    // not matter; records come back tagged by index and land in seed
-    // order below.
+    // seed, so which thread runs it does not matter; records come back
+    // tagged by index and land in seed order below.
     let next = AtomicUsize::new(0);
     let (next, locate) = (&next, &locate);
     #[expect(
@@ -585,9 +552,6 @@ pub fn run_batch(jobs: &[(&RunSpec, usize)], retry: RetryPolicy) -> Vec<RunLedge
         let workers: Vec<_> = (0..host_threads().min(total))
             .map(|_| {
                 scope.spawn(move || {
-                    // One arena per worker: its runs recycle the same
-                    // kernel/tracer/telemetry buffers, across jobs too.
-                    let mut arena = RunArena::default();
                     let mut out = Vec::new();
                     loop {
                         let g = next.fetch_add(1, Ordering::SeqCst);
@@ -595,7 +559,7 @@ pub fn run_batch(jobs: &[(&RunSpec, usize)], retry: RetryPolicy) -> Vec<RunLedge
                             break out;
                         }
                         let (j, seed) = locate(g);
-                        out.push((g, run_with_retry(jobs[j].0, seed, retry, &mut arena)));
+                        out.push((g, run_with_retry(jobs[j].0, seed, retry)));
                     }
                 })
             })
@@ -769,7 +733,7 @@ mod tests {
     }
 
     fn run_once(spec: &RunSpec) -> RunOutput {
-        run(spec, &mut RunArena::default()).unwrap().output
+        run(spec, None).unwrap().output
     }
 
     #[test]
@@ -882,9 +846,13 @@ mod tests {
     #[test]
     fn run_batch_matches_run_many_per_job() {
         use noiselab_kernel::ThreadAbortSpec;
+        use noiselab_machine::Governor;
         let p = Platform::intel();
+        let a64fx = Platform::a64fx(false);
         let w = tiny_nbody();
         let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
+        let sycl = ExecConfig::new(Model::Sycl, Mitigation::Tp);
+        let dvfs = ExecConfig::new(Model::Omp, Mitigation::Tp).with_governor(Governor::Schedutil);
         let inject = tiny_injection();
         // Aborts a worker in most runs, so the retry loop runs and some
         // seeds may exhaust their retries.
@@ -905,14 +873,33 @@ mod tests {
             faults: Some(&abort),
             ..RunSpec::new(&p, &w, &cfg, 500)
         };
+        let traced = RunSpec {
+            tracing: true,
+            telemetry: Some(TelemetryConfig::default()),
+            ..RunSpec::new(&a64fx, &w, &sycl, 700)
+        };
+        let governed = RunSpec {
+            telemetry: Some(TelemetryConfig::metrics_only()),
+            ..RunSpec::new(&p, &w, &dvfs, 900)
+        };
+        let wide = RunSpec::new(&a64fx, &w, &cfg, 1_100);
+        // Every pool worker runs several of these in turn, across
+        // platforms, models and observation modes, so a run that kept
+        // state from an earlier one on its worker would differ from its
+        // lone run below.
         let jobs = [
             (&plain, 3),
             (&injected, 0),
+            (&traced, 2),
             (&faulted, 3),
+            (&governed, 2),
             (&injected, 1),
+            (&wide, 1),
             (&plain, 1),
             (&faulted, 0),
+            (&traced, 1),
             (&injected, 3),
+            (&governed, 1),
             (&faulted, 1),
         ];
         let retry = RetryPolicy::retries(2);
@@ -925,13 +912,35 @@ mod tests {
             assert_eq!(got.stream_hash(), want.stream_hash(), "job {j}");
             for (a, b) in got.records.iter().zip(&want.records) {
                 assert_eq!((a.seed, a.attempts), (b.seed, b.attempts), "job {j}");
-                match (&a.result, &b.result) {
-                    (Ok(x), Ok(y)) => {
-                        assert_eq!((x.exec, x.stream_hash), (y.exec, y.stream_hash), "job {j}");
-                        assert_eq!(x.anomaly, y.anomaly, "job {j}");
+                // The seed of the attempt the record kept.
+                let seed = match a.attempts {
+                    1 => a.seed,
+                    k => RetryPolicy::reseed(a.seed, k - 1),
+                };
+                let lone = run(
+                    &RunSpec {
+                        seed,
+                        ..spec.clone()
+                    },
+                    None,
+                )
+                .map(|r| r.output);
+                for (x, y) in [(&a.result, &b.result), (&a.result, &lone)] {
+                    match (x, y) {
+                        (Ok(x), Ok(y)) => {
+                            assert_eq!(x.stream_hash, y.stream_hash, "job {j} seed {seed}");
+                            assert_eq!(x.exec, y.exec, "job {j} seed {seed}");
+                            assert_eq!(x.metrics, y.metrics, "job {j} seed {seed}");
+                            assert_eq!(x.trace, y.trace, "job {j} seed {seed}");
+                            assert_eq!(x.anomaly, y.anomaly, "job {j} seed {seed}");
+                        }
+                        (Err(x), Err(y)) => assert_eq!(x, y, "job {j} seed {seed}"),
+                        _ => panic!("job {j}: seed {seed} outcome differs"),
                     }
-                    (Err(x), Err(y)) => assert_eq!(x, y, "job {j}"),
-                    _ => panic!("job {j}: seed {} outcome differs", a.seed),
+                }
+                if let Ok(out) = &a.result {
+                    assert_eq!(out.trace.is_some(), spec.tracing, "job {j}");
+                    assert_eq!(out.metrics.is_some(), spec.telemetry.is_some(), "job {j}");
                 }
                 retried |= a.attempts > 1;
             }

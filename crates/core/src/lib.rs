@@ -35,7 +35,7 @@ pub use execconfig::{ExecConfig, Mitigation, Model};
 pub use failure::{RetryPolicy, RunFailure};
 pub use harness::{
     measured, run, run_baseline, run_batch, run_many, seeds_fit, Baseline, Injected,
-    InstrumentedRun, RunArena, RunLedger, RunOutput, RunRecord, RunSpec,
+    InstrumentedRun, RunLedger, RunOutput, RunRecord, RunSpec,
 };
 pub use overhead::{measure_overhead, OverheadReport, OverheadRow};
 pub use platform::Platform;

@@ -20,7 +20,7 @@
 
 use crate::execconfig::ExecConfig;
 use crate::failure::RunFailure;
-use crate::harness::{run, RunArena, RunSpec};
+use crate::harness::{run, RunSpec};
 use crate::platform::Platform;
 use noiselab_telemetry::{wall_clock, PhaseProfiler, PhaseReport, TelemetryConfig};
 use noiselab_workloads::Workload;
@@ -113,11 +113,6 @@ pub fn measure_overhead(
     let reps = reps.max(1);
     let mut rows = Vec::new();
     let mut events = 0u64;
-    // One arena across all modes and reps: after the first (cold) rep,
-    // every measured run recycles the same buffers, which is exactly the
-    // steady state campaign loops run in.
-    let mut arena = RunArena::default();
-
     for (mode, tracing, telemetry) in [
         ("bare", false, false),
         ("+telemetry", false, true),
@@ -138,7 +133,7 @@ pub fn measure_overhead(
                 reason = "host time only fills the report's ns column"
             )]
             let t0 = wall_clock();
-            let inst = run(&spec, &mut arena)?;
+            let inst = run(&spec, None)?;
             #[expect(
                 clippy::disallowed_methods,
                 reason = "host time only fills the report's ns column"
@@ -185,7 +180,7 @@ pub fn measure_overhead(
         telemetry: Some(TelemetryConfig::default()),
         ..bare
     };
-    run(&spec, &mut RunArena::profiled(profiler.clone()))?;
+    run(&spec, Some(&profiler))?;
 
     Ok(OverheadReport {
         workload: workload.name().to_string(),

@@ -4,7 +4,7 @@
 //! other `DvfsConfig` fields hold. Enabling it must visibly change the
 //! dispatched stream, and governor cells must replay exactly.
 
-use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec};
+use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunSpec};
 use noiselab_machine::{DvfsConfig, Governor};
 use noiselab_telemetry::TelemetryConfig;
 use noiselab_testutil::run_fresh;
@@ -96,7 +96,7 @@ fn intel_dvfs_preset_emits_frequency_telemetry() {
         telemetry: Some(TelemetryConfig::default()),
         ..RunSpec::new(&dvfs, &w, &cfg, 7)
     };
-    let done = run(&spec, &mut RunArena::default()).expect("dvfs run failed");
+    let done = run(&spec, None).expect("dvfs run failed");
     assert_ne!(plain.stream_hash, done.output.stream_hash);
     let report = done.telemetry.expect("telemetry attached");
     assert!(

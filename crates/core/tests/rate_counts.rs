@@ -6,7 +6,7 @@
 //! here even when every stream hash still matches.
 
 use noiselab_core::experiments::suite;
-use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec};
+use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunSpec};
 use noiselab_kernel::RateCounts;
 use noiselab_runtime::omp::OmpSchedule;
 use noiselab_workloads::{SchedBench, Workload};
@@ -18,11 +18,8 @@ fn check_on(
     want: RateCounts,
     want_events: u64,
 ) {
-    let r = run(
-        &RunSpec::new(platform, workload, cfg, 1),
-        &mut RunArena::default(),
-    )
-    .expect("the cell runs to completion");
+    let r =
+        run(&RunSpec::new(platform, workload, cfg, 1), None).expect("the cell runs to completion");
     assert_eq!((r.rates, r.sanitizer.events), (want, want_events));
 }
 

@@ -5,9 +5,7 @@
 //! execution time as a disabled one, bit for bit, across seeds,
 //! models and tracing modes.
 
-use noiselab_core::{
-    run, run_many, ExecConfig, Mitigation, Model, Platform, RetryPolicy, RunArena, RunSpec,
-};
+use noiselab_core::{run, run_many, ExecConfig, Mitigation, Model, Platform, RetryPolicy, RunSpec};
 use noiselab_kernel::{CpuStallSpec, FaultPlan, SanitizerConfig, SpuriousIrqSpec};
 use noiselab_sim::SimDuration;
 use noiselab_telemetry::{PhaseProfiler, TelemetryConfig};
@@ -30,7 +28,7 @@ fn instrumented(cfg: &ExecConfig, seed: u64, tracing: bool) -> (u64, u64) {
         telemetry: Some(TelemetryConfig::default()),
         ..RunSpec::new(&p, &w, cfg, seed)
     };
-    let out = run(&spec, &mut RunArena::profiled(PhaseProfiler::new()))
+    let out = run(&spec, Some(&PhaseProfiler::new()))
         .expect("instrumented run failed")
         .output;
     assert!(
@@ -186,7 +184,7 @@ fn kernel_events_is_the_sanitizer_event_count() {
                     tracing,
                     ..spec.clone()
                 },
-                &mut RunArena::default(),
+                None,
             )
             .unwrap_or_else(|e| panic!("{label} run failed: {e}"));
             let m = inst.output.metrics.as_ref().expect("metrics snapshot");
@@ -213,11 +211,8 @@ fn a_profiled_run_reports_queue_calls() {
         .expect("nbody-tiny is a suite workload");
     let cfg = ExecConfig::new(Model::Omp, Mitigation::Rm);
     let profiler = PhaseProfiler::new();
-    let inst = run(
-        &RunSpec::new(&p, w.as_ref(), &cfg, 1),
-        &mut RunArena::profiled(profiler.clone()),
-    )
-    .expect("profiled run failed");
+    let inst =
+        run(&RunSpec::new(&p, w.as_ref(), &cfg, 1), Some(&profiler)).expect("profiled run failed");
     let report = profiler.report();
     let row = |name: &str| {
         report

@@ -34,13 +34,6 @@ impl CfsQueue {
         self.set.pop_first()
     }
 
-    /// Rightmost (largest vruntime) thread — the preferred steal victim:
-    /// it would run last here, so moving it costs the least local
-    /// progress (mirrors CFS pulling from the tail).
-    pub fn peek_last(&self) -> Option<(u64, ThreadId)> {
-        self.set.last().copied()
-    }
-
     pub fn len(&self) -> usize {
         self.set.len()
     }

@@ -201,53 +201,15 @@ pub struct Kernel {
     /// Live DVFS state (frequency levels, turbo budget, thermal
     /// accumulator). `None` when the machine's DVFS axis is disabled:
     /// no events, no rate scaling, no state — bit-identical to the
-    /// pre-DVFS simulator. Deliberately *not* recycled through
-    /// [`KernelStorage`]: the vectors are tiny (per-CPU) and a fresh
-    /// runtime per run keeps arena reuse trivially pure.
+    /// pre-DVFS simulator.
     pub(crate) dvfs: Option<crate::dvfs::DvfsRuntime>,
-}
-
-/// Recyclable per-run kernel state: every growable buffer the kernel
-/// owns, detached from a finished run by [`Kernel::retire`] and handed
-/// to the next [`Kernel::new_in`], which empties the buffers but keeps
-/// their allocations. Repetition loops (overhead-measurement reps,
-/// campaign cells) thereby stop paying event-heap and control-block
-/// malloc churn on every run. A defaulted storage is empty, so
-/// `new_in(.., &mut KernelStorage::default())` is exactly `new(..)`.
-#[derive(Default)]
-pub struct KernelStorage {
-    queue: EventQueue<KEvent>,
-    threads: Vec<Thread>,
-    behaviors: Vec<Option<Box<dyn Behavior>>>,
-    cpus: Vec<Cpu>,
-    barriers: Vec<BarrierState>,
-    pending_trace_ns: Vec<u64>,
-    computes: Vec<Option<ActiveCompute>>,
-    running: RunningSet,
-    scratch: RateScratch,
-    aborted: Vec<ThreadId>,
 }
 
 impl Kernel {
     pub fn new(machine: Machine, config: KernelConfig, seed: u64) -> Self {
-        Self::new_in(machine, config, seed, &mut KernelStorage::default())
-    }
-
-    /// [`Kernel::new`] drawing its buffers from `storage` (see
-    /// [`KernelStorage`]). The arena conformance suite asserts a kernel
-    /// built this way runs bit-identically to a fresh one.
-    pub fn new_in(
-        machine: Machine,
-        config: KernelConfig,
-        seed: u64,
-        storage: &mut KernelStorage,
-    ) -> Self {
         let n = machine.n_cpus();
-        let mut queue = std::mem::take(&mut storage.queue);
-        queue.reset();
-        let mut cpus = std::mem::take(&mut storage.cpus);
-        cpus.clear();
-        cpus.extend((0..n).map(|_| Cpu::new()));
+        let mut queue = EventQueue::new();
+        let mut cpus: Vec<Cpu> = (0..n).map(|_| Cpu::new()).collect();
         // Ticks live on a fixed per-CPU grid staggered across the tick
         // period, as on real systems where CPUs boot at slightly
         // different times. Eager mode arms every CPU at boot; tickless
@@ -261,23 +223,6 @@ impl Kernel {
                 cpu.tick_armed = true;
             }
         }
-        let mut threads = std::mem::take(&mut storage.threads);
-        threads.clear();
-        let mut behaviors = std::mem::take(&mut storage.behaviors);
-        behaviors.clear();
-        let mut barriers = std::mem::take(&mut storage.barriers);
-        barriers.clear();
-        let mut pending_trace_ns = std::mem::take(&mut storage.pending_trace_ns);
-        pending_trace_ns.clear();
-        pending_trace_ns.resize(n, 0);
-        let mut computes = std::mem::take(&mut storage.computes);
-        computes.clear();
-        let mut running = std::mem::take(&mut storage.running);
-        running.reset(n);
-        let mut scratch = std::mem::take(&mut storage.scratch);
-        scratch.reset();
-        let mut aborted = std::mem::take(&mut storage.aborted);
-        aborted.clear();
         let dvfs = machine
             .dvfs
             .enabled
@@ -286,45 +231,28 @@ impl Kernel {
             machine,
             config,
             queue,
-            threads,
-            behaviors,
+            threads: Vec::new(),
+            behaviors: Vec::new(),
             cpus,
-            barriers,
+            barriers: Vec::new(),
             rng: Rng::new(seed),
             tracer: None,
-            pending_trace_ns,
+            pending_trace_ns: vec![0; n],
             softirq_flip: false,
             step_depth: 0,
             queued_total: 0,
             kick_pending: false,
             bw_running: 0,
-            computes,
-            running,
-            scratch,
+            computes: Vec::new(),
+            running: RunningSet::new(n),
+            scratch: RateScratch::default(),
             faults: None,
-            aborted,
+            aborted: Vec::new(),
             sanitizer: None,
             observer: None,
             profiler: None,
             dvfs,
         }
-    }
-
-    /// Tear the kernel down, returning its buffers to `storage` for the
-    /// next [`Kernel::new_in`]. Attached sinks and observers are
-    /// dropped. (Buffer contents are emptied lazily at the next
-    /// `new_in`, off any measured path.)
-    pub fn retire(self, storage: &mut KernelStorage) {
-        storage.queue = self.queue;
-        storage.threads = self.threads;
-        storage.behaviors = self.behaviors;
-        storage.cpus = self.cpus;
-        storage.barriers = self.barriers;
-        storage.pending_trace_ns = self.pending_trace_ns;
-        storage.computes = self.computes;
-        storage.running = self.running;
-        storage.scratch = self.scratch;
-        storage.aborted = self.aborted;
     }
 
     #[inline]
@@ -377,10 +305,6 @@ impl Kernel {
     /// Attach a host-time phase profiler (see [`crate::observe`]).
     pub fn attach_host_profiler(&mut self, prof: Box<dyn HostProfiler>) {
         self.profiler = Some(prof);
-    }
-
-    pub fn detach_host_profiler(&mut self) -> Option<Box<dyn HostProfiler>> {
-        self.profiler.take()
     }
 
     #[inline]
@@ -1974,10 +1898,5 @@ impl Kernel {
     /// counts), when the axis is enabled.
     pub fn dvfs_summary(&self) -> Option<crate::dvfs::DvfsSummary> {
         self.dvfs.as_ref().map(|d| d.summary(self.now()))
-    }
-
-    /// Current frequency of a CPU in kHz, when DVFS is enabled.
-    pub fn cpu_khz(&self, cpu: CpuId) -> Option<u32> {
-        self.dvfs.as_ref().map(|d| d.khz(cpu.index()))
     }
 }

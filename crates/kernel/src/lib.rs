@@ -62,7 +62,7 @@ pub use config::KernelConfig;
 pub use dvfs::{DvfsRuntime, DvfsSummary};
 pub use fault::{CpuStallSpec, FaultPlan, FaultStats, SpuriousIrqSpec, ThreadAbortSpec};
 pub use ids::{BarrierId, ThreadId};
-pub use kernel::{Kernel, KernelStorage, RunError, ThreadSpec};
+pub use kernel::{Kernel, RunError, ThreadSpec};
 pub use observe::{DecisionPoint, HostProfiler, KernelObserver, Phase, SchedRecord};
 pub use policy::Policy;
 pub use rates::RateCounts;

@@ -130,7 +130,6 @@ fn upper_bound_demand(solo: &SoloProfile, factor: f64) -> f64 {
 #[derive(Default)]
 pub(crate) struct RateScratch {
     /// Running `(thread index, cpu index)` pairs with active computes.
-    /// (Emptied, capacity kept, by [`RateScratch::reset`].)
     running: Vec<(usize, usize)>,
     factors: Vec<f64>,
     demands: Vec<f64>,
@@ -172,23 +171,6 @@ impl RateScratch {
             self.demand_max = d;
         }
     }
-
-    /// Empty every buffer, invalidate the caches and zero the counts,
-    /// keeping allocations for the next run.
-    pub(crate) fn reset(&mut self) {
-        self.running.clear();
-        self.factors.clear();
-        self.demands.clear();
-        self.allocs.clear();
-        self.order.clear();
-        self.demand_by_cpu.clear();
-        self.alloc_by_cpu.clear();
-        self.demand_max = 0.0;
-        self.cache_unsaturated = false;
-        self.cache_valid = false;
-        self.walked_at = None;
-        self.counts = RateCounts::default();
-    }
 }
 
 /// Dense index of the CPUs whose current thread holds an active
@@ -209,7 +191,6 @@ impl RateScratch {
 /// armed) is the event queue's lane timer of the same index, kept in
 /// the queue so that one structure orders every pending event; see
 /// [`Kernel::apply_rate`].
-#[derive(Default)]
 pub(crate) struct RunningSet {
     mask: Vec<u64>,
     tid: Vec<u32>,
@@ -225,20 +206,15 @@ pub(crate) struct RunningSet {
 const LANE_TIME_LIMIT: u64 = 1 << 53;
 
 impl RunningSet {
-    /// Size for `n_cpus` and mark every CPU idle, keeping allocations.
-    pub(crate) fn reset(&mut self, n_cpus: usize) {
-        self.mask.clear();
-        self.mask.resize(n_cpus.div_ceil(64), 0);
-        self.tid.clear();
-        self.tid.resize(n_cpus, u32::MAX);
-        for lane in [
-            &mut self.remaining,
-            &mut self.rate,
-            &mut self.overhead,
-            &mut self.last,
-        ] {
-            lane.clear();
-            lane.resize(n_cpus, 0.0);
+    /// A set for `n_cpus` CPUs, all idle.
+    pub(crate) fn new(n_cpus: usize) -> Self {
+        RunningSet {
+            mask: vec![0; n_cpus.div_ceil(64)],
+            tid: vec![u32::MAX; n_cpus],
+            remaining: vec![0.0; n_cpus],
+            rate: vec![0.0; n_cpus],
+            overhead: vec![0.0; n_cpus],
+            last: vec![0.0; n_cpus],
         }
     }
 

@@ -166,11 +166,6 @@ impl Thread {
         }
     }
 
-    #[inline]
-    pub fn is_runnable(&self) -> bool {
-        matches!(self.state, ThreadState::Ready | ThreadState::Running)
-    }
-
     /// Charge `delta` of on-CPU time to vruntime, weighted by policy.
     pub fn charge_vruntime(&mut self, delta: SimDuration) {
         let w = self.policy.weight();

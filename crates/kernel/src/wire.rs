@@ -72,8 +72,7 @@ impl WireRecord {
 /// Append-only string intern table: each distinct string is stored once
 /// and addressed by a dense `u32` id. Lookup is a `BTreeMap` walk (never
 /// a hash map — hash iteration order is a nondeterminism hazard clippy
-/// bans), allocation happens only on first sight of a
-/// string, and `clear` keeps the id vector's capacity for arena reuse.
+/// bans), and allocation happens only on first sight of a string.
 #[derive(Debug, Default, Clone)]
 pub struct InternTable {
     strings: Vec<String>,

@@ -63,17 +63,7 @@ pub struct TraceBuffer {
     inner: Rc<RefCell<BufferInner>>,
 }
 
-impl Default for TraceBuffer {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-}
-
 impl TraceBuffer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A buffer that records at most `capacity` events and counts the
     /// rest as dropped.
     pub fn with_capacity(capacity: usize) -> Self {
@@ -107,21 +97,8 @@ impl TraceBuffer {
         self.inner.borrow().dropped.iter().sum()
     }
 
-    /// Empty the buffer and counters (keeping the ring's and intern
-    /// table's allocations) and set the overflow capacity — the
-    /// arena-reuse hook: a retained buffer reset this way behaves
-    /// exactly like a fresh [`TraceBuffer::with_capacity`].
-    pub fn reset(&self, capacity: usize) {
-        let mut b = self.inner.borrow_mut();
-        b.events.clear();
-        b.intern.clear();
-        b.capacity = capacity;
-        b.dropped.clear();
-        b.emitted = 0;
-    }
-
     /// Drain the buffer into a [`RunTrace`], carrying the drop
-    /// accounting; counters reset for the next run.
+    /// accounting; the buffer and its counters are left empty.
     pub fn take_trace(&self, run_index: usize, exec_time: SimDuration) -> RunTrace {
         let mut b = self.inner.borrow_mut();
         let dropped_by_cpu: Vec<(u32, u64)> = b
@@ -178,16 +155,10 @@ impl OsNoiseTracer {
     /// A tracer whose ring buffer holds at most `capacity` events.
     pub fn with_capacity(capacity: usize) -> (OsNoiseTracer, TraceBuffer) {
         let buffer = TraceBuffer::with_capacity(capacity);
-        (Self::from_buffer(buffer.clone()), buffer)
-    }
-
-    /// A tracer appending into an existing buffer — the arena-reuse
-    /// hook: a repetition loop keeps one [`TraceBuffer`] and re-attaches
-    /// it run after run, so the ring's allocation stays warm. Callers
-    /// reusing a buffer across runs should [`TraceBuffer::reset`] it
-    /// first in case the previous run ended without a drain.
-    pub fn from_buffer(buffer: TraceBuffer) -> OsNoiseTracer {
-        OsNoiseTracer { buffer }
+        let tracer = OsNoiseTracer {
+            buffer: buffer.clone(),
+        };
+        (tracer, buffer)
     }
 }
 

@@ -10,7 +10,8 @@
 //! ```
 //! use noiselab_kernel::{Kernel, KernelConfig};
 //! use noiselab_machine::{Machine, WorkUnit};
-//! use noiselab_runtime::omp::{launch, OmpLaunch, OmpProgram, OmpSchedule};
+//! use noiselab_runtime::omp::{default_params, OmpProgram, OmpSchedule};
+//! use noiselab_runtime::{spawn_team, TeamOptions};
 //! use noiselab_sim::SimTime;
 //! use std::rc::Rc;
 //!
@@ -23,20 +24,24 @@
 //!     Some(OmpSchedule::Static { chunk: None }),
 //!     Rc::new(|_, n| WorkUnit::new(n as f64 * 2.0, n as f64 * 12.0)),
 //! );
-//! let team = launch(
+//! let team = spawn_team(
 //!     &mut kernel,
 //!     program.build(),
-//!     OmpLaunch::new(8, machine.all_cpus()),
+//!     TeamOptions {
+//!         nthreads: 8,
+//!         affinities: vec![machine.all_cpus()],
+//!         params: default_params(),
+//!         start_barrier: None,
+//!         name_prefix: "omp".into(),
+//!         start: SimTime::ZERO,
+//!     },
 //! );
 //! let end = kernel.run_until_exit(team.main(), SimTime::from_secs_f64(1.0)).unwrap();
 //! assert!(end.as_secs_f64() < 0.01);
 //! ```
 
 use crate::program::{ChunkPolicy, Phase, Program, RuntimeParams, WorkFn};
-use crate::team::{spawn_team, TeamHandle, TeamOptions};
-use noiselab_kernel::{BarrierId, Kernel};
-use noiselab_machine::CpuSet;
-use noiselab_sim::{SimDuration, SimTime};
+use noiselab_sim::SimDuration;
 
 /// OpenMP `schedule(...)` clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -121,59 +126,6 @@ impl OmpProgram {
     pub fn build(self) -> Program {
         self.program
     }
-}
-
-/// Launch options for an OpenMP execution.
-#[derive(Clone)]
-pub struct OmpLaunch {
-    /// `OMP_NUM_THREADS`.
-    pub num_threads: usize,
-    /// Affinity: one mask for the whole team (roaming within the mask)
-    /// or one mask per thread (`OMP_PROC_BIND=true` pinning).
-    pub affinities: Vec<CpuSet>,
-    pub params: RuntimeParams,
-    pub start_barrier: Option<BarrierId>,
-    pub start: SimTime,
-}
-
-impl OmpLaunch {
-    pub fn new(num_threads: usize, mask: CpuSet) -> Self {
-        OmpLaunch {
-            num_threads,
-            affinities: vec![mask],
-            params: default_params(),
-            start_barrier: None,
-            start: SimTime::ZERO,
-        }
-    }
-
-    /// Pin thread `i` to `masks[i]` (thread-pinning mitigation).
-    pub fn pinned(num_threads: usize, masks: Vec<CpuSet>) -> Self {
-        assert_eq!(masks.len(), num_threads);
-        OmpLaunch {
-            num_threads,
-            affinities: masks,
-            params: default_params(),
-            start_barrier: None,
-            start: SimTime::ZERO,
-        }
-    }
-}
-
-/// Run an OpenMP program: spawn the team on `kernel`.
-pub fn launch(kernel: &mut Kernel, program: Program, opts: OmpLaunch) -> TeamHandle {
-    spawn_team(
-        kernel,
-        program,
-        TeamOptions {
-            nthreads: opts.num_threads,
-            affinities: opts.affinities,
-            params: opts.params,
-            start_barrier: opts.start_barrier,
-            name_prefix: "omp".into(),
-            start: opts.start,
-        },
-    )
 }
 
 #[cfg(test)]

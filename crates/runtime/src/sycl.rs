@@ -15,10 +15,8 @@
 //! benchmark); each workload documents its factor.
 
 use crate::program::{ChunkPolicy, Phase, Program, RuntimeParams, WorkFn};
-use crate::team::{spawn_team, TeamHandle, TeamOptions};
-use noiselab_kernel::{BarrierId, Kernel};
-use noiselab_machine::{CpuSet, WorkUnit};
-use noiselab_sim::{SimDuration, SimTime};
+use noiselab_machine::WorkUnit;
+use noiselab_sim::SimDuration;
 use std::rc::Rc;
 
 /// Runtime overheads of the modelled SYCL CPU backend.
@@ -116,56 +114,6 @@ impl SyclQueue {
     pub fn finish(self) -> Program {
         self.program
     }
-}
-
-/// Launch options for a SYCL execution.
-#[derive(Clone)]
-pub struct SyclLaunch {
-    /// Worker-pool size (the CPU device's compute units in the mask).
-    pub num_threads: usize,
-    pub affinities: Vec<CpuSet>,
-    pub params: RuntimeParams,
-    pub start_barrier: Option<BarrierId>,
-    pub start: SimTime,
-}
-
-impl SyclLaunch {
-    pub fn new(num_threads: usize, mask: CpuSet) -> Self {
-        SyclLaunch {
-            num_threads,
-            affinities: vec![mask],
-            params: default_params(),
-            start_barrier: None,
-            start: SimTime::ZERO,
-        }
-    }
-
-    pub fn pinned(num_threads: usize, masks: Vec<CpuSet>) -> Self {
-        assert_eq!(masks.len(), num_threads);
-        SyclLaunch {
-            num_threads,
-            affinities: masks,
-            params: default_params(),
-            start_barrier: None,
-            start: SimTime::ZERO,
-        }
-    }
-}
-
-/// Run a SYCL program: spawn the worker pool on `kernel`.
-pub fn launch(kernel: &mut Kernel, program: Program, opts: SyclLaunch) -> TeamHandle {
-    spawn_team(
-        kernel,
-        program,
-        TeamOptions {
-            nthreads: opts.num_threads,
-            affinities: opts.affinities,
-            params: opts.params,
-            start_barrier: opts.start_barrier,
-            name_prefix: "sycl".into(),
-            start: opts.start,
-        },
-    )
 }
 
 #[cfg(test)]

@@ -153,15 +153,6 @@ impl Default for Lanes {
 }
 
 impl Lanes {
-    /// Disarm every lane and zero the work count, keeping allocations.
-    fn reset(&mut self) {
-        self.key.clear();
-        self.block_min.clear();
-        self.min = IDLE;
-        self.armed = 0;
-        self.compared = 0;
-    }
-
     #[inline]
     fn is_armed(&self, lane: usize) -> bool {
         self.key.get(lane).is_some_and(|&k| k != IDLE)
@@ -297,20 +288,6 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Return the queue to its boot state (time zero, no events, no
-    /// armed key or lane, sequence counter restarted) while keeping the
-    /// allocations — the arena-reuse hook for repetition loops.
-    pub fn reset(&mut self) {
-        self.plain.clear();
-        self.timers.clear();
-        self.pos.clear();
-        self.dirty.clear();
-        self.repairs = (0, 0);
-        self.lanes.reset();
-        self.next_seq = 0;
-        self.now = SimTime::ZERO;
-    }
-
     /// Number of pending events: plain, keyed and lane timers.
     #[inline]
     pub fn len(&self) -> usize {
@@ -411,13 +388,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Repairs of the timer heap so far, by branch: `(sifted,
-    /// heapified)`. A work count for reports; reset by [`Self::reset`].
+    /// heapified)`. A work count for reports.
     pub fn repair_counts(&self) -> (u64, u64) {
         self.repairs
     }
 
     /// Lane keys compared so far while finding the least lane timer. A
-    /// work count for reports; reset by [`Self::reset`].
+    /// work count for reports.
     pub fn lane_compares(&self) -> u64 {
         self.lanes.compared
     }
@@ -687,48 +664,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_through(SimTime(20)), lane(20, 3));
         assert_eq!(q.now(), SimTime(20));
-    }
-
-    #[test]
-    fn reset_disarms_every_lane() {
-        let mut q = EventQueue::<u32>::new();
-        for l in 0..30 {
-            q.arm_lane(l, SimTime(10 + l as u64));
-        }
-        assert_eq!(q.pop(), lane(10, 0));
-        q.reset();
-        assert!(q.is_empty());
-        assert!((0..30).all(|l| !q.lane_armed(l)));
-        assert_eq!(q.lane_compares(), 0);
-        assert_eq!(q.pop(), None);
-        // The lanes start over like a fresh queue's.
-        q.arm_lane(29, SimTime(4));
-        q.schedule(SimTime(4), 7);
-        assert_eq!(q.pop(), lane(4, 29));
-        assert_eq!(q.pop(), ev(4, 7));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn reset_restores_boot_state_and_disarms_every_key() {
-        let mut q = EventQueue::new();
-        q.arm(3, SimTime(10));
-        q.schedule(SimTime(20), 2);
-        q.arm(1, SimTime(30));
-        assert_eq!(q.pop(), timer(10, 3));
-        q.reset();
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert!(q.is_empty());
-        assert!(!q.is_armed(1));
-        assert_eq!(q.pop(), None);
-        // A second run behaves exactly like a fresh queue, with the
-        // sequence counter restarted.
-        q.arm(1, SimTime(5));
-        q.schedule(SimTime(5), 8);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), timer(5, 1));
-        assert_eq!(q.pop(), ev(5, 8));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl SimDuration {
     }
 
     #[inline]
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration((us * NANOS_PER_MICRO as f64).round().max(0.0) as u64)
-    }
-
-    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }

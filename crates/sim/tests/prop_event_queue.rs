@@ -1,5 +1,5 @@
 //! Property tests for the event queue: total ordering, stable ties,
-//! exact cancellation, monotone time, reset, and model checks of keyed
+//! exact cancellation, monotone time, and model checks of keyed
 //! timers (step by step, and in bursts between pops that exercise the
 //! deferred heap repair) and of all three sources together (plain
 //! events, keyed timers and lane timers) against a naive reference
@@ -262,46 +262,6 @@ proptest! {
             }
         }
     }
-
-    /// A reset queue, dirtied by any history, replays an operation
-    /// sequence exactly like a fresh one.
-    #[test]
-    fn reset_restores_the_boot_state(
-        dirt in proptest::collection::vec((0u8..6, 0usize..KEYS, 0u64..50), 0..100),
-        ops in proptest::collection::vec((0u8..6, 0usize..KEYS, 0u64..50), 1..100),
-    ) {
-        let mut used = EventQueue::new();
-        drive(&mut used, &dirt);
-        used.reset();
-        prop_assert!(used.is_empty());
-        prop_assert_eq!(used.now(), SimTime::ZERO);
-        let mut fresh = EventQueue::new();
-        prop_assert_eq!(drive(&mut used, &ops), drive(&mut fresh, &ops));
-    }
-}
-
-/// Apply `ops` and record everything observable.
-fn drive(q: &mut EventQueue<usize>, ops: &[(u8, usize, u64)]) -> Vec<String> {
-    let mut log = Vec::new();
-    for (step, &(kind, key, dt)) in ops.iter().enumerate() {
-        let at = SimTime(q.now().0 + dt);
-        match kind {
-            0 => q.schedule(at, step),
-            1 => q.arm(key, at),
-            2 => log.push(format!("cancel {}", q.cancel(key))),
-            3 => q.arm_lane(key, at),
-            4 => log.push(format!("cancel lane {}", q.cancel_lane(key))),
-            _ => log.push(format!("pop {:?}", q.pop())),
-        }
-        log.push(format!(
-            "{} {:?} {} {}",
-            q.len(),
-            q.peek_time(),
-            q.is_armed(key),
-            q.lane_armed(key)
-        ));
-    }
-    log
 }
 
 /// Reference queue: a flat list searched linearly. Each key holds the

@@ -233,6 +233,7 @@ impl HotMetrics {
     }
 }
 
+#[derive(Default)]
 struct Inner {
     cfg: TelemetryConfig,
     spans: Vec<Span>,
@@ -536,57 +537,14 @@ pub struct Telemetry {
     inner: Rc<RefCell<Inner>>,
 }
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        Self::new(TelemetryConfig::default())
-    }
-}
-
 impl Telemetry {
     pub fn new(cfg: TelemetryConfig) -> Self {
         Telemetry {
             inner: Rc::new(RefCell::new(Inner {
                 cfg,
-                spans: Vec::new(),
-                instants: Vec::new(),
-                counters: Vec::new(),
-                freq: Vec::new(),
-                strings: Vec::new(),
-                intern: BTreeMap::new(),
-                open: Vec::new(),
-                enqueued_at: Vec::new(),
-                name_of_thread: Vec::new(),
-                hot: HotMetrics::default(),
-                busy: Vec::new(),
-                n_cpus: 0,
-                dropped: 0,
-                metrics: MetricsRegistry::new(),
+                ..Inner::default()
             })),
         }
-    }
-
-    /// Return the pipeline to its just-constructed state under `cfg`,
-    /// keeping every collection's allocation — the arena-reuse hook for
-    /// repetition loops. Observationally equivalent to replacing the
-    /// handle with `Telemetry::new(cfg)`; the arena conformance suite
-    /// asserts reports from a reused pipeline match a fresh one's.
-    pub fn reset(&self, cfg: TelemetryConfig) {
-        let mut i = self.inner.borrow_mut();
-        i.cfg = cfg;
-        i.spans.clear();
-        i.instants.clear();
-        i.counters.clear();
-        i.freq.clear();
-        i.strings.clear();
-        i.intern.clear();
-        i.open.clear();
-        i.busy.clear();
-        i.enqueued_at.clear();
-        i.name_of_thread.clear();
-        i.hot = HotMetrics::default();
-        i.n_cpus = 0;
-        i.dropped = 0;
-        i.metrics = MetricsRegistry::new();
     }
 
     /// The boxed observer to attach to a kernel. Cloning the handle

@@ -16,9 +16,7 @@
 #![deny(clippy::unwrap_used)]
 #![deny(clippy::ref_as_ptr)]
 
-use noiselab_core::{
-    run, ExecConfig, Mitigation, Model, Platform, RunArena, RunFailure, RunOutput, RunSpec,
-};
+use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunFailure, RunOutput, RunSpec};
 use noiselab_injector::{CpuNoiseList, InjectPolicy, InjectionConfig, NoiseEventSpec};
 use noiselab_kernel::{
     Action, FaultPlan, Kernel, KernelConfig, NoiseClass, Policy, ScriptBehavior, ThreadId,
@@ -106,10 +104,10 @@ pub fn tickless_config(tickless: bool) -> KernelConfig {
     }
 }
 
-/// One run of `spec` through a fresh arena: the standalone reference
-/// the suites compare ledgers, reused arenas and ablations against.
+/// One standalone run of `spec`: the reference the suites compare
+/// ledgers and ablations against.
 pub fn run_fresh(spec: &RunSpec) -> Result<RunOutput, RunFailure> {
-    run(spec, &mut RunArena::default()).map(|r| r.output)
+    run(spec, None).map(|r| r.output)
 }
 
 /// The common far-future run horizon.
@@ -164,23 +162,6 @@ pub fn recorder() -> (Recorder, Rc<RefCell<Vec<TraceTuple>>>) {
 // ---------------------------------------------------------------------
 // Scripts
 // ---------------------------------------------------------------------
-
-/// The canonical two-phase barrier worker: compute, meet `bar`, compute
-/// again. Used by the fault and tickless scenarios.
-pub fn barrier_worker(
-    bar: noiselab_kernel::BarrierId,
-    pre: WorkUnit,
-    post: WorkUnit,
-) -> ScriptBehavior {
-    ScriptBehavior::new(vec![
-        Action::Compute(pre),
-        Action::Barrier {
-            id: bar,
-            spin: SimDuration::from_micros(50),
-        },
-        Action::Compute(post),
-    ])
-}
 
 // ---------------------------------------------------------------------
 // Platforms, workloads and exec configs (full-stack suites)

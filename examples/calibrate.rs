@@ -3,7 +3,7 @@
 //! Also reports host wall-clock per simulated run, which sizes the
 //! bench scales.
 
-use noiselab::core::{run, ExecConfig, Mitigation, Model, Platform, RunArena, RunSpec};
+use noiselab::core::{run, ExecConfig, Mitigation, Model, Platform, RunSpec};
 use noiselab::workloads::{Babelstream, MiniFE, NBody, Workload};
 
 fn probe(platform: &Platform, w: &(dyn Workload + Sync), model: Model, paper: f64) {
@@ -13,12 +13,9 @@ fn probe(platform: &Platform, w: &(dyn Workload + Sync), model: Model, paper: f6
         reason = "host time only labels the printed output"
     )]
     let t0 = std::time::Instant::now();
-    let out = run(
-        &RunSpec::new(platform, w, &cfg, 1),
-        &mut RunArena::default(),
-    )
-    .expect("calibration run failed")
-    .output;
+    let out = run(&RunSpec::new(platform, w, &cfg, 1), None)
+        .expect("calibration run failed")
+        .output;
     let wall = t0.elapsed().as_secs_f64();
     println!(
         "{:<22} {:<11} {:>6} sim={:.3}s paper={:.3}s ratio={:.2} wall={:.2}s",

@@ -314,7 +314,7 @@ fn cmd_baseline(args: &mut Args) -> Result<(), String> {
 /// export a Perfetto-loadable Chrome trace (and optionally the compact
 /// NLTB binary timeline).
 fn cmd_trace_timeline(args: &mut Args, run_seed: u64) -> Result<(), String> {
-    use noiselab::core::{run, RunArena};
+    use noiselab::core::run;
     use noiselab::telemetry::{chrome_trace, encode, TelemetryConfig};
 
     let (platform, workload, cfg) = args.cell()?;
@@ -325,7 +325,7 @@ fn cmd_trace_timeline(args: &mut Args, run_seed: u64) -> Result<(), String> {
         telemetry: Some(TelemetryConfig::default()),
         ..RunSpec::new(&platform, workload.as_ref(), &cfg, run_seed)
     };
-    let done = run(&spec, &mut RunArena::default()).map_err(|e| format!("run failed: {e}"))?;
+    let done = run(&spec, None).map_err(|e| format!("run failed: {e}"))?;
     let report = done.telemetry.expect("telemetry was attached");
     let label = format!(
         "{} {} {} seed {}",
@@ -674,7 +674,7 @@ fn cmd_campaign_worker(args: &mut Args) -> Result<(), String> {
 /// with the host-time phase profile or the full observation-overhead
 /// report.
 fn cmd_metrics(args: &mut Args) -> Result<(), String> {
-    use noiselab::core::{measure_overhead, run, run_many, RunArena};
+    use noiselab::core::{measure_overhead, run, run_many};
     use noiselab::telemetry::{MetricsSnapshot, PhaseProfiler, TelemetryConfig};
 
     let json = args.flag("json", false)?;
@@ -728,8 +728,7 @@ fn cmd_metrics(args: &mut Args) -> Result<(), String> {
 
     let profile = if profile {
         let profiler = PhaseProfiler::new();
-        run(&spec, &mut RunArena::profiled(profiler.clone()))
-            .map_err(|e| format!("profiled run failed: {e}"))?;
+        run(&spec, Some(&profiler)).map_err(|e| format!("profiled run failed: {e}"))?;
         Some(profiler.report())
     } else {
         None

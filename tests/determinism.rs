@@ -2,13 +2,13 @@
 //! claim of the paper's methodology rests on these.
 
 use noiselab::core::{
-    run, ExecConfig, Mitigation, Model, Platform, RunArena, RunFailure, RunOutput, RunSpec,
+    run, ExecConfig, Mitigation, Model, Platform, RunFailure, RunOutput, RunSpec,
 };
 use noiselab::injector::{generate, GeneratorOptions};
 use noiselab::workloads::{Babelstream, NBody};
 
 fn run_once(spec: &RunSpec) -> Result<RunOutput, RunFailure> {
-    run(spec, &mut RunArena::default()).map(|r| r.output)
+    run(spec, None).map(|r| r.output)
 }
 
 fn nbody() -> NBody {

@@ -19,6 +19,9 @@
 #![deny(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 #![deny(clippy::ref_as_ptr)]
+// Clippy reports a `thread_local!` hit at the crate root whatever item
+// holds it, so its canary's expectation sits here (see `per_thread`).
+#![expect(clippy::disallowed_macros, reason = "canary")]
 
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
@@ -114,6 +117,33 @@ use std::sync::atomic::Ordering;
 
 fn relaxed_load(c: &AtomicU64) -> u64 {
     c.load(Ordering::Relaxed)
+}
+
+// ---- lazy-global -----------------------------------------------------
+
+#[expect(clippy::disallowed_types, reason = "canary")]
+fn once_lock() -> u32 {
+    static CELL: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
+    *CELL.get_or_init(|| 7)
+}
+
+#[expect(clippy::disallowed_types, reason = "canary")]
+fn lazy_lock() -> u32 {
+    static CELL: std::sync::LazyLock<u32> = std::sync::LazyLock::new(|| 8);
+    *CELL
+}
+
+/// The `thread_local!` canary. Its expectation is the crate-level one
+/// at the top: an `#[expect]` on this module or a function around it
+/// stays unfulfilled.
+mod per_thread {
+    std::thread_local! {
+        pub static CELL: std::cell::Cell<u32> = const { std::cell::Cell::new(9) };
+    }
+}
+
+fn per_thread() -> u32 {
+    per_thread::CELL.with(|c| c.get())
 }
 
 // ---- environment -----------------------------------------------------
@@ -277,6 +307,7 @@ fn canary_sites_compile_and_run() {
     assert!(host_parallelism() >= 1);
     let _ = host_thread_id();
     assert_eq!(relaxed_load(&AtomicU64::new(3)), 3);
+    assert_eq!((once_lock(), lazy_lock(), per_thread()), (7, 8, 9));
     let _ = (env_var(), env_var_os(), env_vars(), env_vars_os());
     let (mut x, mut xs, mut v) = (1u32, [1u32, 2], vec![1u32]);
     assert!(addr_from_ref(&x) > 0 && addr_from_mut(&mut x) > 0);

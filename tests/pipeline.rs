@@ -5,7 +5,7 @@
 use noiselab::core::experiments::suite;
 use noiselab::core::{
     run, run_baseline, run_many, ExecConfig, Injected, Mitigation, Model, Platform, RetryPolicy,
-    RunArena, RunSpec,
+    RunSpec,
 };
 use noiselab::injector::InjectionConfig;
 use noiselab::injector::{generate, GeneratorOptions};
@@ -180,7 +180,7 @@ fn per_platform_suite_baselines_match_paper_scale() {
     ] {
         let cfg = ExecConfig::new(model, Mitigation::Rm);
         let spec = RunSpec::new(&intel, w.as_ref(), &cfg, 5);
-        let out = run(&spec, &mut RunArena::default()).unwrap().output;
+        let out = run(&spec, None).unwrap().output;
         let ratio = out.exec.as_secs_f64() / paper;
         assert!(
             (0.85..1.25).contains(&ratio),
