@@ -2,8 +2,8 @@
 //! omp-saturated benchmark, babelstream and miniFE under Rm-OMP on the
 //! Intel platform, and a fine-chunk Figure 1 cell on the 48-CPU A64FX
 //! are run at seed 1 and every `RateCounts` figure is pinned, so a
-//! change that adds a pass, a walk, a timer arm or a lane rescan fails
-//! here even when every stream hash still matches.
+//! change that adds a pass, a walk, a lane step, a timer arm or a lane
+//! rescan fails here even when every stream hash still matches.
 
 use noiselab_core::experiments::suite;
 use noiselab_core::{run, ExecConfig, Mitigation, Model, Platform, RunSpec};
@@ -45,6 +45,7 @@ fn babelstream_rm_omp_rate_work_is_pinned() {
         repairs_sift: 8_314,
         repairs_heapify: 601,
         lane_compares: 121_266,
+        lane_steps: 93_094,
     };
     check(&suite::babelstream_for(&platform), want, 13_645);
 }
@@ -66,6 +67,7 @@ fn minife_rm_omp_rate_work_is_pinned() {
         repairs_sift: 10_736,
         repairs_heapify: 1_203,
         lane_compares: 138_492,
+        lane_steps: 102_481,
     };
     check(&suite::minife_for(&platform), want, 15_487);
 }
@@ -91,6 +93,7 @@ fn a64fx_schedbench_dynamic_1_rate_work_is_pinned() {
         repairs_sift: 330,
         repairs_heapify: 5,
         lane_compares: 577_512,
+        lane_steps: 7_563,
     };
     check_on(&platform, &sb, &cfg, want, 41_252);
 }

@@ -690,7 +690,6 @@ impl Kernel {
     }
 
     fn on_compute_done(&mut self, tid: ThreadId) {
-        let now = self.now();
         let i = tid.index();
         if self.threads[i].state != ThreadState::Running {
             // Stale event (should have been cancelled).
@@ -701,8 +700,10 @@ impl Kernel {
             .cpu
             .expect("running thread without cpu")
             .index();
+        // The lane's progress is dropped below, so only the check reads it.
+        #[cfg(debug_assertions)]
         if self.computes[i].is_some() {
-            let (remaining, overhead) = self.running.advance(cpu, now);
+            let (remaining, overhead) = self.running.progress_at(cpu, self.now());
             debug_assert!(
                 remaining < 1.0 && overhead < 1.0,
                 "ComputeDone fired early for {tid}: remaining={remaining} overhead={overhead}"

@@ -21,13 +21,15 @@
 //!   compute and primes the caches the local and neutral passes read.
 //!
 //! Every pass but the pair pass first advances each running compute to
-//! `now` at its old rate (interval splitting is not associative in f64,
-//! so no advance may be skipped). A walk at an instant that already had
-//! one is skipped: every compute that joins the running set later starts
-//! at `now`, so the repeat walk would be a chain of `dt == 0` no-ops.
-//! While a compute runs, its progress lives in the running set's
-//! CPU-indexed lanes, so the walk is one branch-free loop over dense
-//! arrays (see [`RunningSet`]).
+//! `now` at its old rate. Interval splitting is not associative in f64,
+//! so a compute's advance steps may be deferred but never reordered or
+//! merged: the walk logs `now`, and each of the running set's
+//! CPU-indexed lanes applies the instants it has not reached, in order,
+//! before its progress or rate is read or written; a lane that stops
+//! running drops them unapplied (see [`RunningSet`]). A walk at an
+//! instant that already had one is skipped: every compute that joins
+//! the running set later starts at `now`, so the repeat walk would be a
+//! chain of `dt == 0` no-ops.
 //!
 //! Each pass ends by setting rates through [`Kernel::apply_rate`], which
 //! re-predicts the compute's completion. That timer is the event queue's
@@ -62,8 +64,8 @@ use noiselab_machine::{certify_unsaturated, waterfill_into, CpuId, SoloProfile};
 use noiselab_sim::{SimDuration, SimTime};
 
 /// Work done by the rate layer in one run: passes by kind, advance
-/// walks, compute-timer arms, and the event queue's timer-heap repairs
-/// and lane-minimum rescans.
+/// walks and the lane steps they cost, compute-timer arms, and the
+/// event queue's timer-heap repairs and lane-minimum rescans.
 /// Plain counters for tests and reports; no simulated value reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RateCounts {
@@ -101,6 +103,11 @@ pub struct RateCounts {
     /// Lane keys compared while finding the earliest completion timer
     /// (the event queue's lane minimum rescans).
     pub lane_compares: u64,
+    /// Progress steps applied to running lanes: walk instants a lane
+    /// applied before a read or write, plus single-lane advances. A
+    /// walk's instant is never applied to a lane that leaves the
+    /// running set first.
+    pub lane_steps: u64,
 }
 
 /// What a rate pass does to a compute's completion timer (see
@@ -184,8 +191,16 @@ impl RateScratch {
 /// [`RunningSet::insert`] loads a lane at rate 0 from `now`, and
 /// [`Kernel::leave_running`] advances it to `now` and writes the
 /// progress back into the `ActiveCompute`.
-/// Idle lanes hold rate 0 and overhead 0, which makes advancing them an
-/// exact no-op, so the advance walk is one loop over every lane.
+///
+/// An advance walk touches no lane: [`RunningSet::walk`] appends its
+/// instant to the set's walk log, and each lane records how far into the
+/// log it has got. A lane applies the instants it has not reached, in
+/// order and at its old rate, before anything reads or writes its
+/// progress or rate ([`RunningSet::catch_up`]); a lane that leaves the
+/// set drops them unapplied. Every [`WALK_SLACK`] walks the log drops
+/// the instants every running lane has applied, and a lane more than
+/// `WALK_SLACK` instants behind applies its pending ones first, so the
+/// log never holds more than `2 * WALK_SLACK` instants.
 ///
 /// A lane's completion timer (its `due` and `seq`, and whether it is
 /// armed) is the event queue's lane timer of the same index, kept in
@@ -200,10 +215,68 @@ pub(crate) struct RunningSet {
     /// Time of the lane's last update in ns, as f64: exact below 2^53 ns
     /// (104 days), and so is the difference of two such instants.
     last: Vec<f64>,
+    /// Walk instants (f64 ns) some running lane may not have applied,
+    /// oldest first.
+    walks: Vec<f64>,
+    /// Index in `walks` of the first walk CPU `ci`'s lane has not
+    /// applied (only meaningful while the lane runs).
+    next_walk: Vec<u32>,
+    /// [`advance_progress`] steps applied to lanes
+    /// ([`RateCounts::lane_steps`]).
+    steps: u64,
 }
 
 /// Lane times are f64 nanoseconds; every integer below this is exact.
 const LANE_TIME_LIMIT: u64 = 1 << 53;
+
+/// Walk instants a running lane may leave unapplied before a log
+/// compaction makes it apply them.
+const WALK_SLACK: usize = 1024;
+
+/// Apply walk instants `walks` to a lane, in order, at `rate` (see
+/// [`advance_progress`]). Each step depends on the last, so the steps
+/// form one chain per lane; it is kept in registers and, in the common
+/// case, cut to one subtraction per step:
+///
+/// * With no overhead to burn (`overhead <= 0`), a step leaves the
+///   overhead's bits as they are, and it leaves remaining work that is
+///   not finite (a spinner's) as it is, so such a lane only moves `last`.
+/// * With finite remaining work and a rate that is neither negative nor
+///   NaN, a step computes `max(r - dt * rate, 0)`, and `r - dt * rate`
+///   never exceeds `r`. If the chain of bare differences ends above 0,
+///   every difference on the way was above 0, so no `max` changed one
+///   and the chain is the result (a `dt == 0` step subtracts `+0.0`,
+///   which keeps a positive `r`). Otherwise the steps run in full.
+#[inline(always)]
+fn replay(remaining: &mut f64, overhead: &mut f64, last: &mut f64, rate: f64, walks: &[f64]) {
+    let Some(&end) = walks.last() else {
+        return;
+    };
+    let (mut r, mut o, mut l) = (*remaining, *overhead, *last);
+    let burns = o > 0.0;
+    if !burns {
+        if !r.is_finite() {
+            *last = end;
+            return;
+        }
+        if rate >= 0.0 {
+            for &t in walks {
+                r -= (t - l) * rate;
+                l = t;
+            }
+            if r > 0.0 {
+                (*remaining, *last) = (r, end);
+                return;
+            }
+            (r, l) = (*remaining, *last);
+        }
+    }
+    for &t in walks {
+        advance_progress(&mut r, &mut o, rate, t - l);
+        l = t;
+    }
+    (*remaining, *overhead, *last) = (r, o, l);
+}
 
 impl RunningSet {
     /// A set for `n_cpus` CPUs, all idle.
@@ -215,11 +288,15 @@ impl RunningSet {
             rate: vec![0.0; n_cpus],
             overhead: vec![0.0; n_cpus],
             last: vec![0.0; n_cpus],
+            walks: Vec::new(),
+            next_walk: vec![0; n_cpus],
+            steps: 0,
         }
     }
 
     /// Thread `ti` runs compute `c` on CPU `ci` from `now`: load its
-    /// progress into a lane at rate 0 (the next pass rates it).
+    /// progress into a lane at rate 0 (the next pass rates it), with no
+    /// walk pending.
     #[inline]
     fn insert(&mut self, ci: usize, ti: usize, c: &ActiveCompute, now: SimTime) {
         assert!(
@@ -232,51 +309,144 @@ impl RunningSet {
         self.rate[ci] = 0.0;
         self.overhead[ci] = c.overhead_ns;
         self.last[ci] = now.0 as f64;
+        self.next_walk[ci] = self.walks.len() as u32;
     }
 
-    /// CPU `ci`'s compute stops running: drop it from the set and idle
-    /// its lane (the caller has written the progress back or drops it).
+    /// CPU `ci`'s compute stops running: drop it from the set, with its
+    /// pending walks (the caller has written the progress back or drops
+    /// it). Nothing reads an idle lane, and `insert` reloads all of it.
     #[inline]
     fn remove(&mut self, ci: usize) {
         self.mask[ci >> 6] &= !(1u64 << (ci & 63));
         self.tid[ci] = u32::MAX;
-        self.rate[ci] = 0.0;
-        self.overhead[ci] = 0.0;
     }
 
-    /// Advance every lane to `now` (see [`advance_progress`]).
-    fn advance_all(&mut self, now: SimTime) {
-        let now = now.0 as f64;
-        let lanes = self
-            .remaining
-            .iter_mut()
-            .zip(&mut self.overhead)
-            .zip(&self.rate)
-            .zip(&mut self.last);
-        for (((remaining, overhead), &rate), last) in lanes {
-            advance_progress(remaining, overhead, rate, now - *last);
-            *last = now;
+    /// Advance every running lane to `now`: log the instant for each
+    /// lane to apply when it is next read or written.
+    fn walk(&mut self, now: SimTime) {
+        if self.walks.len() >= 2 * WALK_SLACK {
+            self.compact();
         }
+        self.walks.push(now.0 as f64);
+    }
+
+    /// Make every running lane more than [`WALK_SLACK`] walks behind
+    /// apply its pending ones, then drop the walks every running lane
+    /// has applied.
+    fn compact(&mut self) {
+        let end = self.walks.len();
+        let mut keep = end;
+        for w in 0..self.mask.len() {
+            let mut bits = self.mask[w];
+            while bits != 0 {
+                let ci = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if end - self.next_walk[ci] as usize > WALK_SLACK {
+                    self.catch_up(ci);
+                }
+                keep = keep.min(self.next_walk[ci] as usize);
+            }
+        }
+        self.walks.drain(..keep);
+        for next in &mut self.next_walk {
+            *next = next.saturating_sub(keep as u32);
+        }
+    }
+
+    /// The walk instants CPU `ci`'s lane has not applied yet.
+    #[inline]
+    fn pending(&self, ci: usize) -> &[f64] {
+        &self.walks[self.next_walk[ci] as usize..]
+    }
+
+    /// Apply CPU `ci`'s pending walks at the lane's current rate.
+    #[inline]
+    fn catch_up(&mut self, ci: usize) {
+        let from = self.next_walk[ci] as usize;
+        if from == self.walks.len() {
+            return;
+        }
+        let pending = &self.walks[from..];
+        replay(
+            &mut self.remaining[ci],
+            &mut self.overhead[ci],
+            &mut self.last[ci],
+            self.rate[ci],
+            pending,
+        );
+        self.steps += pending.len() as u64;
+        self.next_walk[ci] = self.walks.len() as u32;
+    }
+
+    /// CPU `ci`'s lane as it stands once its pending walks are applied:
+    /// `(remaining, overhead_ns, last)`. Changes nothing.
+    #[cfg(any(debug_assertions, test))]
+    fn caught_up(&self, ci: usize) -> (f64, f64, f64) {
+        let (mut remaining, mut overhead, mut last) =
+            (self.remaining[ci], self.overhead[ci], self.last[ci]);
+        replay(
+            &mut remaining,
+            &mut overhead,
+            &mut last,
+            self.rate[ci],
+            self.pending(ci),
+        );
+        (remaining, overhead, last)
     }
 
     /// Advance CPU `ci`'s lane to `now`; returns its `(remaining,
     /// overhead_ns)`.
     pub(crate) fn advance(&mut self, ci: usize, now: SimTime) -> (f64, f64) {
-        let now = now.0 as f64;
+        self.catch_up(ci);
         let (remaining, overhead) = (&mut self.remaining[ci], &mut self.overhead[ci]);
-        advance_progress(remaining, overhead, self.rate[ci], now - self.last[ci]);
-        self.last[ci] = now;
+        replay(
+            remaining,
+            overhead,
+            &mut self.last[ci],
+            self.rate[ci],
+            &[now.0 as f64],
+        );
+        self.steps += 1;
         (*remaining, *overhead)
+    }
+
+    /// What [`Self::advance`] would return, without advancing the lane.
+    #[cfg(debug_assertions)]
+    pub(crate) fn progress_at(&self, ci: usize, now: SimTime) -> (f64, f64) {
+        let (mut remaining, mut overhead, mut last) = self.caught_up(ci);
+        replay(
+            &mut remaining,
+            &mut overhead,
+            &mut last,
+            self.rate[ci],
+            &[now.0 as f64],
+        );
+        (remaining, overhead)
     }
 
     /// CPU `ci`'s compute, inserted at this instant, starts running
     /// after `pending` ns of switch overhead accumulated off-CPU.
     pub(crate) fn resume(&mut self, ci: usize, pending: f64) {
+        self.catch_up(ci);
         self.overhead[ci] += pending;
     }
 
-    /// Completion time of CPU `ci`'s compute at its lane's rate.
+    /// Give CPU `ci`'s compute `rate` from here on, once its pending
+    /// walks are applied at the old rate; returns the old rate.
+    #[inline]
+    fn set_rate(&mut self, ci: usize, rate: f64) -> f64 {
+        self.catch_up(ci);
+        std::mem::replace(&mut self.rate[ci], rate)
+    }
+
+    /// Completion time of CPU `ci`'s compute at its lane's rate. The
+    /// lane must have no walk pending (as after [`Self::set_rate`]).
+    #[inline]
     fn eta_ns(&self, ci: usize) -> Option<u64> {
+        debug_assert!(
+            self.pending(ci).is_empty(),
+            "eta of cpu {ci}'s lane before its walks"
+        );
         eta_ns(self.remaining[ci], self.overhead[ci], self.rate[ci])
     }
 
@@ -309,6 +479,7 @@ impl Kernel {
             repairs_sift,
             repairs_heapify,
             lane_compares: self.queue.lane_compares(),
+            lane_steps: self.running.steps,
             ..self.scratch.counts
         }
     }
@@ -444,10 +615,9 @@ impl Kernel {
     /// and the timer is still armed, the previously scheduled time
     /// remains exact, so the re-arm is skipped.
     fn apply_rate(&mut self, ci: usize, ti: usize, factor: f64, rate: f64, now: SimTime) {
-        let lane_rate = &mut self.running.rate[ci];
-        let unchanged = (*lane_rate - rate).abs() <= 1e-12 * rate.max(1.0);
-        *lane_rate = rate;
-        match self.timer_after(ci, factor, unchanged) {
+        let old = self.running.set_rate(ci, rate);
+        let unchanged = (old - rate).abs() <= 1e-12 * rate.max(1.0);
+        match self.timer_after(ci, factor, unchanged, || self.running.eta_ns(ci)) {
             LaneTimer::Keep => self.scratch.counts.rearms_skipped += 1,
             LaneTimer::Arm(ns) => {
                 self.scratch.counts.arms += 1;
@@ -464,16 +634,23 @@ impl Kernel {
     /// compute holds its new rate at `factor`: an armed timer whose rate
     /// is `unchanged` stays exact and is kept; otherwise the timer is
     /// armed at the compute's eta, or cancelled when the compute cannot
-    /// progress (`factor` 0, or no eta).
+    /// progress (`factor` 0, or no eta). `eta` gives the compute's
+    /// completion time at the new rate.
     #[inline]
-    fn timer_after(&self, ci: usize, factor: f64, unchanged: bool) -> LaneTimer {
+    fn timer_after(
+        &self,
+        ci: usize,
+        factor: f64,
+        unchanged: bool,
+        eta: impl FnOnce() -> Option<u64>,
+    ) -> LaneTimer {
         if unchanged && self.queue.lane_armed(ci) {
             return LaneTimer::Keep;
         }
         if factor == 0.0 {
             return LaneTimer::Cancel;
         }
-        match self.running.eta_ns(ci) {
+        match eta() {
             Some(ns) => LaneTimer::Arm(ns),
             None => LaneTimer::Cancel,
         }
@@ -541,9 +718,11 @@ impl Kernel {
         self.prof_exit(Phase::Rates);
     }
 
-    /// Advance every running compute to `now` at its old rate, unless a
-    /// walk already ran at this instant: then every running compute is
-    /// at `now` (one that joined since started there), and each advance
+    /// Advance every running compute to `now` at its old rate (each lane
+    /// applies the walk when it is next read or written; see
+    /// [`RunningSet`]), unless a walk already ran at this instant: then
+    /// every running compute is at `now` once it applies its pending
+    /// walks (one that joined since started there), and each advance
     /// would be a `dt == 0` no-op.
     fn advance_running(&mut self, now: SimTime) {
         if self.scratch.walked_at == Some(now) {
@@ -551,13 +730,14 @@ impl Kernel {
             #[cfg(debug_assertions)]
             self.running.for_each(|ci, _| {
                 debug_assert_eq!(
-                    self.running.last[ci], now.0 as f64,
+                    self.running.caught_up(ci).2,
+                    now.0 as f64,
                     "skipped walk left cpu {ci}'s compute behind now"
                 );
             });
             return;
         }
-        self.running.advance_all(now);
+        self.running.walk(now);
         self.scratch.walked_at = Some(now);
         self.scratch.counts.walks += 1;
     }
@@ -742,7 +922,14 @@ impl Kernel {
             // The full pass would find the held rate unchanged (asserted
             // above), so it keeps an armed timer, even one of a compute
             // in an IRQ window, and arms or cancels any other.
-            let cancelled = matches!(self.timer_after(ci, factors[k], true), LaneTimer::Cancel);
+            let eta = || {
+                let (remaining, overhead, _) = self.running.caught_up(ci);
+                eta_ns(remaining, overhead, self.running.rate[ci])
+            };
+            let cancelled = matches!(
+                self.timer_after(ci, factors[k], true, eta),
+                LaneTimer::Cancel
+            );
             debug_assert_eq!(
                 self.queue.lane_armed(ci),
                 !cancelled,
@@ -846,5 +1033,265 @@ impl Kernel {
             };
             self.apply_rate(ci, ti, factor, rate, now);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The all-lane walk the log replaces: a walk advances every lane,
+    /// idle ones included, at its rate.
+    struct EagerLanes {
+        remaining: Vec<f64>,
+        overhead: Vec<f64>,
+        rate: Vec<f64>,
+        last: Vec<f64>,
+    }
+
+    impl EagerLanes {
+        fn new(n: usize) -> Self {
+            EagerLanes {
+                remaining: vec![0.0; n],
+                overhead: vec![0.0; n],
+                rate: vec![0.0; n],
+                last: vec![0.0; n],
+            }
+        }
+
+        fn step(&mut self, ci: usize, now: f64) {
+            let dt = now - self.last[ci];
+            advance_progress(
+                &mut self.remaining[ci],
+                &mut self.overhead[ci],
+                self.rate[ci],
+                dt,
+            );
+            self.last[ci] = now;
+        }
+
+        fn walk(&mut self, now: f64) {
+            for ci in 0..self.last.len() {
+                self.step(ci, now);
+            }
+        }
+
+        fn progress(&self, ci: usize) -> (u64, u64) {
+            (self.remaining[ci].to_bits(), self.overhead[ci].to_bits())
+        }
+    }
+
+    fn bits((remaining, overhead): (f64, f64)) -> (u64, u64) {
+        (remaining.to_bits(), overhead.to_bits())
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert {
+            cpu: usize,
+            remaining: f64,
+            overhead: f64,
+        },
+        Remove {
+            cpu: usize,
+        },
+        /// Let virtual time pass without a walk.
+        Tick {
+            dt: u64,
+        },
+        /// `n` walks, `dt` apart (a walk at the same instant when 0).
+        Walks {
+            n: usize,
+            dt: u64,
+        },
+        Advance {
+            cpu: usize,
+        },
+        SetRate {
+            cpu: usize,
+            rate: f64,
+        },
+        Resume {
+            cpu: usize,
+            pending: f64,
+        },
+        Read {
+            cpu: usize,
+        },
+    }
+
+    /// Remaining work: finite, zero of either sign, or a spinner's.
+    fn remaining() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::INFINITY),
+            0.0f64..5_000.0,
+            0.0f64..1.0e7,
+        ]
+    }
+
+    /// Overhead below, near and above a walk's `dt`, and `-0.0`.
+    fn overhead() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            0.0f64..3.0,
+            0.0f64..400.0,
+            0.0f64..1.0e5,
+        ]
+    }
+
+    fn rate() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0, 0.0f64..1.0e-3]
+    }
+
+    fn dt() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(1u64), 0u64..200, 0u64..50_000]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let cpu = || 0usize..64;
+        prop_oneof![
+            (cpu(), remaining(), overhead()).prop_map(|(cpu, remaining, overhead)| Op::Insert {
+                cpu,
+                remaining,
+                overhead
+            }),
+            (cpu(), remaining(), overhead()).prop_map(|(cpu, remaining, overhead)| Op::Insert {
+                cpu,
+                remaining,
+                overhead
+            }),
+            cpu().prop_map(|cpu| Op::Remove { cpu }),
+            dt().prop_map(|dt| Op::Tick { dt }),
+            dt().prop_map(|dt| Op::Walks { n: 1, dt }),
+            dt().prop_map(|dt| Op::Walks { n: 1, dt }),
+            dt().prop_map(|dt| Op::Walks { n: 1, dt }),
+            (0usize..3 * WALK_SLACK, dt()).prop_map(|(n, dt)| Op::Walks { n, dt }),
+            cpu().prop_map(|cpu| Op::Advance { cpu }),
+            (cpu(), rate()).prop_map(|(cpu, rate)| Op::SetRate { cpu, rate }),
+            (cpu(), rate()).prop_map(|(cpu, rate)| Op::SetRate { cpu, rate }),
+            (cpu(), overhead()).prop_map(|(cpu, pending)| Op::Resume { cpu, pending }),
+            cpu().prop_map(|cpu| Op::Read { cpu }),
+        ]
+    }
+
+    fn compute(remaining: f64, overhead_ns: f64) -> ActiveCompute {
+        ActiveCompute {
+            solo: SoloProfile {
+                solo_ns: 1.0,
+                cpu_ns: 1.0,
+                bw_demand: 0.0,
+            },
+            remaining,
+            overhead_ns,
+        }
+    }
+
+    proptest! {
+        /// Every value the log-backed set lets anyone read matches, bit
+        /// for bit, what the all-lane walk holds at that point; and the
+        /// log never outgrows its bound.
+        #[test]
+        fn walk_log_matches_the_all_lane_walk(
+            n in 1usize..65,
+            ops in proptest::collection::vec(op(), 1..80),
+        ) {
+            let mut lazy = RunningSet::new(n);
+            let mut eager = EagerLanes::new(n);
+            let mut running = vec![false; n];
+            let mut now = 0u64;
+            for op in ops {
+                match op {
+                    Op::Insert { cpu, remaining, overhead } => {
+                        let ci = cpu % n;
+                        lazy.insert(ci, 0, &compute(remaining, overhead), SimTime(now));
+                        eager.remaining[ci] = remaining;
+                        eager.overhead[ci] = overhead;
+                        eager.rate[ci] = 0.0;
+                        eager.last[ci] = now as f64;
+                        running[ci] = true;
+                    }
+                    Op::Remove { cpu } => {
+                        let ci = cpu % n;
+                        lazy.remove(ci);
+                        eager.rate[ci] = 0.0;
+                        eager.overhead[ci] = 0.0;
+                        running[ci] = false;
+                    }
+                    Op::Tick { dt } => now += dt,
+                    Op::Walks { n: walks, dt } => {
+                        for _ in 0..walks {
+                            now += dt;
+                            lazy.walk(SimTime(now));
+                            eager.walk(now as f64);
+                            prop_assert!(lazy.walks.len() <= 2 * WALK_SLACK);
+                        }
+                    }
+                    Op::Advance { cpu } if running[cpu % n] => {
+                        let ci = cpu % n;
+                        let got = bits(lazy.advance(ci, SimTime(now)));
+                        eager.step(ci, now as f64);
+                        prop_assert_eq!(got, eager.progress(ci));
+                    }
+                    Op::SetRate { cpu, rate } if running[cpu % n] => {
+                        let ci = cpu % n;
+                        let old = lazy.set_rate(ci, rate);
+                        prop_assert_eq!(old.to_bits(), eager.rate[ci].to_bits());
+                        eager.rate[ci] = rate;
+                        prop_assert_eq!(bits((lazy.remaining[ci], lazy.overhead[ci])), eager.progress(ci));
+                    }
+                    Op::Resume { cpu, pending } if running[cpu % n] => {
+                        let ci = cpu % n;
+                        lazy.resume(ci, pending);
+                        eager.overhead[ci] += pending;
+                        prop_assert_eq!(bits((lazy.remaining[ci], lazy.overhead[ci])), eager.progress(ci));
+                    }
+                    Op::Read { cpu } if running[cpu % n] => {
+                        let ci = cpu % n;
+                        let (remaining, overhead, last) = lazy.caught_up(ci);
+                        prop_assert_eq!(bits((remaining, overhead)), eager.progress(ci));
+                        prop_assert_eq!(last.to_bits(), eager.last[ci].to_bits());
+                    }
+                    Op::Advance { .. } | Op::SetRate { .. } | Op::Resume { .. } | Op::Read { .. } => {}
+                }
+            }
+            for ci in (0..n).filter(|&ci| running[ci]) {
+                let (remaining, overhead, _) = lazy.caught_up(ci);
+                prop_assert_eq!(bits((remaining, overhead)), eager.progress(ci));
+            }
+        }
+    }
+
+    /// A lane that outlives many walks (a spinner) applies its pending
+    /// ones when it holds back the log, so the log stays bounded while
+    /// short-lived lanes still drop theirs unapplied.
+    #[test]
+    fn a_long_lived_lane_is_caught_up_by_compaction() {
+        let mut set = RunningSet::new(2);
+        set.insert(0, 0, &compute(f64::INFINITY, 700.5), SimTime(0));
+        assert_eq!(set.set_rate(0, 1.0), 0.0);
+        let mut now = 0;
+        for _ in 0..10 * WALK_SLACK {
+            now += 3;
+            set.insert(1, 1, &compute(50.0, 0.0), SimTime(now));
+            set.walk(SimTime(now));
+            set.remove(1);
+            assert!(set.walks.len() <= 2 * WALK_SLACK);
+        }
+        let pending = set.pending(0).len();
+        assert!(pending <= 2 * WALK_SLACK);
+        // Lane 1 applied none of its walks; the spinner every walk but
+        // the ones still pending.
+        let walks = (10 * WALK_SLACK) as u64;
+        assert_eq!(set.steps, walks - pending as u64);
+        assert!(set.steps > 0, "no compaction ran");
+        let (remaining, overhead, last) = set.caught_up(0);
+        assert_eq!(remaining, f64::INFINITY);
+        assert_eq!(overhead.to_bits(), 0.0f64.to_bits());
+        assert_eq!(last, now as f64);
     }
 }
